@@ -406,13 +406,20 @@ DISC = (
 SUITES = ("adjunction", "products", "descent", "example26", "sigma", "rho")
 
 
-# passes a run holds: about 20 seconds of requests where the reference was
-# recorded.  A verify_suites run holds its whole pool: the adjunction suite's
-# cost varies threefold with its seed, so any subset moved the 90th
-# percentile by about 15% between run seeds; the run seed orders and groups
-# the documents.
-PASSES = {"restrict_prime": 8, "disc_function": 10, "points_oracle": 8,
-          "verify_suites": 4}
+# passes a run holds: a round of every document of the run takes 6 to 7.5
+# seconds on an unloaded core of the VM the benchmark was tuned on, so a
+# 25-second run holds two to four rounds even when the host is slow.
+PASSES = {"restrict_prime": 3, "disc_function": 4, "points_oracle": 3,
+          "verify_suites": 2}
+
+
+def _pool(per_pass, workload):
+    """Pool size of a stratum: one document more than a run takes, so that
+    runs differ by at most one document a stratum.  Documents of one shape
+    differ in cost by up to threefold; with pools of 20, the draw alone moved
+    the latency percentiles by about 8% between seeds (simulated from
+    per-document costs), and with one spare by 2 to 7%."""
+    return per_pass * PASSES[workload] + 1
 
 
 def _bind(fn, *args):
@@ -422,26 +429,33 @@ def _bind(fn, *args):
 WORKLOADS = {
     "restrict_prime": [
         ("p%d_rank%d_deg%d_vars%d_gens%d_%s" % (
-            p, n, d, v, g, "sparse" if s else "dense"), k, 20,
+            p, n, d, v, g, "sparse" if s else "dense"), k,
+            _pool(k, "restrict_prime"),
             _bind(_restrict_monogenic, p, n, d, v, g, s))
         for p, n, d, v, g, s, k in RESTRICT_MONOGENIC
     ] + [
-        ("p%d_table%dx%d_deg%d_vars%d" % (p, n1, n2, d, v), k, 20,
+        ("p%d_table%dx%d_deg%d_vars%d" % (p, n1, n2, d, v), k,
+         _pool(k, "restrict_prime"),
          _bind(_restrict_table, p, n1, n2, d, v))
         for p, n1, n2, d, v, k in RESTRICT_TABLE
     ],
     "disc_function": [
         ("p%d_%s%d_radius%d_%s_shift%d" % (
-            p, form, n, r, "dense" if d else "sparse", x), k, 20,
+            p, form, n, r, "dense" if d else "sparse", x), k,
+            _pool(k, "disc_function"),
             _bind(_disc_request, p, form, n, r, d, x))
         for p, form, n, r, d, x, k in DISC
     ],
     "points_oracle": [
-        ("q%d_vars%d_%s" % (q, d, "many" if many else "few"), 1, 20,
+        ("q%d_vars%d_%s" % (q, d, "many" if many else "few"), 1,
+         _pool(1, "points_oracle"),
          _bind(_points_request, q, d, many))
         for q, d in POINTS for many in (True, False)
     ],
-    "verify_suites": [(suite, 5, 20, _bind(_verify_request, suite))
+    # the whole pool, reordered and regrouped by the run seed: the adjunction
+    # suite's cost varies threefold with its seed, so any subset moved the
+    # 90th percentile by about 15% between run seeds
+    "verify_suites": [(suite, 4, 8, _bind(_verify_request, suite))
                       for suite in SUITES],
 }
 

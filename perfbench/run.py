@@ -1,17 +1,20 @@
 """The weilres benchmark: drive the CLI in process, one document per request.
 
-    python3 perfbench/run.py --workload restrict_prime --seed 1 --seconds 20 --trace 0
-    python3 perfbench/run.py --workload all --seed 1 --seconds 20 --trace 1
+    python3 perfbench/run.py --workload restrict_prime --seed 1 --seconds 25 --trace 0
+    python3 perfbench/run.py --workload all --seed 1 --seconds 25 --trace 1
 
 A single client calls `weilres.cli.main([..., "--input", doc, "--output",
 out])` in a closed loop, on one thread, so each request pays the document
 read and parse, the computation and the JSON emit, as a CLI user does.  The
-run's documents come from `gen.requests(workload, seed)` as passes of
-equal make-up; the loop runs whole passes, in turn, until `--seconds` have
-gone by and at least 100 latencies are recorded.  Every output is checked
-against the exit code and SHA-256 digest recorded in `reference.json`, and a
-seeded subsample of restrict and disc documents is re-derived by the
-independent checks in `oracle.py`, outside the timed loop.
+run's documents come from `gen.requests(workload, seed)`; the loop runs
+rounds of all of them, each round in a fresh seeded order, while the next
+round is expected to end within `--seconds`, and at least two.  A fixed
+probe runs before every request, and every time is corrected for the host
+speed the probes show around it (see `hostspeed.py`); a document's time is
+the median of its corrected times.  Every output is checked against the exit
+code and SHA-256 digest recorded in `reference.json`, and a seeded subsample
+of restrict and disc documents is re-derived by the independent checks in
+`oracle.py`, outside the timed loop.
 
 With `--trace 0` the run reports the end-to-end metrics.  With `--trace 1`
 it runs half of `--seconds` untraced, then every pass once traced (see
@@ -28,6 +31,7 @@ import argparse
 import hashlib
 import importlib
 import json
+import math
 import os
 import platform
 import random
@@ -45,11 +49,16 @@ WORK = os.path.join(ROOT, ".perfbench")
 sys.path.insert(0, HERE)
 
 import gen  # noqa: E402
+import hostspeed  # noqa: E402
 import oracle  # noqa: E402
 from tracing import Tracer  # noqa: E402
 
 SETUP_REPEATS = 3
-MIN_SAMPLES = 100
+SETUP_SECONDS = 2.0
+MIN_ROUNDS = 2
+# A request's time is corrected by the probes within this many requests of
+# it on either side (see hostspeed.py).
+PROBE_WINDOW = 2
 SPOT_CHECKS = 2
 # Spot checks enumerate p^(rank * variables) points or expand a rank-n
 # determinant; larger documents are left to the digest check.
@@ -84,18 +93,25 @@ def git_sha():
 
 
 def setup(paths):
-    """Import the CLI afresh and load every document once; returns
-    (seconds, cli)."""
+    """Import the CLI afresh and load every document once, with a probe
+    before and after the import and every load; returns (corrected seconds,
+    cli)."""
     for name in [m for m in sys.modules
                  if m == "weilres" or m.startswith("weilres.")]:
         del sys.modules[name]
+    probes, times = [hostspeed.probe()], []
     start = time.perf_counter()
     cli = importlib.import_module("weilres.cli")
     load = sys.modules["weilres.documents"].load_document_text
+    times.append(time.perf_counter() - start)
+    probes.append(hostspeed.probe())
     for path in paths:
+        start = time.perf_counter()
         with open(path, encoding="utf-8") as fh:
             load(fh.read())
-    return time.perf_counter() - start, cli
+        times.append(time.perf_counter() - start)
+        probes.append(hostspeed.probe())
+    return sum(hostspeed.corrected(times, probes, PROBE_WINDOW)), cli
 
 
 # ---------------------------------------------------------------------------
@@ -103,8 +119,10 @@ def setup(paths):
 
 
 class Loop:
-    """Runs passes of documents through cli.main and checks each output
-    against the reference."""
+    """Runs documents through cli.main and checks each output against the
+    reference.  A probe runs before every request (see hostspeed.py);
+    `timeline` holds (document key, wall seconds) of every request in
+    order, and `probes` the probe times around them."""
 
     def __init__(self, cli, passes, paths, out, reference):
         self.cli = cli
@@ -112,13 +130,14 @@ class Loop:
         self.paths = paths
         self.out = out
         self.reference = reference
-        self.latencies = []
+        self.timeline = []
+        self.probes = []
         self.attempted = 0
         self.failures = []
         self.digests = {}
 
-    def one_pass(self, index, tracer=None):
-        for req in self.passes[index]:
+    def run_requests(self, requests, tracer=None):
+        for req in requests:
             if os.path.exists(self.out):
                 os.remove(self.out)
             argv = req.argv + ["--input", self.paths[req.key], "--output",
@@ -126,12 +145,13 @@ class Loop:
             if tracer is not None:
                 tracer.request = req.key
             error = None
+            self.probes.append(hostspeed.probe())
             start = time.perf_counter()
             try:
                 code = self.cli.main(argv)
             except Exception as exc:  # a crash is a failed request
                 code, error = None, "%s: %s" % (type(exc).__name__, exc)
-            self.latencies.append(time.perf_counter() - start)
+            self.timeline.append((req.key, time.perf_counter() - start))
             self.attempted += 1
             digest = None
             if os.path.exists(self.out):
@@ -147,18 +167,39 @@ class Loop:
             if error is not None:
                 self.failures.append("%s: %s" % (req.key, error))
 
-    def run(self, seconds, min_samples=1):
-        """Whole passes, in turn, until `seconds` have gone by and at least
-        `min_samples` latencies are recorded; returns the passes run."""
-        start, done = time.perf_counter(), 0
-        while (done == 0 or time.perf_counter() - start < seconds
-               or len(self.latencies) < min_samples):
-            self.one_pass(done % len(self.passes))
-            done += 1
-        return done
+    def run(self, seconds, rng, min_rounds=1):
+        """Rounds of every document of the run, each round in a fresh order
+        drawn from `rng`.  A round starts only if, at the mean round time so
+        far, it ends within `seconds`, unless fewer than `min_rounds` have
+        run; a probe follows the last request.  Returns the rounds run."""
+        requests = [req for chunk in self.passes for req in chunk]
+        start, rounds = time.perf_counter(), 0
+        while True:
+            order = list(requests)
+            rng.shuffle(order)
+            self.run_requests(order)
+            rounds += 1
+            elapsed = time.perf_counter() - start
+            if rounds >= min_rounds and elapsed * (rounds + 1) / rounds > seconds:
+                self.probes.append(hostspeed.probe())
+                return rounds
+
+    def corrected(self):
+        """The corrected time of every request, in order; the probe after
+        the last request must have run."""
+        return hostspeed.corrected([t for _, t in self.timeline], self.probes,
+                                   PROBE_WINDOW)
+
+    def per_document(self):
+        """Every document's median corrected time, in seconds."""
+        by_key = {}
+        for (key, _), t in zip(self.timeline, self.corrected()):
+            by_key.setdefault(key, []).append(t)
+        return [statistics.median(ts) for ts in by_key.values()]
 
     def throughput(self):
-        return len(self.latencies) / sum(self.latencies)
+        """Requests completed per corrected second."""
+        return len(self.timeline) / sum(self.corrected())
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +244,31 @@ def spot_checks(workload, seed, requests, cli, out):
 
 
 def quantile(values, q):
-    return statistics.quantiles(values, n=100, method="inclusive")[q - 1]
+    """Harrell-Davis estimate of the q-th percentile: the mean of all order
+    statistics, weighted by the Beta(p(n + 1), (1 - p)(n + 1)) probability of
+    each [(i - 1)/n, i/n], p = q/100.  Where few documents lie near the
+    percentile, a single order statistic jumps from one document to the
+    next; resampling one run's per-request times, this estimate's quartile
+    spread was 2% where the interpolated order statistic's was 8%."""
+    xs = sorted(values)
+    n, p = len(xs), q / 100.0
+    a, b = p * (n + 1), (1 - p) * (n + 1)
+    log_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+
+    def density(x):
+        if x <= 0.0 or x >= 1.0:
+            return 0.0
+        return math.exp((a - 1) * math.log(x) + (b - 1) * math.log1p(-x)
+                        - log_beta)
+
+    # Simpson's rule with 16 panels on each [(i - 1)/n, i/n]
+    weights = []
+    for i in range(n):
+        h = 1.0 / (16 * n)
+        ys = [density((16 * i + j) * h) for j in range(17)]
+        weights.append(h / 3 * (ys[0] + ys[16] + 4 * sum(ys[1:16:2])
+                                + 2 * sum(ys[2:15:2])))
+    return sum(w * x for w, x in zip(weights, xs)) / sum(weights)
 
 
 def run_workload(workload, seed, seconds, traced):
@@ -233,8 +298,12 @@ def _run(workload, seed, seconds, traced, reference, work):
             fh.write(req.text)
     out = os.path.join(work, "out.json")
 
-    setups = []
-    for _ in range(1 if traced else SETUP_REPEATS):
+    # untraced, at least SETUP_REPEATS set-ups, and more while they have
+    # taken less than SETUP_SECONDS in all
+    repeats = 1 if traced else SETUP_REPEATS
+    setups, start = [], time.perf_counter()
+    while len(setups) < repeats or (
+            not traced and time.perf_counter() - start < SETUP_SECONDS):
         elapsed, cli = setup(paths.values())
         setups.append(elapsed)
     if not cli.__file__.startswith(SRC + os.sep):
@@ -243,26 +312,37 @@ def _run(workload, seed, seconds, traced, reference, work):
         return 2
 
     loop = Loop(cli, passes, paths, out, reference)
+    rng = random.Random("rounds:%s:%d" % (workload, seed))
     if not traced:
-        done = loop.run(seconds, MIN_SAMPLES)
-        lat = loop.latencies
-        n = len(lat)
+        rounds = loop.run(seconds, rng, MIN_ROUNDS)
+        docs = loop.per_document()
+        n, p90 = len(docs), quantile(docs, 90)
+        how = "median of %d rounds per document, corrected" % rounds
         metrics = {
-            "throughput_docs_per_s": (loop.throughput(), "1/s",
-                                      "%d documents in %d passes" % (n, done)),
-            "latency_p50_s": (quantile(lat, 50), "s", "p50 of %d samples" % n),
-            "latency_p90_s": (quantile(lat, 90), "s",
-                              "p90 of %d samples, %d beyond it" % (n, n // 10)),
+            "throughput_docs_per_s": (n / sum(docs), "1/s",
+                                      "%d documents / their summed times, %s"
+                                      % (n, how)),
+            "latency_p50_s": (quantile(docs, 50), "s",
+                              "Harrell-Davis p50 of %d documents, %s"
+                              % (n, how)),
+            "latency_p90_s": (p90, "s", "Harrell-Davis p90 of %d documents, "
+                              "%d beyond it, %s"
+                              % (n, sum(d > p90 for d in docs), how)),
             "setup_s": (statistics.median(setups), "s",
-                        "median of %d set-ups of %d documents"
+                        "median of %d set-ups of %d documents, corrected"
                         % (len(setups), len(requests))),
             "peak_rss_mb": (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
                             / 1024.0, "MB", "peak of the process"),
         }
-        loops, checks, notes = [loop], [], []
+        loops, checks = [loop], []
+        probe = statistics.median(loop.probes)
+        notes = ["host slowdown %.3f: median probe %.3f ms, %.3f ms on the "
+                 "reference host" % (hostspeed.slowdown([probe]), probe * 1e3,
+                                     hostspeed.REFERENCE_S * 1e3)]
     else:
         metrics, loops, checks, note = traced_run(
-            cli, passes, paths, out, reference, seconds, loop, workload, seed)
+            cli, passes, paths, out, reference, seconds, loop, rng, workload,
+            seed)
         notes = [note]
     failures = [f for lp in loops for f in lp.failures] + checks
     attempted = sum(lp.attempted for lp in loops)
@@ -291,27 +371,28 @@ def _run(workload, seed, seconds, traced, reference, work):
     return 0 if not failures else 1
 
 
-def traced_run(cli, passes, paths, out, reference, seconds, untraced,
+def traced_run(cli, passes, paths, out, reference, seconds, untraced, rng,
                workload, seed):
     """Half of `seconds` untraced, then every pass once traced, then the
     first pass traced again to check that its counts repeat exactly."""
-    untraced.run(seconds / 2.0)
+    untraced.run(seconds / 2.0, rng)
     tracer = Tracer()
     loop = Loop(cli, passes, paths, out, reference)
     first = None
     tracer.install()
     try:
         for index in range(len(passes)):
-            loop.one_pass(index, tracer)
+            loop.run_requests(passes[index], tracer)
             if first is None:
                 first = dict(tracer.counts)
     finally:
         tracer.uninstall()
+    loop.probes.append(hostspeed.probe())
     again = Tracer()
     repeat = Loop(cli, passes, paths, out, reference)
     again.install()
     try:
-        repeat.one_pass(0, again)
+        repeat.run_requests(passes[0], again)
     finally:
         again.uninstall()
     failures = []
@@ -327,8 +408,8 @@ def traced_run(cli, passes, paths, out, reference, seconds, untraced,
         metrics[name] = (value, unit, how)
     metrics["trace.overhead"] = (
         loop.throughput() / untraced.throughput(), "ratio",
-        "traced / untraced throughput, %d / %d documents"
-        % (len(loop.latencies), len(untraced.latencies)))
+        "traced / untraced throughput, %d / %d requests"
+        % (loop.attempted, untraced.attempted))
     spans = os.path.join(WORK, "trace-%s-%d.jsonl" % (workload, seed))
     tracer.write(spans)
     note = "%d spans written to %s" % (len(tracer.spans), spans)
@@ -343,7 +424,7 @@ def main(argv=None):
     parser.add_argument("--workload", required=True,
                         choices=sorted(gen.WORKLOADS) + ["all"])
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
     print("weilres benchmark  sha %s  python %s  nproc %d"

@@ -21,7 +21,9 @@ sys.path.insert(0, os.path.join(os.path.dirname(HERE), "src"))
 sys.path.insert(0, HERE)
 
 import gen  # noqa: E402
+import hostspeed  # noqa: E402
 import oracle  # noqa: E402
+import run  # noqa: E402
 import tracing  # noqa: E402
 from weilres import cli  # noqa: E402
 from weilres.documents import load_document_text  # noqa: E402
@@ -93,6 +95,29 @@ def test_self_time_subtracts_child_coverage():
     totals = tracing.summarize(spans)
     assert totals["a"] == [4.0, 2]
     assert totals["cli.main"] == [0.0, 0]
+
+
+def test_correction_divides_by_the_slowdown_of_nearby_probes():
+    ref = hostspeed.REFERENCE_S
+    # three requests; the host turns twice as slow during the second
+    probes = [ref, ref, 2 * ref, 2 * ref]
+    assert hostspeed.corrected([1.0, 1.5, 2.0], probes, 0) == pytest.approx(
+        [1.0, 1.0, 1.0])
+    # with a window of one request, the first sees probes 0 to 2, the second
+    # all four, the last probes 1 to 3
+    assert hostspeed.corrected([1.0, 1.5, 2.0], probes, 1) == pytest.approx(
+        [0.75, 1.0, 1.2])
+    with pytest.raises(ValueError):
+        hostspeed.corrected([1.0], probes, 0)
+
+
+def test_percentiles_weigh_every_document():
+    # symmetric weights: the median of 1..101 is 51; a constant stays put
+    assert run.quantile(range(1, 102), 50) == pytest.approx(51)
+    assert run.quantile([0.25] * 30, 90) == pytest.approx(0.25)
+    # between the 90th and 91st of 1..100, and barely moved by a far outlier
+    assert 90 < run.quantile(range(1, 101), 90) < 91
+    assert 90 < run.quantile(list(range(1, 100)) + [10 ** 6], 90) < 91
 
 
 def _traced_counts(requests, tmp_path):
