@@ -44,6 +44,13 @@ class FreeExtension:
             raise ValueError("structure constants must form an n*n*n array")
         if len(self.unit) != self.rank:
             raise ValueError("unit vector must have length n")
+        # sparse_structure[i][j]: the nonzero constants of e_i e_j as (k, c)
+        # pairs, c None where it is 1, so products skip zeros and scaling
+        self.sparse_structure = tuple(
+            tuple(tuple((k, None if c.is_one() else c)
+                        for k, c in enumerate(cell) if not c.is_zero())
+                  for cell in row)
+            for row in self.structure)
         if validate:
             self._validate()
 
@@ -82,7 +89,7 @@ class FreeExtension:
             lifted = []
             for c in coords:
                 if isinstance(c, Poly):
-                    if c.domain != self.base:
+                    if c.domain is not self.base and c.domain != self.base:
                         raise IncompatibleFieldError("coordinate over a different base")
                     lifted.append(c)
                 else:
@@ -209,7 +216,7 @@ class AlgebraElement:
     def _check(self, other):
         if not isinstance(other, AlgebraElement):
             other = self.extension.coerce(other)
-        if other.extension != self.extension:
+        if other.extension is not self.extension and other.extension != self.extension:
             raise IncompatibleFieldError("elements of different extensions")
         a, b = self.coords, other.coords
         if any(isinstance(c, Poly) for c in a + b):
@@ -236,25 +243,20 @@ class AlgebraElement:
     def __mul__(self, other):
         a, b = self._check(other)
         ext = self.extension
-        n = ext.rank
-        out = None
-        for i in range(n):
-            if _coord_is_zero(a[i]):
+        out = [None] * ext.rank
+        for x, row in zip(a, ext.sparse_structure):
+            if x.is_zero():
                 continue
-            for j in range(n):
-                if _coord_is_zero(b[j]):
+            for y, cell in zip(b, row):
+                if y.is_zero():
                     continue
-                prod = a[i] * b[j]
-                row = ext.structure[i][j]
-                contrib = tuple(_smul(prod, c) for c in row)
-                out = contrib if out is None else tuple(
-                    x + y for x, y in zip(out, contrib))
-        if out is None:
-            if any(isinstance(c, Poly) for c in a):
-                return AlgebraElement(ext, tuple(
-                    Poly.zero(ext.base) for _ in range(n)))
-            return ext.zero_element()
-        return AlgebraElement(ext, out)
+                prod = x * y
+                for k, c in cell:
+                    term = prod if c is None else _smul(prod, c)
+                    out[k] = term if out[k] is None else out[k] + term
+        poly = isinstance(a[0], Poly) or isinstance(b[0], Poly)
+        zero = Poly.zero(ext.base) if poly else ext.base.zero()
+        return AlgebraElement(ext, tuple(zero if c is None else c for c in out))
 
     __rmul__ = __mul__
 
@@ -279,7 +281,7 @@ class AlgebraElement:
         return AlgebraElement(self.extension, tuple(_smul(x, c) for x in self.coords))
 
     def is_zero(self):
-        return all(_coord_is_zero(c) for c in self.coords)
+        return all(c.is_zero() for c in self.coords)
 
     def is_scalar(self):
         """True when the element is c * 1 for a base scalar c (scalar coords)."""
@@ -319,7 +321,7 @@ class AlgebraElement:
     def __str__(self):
         parts = []
         for c, name in zip(self.coords, self.extension.basis_names):
-            if _coord_is_zero(c):
+            if c.is_zero():
                 continue
             cs = str(c)
             if name == "1":
@@ -340,10 +342,6 @@ class AlgebraElement:
 
     def __repr__(self):
         return "<%s in %s>" % (self, self.extension)
-
-
-def _coord_is_zero(c):
-    return c.is_zero()
 
 
 def _has_top_level_sign(s):

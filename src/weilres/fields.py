@@ -177,7 +177,7 @@ class FieldElement:
             other = self.field.coerce(other)
         if not isinstance(other, FieldElement):
             return NotImplemented
-        if other.field != self.field:
+        if other.field is not self.field and other.field != self.field:
             raise IncompatibleFieldError(
                 "mixed coefficient fields: %s vs %s" % (self.field, other.field))
         return other
@@ -234,10 +234,10 @@ class FieldElement:
         return FieldElement(self.field, self.field._inv(self.value))
 
     def is_zero(self):
-        return self.value == self.field.zero().value
+        return self.value == self.field._zero.value
 
     def is_one(self):
-        return self.value == self.field.one().value
+        return self.value == self.field._one.value
 
     def lognorm(self):
         return self.field.lognorm(self)
@@ -269,11 +269,17 @@ class Field:
     characteristic = 0
     has_valuation = False
 
+    def __init__(self):
+        # Elements are immutable, so the constants are built once per field;
+        # subclasses call this last, once coerce has what it needs.
+        self._zero = self.coerce(0)
+        self._one = self.coerce(1)
+
     def zero(self):
-        return self.coerce(0)
+        return self._zero
 
     def one(self):
-        return self.coerce(1)
+        return self._one
 
     def coerce(self, v):
         raise NotImplementedError
@@ -315,8 +321,11 @@ class PrimeField(Field):
             raise ValueError("characteristic %r is not prime" % (p,))
         self.p = p
         self.characteristic = p
+        super().__init__()
 
     def coerce(self, v):
+        if isinstance(v, int):
+            return FieldElement(self, v % self.p)
         if isinstance(v, FieldElement):
             if v.field != self:
                 raise IncompatibleFieldError("cannot coerce from %s" % v.field)
@@ -325,9 +334,7 @@ class PrimeField(Field):
             if v.denominator % self.p == 0:
                 raise ZeroDivisionError("denominator divisible by %d" % self.p)
             return self.coerce(v.numerator) / self.coerce(v.denominator)
-        if not isinstance(v, int):
-            raise TypeError("cannot coerce %r into %s" % (v, self))
-        return FieldElement(self, v % self.p)
+        raise TypeError("cannot coerce %r into %s" % (v, self))
 
     def _add(self, a, b):
         return (a + b) % self.p
@@ -401,6 +408,7 @@ class GaloisField(Field):
         self.modulus = modulus
         self.degree = m
         self.symbol = symbol
+        super().__init__()
 
     def coerce(self, v):
         if isinstance(v, FieldElement):
@@ -498,6 +506,7 @@ class RationalField(Field):
             raise ValueError("p-adic valuation needs a prime, got %r" % (padic,))
         self.padic = padic
         self.has_valuation = padic is not None
+        super().__init__()
 
     def coerce(self, v):
         if isinstance(v, FieldElement):
@@ -597,14 +606,19 @@ class FunctionField(Field):
         self.characteristic = p
         self.r = r
         self.symbol = symbol
+        super().__init__()
 
     def _make(self, num, den):
+        # num and den are coefficient tuples already reduced mod p
         p = self.p
         num, den = _utrim(num), _utrim(den)
         if not den:
             raise ZeroDivisionError("zero denominator")
         if not num:
             return FieldElement(self, _RatFunc((), (1,)))
+        if den == (1,):
+            # already a polynomial: the gcd is 1 and the denominator monic
+            return FieldElement(self, _RatFunc(num, den))
         g = _ugcd(num, den, p)
         if len(g) > 1:
             num, _ = _udivmod(num, g, p)
@@ -629,7 +643,8 @@ class FunctionField(Field):
         return self._make((0, 1), (1,))
 
     def from_coeffs(self, num, den=(1,)):
-        return self._make(num, den)
+        p = self.p
+        return self._make(tuple(c % p for c in num), tuple(c % p for c in den))
 
     def _add(self, a, b):
         p = self.p

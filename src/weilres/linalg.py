@@ -14,11 +14,6 @@ def mat_identity(n, ring):
     return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
 
 
-def mat_zero(n, ring):
-    zero = ring.zero()
-    return tuple(tuple(zero for _ in range(n)) for _ in range(n))
-
-
 def mat_add(a, b):
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 

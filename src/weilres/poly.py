@@ -20,22 +20,29 @@ by parse_poly.
 from __future__ import annotations
 
 from .errors import IncompatibleFieldError, UnsupportedOperationError
+from .fields import FieldElement
 from .lognorm import lognorm_max
 
 
 class Poly:
     __slots__ = ("domain", "variables", "terms")
 
-    def __init__(self, domain, variables, terms):
+    def __init__(self, domain, variables, terms, *, clean=False):
+        """terms maps exponent vectors to coefficients; zeros are dropped.
+
+        With clean=True the caller vouches that every key is a tuple of the
+        right length and every coefficient nonzero, as the ring operations
+        below know of the maps they build, and the map is kept unchecked.
+        """
         self.domain = domain
         self.variables = tuple(variables)
-        clean = {}
-        for exps, coeff in terms.items():
-            if len(exps) != len(self.variables):
+        if not clean:
+            n = len(self.variables)
+            if any(len(exps) != n for exps in terms):
                 raise ValueError("exponent vector length mismatch")
-            if not coeff.is_zero():
-                clean[tuple(exps)] = coeff
-        self.terms = clean
+            terms = {tuple(exps): coeff for exps, coeff in terms.items()
+                     if not coeff.is_zero()}
+        self.terms = terms
 
     # -- constructors -------------------------------------------------------
 
@@ -85,6 +92,8 @@ class Poly:
     def with_variables(self, variables):
         """The same polynomial over a larger (or reordered) variable list."""
         variables = tuple(variables)
+        if variables == self.variables:
+            return self
         missing = self.support() - set(variables)
         if missing:
             raise ValueError("variables %s cannot be dropped" % sorted(missing))
@@ -97,10 +106,12 @@ class Poly:
                     new[pos[v]] = e
             key = tuple(new)
             terms[key] = terms[key] + coeff if key in terms else coeff
-        return Poly(self.domain, variables, terms)
+        # terms collide, and their sum may vanish, only under a repeated name
+        return Poly(self.domain, variables, terms,
+                    clean=len(terms) == len(self.terms))
 
     def _merged(self, other):
-        if self.domain != other.domain:
+        if self.domain is not other.domain and self.domain != other.domain:
             raise IncompatibleFieldError(
                 "mixed coefficient domains: %s vs %s" % (self.domain, other.domain))
         if self.variables == other.variables:
@@ -122,14 +133,21 @@ class Poly:
         variables, a, b = self._merged(other)
         terms = dict(a.terms)
         for exps, coeff in b.terms.items():
-            terms[exps] = terms[exps] + coeff if exps in terms else coeff
-        return Poly(self.domain, variables, terms)
+            if exps in terms:
+                total = terms[exps] + coeff
+                if total.is_zero():
+                    del terms[exps]
+                else:
+                    terms[exps] = total
+            else:
+                terms[exps] = coeff
+        return Poly(self.domain, variables, terms, clean=True)
 
     __radd__ = __add__
 
     def __neg__(self):
         return Poly(self.domain, self.variables,
-                    {exps: -c for exps, c in self.terms.items()})
+                    {exps: -c for exps, c in self.terms.items()}, clean=True)
 
     def __sub__(self, other):
         if not isinstance(other, Poly):
@@ -158,8 +176,10 @@ class Poly:
 
     def scale(self, c):
         c = self.domain.coerce(c)
+        # a field has no zero divisors: nonzero times nonzero stays nonzero
         return Poly(self.domain, self.variables,
-                    {exps: coeff * c for exps, coeff in self.terms.items()})
+                    {exps: coeff * c for exps, coeff in self.terms.items()},
+                    clean=isinstance(c, FieldElement) and not c.is_zero())
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
@@ -357,6 +377,7 @@ def gauss_norm(p, radii):
 
 class _Tokens:
     def __init__(self, text):
+        self.text = text
         self.toks = []
         i, n = 0, len(text)
         while i < n:
@@ -389,6 +410,9 @@ class _Tokens:
         return self.toks[self.pos][0] if self.pos < len(self.toks) else None
 
     def next(self):
+        if self.pos >= len(self.toks):
+            raise ValueError("polynomial %r ends early at position %d"
+                             % (self.text, len(self.text)))
         tok = self.toks[self.pos]
         self.pos += 1
         return tok
@@ -432,6 +456,8 @@ def _parse_term(toks, domain, variables):
         else:
             if not rhs.is_constant():
                 raise ValueError("division by a non-constant polynomial")
+            if rhs.is_zero():
+                raise ValueError("division by zero in polynomial %r" % toks.text)
             c = rhs.constant_value()
             if hasattr(c, "inverse"):
                 acc = acc.scale(c.inverse())

@@ -19,6 +19,8 @@ from .poly import Poly
 
 POINT_FIELD_CAP = 100
 POINT_VARIABLE_CAP = 6
+# q^d, the number of assignments an exhaustive search over d variables tries
+POINT_ASSIGNMENT_BUDGET = 10 ** 5
 
 
 class Presentation:
@@ -339,8 +341,10 @@ def points_over(p, domain):
 
     domain is a finite field (reached from the base by the canonical
     embedding) or a finite free extension; enumeration is exhaustive and the
-    output is sorted canonically.  Exceeding the configured bounds raises
-    EnumerationBoundError rather than truncating.
+    output is sorted canonically.  Exceeding the configured bounds (at most
+    POINT_VARIABLE_CAP variables, POINT_FIELD_CAP elements and
+    POINT_ASSIGNMENT_BUDGET assignments) raises EnumerationBoundError before
+    any enumeration rather than truncating.
     """
     if len(p.variables) > POINT_VARIABLE_CAP:
         raise EnumerationBoundError(
@@ -352,6 +356,11 @@ def points_over(p, domain):
         raise EnumerationBoundError(
             "domain with %d elements exceeds the enumeration cap of %d"
             % (domain.size(), POINT_FIELD_CAP))
+    estimate = domain.size() ** len(p.variables)
+    if estimate > POINT_ASSIGNMENT_BUDGET:
+        raise EnumerationBoundError(
+            "%d^%d = %d assignments exceed the point-enumeration budget of %d"
+            % (domain.size(), len(p.variables), estimate, POINT_ASSIGNMENT_BUDGET))
     if domain == p.base:
         pres = p
     elif isinstance(p.base, FreeExtension):

@@ -157,10 +157,6 @@ def suite_adjunction(seed=1):
     return report
 
 
-def _ext_points(pres, ext):
-    return points_over(pres, ext)
-
-
 def suite_products(seed=1):
     report = Report("products", seed)
     rng = random.Random(seed)

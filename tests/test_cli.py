@@ -240,3 +240,34 @@ def test_schema_error_exit_code(tmp_path, capsys):
     code, _, err = run(capsys, ["points", "conic", "--input", path])
     assert code == 2
     assert "unknown keys" in err
+
+
+def test_malformed_polynomial_is_input_error(tmp_path, capsys):
+    path = write_doc(tmp_path, padic_doc())
+    for text in ("t +", "(t", "t^", "t/0"):
+        code, out, err = run(capsys, ["charpoly", text, "--input", path])
+        assert code == 2, text
+        assert out == ""
+        assert err.startswith("input error: ") and err.count("\n") == 1, err
+
+
+def test_points_assignment_budget(tmp_path, capsys, monkeypatch):
+    import weilres.restriction
+
+    def no_enumeration(variables, elems):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(weilres.restriction, "_assignments", no_enumeration)
+    data = {
+        "version": "weilres/1",
+        "field": {"kind": "galois", "p": 3, "modulus": "s^4 + s + 2",
+                  "symbol": "s"},
+        "presentations": {
+            "six": {"over": "base", "variables": ["a", "b", "c", "d", "e", "f"],
+                    "generators": ["a - b"]},
+        },
+    }
+    path = write_doc(tmp_path, data)
+    code, _, err = run(capsys, ["points", "six", "--input", path])
+    assert code == 3
+    assert "81^6" in err and "budget of 100000" in err

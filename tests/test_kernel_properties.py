@@ -1,0 +1,176 @@
+"""Property tests of the exact kernel's fast paths against plain references.
+
+The sparse AlgebraElement product is checked against the dense sum over all
+structure constants, the Poly operations that skip the constructor's zero
+filter against that filter, the raw zero and one tests against equality with
+the coerced constants, and the function field's polynomial shortcut against
+its gcd path.  Runs are derandomized so every run tries the same examples.
+"""
+
+import random
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from weilres import (FunctionField, GaloisField, Poly, PrimeField,
+                     RationalField, from_minimal_polynomial, parse_poly)
+from weilres.extensions import AlgebraElement, tensor_product
+from weilres.fields import _umul
+
+SETTINGS = settings(derandomize=True, database=None, deadline=None,
+                    max_examples=60)
+
+
+def _monogenic(base, text, symbol="t"):
+    return from_minimal_polynomial(base, parse_poly(text, base, (symbol,)), symbol)
+
+
+def _extensions():
+    f2, f3, q = PrimeField(2), PrimeField(3), RationalField()
+    f4 = _monogenic(f2, "w^2 + w + 1", "w")
+    dual2 = _monogenic(f2, "t^2")
+    f9 = _monogenic(f3, "t^2 + 1")
+    cubic3 = _monogenic(f3, "t^3 + 2*t + 1")
+    sqrt2 = _monogenic(q, "t^2 - 2")
+    gauss = _monogenic(q, "s^2 + 1", "s")
+    return [
+        f4, dual2, _monogenic(f2, "t^4 + t + 1"), f9, cubic3,
+        _monogenic(f3, "t^3"), sqrt2, _monogenic(q, "t^3 - t - 1"),
+        tensor_product(f4, dual2), tensor_product(f9, f9),
+        tensor_product(cubic3, _monogenic(f3, "s^2 - 1", "s")),
+        tensor_product(sqrt2, gauss),
+    ]
+
+
+EXTENSIONS = _extensions()
+VARIABLE_LISTS = [("u", "v"), ("v", "u"), ("u",)]
+
+
+def _scalar(base, n, d):
+    return base.coerce(Fraction(n, d) if isinstance(base, RationalField) else n)
+
+
+@st.composite
+def scalars(draw, base):
+    return _scalar(base, draw(st.integers(-4, 4)), draw(st.integers(1, 3)))
+
+
+def random_elements(domain):
+    return st.integers(0, 2 ** 16).map(
+        lambda seed: domain.random_element(random.Random(seed)))
+
+
+@st.composite
+def polys(draw, base, coefficients=scalars):
+    variables = draw(st.sampled_from(VARIABLE_LISTS))
+    terms = {}
+    for _ in range(draw(st.integers(0, 3))):
+        exps = tuple(draw(st.integers(0, 2)) for _ in variables)
+        terms[exps] = draw(coefficients(base))
+    return Poly(base, variables, terms)
+
+
+@st.composite
+def element_pairs(draw):
+    ext = draw(st.sampled_from(EXTENSIONS))
+    coord = polys(ext.base) if draw(st.booleans()) else scalars(ext.base)
+    # zero coordinates are common so the skipped branches run too
+    coord = st.one_of(coord, st.just(ext.base.zero()))
+    pair = []
+    for _ in range(2):
+        pair.append(ext.element([draw(coord) for _ in range(ext.rank)]))
+    return ext, pair[0], pair[1]
+
+
+def dense_product(ext, a, b):
+    """sum over all i, j, k of a_i b_j c_ijk e_k, zeros included."""
+    n = ext.rank
+    if any(isinstance(c, Poly) for c in a + b):
+        a = ext.element(a).coords
+        b = ext.element(b).coords
+        out = [Poly.zero(ext.base) for _ in range(n)]
+    else:
+        out = [ext.base.zero() for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                out[k] = out[k] + a[i] * b[j] * ext.structure[i][j][k]
+    return tuple(out)
+
+
+@SETTINGS
+@given(element_pairs())
+def test_sparse_product_matches_dense_reference(case):
+    ext, x, y = case
+    product = x * y
+    assert isinstance(product, AlgebraElement)
+    assert product.coords == dense_product(ext, x.coords, y.coords)
+    assert (y * x).coords == product.coords
+
+
+# F_2[t]/(t^2) has zero divisors, so products of nonzero coefficients vanish
+POLY_DOMAINS = [PrimeField(3), RationalField(), FunctionField(2), EXTENSIONS[1]]
+
+
+@SETTINGS
+@given(st.sampled_from(POLY_DOMAINS), st.data())
+def test_poly_operations_keep_no_zero_coefficients(domain, data):
+    p = data.draw(polys(domain, random_elements))
+    q = data.draw(polys(domain, random_elements))
+    c = data.draw(random_elements(domain))
+    results = [p + q, p - q, p + (-p), -p, p * q, p.scale(c),
+               p.with_variables(("w", "v", "u"))]
+    for r in results:
+        assert not any(coeff.is_zero() for coeff in r.terms.values())
+        assert r == Poly(domain, r.variables, dict(r.terms))
+    assert (p + (-p)).is_zero()
+    # under a repeated name, re-alignment merges terms and their sum may vanish
+    twice = Poly(domain, ("u", "u"), {(1, 0): c, (0, 1): -c})
+    assert twice.with_variables(("u",)).is_zero()
+    assert (p - q) + q == p
+    assert p.scale(c) == p * Poly.constant(domain, c)
+
+
+FIELDS = [
+    PrimeField(5),
+    GaloisField(3, (1, 0, 1), "t"),
+    RationalField(),
+    RationalField(padic=3),
+    FunctionField(3, Fraction(1, 2)),
+]
+
+
+@SETTINGS
+@given(st.sampled_from(FIELDS), st.integers(0, 2 ** 32))
+def test_raw_zero_and_one_tests_agree_with_equality(field, seed):
+    rng = random.Random(seed)
+    a = field.random_element(rng)
+    zero, one = field.coerce(0), field.coerce(1)
+    candidates = [a, a - a, a * a, zero, one, -one, one + one, one + one + one]
+    if not a.is_zero():
+        candidates.append(a * a.inverse())
+    for x in candidates:
+        assert x.is_zero() == (x == zero)
+        assert x.is_one() == (x == one)
+    assert field.zero() is field.zero() and field.zero() == zero
+    assert field.one() is field.one() and field.one() == one
+
+
+@SETTINGS
+@given(st.sampled_from([2, 3, 5]), st.data())
+def test_function_field_polynomial_shortcut_matches_gcd_path(p, data):
+    k = FunctionField(p, Fraction(1, 2))
+    coeff = st.integers(0, p - 1)
+    num = tuple(data.draw(st.lists(coeff, min_size=1, max_size=4)))
+    den = tuple(data.draw(st.lists(coeff, min_size=1, max_size=3))) + (1,)
+    shortcut = k._make(num, (1,))
+    # num*den/den reaches the same value through the gcd and the divisions,
+    # and num*c/c through the normalisation of a constant denominator
+    assert k._make(_umul(num, den, p), den) == shortcut
+    c = data.draw(st.integers(1, p - 1))
+    assert k._make(_umul(num, (c,), p), (c,)) == shortcut
+    # outside input may be unreduced; from_coeffs reduces it first
+    lifted = tuple(c + p * data.draw(st.integers(0, 2)) for c in num)
+    assert k.from_coeffs(lifted) == shortcut
+    assert shortcut.is_zero() == (not any(num))

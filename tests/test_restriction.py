@@ -248,6 +248,20 @@ def test_enumeration_bounds():
         points_over(pres7, f2)
 
 
+def test_assignment_budget_checked_before_enumeration(monkeypatch):
+    # 6 variables and 81 elements pass both caps, but 81^6 assignments do not
+    import weilres.restriction
+
+    def no_enumeration(variables, elems):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(weilres.restriction, "_assignments", no_enumeration)
+    f81 = GaloisField(3, (2, 1, 0, 0, 1), "s")
+    pres = Presentation(f81, tuple("u%d" % i for i in range(6)), [])
+    with pytest.raises(EnumerationBoundError, match="budget"):
+        points_over(pres, f81)
+
+
 def test_psi_apply_rejects_non_points(f4_ext, f2):
     pres = Presentation(f4_ext, ("u",), [parse_poly("u^2 + u + 1", f4_ext, ("u",))])
     result = restrict(pres, f4_ext)
