@@ -13,11 +13,13 @@ concrete elements and symbolic ones like x_1 e_1 + ... + x_n e_n.
 
 from __future__ import annotations
 
+import itertools
+
 from .errors import IncompatibleFieldError, UnsupportedOperationError
-from .fields import FieldElement
+from .fields import FieldElement, power
 from .lognorm import LogNorm
-from .linalg import berkowitz_charpoly, mat_is_zero, mat_pow
-from .poly import Poly, PolyRing
+from .linalg import berkowitz_charpoly, mat_identity, mat_is_zero, mat_mul
+from .poly import Poly, PolyRing, _needs_parens
 
 RANK_CAP = 16
 
@@ -86,16 +88,20 @@ class FreeExtension:
         if len(coords) != self.rank:
             raise ValueError("coordinate vector must have length %d" % self.rank)
         if any(isinstance(c, Poly) for c in coords):
-            lifted = []
-            for c in coords:
-                if isinstance(c, Poly):
-                    if c.domain is not self.base and c.domain != self.base:
-                        raise IncompatibleFieldError("coordinate over a different base")
-                    lifted.append(c)
-                else:
-                    lifted.append(Poly.constant(self.base, self.base.coerce(c)))
-            return AlgebraElement(self, tuple(lifted))
+            return AlgebraElement(self, self._poly_coords(coords))
         return AlgebraElement(self, tuple(self.base.coerce(c) for c in coords))
+
+    def _poly_coords(self, coords):
+        """The coordinates as polynomials over the base, scalars lifted."""
+        lifted = []
+        for c in coords:
+            if isinstance(c, Poly):
+                if c.domain is not self.base and c.domain != self.base:
+                    raise IncompatibleFieldError("coordinate over a different base")
+                lifted.append(c)
+            else:
+                lifted.append(Poly.constant(self.base, self.base.coerce(c)))
+        return tuple(lifted)
 
     def basis_element(self, j):
         zero = self.base.zero()
@@ -156,7 +162,7 @@ class FreeExtension:
     def elements(self):
         """All elements with scalar coordinates; the base must be finite."""
         return [AlgebraElement(self, scalars)
-                for scalars in _vectors(self.base.elements(), self.rank)]
+                for scalars in itertools.product(self.base.elements(), repeat=self.rank)]
 
     def size(self):
         return self.base.size() ** self.rank
@@ -181,15 +187,6 @@ class FreeExtension:
             return "%s[%s]/(%s)" % (self.base, self.symbol,
                                     self.minimal_polynomial.to_string())
         return "free rank-%d algebra over %s" % (self.rank, self.base)
-
-
-def _vectors(options, length):
-    if length == 0:
-        yield ()
-        return
-    for rest in _vectors(options, length - 1):
-        for o in options:
-            yield rest + (o,)
 
 
 def _smul(x, c):
@@ -220,8 +217,8 @@ class AlgebraElement:
             raise IncompatibleFieldError("elements of different extensions")
         a, b = self.coords, other.coords
         if any(isinstance(c, Poly) for c in a + b):
-            a = self.extension.element(a).coords
-            b = self.extension.element(b).coords
+            a = self.extension._poly_coords(a)
+            b = self.extension._poly_coords(b)
         return a, b
 
     def __add__(self, other):
@@ -261,16 +258,7 @@ class AlgebraElement:
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("powers take non-negative integer exponents")
-        out = self.extension.unit_element()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return power(self, k, self.extension.unit_element)
 
     def scale(self, c):
         c = self.extension.base.coerce(c) if not isinstance(c, Poly) else c
@@ -282,10 +270,6 @@ class AlgebraElement:
 
     def is_zero(self):
         return all(c.is_zero() for c in self.coords)
-
-    def is_scalar(self):
-        """True when the element is c * 1 for a base scalar c (scalar coords)."""
-        return self.scalar_part() is not None
 
     def scalar_part(self):
         if any(isinstance(c, Poly) for c in self.coords):
@@ -325,13 +309,13 @@ class AlgebraElement:
                 continue
             cs = str(c)
             if name == "1":
-                parts.append("(%s)" % cs if _has_top_level_sign(cs) else cs)
+                parts.append("(%s)" % cs if _needs_parens(cs) else cs)
             elif cs == "1":
                 parts.append(name)
             elif cs == "-1":
                 parts.append("-" + name)
             else:
-                parts.append(("(%s)" % cs if _has_top_level_sign(cs) or "*" in cs
+                parts.append(("(%s)" % cs if _needs_parens(cs) or "*" in cs
                               or "/" in cs else cs) + "*" + name)
         if not parts:
             return "0"
@@ -342,18 +326,6 @@ class AlgebraElement:
 
     def __repr__(self):
         return "<%s in %s>" % (self, self.extension)
-
-
-def _has_top_level_sign(s):
-    depth = 0
-    for i, ch in enumerate(s):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif depth == 0 and i > 0 and ch in "+-":
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -526,13 +498,13 @@ class MonicPoly:
             cs = str(c)
             mono = _mono_str(var, self.degree - i)
             if mono == "":
-                parts.append("(%s)" % cs if _has_top_level_sign(cs) else cs)
+                parts.append("(%s)" % cs if _needs_parens(cs) else cs)
             elif cs == "1":
                 parts.append(mono)
             elif cs == "-1":
                 parts.append("-" + mono)
             else:
-                if _has_top_level_sign(cs):
+                if _needs_parens(cs):
                     cs = "(%s)" % cs
                 parts.append(cs + "*" + mono)
         out = parts[0]
@@ -592,4 +564,5 @@ def is_nilpotent(b):
     if any(isinstance(c, Poly) for c in b.coords):
         raise UnsupportedOperationError("nilpotency is decided for scalar coordinates")
     m = mult_matrix(b)
-    return mat_is_zero(mat_pow(m, b.extension.rank, b.ring))
+    n = b.extension.rank
+    return mat_is_zero(power(m, n, lambda: mat_identity(n, b.ring), mat_mul))

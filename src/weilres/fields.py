@@ -25,6 +25,8 @@ All elements are immutable values; every operation is a pure function.
 
 from __future__ import annotations
 
+import itertools
+import operator
 from fractions import Fraction
 
 from .errors import IncompatibleFieldError, UnsupportedOperationError
@@ -64,20 +66,23 @@ def _umul(a, b, p):
 
 
 def _udivmod(a, b, p):
-    """Quotient and remainder of a by b over F_p; b must be nonzero."""
+    """Quotient and remainder of a by b over F_p; b must be trimmed and nonzero."""
     if not b:
         raise ZeroDivisionError("univariate division by zero polynomial")
     binv = pow(b[-1], p - 2, p)
-    rem = list(a)
-    quo = [0] * max(len(a) - len(b) + 1, 0)
-    while len(_utrim(rem)) >= len(b):
-        rem = list(_utrim(rem))
+    rem = list(_utrim(a))
+    quo = [0] * max(len(rem) - len(b) + 1, 0)
+    # each step cancels the leading coefficient and pops it; the first
+    # factor is nonzero, so the quotient comes out trimmed
+    while len(rem) >= len(b):
         shift = len(rem) - len(b)
         factor = (rem[-1] * binv) % p
         quo[shift] = factor
-        for i, bc in enumerate(b):
-            rem[shift + i] = (rem[shift + i] - factor * bc) % p
-    return _utrim(quo), _utrim(rem)
+        if factor:
+            for i in range(len(b) - 1):
+                rem[shift + i] = (rem[shift + i] - factor * b[i]) % p
+        rem.pop()
+    return tuple(quo), _utrim(rem)
 
 
 def _ugcd(a, b, p):
@@ -88,13 +93,6 @@ def _ugcd(a, b, p):
         inv = pow(a[-1], p - 2, p)
         a = tuple((c * inv) % p for c in a)
     return a
-
-
-def _umonic(a, p):
-    if not a:
-        return a
-    inv = pow(a[-1], p - 2, p)
-    return tuple((c * inv) % p for c in a)
 
 
 def _uord(a):
@@ -124,40 +122,90 @@ def _ustr(a, symbol):
 
 
 def _is_irreducible(coeffs, p):
-    """Brute-force irreducibility over F_p for degree <= 4."""
-    deg = len(coeffs) - 1
-    if deg < 1:
+    """Rabin's irreducibility test over F_p (SIAM J. Comput. 1980).
+
+    coeffs is ascending with a nonzero leading coefficient.  f of degree m is
+    irreducible iff f divides x^(p^m) - x and gcd(x^(p^(m/r)) - x, f) = 1 for
+    every prime r dividing m.
+    """
+    m = len(coeffs) - 1
+    if m < 1:
         return False
-    if deg == 1:
-        return True
-    # reducible iff it has a monic factor of degree 1 .. deg//2
-    for d in range(1, deg // 2 + 1):
-        for tail in _all_coeff_tuples(d, p):
-            g = tail + (1,)
-            _, rem = _udivmod(coeffs, g, p)
-            if not rem:
+
+    def mulmod(a, b):
+        return _udivmod(_umul(a, b, p), coeffs, p)[1]
+
+    x = _udivmod((0, 1), coeffs, p)[1]
+    # frobenius[k] = x^(p^k) mod f
+    frobenius = [x]
+    for _ in range(m):
+        frobenius.append(power(frobenius[-1], p, None, mulmod))
+    minus_x = _uneg(x, p)
+    if _uadd(frobenius[m], minus_x, p):
+        return False
+    for r in range(2, m + 1):
+        if m % r == 0 and _is_prime(r):
+            if len(_ugcd(coeffs, _uadd(frobenius[m // r], minus_x, p), p)) > 1:
                 return False
     return True
 
 
-def _all_coeff_tuples(length, p):
-    if length == 0:
-        yield ()
-        return
-    for rest in _all_coeff_tuples(length - 1, p):
-        for c in range(p):
-            yield rest + (c,)
+# The least strong pseudoprime to all prime bases up to 41 (Sorenson and
+# Webster, Math. Comp. 2017): below it Miller-Rabin with these bases is exact.
+# Bases up to 37 alone are exact only below 3.2e23.
+PRIME_BOUND = 3317044064679887385961981
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def _is_prime(n):
+    """Deterministic Miller-Rabin; n at or above PRIME_BOUND raises ValueError."""
+    if n >= PRIME_BOUND:
+        raise ValueError("%d is at or above the primality bound %d"
+                         % (n, PRIME_BOUND))
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for b in _PRIME_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _PRIME_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
+
+
+def power(x, k, one, mul=operator.mul):
+    """x^k by square-and-multiply for an integer k >= 0.
+
+    one() builds the unit and is called only for k = 0 (callers with k > 0
+    may pass None); mul(a, b) multiplies.  The loop starts from x and squares
+    no further than the top bit of k.
+    """
+    if not isinstance(k, int) or k < 0:
+        raise ValueError("powers take non-negative integer exponents")
+    if k == 0:
+        return one()
+    while not k & 1:
+        x = mul(x, x)
+        k >>= 1
+    out = x
+    k >>= 1
+    while k:
+        x = mul(x, x)
+        if k & 1:
+            out = mul(out, x)
+        k >>= 1
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -217,16 +265,7 @@ class FieldElement:
         return self * other.inverse()
 
     def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("field powers take non-negative integer exponents")
-        out = self.field.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return power(self, k, self.field.one)
 
     def inverse(self):
         if self.is_zero():
@@ -381,7 +420,7 @@ class GaloisField(Field):
 
     The modulus is given by its coefficient tuple in ascending degree,
     including the leading 1; irreducibility is verified at construction by
-    brute-force factor search (hence the cap m <= 4).  Elements are
+    Rabin's test.  The degree is capped at m <= 4.  Elements are
     coordinate tuples in the basis 1, s, ..., s^(m-1) where s is `symbol`.
     """
 
@@ -443,16 +482,8 @@ class GaloisField(Field):
         return self._pad(rem)
 
     def _inv(self, a):
-        # extended Euclid in F_p[s] against the modulus
-        r0, r1 = self.modulus, _utrim(a)
-        s0, s1 = (), (1,)
-        while r1:
-            q, r = _udivmod(r0, r1, self.p)
-            r0, r1 = r1, r
-            s0, s1 = s1, _uadd(s0, _uneg(_umul(q, s1, self.p), self.p), self.p)
-        # r0 is the gcd, a nonzero constant since the modulus is irreducible
-        c = pow(r0[0], self.p - 2, self.p)
-        return self._pad(tuple((x * c) % self.p for x in s0))
+        # a^(q-2) = a^-1 in the multiplicative group of order q - 1
+        return power(a, self.size() - 2, None, self._mul)
 
     def is_finite(self):
         return True
@@ -461,15 +492,9 @@ class GaloisField(Field):
         return self.p ** self.degree
 
     def elements(self):
-        out = []
-        for i in range(self.size()):
-            coords = []
-            n = i
-            for _ in range(self.degree):
-                coords.append(n % self.p)
-                n //= self.p
-            out.append(FieldElement(self, tuple(coords)))
-        return out
+        # coordinate 0 varies fastest
+        return [FieldElement(self, coords[::-1])
+                for coords in itertools.product(range(self.p), repeat=self.degree)]
 
     def random_element(self, rng):
         return FieldElement(self, tuple(rng.randrange(self.p) for _ in range(self.degree)))

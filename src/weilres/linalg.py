@@ -44,17 +44,6 @@ def _dot(row, v):
     return acc
 
 
-def mat_pow(a, k, ring):
-    out = mat_identity(len(a), ring)
-    base = a
-    while k:
-        if k & 1:
-            out = mat_mul(out, base)
-        base = mat_mul(base, base)
-        k >>= 1
-    return out
-
-
 def mat_is_zero(a):
     return all(entry.is_zero() for row in a for entry in row)
 

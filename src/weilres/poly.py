@@ -20,7 +20,7 @@ by parse_poly.
 from __future__ import annotations
 
 from .errors import IncompatibleFieldError, UnsupportedOperationError
-from .fields import FieldElement
+from .fields import FieldElement, power
 from .lognorm import lognorm_max
 
 
@@ -182,16 +182,8 @@ class Poly:
                     clean=isinstance(c, FieldElement) and not c.is_zero())
 
     def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("polynomial powers take non-negative integer exponents")
-        out = Poly.constant(self.domain, self.domain.one(), self.variables)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return power(self, k, lambda: Poly.constant(
+            self.domain, self.domain.one(), self.variables))
 
     # -- substitution and evaluation ----------------------------------------
 

@@ -11,6 +11,8 @@ original presentation over the extension.
 
 from __future__ import annotations
 
+import itertools
+
 from .errors import EnumerationBoundError, IncompatibleFieldError
 from .extensions import AlgebraElement, FreeExtension, charpoly, extend_scalars
 from .fields import Field, canonical_embedding
@@ -131,14 +133,12 @@ def expand_element(f, ext, variables=None):
     return tuple(c.with_variables(tuple(all_blocks)) for c in acc.coords)
 
 
-def restrict(p, ext=None, nilpotents=None, level=None):
+def restrict(p, ext=None):
     """Present the restriction of p along the extension by its coefficient ideal.
 
     The variables of the result are the blocks u_1 .. u_n of each original
     variable in order; the generators are all basis coordinates of all original
-    generators.  When a finite set of topologically nilpotent scaling elements
-    and an exhaustion level are supplied they are recorded as metadata (the
-    induced integrality constraints carve out no subobject here).
+    generators.
     """
     if ext is None:
         ext = p.base
@@ -161,36 +161,9 @@ def restrict(p, ext=None, nilpotents=None, level=None):
     metadata = {}
     if p.radii is not None:
         metadata["original_radii"] = tuple(str(r) for r in p.radii)
-    if nilpotents is not None:
-        level = 0 if level is None else int(level)
-        scaled = scaling_products(nilpotents, level)
-        metadata["nilpotent_set"] = tuple(str(m) for m in nilpotents)
-        metadata["level"] = level
-        metadata["level_products"] = tuple(str(m) for m in scaled)
-        metadata["integral_constraint"] = (
-            "m*x is integral for every coordinate x and every m "
-            "in the level-fold product set")
     coordinate_map = {v: block_names(v, n) for v in p.variables}
     return RestrictionResult(result_pres, coordinate_map, coefficient_index,
                              original=p, extension=ext, metadata=metadata)
-
-
-def scaling_products(elements, level):
-    """The set of level-fold products of a finite set of elements."""
-    if level == 0:
-        first = elements[0]
-        one = (first.field.one() if hasattr(first, "field")
-               else first.extension.unit_element())
-        return [one]
-    out = list(elements)
-    for _ in range(level - 1):
-        out = [a * b for a in out for b in elements]
-    seen, unique = set(), []
-    for x in out:
-        if x not in seen:
-            seen.add(x)
-            unique.append(x)
-    return unique
 
 
 def disc_generators(ext, radius_elements, var_block, y_prefix="y"):
@@ -378,15 +351,8 @@ def points_over(p, domain):
 
 
 def _assignments(variables, elems):
-    if not variables:
-        yield {}
-        return
-    head, tail = variables[0], variables[1:]
-    for rest in _assignments(tail, elems):
-        for e in elems:
-            d = dict(rest)
-            d[head] = e
-            yield d
+    for values in itertools.product(elems, repeat=len(variables)):
+        yield dict(zip(variables, values))
 
 
 def psi_apply(result, point):

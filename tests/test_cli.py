@@ -251,6 +251,16 @@ def test_malformed_polynomial_is_input_error(tmp_path, capsys):
         assert err.startswith("input error: ") and err.count("\n") == 1, err
 
 
+def test_characteristic_beyond_primality_bound_is_input_error(tmp_path, capsys):
+    data = golden_doc()
+    data["field"]["p"] = 2 ** 89 - 1      # prime, but above the bound 3.3e24
+    path = write_doc(tmp_path, data)
+    code, out, err = run(capsys, ["points", "conic", "--input", path])
+    assert code == 2
+    assert out == ""
+    assert "primality bound" in err and err.count("\n") == 1, err
+
+
 def test_points_assignment_budget(tmp_path, capsys, monkeypatch):
     import weilres.restriction
 

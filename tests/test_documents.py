@@ -56,6 +56,19 @@ def test_load_golden_document():
     assert str(doc.radius_elements[1]) == "t"
 
 
+def test_galois_quartic_over_large_prime_loads():
+    data = {"version": "weilres/1",
+            "field": {"kind": "galois", "p": 1009, "modulus": "s^4 + s + 1",
+                      "symbol": "s"}}
+    doc = load_document_text(json.dumps(data))
+    assert doc.field.size() == 1009 ** 4
+    s = doc.field.generator()
+    assert s * s.inverse() == doc.field.one()
+    data["field"]["modulus"] = "s^4 + 1008"      # (s - 1)(s + 1)(s^2 + 1)
+    with pytest.raises(DocumentError):
+        load_document_text(json.dumps(data))
+
+
 def test_unknown_keys_rejected():
     data = golden_doc()
     data["unexpected"] = 1

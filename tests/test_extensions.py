@@ -274,6 +274,13 @@ def test_nilpotency_basics(f9_ext):
     assert not is_nilpotent(f9_ext.unit_element())
 
 
+def test_equality_across_scalar_and_poly_coordinates(f3, f9_ext):
+    scalar = f9_ext.element([1, 0])
+    lifted = f9_ext.element([Poly.constant(f3, 1), Poly.zero(f3)])
+    assert scalar == lifted and lifted == scalar
+    assert scalar != f9_ext.element([Poly.zero(f3), Poly.constant(f3, 1)])
+
+
 def test_extend_scalars(f3, f9_ext):
     from weilres import GaloisField
     f9_field = GaloisField(3, (1, 0, 1), "t")

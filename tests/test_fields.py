@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from weilres import (FunctionField, GaloisField, IncompatibleFieldError,
                      LogNorm, MINUS_INF, PrimeField, RationalField,
                      UnsupportedOperationError, canonical_embedding)
+from weilres.fields import PRIME_BOUND, _is_irreducible, _is_prime, _umul
 
 
 def test_prime_field_arithmetic(f3):
@@ -20,6 +22,19 @@ def test_prime_field_arithmetic(f3):
 def test_prime_field_rejects_composite():
     with pytest.raises(ValueError):
         PrimeField(6)
+
+
+def test_primality_is_exact_below_the_bound():
+    small = [n for n in range(200) if _is_prime(n)]
+    assert small == [n for n in range(2, 200)
+                     if all(n % d for d in range(2, n))]
+    assert _is_prime(2 ** 61 - 1)                     # Mersenne prime
+    assert not _is_prime(561)                         # Carmichael number
+    assert not _is_prime(3215031751)    # strong pseudoprime to 2, 3, 5, 7
+    # strong pseudoprime to every prime base up to 37, so base 41 is needed
+    assert not _is_prime(318665857834031151167461)
+    with pytest.raises(ValueError):
+        PrimeField(PRIME_BOUND)
 
 
 def test_mixed_fields_raise(f2, f3):
@@ -39,6 +54,26 @@ def test_galois_field_construction_checks():
         GaloisField(2, (1, 1, 0, 0, 0, 1))
     with pytest.raises(ValueError):
         GaloisField(2, (1, 1))
+
+
+def _reducible_monics(p, m):
+    """Reference: all products of two monic polynomials over F_p of positive
+    degrees summing to m."""
+    def monics(d):
+        return [t + (1,) for t in itertools.product(range(p), repeat=d)]
+    return {_umul(a, b, p) for d in range(1, m // 2 + 1)
+            for a in monics(d) for b in monics(m - d)}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_rabin_irreducibility_matches_brute_force(p):
+    # from degree 5 on, a product of irreducible factors of degrees 2 and 3
+    # passes the gcd conditions and only the divisibility condition fails it
+    for m in range(1, 6 if p <= 3 else 5):
+        reducible = _reducible_monics(p, m)
+        for tail in itertools.product(range(p), repeat=m):
+            f = tail + (1,)
+            assert _is_irreducible(f, p) == (f not in reducible), f
 
 
 def test_galois_field_arithmetic():

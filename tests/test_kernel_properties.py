@@ -3,20 +3,26 @@
 The sparse AlgebraElement product is checked against the dense sum over all
 structure constants, the Poly operations that skip the constructor's zero
 filter against that filter, the raw zero and one tests against equality with
-the coerced constants, and the function field's polynomial shortcut against
-its gcd path.  Runs are derandomized so every run tries the same examples.
+the coerced constants, the function field's polynomial shortcut against its
+gcd path, the one square-and-multiply loop against repeated products, and
+univariate division against its defining identity.  Runs are derandomized so
+every run tries the same examples.
 """
 
+import operator
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weilres import (FunctionField, GaloisField, Poly, PrimeField,
                      RationalField, from_minimal_polynomial, parse_poly)
 from weilres.extensions import AlgebraElement, tensor_product
-from weilres.fields import _umul
+from weilres.fields import _uadd, _udivmod, _umul, _utrim, power
+from weilres.linalg import mat_identity, mat_mul
+from weilres.restriction import _assignments
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None,
                     max_examples=60)
@@ -174,3 +180,78 @@ def test_function_field_polynomial_shortcut_matches_gcd_path(p, data):
     lifted = tuple(c + p * data.draw(st.integers(0, 2)) for c in num)
     assert k.from_coeffs(lifted) == shortcut
     assert shortcut.is_zero() == (not any(num))
+
+
+@st.composite
+def linear_polys(draw, base, variables):
+    # degree <= 1 keeps the ninth powers small
+    terms = {}
+    for i in range(len(variables) + 1):
+        exps = tuple(int(j == i) for j in range(len(variables)))
+        terms[exps] = draw(scalars(base))
+    return Poly(base, variables, terms)
+
+
+@st.composite
+def power_cases(draw):
+    """(x, one, mul): a value, a builder of the unit, its multiplication."""
+    kind = draw(st.sampled_from(["field", "poly", "algebra", "algebra_poly",
+                                 "matrix"]))
+    if kind == "field":
+        field = draw(st.sampled_from(FIELDS))
+        return draw(random_elements(field)), field.one, operator.mul
+    if kind == "poly":
+        base = draw(st.sampled_from([PrimeField(3), RationalField()]))
+        x = draw(linear_polys(base, ("u", "v")))
+        return x, lambda: Poly.constant(base, base.one(), x.variables), operator.mul
+    ext = draw(st.sampled_from(EXTENSIONS))
+    if kind == "algebra":
+        x = ext.element([draw(scalars(ext.base)) for _ in range(ext.rank)])
+        return x, ext.unit_element, operator.mul
+    if kind == "algebra_poly":
+        x = ext.element([draw(linear_polys(ext.base, ("u",)))
+                         for _ in range(ext.rank)])
+        return x, ext.unit_element, operator.mul
+    field = draw(st.sampled_from(FIELDS))
+    n = draw(st.integers(1, 3))
+    m = tuple(tuple(draw(random_elements(field)) for _ in range(n))
+              for _ in range(n))
+    return m, lambda: mat_identity(n, field), mat_mul
+
+
+@SETTINGS
+@given(power_cases())
+def test_power_matches_repeated_products(case):
+    x, one, mul = case
+    pow_ = (lambda k: power(x, k, one, mul)) if mul is mat_mul else x.__pow__
+    expected = one()
+    for k in range(10):
+        assert pow_(k) == expected, k
+        expected = mul(expected, x)
+    for bad in (-1, 1.5, "2"):
+        with pytest.raises(ValueError):
+            pow_(bad)
+
+
+@SETTINGS
+@given(st.sampled_from([2, 3, 7]), st.data())
+def test_univariate_division_identity(p, data):
+    coeff = st.integers(0, p - 1)
+    a = tuple(data.draw(st.lists(coeff, max_size=7)))
+    b = tuple(data.draw(st.lists(coeff, max_size=4))) + (
+        data.draw(st.integers(1, p - 1)),)
+    q, r = _udivmod(a, b, p)
+    assert _uadd(_umul(q, b, p), r, p) == _utrim(a)
+    assert len(r) < len(b)
+    assert q == _utrim(q) and r == _utrim(r)
+
+
+@pytest.mark.parametrize("field", [PrimeField(2), PrimeField(3),
+                                   GaloisField(2, (1, 1, 1), "w")])
+@pytest.mark.parametrize("d", [0, 1, 2, 3])
+def test_assignments_enumerate_every_point_once(field, d):
+    variables = ("a", "b", "c")[:d]
+    found = list(_assignments(variables, field.elements()))
+    assert all(set(a) == set(variables) for a in found)
+    assert len({tuple(a[v] for v in variables) for a in found}) == len(found)
+    assert len(found) == field.size() ** d

@@ -8,7 +8,7 @@ from weilres import (EnumerationBoundError, GaloisField, IncompatibleFieldError,
                      disc_generators, expand_element, from_minimal_polynomial,
                      parse_poly, points_over, product, product_presentation,
                      psi_apply, restrict)
-from weilres.restriction import block_names, scaling_products
+from weilres.restriction import block_names
 
 
 @pytest.fixture
@@ -64,24 +64,6 @@ def test_restrict_forwards_radii_metadata(qi):
                         radii=[LogNorm(0)])
     result = restrict(pres, qi)
     assert result.metadata["original_radii"] == ("0",)
-
-
-def test_restrict_records_scaling_metadata(k2):
-    ext = from_minimal_polynomial(k2, parse_poly("t^2 - x", k2, ("t",)), "t")
-    pres = Presentation(ext, ("u",), [])
-    x = k2.variable()
-    result = restrict(pres, ext, nilpotents=[x], level=3)
-    assert result.metadata["level"] == 3
-    assert result.metadata["level_products"] == (str(x ** 3),)
-    assert "integral_constraint" in result.metadata
-
-
-def test_scaling_products_literal(k2):
-    x = k2.variable()
-    y = x * x
-    prods = scaling_products([x, y], 2)
-    assert set(str(p) for p in prods) == {"x^2", "x^3", "x^4"}
-    assert [str(p) for p in scaling_products([x], 0)] == ["1"]
 
 
 def test_variable_count_is_rank_times_original(f9_ext):
