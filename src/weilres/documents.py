@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 
-from .errors import DocumentError
+from .errors import DocumentError, EnumerationBoundError
 from .extensions import FreeExtension, from_minimal_polynomial
 from .fields import (Field, FunctionField, GaloisField, PrimeField,
                      RationalField)
@@ -45,6 +45,8 @@ def _scalar(field, value, path):
     if isinstance(value, str):
         try:
             return parse_poly(value, field).constant_value()
+        except EnumerationBoundError:
+            raise
         except Exception as exc:
             raise DocumentError("%s: bad scalar %r (%s)" % (path, value, exc))
     raise DocumentError("%s: scalar must be an integer or string" % path)
@@ -81,7 +83,7 @@ def parse_field(record, path="field"):
             from fractions import Fraction
             r = Fraction(record.get("r", "1/2"))
             return FunctionField(record["p"], r, record.get("symbol", "x"))
-    except DocumentError:
+    except (DocumentError, EnumerationBoundError):
         raise
     except Exception as exc:
         raise DocumentError("%s: %s" % (path, exc))
@@ -113,7 +115,7 @@ def parse_extension(record, field, path="extension"):
         try:
             m = parse_poly(record["minimal_polynomial"], field, (symbol,))
             return from_minimal_polynomial(field, m, symbol)
-        except DocumentError:
+        except (DocumentError, EnumerationBoundError):
             raise
         except Exception as exc:
             raise DocumentError("%s: %s" % (path, exc))
@@ -136,7 +138,7 @@ def parse_extension(record, field, path="extension"):
             for row in structure)
         unit = tuple(_scalar(field, c, path) for c in record["unit"])
         return FreeExtension(field, basis, parsed, unit)
-    except DocumentError:
+    except (DocumentError, EnumerationBoundError):
         raise
     except Exception as exc:
         raise DocumentError("%s: %s" % (path, exc))
@@ -161,7 +163,7 @@ def parse_action(record, field, path="action"):
             [[_scalar(field, c, path) for c in row] for row in m]
             for m in record["matrices"]]
         return GroupAction(record["elements"], record["table"], matrices, field)
-    except DocumentError:
+    except (DocumentError, EnumerationBoundError):
         raise
     except Exception as exc:
         raise DocumentError("%s: %s" % (path, exc))
@@ -195,7 +197,7 @@ def parse_presentation(record, field, extension, path):
             radii = [LogNorm.parse(r) for r in record["radii"]]
         return Presentation(domain, variables, gens, radii=radii,
                             provenance=record.get("provenance", path))
-    except DocumentError:
+    except (DocumentError, EnumerationBoundError):
         raise
     except Exception as exc:
         raise DocumentError("%s: %s" % (path, exc))
@@ -288,6 +290,8 @@ def _parse_options(record, field, extension):
             try:
                 poly = parse_poly(str(text), extension)
                 elems.append(poly.constant_value())
+            except EnumerationBoundError:
+                raise
             except Exception as exc:
                 raise DocumentError("options.radius_elements[%d]: %s" % (i, exc))
         options["radius_elements"] = elems

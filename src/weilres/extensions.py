@@ -16,9 +16,10 @@ from __future__ import annotations
 import itertools
 
 from .errors import IncompatibleFieldError, UnsupportedOperationError
-from .fields import FieldElement, power
+from .fields import FieldElement, FunctionField, power
 from .lognorm import LogNorm
-from .linalg import berkowitz_charpoly, mat_identity, mat_is_zero, mat_mul
+from .linalg import (berkowitz_charpoly, mat_add, mat_identity, mat_is_zero,
+                     mat_mul, mat_scale)
 from .poly import Poly, PolyRing, _needs_parens
 
 RANK_CAP = 16
@@ -534,13 +535,29 @@ def charpoly(b):
     allowed; Cayley-Hamilton holds exactly for the result.
     """
     ring = b.ring
-    vec = berkowitz_charpoly(mult_matrix(b), ring)
-    return MonicPoly(ring, vec[1:])
+    matrix = mult_matrix(b)
+    base = b.extension.base
+    d = base.one()
+    if isinstance(base, FunctionField):
+        # Over F_p(x) the iteration runs on d*M, whose coefficients are all
+        # polynomials in x, so no gcd runs inside it; c_j(d*M) = d^j c_j(M).
+        d = base.common_denominator(
+            [c for row in matrix for entry in row
+             for c in (entry.terms.values() if isinstance(entry, Poly) else (entry,))])
+    if d.is_one():
+        return MonicPoly(ring, berkowitz_charpoly(matrix, ring)[1:])
+    vec = berkowitz_charpoly(mat_scale(matrix, d), ring)
+    d_inv = d.inverse()
+    scale = d_inv
+    coefficients = []
+    for c in vec[1:]:
+        coefficients.append(c * scale)
+        scale = scale * d_inv
+    return MonicPoly(ring, coefficients)
 
 
 def charpoly_matrix_value(mp, matrix, ring):
     """chi(M) for a monic polynomial chi and a square matrix M over ring."""
-    from .linalg import mat_identity, mat_mul, mat_scale, mat_add
     n = len(matrix)
     acc = mat_identity(n, ring)
     for c in mp.coefficients:

@@ -158,7 +158,10 @@ _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def _is_prime(n):
-    """Deterministic Miller-Rabin; n at or above PRIME_BOUND raises ValueError."""
+    """Deterministic Miller-Rabin; an n that is not an int (bools and floats
+    included) or at or above PRIME_BOUND raises ValueError."""
+    if type(n) is not int:
+        raise ValueError("characteristic %r is not an integer" % (n,))
     if n >= PRIME_BOUND:
         raise ValueError("%d is at or above the primality bound %d"
                          % (n, PRIME_BOUND))
@@ -671,8 +674,13 @@ class FunctionField(Field):
         p = self.p
         return self._make(tuple(c % p for c in num), tuple(c % p for c in den))
 
+    # Polynomials (denominator 1) add and multiply to polynomials, already
+    # canonical: _uadd and _umul trim, so a cancelled sum is ((), (1,)).
+
     def _add(self, a, b):
         p = self.p
+        if a.den == b.den == (1,):
+            return _RatFunc(_uadd(a.num, b.num, p), (1,))
         num = _uadd(_umul(a.num, b.den, p), _umul(b.num, a.den, p), p)
         return self._make(num, _umul(a.den, b.den, p)).value
 
@@ -681,7 +689,18 @@ class FunctionField(Field):
 
     def _mul(self, a, b):
         p = self.p
+        if a.den == b.den == (1,):
+            return _RatFunc(_umul(a.num, b.num, p), (1,))
         return self._make(_umul(a.num, b.num, p), _umul(a.den, b.den, p)).value
+
+    def common_denominator(self, elements):
+        """The monic lcm d of the denominators: every d*a is a polynomial."""
+        p = self.p
+        d = (1,)
+        for den in {a.value.den for a in elements}:
+            g = _ugcd(d, den, p)
+            d = _umul(d, _udivmod(den, g, p)[0], p)
+        return FieldElement(self, _RatFunc(d, (1,)))
 
     def _inv(self, a):
         return self._make(a.den, a.num).value

@@ -19,8 +19,9 @@ by parse_poly.
 
 from __future__ import annotations
 
-from .errors import IncompatibleFieldError, UnsupportedOperationError
-from .fields import FieldElement, power
+from .errors import (EnumerationBoundError, IncompatibleFieldError,
+                     UnsupportedOperationError)
+from .fields import FieldElement, FunctionField, power
 from .lognorm import lognorm_max
 
 
@@ -365,6 +366,10 @@ def gauss_norm(p, radii):
 # Identifiers are presentation variables when declared, otherwise they are
 # resolved by the coefficient domain (field symbols such as x or t, basis
 # labels of an extension).  Division requires a constant, invertible divisor.
+# A power whose estimated degree (see _power_degree) exceeds
+# POWER_DEGREE_BOUND raises EnumerationBoundError before any multiplication.
+
+POWER_DEGREE_BOUND = 1000
 
 
 class _Tokens:
@@ -470,8 +475,38 @@ def _parse_factor(toks, domain, variables):
         kind, val = toks.next()
         if kind != "int":
             raise ValueError("exponent must be a non-negative integer")
+        estimate = _power_degree(base, val)
+        if estimate > POWER_DEGREE_BOUND:
+            raise EnumerationBoundError(
+                "power ^%d has estimated degree %d, above the bound %d"
+                % (val, estimate, POWER_DEGREE_BOUND))
         return base ** val
     return base
+
+
+def _power_degree(base, k):
+    """Estimated degree of base^k: k times the total degree of base plus k
+    times the largest x-degree of a coefficient, which only F_p(x) and
+    algebras over it have."""
+    coefficient = max((_x_degree(c) for c in base.terms.values()), default=0)
+    return k * (max(base.total_degree(), 0) + coefficient)
+
+
+def _x_degree(c):
+    """Numerator plus denominator degree of an F_p(x) element; for an algebra
+    element over F_p(x), that of its coordinates plus the largest of its
+    structure constants, which each product may add; 0 elsewhere."""
+    if isinstance(c, FieldElement):
+        if not isinstance(c.field, FunctionField):
+            return 0
+        return max(len(c.value.num) - 1, 0) + len(c.value.den) - 1
+    ext = c.extension
+    if not isinstance(ext.base, FunctionField):
+        return 0
+    structure = max((_x_degree(k) for row in ext.sparse_structure
+                     for cell in row for _, k in cell if k is not None),
+                    default=0)
+    return max(_x_degree(x) for x in c.coords) + structure
 
 
 def _parse_atom(toks, domain, variables):

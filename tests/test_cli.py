@@ -261,6 +261,44 @@ def test_characteristic_beyond_primality_bound_is_input_error(tmp_path, capsys):
     assert "primality bound" in err and err.count("\n") == 1, err
 
 
+def test_float_characteristic_is_input_error(tmp_path, capsys):
+    data = padic_doc()
+    data["field"] = {"kind": "prime", "p": 3.0}
+    data["extension"]["minimal_polynomial"] = "t^2 + 1"
+    path = write_doc(tmp_path, data)
+    code, out, err = run(capsys, ["charpoly", "t + 2", "--input", path])
+    assert code == 2
+    assert out == ""
+    assert "not an integer" in err and err.count("\n") == 1, err
+
+
+def test_unbounded_power_is_resource_error(tmp_path, capsys):
+    path = write_doc(tmp_path, function_doc())
+    # over F_2(x)[t]/(t^2 - x) powers of t grow in x as well: t^2 = x
+    for text in ("x^99999999999", "t^99999999999"):
+        code, out, err = run(capsys, ["charpoly", text, "--input", path])
+        assert code == 3, text
+        assert out == ""
+        assert "^99999999999" in err and "bound 1000" in err, err
+        assert err.count("\n") == 1
+    data = {
+        "version": "weilres/1",
+        "field": {"kind": "prime", "p": 3},
+        "extension": {"minimal_polynomial": "t^2 + 1", "symbol": "t"},
+    }
+    cheap = write_doc(tmp_path, data, "cheap.json")
+    # t^4 = 1 in F_9, so this power costs a few dozen squarings
+    code, out, _ = run(capsys, ["charpoly", "t^99999999999", "--input", cheap])
+    assert code == 0
+    assert json.loads(out)["element"] == "2*t"
+    data["presentations"] = {"huge": {"over": "extension", "variables": ["u"],
+                                      "generators": ["u^99999999999 - 1"]}}
+    path = write_doc(tmp_path, data, "huge.json")
+    code, out, err = run(capsys, ["restrict", "huge", "--input", path])
+    assert code == 3
+    assert out == "" and err.startswith("resource bound: "), err
+
+
 def test_points_assignment_budget(tmp_path, capsys, monkeypatch):
     import weilres.restriction
 

@@ -3,10 +3,12 @@ import json
 import pytest
 
 from weilres import DocumentError, FreeExtension, GaloisField, LogNorm
+from weilres.errors import EnumerationBoundError
 from weilres.documents import (action_record, canonical_json,
                                extension_record, field_record,
                                load_document_text, presentation_record,
                                restriction_record)
+from weilres.poly import POWER_DEGREE_BOUND
 from weilres.restriction import restrict
 
 
@@ -119,6 +121,21 @@ def test_bad_scalar_reported():
     data["action"]["matrices"][1][1][1] = "frog"
     with pytest.raises(DocumentError):
         load_document_text(json.dumps(data))
+
+
+def test_unbounded_power_in_document_is_resource_error():
+    function = {"kind": "function", "p": 2}
+    raw = {"version": "weilres/1", "field": function,
+           "extension": {"rank": 1, "structure_constants": [[["x^99999999999"]]],
+                         "unit": ["1"]}}
+    monogenic = {"version": "weilres/1", "field": function,
+                 "extension": {"minimal_polynomial": "t^2 - x^99999999999"}}
+    for data in (raw, monogenic):
+        with pytest.raises(EnumerationBoundError, match="above the bound"):
+            load_document_text(json.dumps(data))
+    # at the bound the power is built
+    monogenic["extension"]["minimal_polynomial"] = "t^2 - x^%d" % POWER_DEGREE_BOUND
+    assert load_document_text(json.dumps(monogenic)).extension.rank == 2
 
 
 def test_invalid_json_reported():

@@ -37,6 +37,14 @@ def test_primality_is_exact_below_the_bound():
         PrimeField(PRIME_BOUND)
 
 
+@pytest.mark.parametrize("bad", [3.0, True, "3", Fraction(3)])
+def test_characteristic_must_be_an_int(bad):
+    for build in (PrimeField, FunctionField, lambda p: RationalField(padic=p),
+                  lambda p: GaloisField(p, (1, 0, 1))):
+        with pytest.raises(ValueError, match="not an integer"):
+            build(bad)
+
+
 def test_mixed_fields_raise(f2, f3):
     with pytest.raises(IncompatibleFieldError):
         f2(1) + f3(1)

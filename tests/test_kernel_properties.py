@@ -3,12 +3,15 @@
 The sparse AlgebraElement product is checked against the dense sum over all
 structure constants, the Poly operations that skip the constructor's zero
 filter against that filter, the raw zero and one tests against equality with
-the coerced constants, the function field's polynomial shortcut against its
-gcd path, the one square-and-multiply loop against repeated products, and
-univariate division against its defining identity.  Runs are derandomized so
-every run tries the same examples.
+the coerced constants, the function field's polynomial shortcuts against its
+gcd path, the fraction-free characteristic polynomial over F_p(x) against
+Berkowitz on the unscaled matrix and the cofactor oracle, the one
+square-and-multiply loop against repeated products, and univariate division
+against its defining identity.  Runs are derandomized so every run tries the
+same examples.
 """
 
+import itertools
 import operator
 import random
 from fractions import Fraction
@@ -19,10 +22,13 @@ from hypothesis import strategies as st
 
 from weilres import (FunctionField, GaloisField, Poly, PrimeField,
                      RationalField, from_minimal_polynomial, parse_poly)
-from weilres.extensions import AlgebraElement, tensor_product
-from weilres.fields import _uadd, _udivmod, _umul, _utrim, power
-from weilres.linalg import mat_identity, mat_mul
+from weilres.extensions import (AlgebraElement, charpoly, mult_matrix,
+                                tensor_product)
+from weilres.fields import _RatFunc, _uadd, _udivmod, _umul, _utrim, power
+from weilres.linalg import berkowitz_charpoly, mat_identity, mat_mul
 from weilres.restriction import _assignments
+
+from conftest import naive_charpoly_coeffs
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None,
                     max_examples=60)
@@ -163,6 +169,13 @@ def test_raw_zero_and_one_tests_agree_with_equality(field, seed):
     assert field.one() is field.one() and field.one() == one
 
 
+@st.composite
+def function_field_elements(draw, k):
+    """Elements of F_p(x) whose denominators carry powers of x and more."""
+    a = draw(random_elements(k))
+    return a / k.variable() ** draw(st.integers(0, 3))
+
+
 @SETTINGS
 @given(st.sampled_from([2, 3, 5]), st.data())
 def test_function_field_polynomial_shortcut_matches_gcd_path(p, data):
@@ -180,6 +193,85 @@ def test_function_field_polynomial_shortcut_matches_gcd_path(p, data):
     lifted = tuple(c + p * data.draw(st.integers(0, 2)) for c in num)
     assert k.from_coeffs(lifted) == shortcut
     assert shortcut.is_zero() == (not any(num))
+    # sums and products of polynomials skip _make; they must equal its
+    # result, and a sum that cancels must be the canonical zero
+    other = k.from_coeffs(data.draw(st.lists(coeff, max_size=4)))
+    a, b = shortcut.value, other.value
+    assert k._add(a, b) == k._make(_uadd(a.num, b.num, p), (1,)).value
+    assert k._mul(a, b) == k._make(_umul(a.num, b.num, p), (1,)).value
+    for value in (k._add(a, b), k._mul(a, b)):
+        assert value.den == (1,) and value.num == _utrim(value.num)
+    # with a denominator on either side the gcd path still runs
+    r = data.draw(function_field_elements(k)).value
+    for x, y in ((a, r), (r, a), (r, r)):
+        assert k._add(x, y) == k._make(
+            _uadd(_umul(x.num, y.den, p), _umul(y.num, x.den, p), p),
+            _umul(x.den, y.den, p)).value
+        assert k._mul(x, y) == k._make(_umul(x.num, y.num, p),
+                                       _umul(x.den, y.den, p)).value
+    zero = k.zero().value
+    assert k._add(a, k._neg(a)) == zero and k._add(zero, zero) == zero
+    assert k._mul(a, zero) == zero
+    assert (shortcut - shortcut).value == _RatFunc((), (1,))
+
+
+def _function_fields():
+    cases = []
+    for p in (2, 3):
+        k = FunctionField(p, Fraction(1, 2))
+        cases += [_monogenic(k, "t^2 + t/x + 1"), _monogenic(k, "t^3 - x"),
+                  _monogenic(k, "t^4 + t/(x + 1) + x")]
+    return cases
+
+
+FUNCTION_EXTENSIONS = _function_fields()
+
+
+@st.composite
+def function_charpoly_cases(draw):
+    ext = draw(st.sampled_from(FUNCTION_EXTENSIONS))
+    k = ext.base
+    if draw(st.booleans()):
+        coord = function_field_elements(k)
+    else:
+        coord = polys(k, function_field_elements)
+    return ext.element([draw(coord) for _ in range(ext.rank)])
+
+
+@SETTINGS
+@given(function_charpoly_cases())
+def test_fraction_free_charpoly_matches_plain_berkowitz(b):
+    chi = charpoly(b)
+    matrix = mult_matrix(b)
+    assert chi.ring == b.ring
+    assert list(chi.coefficients) == berkowitz_charpoly(matrix, b.ring)[1:]
+    if b.extension.rank <= 3:
+        lifted = [c if isinstance(c, Poly) else Poly.constant(b.extension.base, c)
+                  for c in chi.coefficients]
+        assert lifted == naive_charpoly_coeffs(matrix, b.ring)[1:]
+
+
+@SETTINGS
+@given(st.sampled_from([2, 3]), st.data())
+def test_common_denominator_clears_every_denominator(p, data):
+    k = FunctionField(p, Fraction(1, 2))
+    elements = data.draw(st.lists(function_field_elements(k), max_size=5))
+    d = k.common_denominator(elements)
+    assert d.value.den == (1,) and d.value.num[-1] == 1
+    product = (1,)
+    for a in elements:
+        assert (d * a).value.den == (1,)
+        product = _umul(product, a.value.den, p)
+    assert _udivmod(product, d.value.num, p)[1] == ()
+    # the least such d: the denominators factor into degrees <= 2, and
+    # dividing out any such factor of d leaves some denominator uncleared
+    for low in itertools.product(range(p), repeat=2):
+        for q in (low[:1] + (1,), low + (1,)):
+            quotient, rest = _udivmod(d.value.num, q, p)
+            if not rest:
+                assert any(_udivmod(quotient, a.value.den, p)[1]
+                           for a in elements)
+    assert k.common_denominator([]).is_one()
 
 
 @st.composite
