@@ -13,9 +13,7 @@ import sys
 from .documents import (Document, canonical_json, field_record,
                         load_document_text, presentation_record,
                         restriction_record)
-from .errors import (DocumentError, EnumerationBoundError,
-                     IncompatibleFieldError, TamenessError,
-                     UnsupportedOperationError, WeilresError)
+from .errors import DocumentError, EnumerationBoundError, WeilresError
 from .extensions import FreeExtension, charpoly, is_integral
 from .lognorm import LogNorm
 from .poly import parse_poly
@@ -253,8 +251,7 @@ def main(argv=None):
     except EnumerationBoundError as exc:
         sys.stderr.write("resource bound: %s\n" % exc)
         return EXIT_RESOURCE
-    except (DocumentError, IncompatibleFieldError, TamenessError,
-            UnsupportedOperationError, WeilresError, ValueError) as exc:
+    except (WeilresError, ValueError) as exc:
         sys.stderr.write("input error: %s\n" % exc)
         return EXIT_INPUT
 

@@ -10,9 +10,10 @@ scalars appear as canonical strings in the grammar of poly.parse_poly.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 
 from .errors import DocumentError, EnumerationBoundError
-from .extensions import FreeExtension, from_minimal_polynomial
+from .extensions import RANK_CAP, FreeExtension, from_minimal_polynomial
 from .fields import (Field, FunctionField, GaloisField, PrimeField,
                      RationalField)
 from .galois import GroupAction
@@ -39,23 +40,31 @@ def _check_keys(record, required, optional, path):
         raise DocumentError("%s: missing keys %s" % (path, sorted(missing)))
 
 
+@contextmanager
+def _reported(path):
+    """Turn any failure inside the block into a DocumentError naming path;
+    document errors and resource bounds (exit 3) pass through unchanged."""
+    try:
+        yield
+    except (DocumentError, EnumerationBoundError):
+        raise
+    except Exception as exc:
+        raise DocumentError("%s: %s" % (path, exc))
+
+
 def _scalar(field, value, path):
     if isinstance(value, int):
         return field.coerce(value)
     if isinstance(value, str):
-        try:
+        with _reported("%s: bad scalar %r" % (path, value)):
             return parse_poly(value, field).constant_value()
-        except EnumerationBoundError:
-            raise
-        except Exception as exc:
-            raise DocumentError("%s: bad scalar %r (%s)" % (path, value, exc))
     raise DocumentError("%s: scalar must be an integer or string" % path)
 
 
 def parse_field(record, path="field"):
     _check_keys(record, ["kind"], ["p", "modulus", "symbol", "r"], path)
     kind = record["kind"]
-    try:
+    with _reported(path):
         if kind == "prime":
             _check_keys(record, ["kind", "p"], [], path)
             return PrimeField(record["p"])
@@ -83,10 +92,6 @@ def parse_field(record, path="field"):
             from fractions import Fraction
             r = Fraction(record.get("r", "1/2"))
             return FunctionField(record["p"], r, record.get("symbol", "x"))
-    except (DocumentError, EnumerationBoundError):
-        raise
-    except Exception as exc:
-        raise DocumentError("%s: %s" % (path, exc))
     raise DocumentError("%s: unknown field kind %r" % (path, kind))
 
 
@@ -112,36 +117,30 @@ def parse_extension(record, field, path="extension"):
     if "minimal_polynomial" in record:
         _check_keys(record, ["minimal_polynomial"], ["symbol"], path)
         symbol = record.get("symbol", "t")
-        try:
+        with _reported(path):
             m = parse_poly(record["minimal_polynomial"], field, (symbol,))
             return from_minimal_polynomial(field, m, symbol)
-        except (DocumentError, EnumerationBoundError):
-            raise
-        except Exception as exc:
-            raise DocumentError("%s: %s" % (path, exc))
     _check_keys(record, ["structure_constants", "unit"], ["rank", "basis"], path)
-    if "basis" in record:
-        basis = record["basis"]
-    elif "rank" in record:
-        basis = ["e%d" % (i + 1) for i in range(record["rank"])]
-    else:
-        raise DocumentError("%s: need either basis or rank" % path)
-    n = len(basis)
-    if record.get("rank", n) != n:
-        raise DocumentError("%s: rank disagrees with the basis length" % path)
-    structure = record["structure_constants"]
-    if len(structure) != n:
-        raise DocumentError("%s: structure_constants must be %d^3" % (path, n))
-    try:
+    with _reported(path):
+        if "basis" in record:
+            basis = record["basis"]
+        elif "rank" in record:
+            if not 0 < record["rank"] <= RANK_CAP:
+                raise DocumentError("%s: rank must be 1 .. %d" % (path, RANK_CAP))
+            basis = ["e%d" % (i + 1) for i in range(record["rank"])]
+        else:
+            raise DocumentError("%s: need either basis or rank" % path)
+        n = len(basis)
+        if record.get("rank", n) != n:
+            raise DocumentError("%s: rank disagrees with the basis length" % path)
+        structure = record["structure_constants"]
+        if len(structure) != n:
+            raise DocumentError("%s: structure_constants must be %d^3" % (path, n))
         parsed = tuple(
             tuple(tuple(_scalar(field, c, path) for c in cell) for cell in row)
             for row in structure)
         unit = tuple(_scalar(field, c, path) for c in record["unit"])
         return FreeExtension(field, basis, parsed, unit)
-    except (DocumentError, EnumerationBoundError):
-        raise
-    except Exception as exc:
-        raise DocumentError("%s: %s" % (path, exc))
 
 
 def extension_record(ext):
@@ -158,15 +157,11 @@ def extension_record(ext):
 
 def parse_action(record, field, path="action"):
     _check_keys(record, ["elements", "table", "matrices"], [], path)
-    try:
+    with _reported(path):
         matrices = [
             [[_scalar(field, c, path) for c in row] for row in m]
             for m in record["matrices"]]
         return GroupAction(record["elements"], record["table"], matrices, field)
-    except (DocumentError, EnumerationBoundError):
-        raise
-    except Exception as exc:
-        raise DocumentError("%s: %s" % (path, exc))
 
 
 def action_record(action):
@@ -189,18 +184,17 @@ def parse_presentation(record, field, extension, path):
         domain = extension
     else:
         raise DocumentError("%s: 'over' must be 'base' or 'extension'" % path)
+    for key in ("variables", "generators", "radii"):
+        if key in record and not isinstance(record[key], list):
+            raise DocumentError("%s.%s must be an array" % (path, key))
     variables = tuple(record["variables"])
-    try:
+    with _reported(path):
         gens = [parse_poly(text, domain, variables) for text in record["generators"]]
         radii = None
-        if record.get("radii") is not None:
+        if "radii" in record:
             radii = [LogNorm.parse(r) for r in record["radii"]]
         return Presentation(domain, variables, gens, radii=radii,
                             provenance=record.get("provenance", path))
-    except (DocumentError, EnumerationBoundError):
-        raise
-    except Exception as exc:
-        raise DocumentError("%s: %s" % (path, exc))
 
 
 def presentation_record(pres):
@@ -274,10 +268,8 @@ def _parse_options(record, field, extension):
             raise DocumentError("options.seed must be an integer")
         options["seed"] = record["seed"]
     if "threshold" in record:
-        try:
+        with _reported("options.threshold"):
             options["threshold"] = LogNorm.parse(str(record["threshold"]))
-        except Exception as exc:
-            raise DocumentError("options.threshold: %s" % exc)
     if "test_fields" in record:
         options["test_fields"] = [
             parse_field(f, "options.test_fields[%d]" % i)
@@ -287,13 +279,8 @@ def _parse_options(record, field, extension):
             raise DocumentError("options.radius_elements need an extension")
         elems = []
         for i, text in enumerate(record["radius_elements"]):
-            try:
-                poly = parse_poly(str(text), extension)
-                elems.append(poly.constant_value())
-            except EnumerationBoundError:
-                raise
-            except Exception as exc:
-                raise DocumentError("options.radius_elements[%d]: %s" % (i, exc))
+            with _reported("options.radius_elements[%d]" % i):
+                elems.append(parse_poly(str(text), extension).constant_value())
         options["radius_elements"] = elems
     return options
 

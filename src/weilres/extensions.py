@@ -16,11 +16,11 @@ from __future__ import annotations
 import itertools
 
 from .errors import IncompatibleFieldError, UnsupportedOperationError
-from .fields import FieldElement, FunctionField, power
+from .fields import FieldElement, FunctionField, canonical_embedding, power
 from .lognorm import LogNorm
 from .linalg import (berkowitz_charpoly, mat_add, mat_identity, mat_is_zero,
                      mat_mul, mat_scale)
-from .poly import Poly, PolyRing, _needs_parens
+from .poly import Poly, PolyRing, _join_signed, _needs_parens, _term_string
 
 RANK_CAP = 16
 
@@ -318,12 +318,7 @@ class AlgebraElement:
             else:
                 parts.append(("(%s)" % cs if _needs_parens(cs) or "*" in cs
                               or "/" in cs else cs) + "*" + name)
-        if not parts:
-            return "0"
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+        return _join_signed(parts)
 
     def __repr__(self):
         return "<%s in %s>" % (self, self.extension)
@@ -406,18 +401,13 @@ def tensor_product(b1, b2):
 
 def extend_scalars(ext, target):
     """Base change of the extension along the canonical embedding into target."""
-    from .fields import canonical_embedding
     emb = canonical_embedding(ext.base, target)
-    if emb is None:
-        raise IncompatibleFieldError("no canonical embedding %s -> %s"
-                                     % (ext.base, target))
     structure = tuple(tuple(tuple(emb(c) for c in cell) for cell in row)
                       for row in ext.structure)
     unit = tuple(emb(c) for c in ext.unit)
     mp = None
     if ext.minimal_polynomial is not None:
-        mp = Poly(target, ext.minimal_polynomial.variables,
-                  {exps: emb(c) for exps, c in ext.minimal_polynomial.terms.items()})
+        mp = ext.minimal_polynomial.map_coefficients(target, emb)
     return FreeExtension(target, ext.basis_names, structure, unit, validate=False,
                          minimal_polynomial=mp, symbol=ext.symbol)
 
@@ -492,40 +482,16 @@ class MonicPoly:
         return acc
 
     def to_string(self, var="z"):
-        parts = [_mono_str(var, self.degree)]
-        for i, c in enumerate(self.coefficients, start=1):
-            if c.is_zero():
-                continue
-            cs = str(c)
-            mono = _mono_str(var, self.degree - i)
-            if mono == "":
-                parts.append("(%s)" % cs if _needs_parens(cs) else cs)
-            elif cs == "1":
-                parts.append(mono)
-            elif cs == "-1":
-                parts.append("-" + mono)
-            else:
-                if _needs_parens(cs):
-                    cs = "(%s)" % cs
-                parts.append(cs + "*" + mono)
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+        n = self.degree
+        return _join_signed([_term_string((var,), (n,), 1)] + [
+            _term_string((var,), (n - i,), c)
+            for i, c in enumerate(self.coefficients, start=1) if not c.is_zero()])
 
     def __str__(self):
         return self.to_string()
 
     def __repr__(self):
         return "MonicPoly(%s)" % self
-
-
-def _mono_str(var, k):
-    if k == 0:
-        return ""
-    if k == 1:
-        return var
-    return "%s^%d" % (var, k)
 
 
 def charpoly(b):

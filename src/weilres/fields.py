@@ -750,10 +750,10 @@ class FunctionField(Field):
 
 
 def canonical_embedding(src, dst):
-    """The canonical coefficient embedding src -> dst, or None.
+    """The canonical coefficient embedding src -> dst.
 
-    Valued sources must embed compatibly: an embedding that would change the
-    valuation normalisation is rejected with IncompatibleFieldError.
+    Raises IncompatibleFieldError when there is none, and when a valued
+    source would embed with a different valuation normalisation.
     """
     if src == dst:
         return lambda a: a
@@ -770,4 +770,4 @@ def canonical_embedding(src, dst):
     if isinstance(src, FunctionField) and isinstance(dst, FunctionField):
         raise IncompatibleFieldError(
             "incompatible valuation normalizations: %s into %s" % (src, dst))
-    return None
+    raise IncompatibleFieldError("no canonical embedding %s -> %s" % (src, dst))

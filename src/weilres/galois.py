@@ -35,6 +35,10 @@ class GroupAction:
         k = len(self.elements)
         if len(self.table) != k or any(len(row) != k for row in self.table):
             raise ValueError("composition table must be %d x %d" % (k, k))
+        if any(type(c) is not int or not 0 <= c < k
+               for row in self.table for c in row):
+            raise ValueError("composition table entries must be element "
+                             "indices 0 .. %d" % (k - 1))
         if len(self.matrices) != k:
             raise ValueError("need one matrix per group element")
 
@@ -194,9 +198,6 @@ def action_point_map(action, result, g_index, field=None):
     base = ext.base
     target = field if field is not None else base
     emb = canonical_embedding(base, target)
-    if emb is None:
-        raise IncompatibleFieldError("no canonical embedding %s -> %s"
-                                     % (base, target))
     matrix = [[emb(c) for c in row] for row in action.matrices[g_index]]
     variables = result.presentation.variables
     index = {name: i for i, name in enumerate(variables)}
@@ -299,9 +300,6 @@ def diagonal_section(x, ext, field=None):
     each coordinate u becomes the block coordinates of u * 1 in the basis."""
     target = field if field is not None else ext.base
     emb = canonical_embedding(ext.base, target)
-    if emb is None:
-        raise IncompatibleFieldError("no canonical embedding %s -> %s"
-                                     % (ext.base, target))
     unit = [emb(c) for c in ext.unit]
 
     def section(point):
@@ -313,7 +311,7 @@ def diagonal_section(x, ext, field=None):
     return section
 
 
-def verify_descent(x, ext, act, fields, allow_wild=False):
+def verify_descent(x, ext, act, fields):
     """Compare the fixed points of the restriction of x base-changed to the
     extension with x itself over every test field.
 
@@ -324,7 +322,8 @@ def verify_descent(x, ext, act, fields, allow_wild=False):
         raise IncompatibleFieldError("x must be defined over the extension's base")
     lifted = base_change(x, ext)
     result = restrict(lifted, ext)
-    fp = fixed_points(act, result, allow_wild=allow_wild)
+    fp = fixed_points(act, result)
+    variables = result.presentation.variables
     rows = []
     for field in fields:
         left = points_over(fp.presentation, field)
@@ -334,8 +333,7 @@ def verify_descent(x, ext, act, fields, allow_wild=False):
         ext_f = extend_scalars(ext, field)
         lifted_f = base_change(x, ext_f)
         images = set()
-        fixed_full = _lift_points(fp, field)
-        left_set = set(fixed_full)
+        left_set = set(_lift_points(fp, field, left))
         for pt in right:
             s = section(pt)
             if s not in left_set:
@@ -343,7 +341,11 @@ def verify_descent(x, ext, act, fields, allow_wild=False):
                 break
             images.add(s)
             # expansion composed with the section returns the original point
-            expanded = psi_apply_like(result, s, ext_f, field)
+            assignment = dict(zip(variables, s))
+            expanded = tuple(
+                AlgebraElement(ext_f, tuple(assignment[name]
+                                            for name in result.coordinate_map[v]))
+                for v in result.original.variables)
             diag = tuple(ext_f.scalar(u) for u in pt)
             if expanded != diag:
                 bijection_ok = False
@@ -363,33 +365,15 @@ def verify_descent(x, ext, act, fields, allow_wild=False):
     return rows
 
 
-def _lift_points(fp, field):
-    """Points of the reduced fixed presentation, lifted back to full block
-    coordinates through the eliminated variables."""
-    reduced_pts = points_over(fp.presentation, field)
-    full_vars = fp.unreduced.variables
+def _lift_points(fp, field, points):
+    """Points of the reduced fixed presentation over field, lifted back to
+    full block coordinates through the eliminated variables."""
     emb = canonical_embedding(fp.presentation.base, field)
+    exprs = {v: e.map_coefficients(field, emb) for v, e in fp.eliminated.items()}
     out = []
-    for pt in reduced_pts:
+    for pt in points:
         assignment = dict(zip(fp.presentation.variables, pt))
-        full = []
-        for v in full_vars:
-            if v in assignment:
-                full.append(assignment[v])
-            else:
-                expr = fp.eliminated[v]
-                lifted = Poly(field, expr.variables,
-                              {exps: emb(c) for exps, c in expr.terms.items()})
-                full.append(lifted.evaluate(assignment))
-        out.append(tuple(full))
+        out.append(tuple(assignment[v] if v in assignment
+                         else exprs[v].evaluate(assignment)
+                         for v in fp.unreduced.variables))
     return out
-
-
-def psi_apply_like(result, point, ext_f, field):
-    """The expansion map on points with coordinates in a larger field."""
-    assignment = dict(zip(result.presentation.variables, point))
-    out = []
-    for v in result.original.variables:
-        coords = tuple(assignment[name] for name in result.coordinate_map[v])
-        out.append(AlgebraElement(ext_f, coords))
-    return tuple(out)

@@ -19,9 +19,11 @@ by parse_poly.
 
 from __future__ import annotations
 
+from math import comb
+
 from .errors import (EnumerationBoundError, IncompatibleFieldError,
                      UnsupportedOperationError)
-from .fields import FieldElement, FunctionField, power
+from .fields import Field, FieldElement, FunctionField, RationalField, power
 from .lognorm import lognorm_max
 
 
@@ -186,6 +188,11 @@ class Poly:
         return power(self, k, lambda: Poly.constant(
             self.domain, self.domain.one(), self.variables))
 
+    def map_coefficients(self, domain, f):
+        """The polynomial over `domain` with f applied to every coefficient."""
+        return Poly(domain, self.variables,
+                    {exps: f(c) for exps, c in self.terms.items()})
+
     # -- substitution and evaluation ----------------------------------------
 
     def substitute(self, bindings):
@@ -246,19 +253,9 @@ class Poly:
         return variables, keyed
 
     def to_string(self, order=None):
-        if not self.terms:
-            return "0"
         variables, keyed = self.sorted_terms(order)
-        parts = []
-        for exps, coeff in keyed:
-            parts.append(_term_string(variables, exps, coeff))
-        out = parts[0]
-        for part in parts[1:]:
-            if part.startswith("-"):
-                out += " - " + part[1:]
-            else:
-                out += " + " + part
-        return out
+        return _join_signed([_term_string(variables, exps, coeff)
+                             for exps, coeff in keyed])
 
     def canonical_string(self):
         return self.to_string(order=sorted(self.support()))
@@ -280,6 +277,16 @@ def _needs_parens(s):
         elif depth == 0 and i > 0 and ch in "+-":
             return True
     return False
+
+
+def _join_signed(parts):
+    """Terms joined by ' + ', a leading '-' folded into ' - '; "0" if none."""
+    if not parts:
+        return "0"
+    out = parts[0]
+    for part in parts[1:]:
+        out += " - " + part[1:] if part.startswith("-") else " + " + part
+    return out
 
 
 def _term_string(variables, exps, coeff):
@@ -366,10 +373,13 @@ def gauss_norm(p, radii):
 # Identifiers are presentation variables when declared, otherwise they are
 # resolved by the coefficient domain (field symbols such as x or t, basis
 # labels of an extension).  Division requires a constant, invertible divisor.
-# A power whose estimated degree (see _power_degree) exceeds
-# POWER_DEGREE_BOUND raises EnumerationBoundError before any multiplication.
+# A power whose estimated degree, term count or coefficient bit length (see
+# _check_power) exceeds its bound raises EnumerationBoundError before any
+# multiplication.
 
 POWER_DEGREE_BOUND = 1000
+POWER_TERM_BOUND = 10 ** 4
+POWER_BIT_BOUND = 10 ** 4
 
 
 class _Tokens:
@@ -475,38 +485,56 @@ def _parse_factor(toks, domain, variables):
         kind, val = toks.next()
         if kind != "int":
             raise ValueError("exponent must be a non-negative integer")
-        estimate = _power_degree(base, val)
-        if estimate > POWER_DEGREE_BOUND:
-            raise EnumerationBoundError(
-                "power ^%d has estimated degree %d, above the bound %d"
-                % (val, estimate, POWER_DEGREE_BOUND))
+        _check_power(base, val)
         return base ** val
     return base
 
 
-def _power_degree(base, k):
-    """Estimated degree of base^k: k times the total degree of base plus k
-    times the largest x-degree of a coefficient, which only F_p(x) and
-    algebras over it have."""
-    coefficient = max((_x_degree(c) for c in base.terms.values()), default=0)
-    return k * (max(base.total_degree(), 0) + coefficient)
+def _check_power(base, k):
+    """Raise EnumerationBoundError unless the estimated degree, term count and
+    coefficient bit length of base^k are within their bounds.
+
+    The degree is k times the total degree d plus k times the largest
+    numerator plus denominator degree of an F_p(x) coefficient.  The term
+    count is the smaller of C(k + m - 1, m - 1), the number of products of k
+    of the m terms, and C(n + k*d, n), the number of monomials of degree at
+    most k*d in the n variables that occur.  The bit length of a coefficient
+    over Q (plain or p-adic) is k times the largest numerator plus
+    denominator bit length.
+    """
+    degree = max(base.total_degree(), 0)
+    x_degree = _coefficient_size(base, FunctionField,
+                                 lambda v: max(len(v.num) - 1, 0) + len(v.den) - 1)
+    _bound_power(k, "degree", k * (degree + x_degree), POWER_DEGREE_BOUND)
+    m, n = max(len(base.terms), 1), len(base.support())
+    terms = min(comb(k + m - 1, m - 1), comb(n + k * degree, n))
+    _bound_power(k, "term count", terms, POWER_TERM_BOUND)
+    bits = _coefficient_size(
+        base, RationalField,
+        lambda v: v.numerator.bit_length() + v.denominator.bit_length())
+    _bound_power(k, "coefficient bit length", k * bits, POWER_BIT_BOUND)
 
 
-def _x_degree(c):
-    """Numerator plus denominator degree of an F_p(x) element; for an algebra
-    element over F_p(x), that of its coordinates plus the largest of its
-    structure constants, which each product may add; 0 elsewhere."""
-    if isinstance(c, FieldElement):
-        if not isinstance(c.field, FunctionField):
-            return 0
-        return max(len(c.value.num) - 1, 0) + len(c.value.den) - 1
-    ext = c.extension
-    if not isinstance(ext.base, FunctionField):
+def _bound_power(k, what, estimate, bound):
+    if estimate > bound:
+        raise EnumerationBoundError("power ^%d has estimated %s %d, above the bound %d"
+                                    % (k, what, estimate, bound))
+
+
+def _coefficient_size(base, kind, size):
+    """The largest size of the raw value of a coefficient of base whose field
+    is of type kind, 0 over other fields.  Over an algebra the coordinates
+    count, plus the largest structure constant, which each product may add."""
+    domain = base.domain
+    field = domain if isinstance(domain, Field) else domain.base
+    if not isinstance(field, kind) or not base.terms:
         return 0
-    structure = max((_x_degree(k) for row in ext.sparse_structure
-                     for cell in row for _, k in cell if k is not None),
-                    default=0)
-    return max(_x_degree(x) for x in c.coords) + structure
+    if field is domain:
+        return max(size(c.value) for c in base.terms.values())
+    structure = max((size(c.value) for row in domain.sparse_structure
+                     for cell in row for _, c in cell if c is not None), default=0)
+    return max(size(x.value) for c in base.terms.values()
+               for x in c.coords) + structure
 
 
 def _parse_atom(toks, domain, variables):

@@ -276,36 +276,21 @@ def base_change(p, target):
     if isinstance(p.base, FreeExtension):
         if not isinstance(target, Field):
             raise TypeError("base change of an extension presentation targets a field")
-        new_ext = extend_scalars(p.base, target)
+        domain = extend_scalars(p.base, target)
         emb = canonical_embedding(p.base.base, target)
-        gens = []
-        for g in p.generators:
-            terms = {}
-            for exps, coeff in g.terms.items():
-                terms[exps] = AlgebraElement(new_ext, tuple(emb(c) for c in coeff.coords))
-            gens.append(Poly(new_ext, g.variables, terms))
-        return Presentation(new_ext, p.variables, gens, radii=p.radii,
-                            provenance=p.provenance)
-    if isinstance(target, FreeExtension):
+
+        def f(c):
+            return AlgebraElement(domain, tuple(emb(x) for x in c.coords))
+    elif isinstance(target, FreeExtension):
+        domain = target
         emb = canonical_embedding(p.base, target.base)
-        if emb is None:
-            raise IncompatibleFieldError("no canonical embedding %s -> %s"
-                                         % (p.base, target.base))
-        gens = []
-        for g in p.generators:
-            terms = {exps: target.scalar(emb(c)) for exps, c in g.terms.items()}
-            gens.append(Poly(target, g.variables, terms))
-        return Presentation(target, p.variables, gens, radii=p.radii,
-                            provenance=p.provenance)
-    emb = canonical_embedding(p.base, target)
-    if emb is None:
-        raise IncompatibleFieldError("no canonical embedding %s -> %s"
-                                     % (p.base, target))
-    gens = []
-    for g in p.generators:
-        terms = {exps: emb(c) for exps, c in g.terms.items()}
-        gens.append(Poly(target, g.variables, terms))
-    return Presentation(target, p.variables, gens, radii=p.radii,
+
+        def f(c):
+            return target.scalar(emb(c))
+    else:
+        domain, f = target, canonical_embedding(p.base, target)
+    gens = [g.map_coefficients(domain, f) for g in p.generators]
+    return Presentation(domain, p.variables, gens, radii=p.radii,
                         provenance=p.provenance)
 
 

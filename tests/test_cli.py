@@ -319,3 +319,47 @@ def test_points_assignment_budget(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, ["points", "six", "--input", path])
     assert code == 3
     assert "81^6" in err and "budget of 100000" in err
+
+
+def test_action_table_entries_must_be_element_indices(tmp_path, capsys):
+    for entry in (7, -1, "x"):
+        data = golden_doc()
+        data["action"]["table"][1][1] = entry
+        path = write_doc(tmp_path, data)
+        code, out, err = run(capsys, ["fixed-points", "conic", "--input", path])
+        assert code == 2, entry
+        assert out == ""
+        assert err.startswith("input error: ") and err.count("\n") == 1, err
+
+
+def test_power_term_and_bit_bounds(tmp_path, capsys, monkeypatch):
+    import weilres.poly
+
+    four = {"version": "weilres/1", "field": {"kind": "prime", "p": 3},
+            "presentations": {"big": {"over": "base",
+                                      "variables": ["u", "v", "w", "y"],
+                                      "generators": ["(u + v + w + y)^250"]}}}
+    sqrt2 = {"version": "weilres/1", "field": {"kind": "rationals"},
+             "extension": {"minimal_polynomial": "t^2 - 2", "symbol": "t"}}
+    big = write_doc(tmp_path, four, "big.json")
+    rational = write_doc(tmp_path, sqrt2, "sqrt2.json")
+    real_pow = weilres.poly.Poly.__pow__
+
+    def small_powers_only(base, k):
+        assert k < 100, "power ^%d computed" % k
+        return real_pow(base, k)
+
+    with monkeypatch.context() as m:
+        # both are refused from their estimates, before any multiplication
+        m.setattr(weilres.poly.Poly, "__pow__", small_powers_only)
+        code, out, err = run(capsys, ["points", "big", "--input", big])
+        assert code == 3 and out == ""
+        assert "term count 2667126" in err and "bound 10000" in err, err
+        code, out, err = run(capsys, ["charpoly", "2^99999999999",
+                                      "--input", rational])
+        assert code == 3 and out == ""
+        assert "bit length" in err and "bound 10000" in err, err
+        assert err.count("\n") == 1
+    code, out, _ = run(capsys, ["charpoly", "2^10", "--input", rational])
+    assert code == 0
+    assert json.loads(out)["element"] == "1024"

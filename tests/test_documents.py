@@ -138,6 +138,27 @@ def test_unbounded_power_in_document_is_resource_error():
     assert load_document_text(json.dumps(monogenic)).extension.rank == 2
 
 
+@pytest.mark.parametrize("key, value", [
+    ("variables", "u"), ("generators", "u^2 - 2"), ("radii", "0")])
+def test_presentation_lists_must_be_arrays(key, value):
+    data = golden_doc()
+    data["presentations"]["conic"][key] = value
+    with pytest.raises(DocumentError, match="conic.%s must be an array" % key):
+        load_document_text(json.dumps(data))
+
+
+def test_raw_extension_shape_errors_are_document_errors():
+    # a huge rank is refused before any basis names are built
+    for shape in ({"rank": "2"}, {"rank": 10 ** 12}, {"rank": 0},
+                  {"basis": 5}, {"rank": 1, "structure_constants": 7}):
+        extension = {"rank": 1, "structure_constants": [[["1"]]], "unit": ["1"]}
+        extension.update(shape)
+        data = {"version": "weilres/1", "field": {"kind": "prime", "p": 3},
+                "extension": extension}
+        with pytest.raises(DocumentError, match="^extension: "):
+            load_document_text(json.dumps(data))
+
+
 def test_invalid_json_reported():
     with pytest.raises(DocumentError):
         load_document_text("{not json")

@@ -296,3 +296,35 @@ def test_element_strings(sqrt2_2adic):
     assert str(b) == "1/2 - 3*t"
     assert str(ext.element((0, -1))) == "-t"
     assert str(ext.zero_element()) == "0"
+
+
+def test_monic_poly_strings(rationals, k2, f3):
+    # recorded before MonicPoly.to_string shared Poly's term and join code
+    from weilres import GaloisField
+    from weilres.extensions import MonicPoly
+    from weilres.poly import PolyRing
+    q = rationals
+    x = k2.variable()
+    f9 = GaloisField(3, (1, 0, 1))
+    t = f9.symbol_constant("t")
+    ring = PolyRing(f3)
+    goldens = [
+        (MonicPoly(q, [q(-1), q(0), q(Fraction(-3, 2)), q(2)]),
+         "z^4 - z^3 - 3/2*z + 2"),
+        (MonicPoly(q, [q(-1)]), "z - 1"),
+        (MonicPoly(q, [q(0), q(Fraction(1, 3))]), "z^2 + 1/3"),
+        (MonicPoly(k2, [x + k2(1), k2(0), x / (x + k2(1))]),
+         "z^3 + (x + 1)*z^2 + (x)/(x + 1)"),
+        (MonicPoly(f9, [t + f9(1), f9(2), t]), "z^3 + (t + 1)*z^2 + 2*z + t"),
+        (MonicPoly(ring, [parse_poly("u - 1", f3, ("u",)),
+                          -parse_poly("u", f3, ("u",)),
+                          parse_poly("2*u*v + 1", f3, ("u", "v")),
+                          Poly.constant(f3, 2)]),
+         "z^4 + (u + 2)*z^3 + 2*u*z^2 + (2*u*v + 1)*z + 2"),
+        (MonicPoly(PolyRing(q), [parse_poly("-u/2", q, ("u",)),
+                                 parse_poly("-1", q, ("u",))]),
+         "z^2 - 1/2*u*z - 1"),
+    ]
+    for mp, text in goldens:
+        assert mp.to_string() == text
+        assert mp.to_string("y") == text.replace("z", "y")

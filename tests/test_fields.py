@@ -150,7 +150,8 @@ def test_embeddings(f3, q2, k2):
     f9 = GaloisField(3, (1, 0, 1))
     emb = canonical_embedding(f3, f9)
     assert emb(f3(2)) == f9(2)
-    assert canonical_embedding(f3, PrimeField(5)) is None
+    with pytest.raises(IncompatibleFieldError):
+        canonical_embedding(f3, PrimeField(5))
     plain = RationalField()
     into_valued = canonical_embedding(plain, q2)
     assert into_valued(plain(Fraction(1, 3))).value == Fraction(1, 3)

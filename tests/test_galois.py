@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from weilres import (GaloisField, GroupAction, Poly, Presentation,
-                     TamenessError, UnsupportedOperationError,
-                     action_point_map, base_change, cyclic_frobenius_action,
+from weilres import (GaloisField, GroupAction, IncompatibleFieldError, Poly,
+                     Presentation, PrimeField, TamenessError,
+                     UnsupportedOperationError, action_point_map, base_change,
+                     cyclic_frobenius_action, diagonal_section, extend_scalars,
                      fixed_points, from_minimal_polynomial, induced_action,
                      parse_poly, points_over, restrict, validate_action,
                      verify_descent)
@@ -196,3 +197,39 @@ def test_descent_random_tame(f3):
         rows = verify_descent(x, ext, act, [f3, GaloisField(3, (2, 1, 1), "t")])
         assert all(r["count_left"] == r["count_right"] and r["bijection_ok"]
                    for r in rows)
+
+
+def test_no_embedding_raises_at_every_caller(f3, f9_ext, frobenius, conic,
+                                             restricted_conic):
+    f5 = PrimeField(5)
+    ext5 = from_minimal_polynomial(f5, parse_poly("t^2 + 2", f5, ("t",)), "t")
+    calls = [
+        lambda: extend_scalars(f9_ext, f5),
+        lambda: base_change(base_change(conic, f9_ext), f5),  # extension -> field
+        lambda: base_change(conic, ext5),                     # field -> extension
+        lambda: base_change(conic, f5),                       # field -> field
+        lambda: action_point_map(frobenius, restricted_conic, 1, f5),
+        lambda: diagonal_section(conic, f9_ext, f5),
+    ]
+    for call in calls:
+        with pytest.raises(IncompatibleFieldError, match="no canonical embedding"):
+            call()
+
+
+def test_descent_enumerates_reduced_points_once_per_field(
+        conic, f9_ext, frobenius, f3, monkeypatch):
+    import weilres.galois
+    reduced_calls = []
+
+    def counting(p, domain):
+        if p.provenance == "fixed points":
+            reduced_calls.append(domain)
+        return points_over(p, domain)
+
+    monkeypatch.setattr(weilres.galois, "points_over", counting)
+    fields = [f3, GaloisField(3, (1, 0, 1), "t"), GaloisField(3, (1, 2, 0, 1), "t")]
+    rows = verify_descent(conic, f9_ext, frobenius, fields)
+    assert reduced_calls == fields
+    assert rows == [
+        {"field": repr(f), "count_left": n, "count_right": n, "bijection_ok": True}
+        for f, n in zip(fields, [0, 2, 0])]

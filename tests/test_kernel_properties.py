@@ -7,8 +7,9 @@ the coerced constants, the function field's polynomial shortcuts against its
 gcd path, the fraction-free characteristic polynomial over F_p(x) against
 Berkowitz on the unscaled matrix and the cofactor oracle, the one
 square-and-multiply loop against repeated products, and univariate division
-against its defining identity.  Runs are derandomized so every run tries the
-same examples.
+against its defining identity.  Canonical polynomial text parses back to the
+same polynomial over every field kind.  Runs are derandomized so every run
+tries the same examples.
 """
 
 import itertools
@@ -347,3 +348,17 @@ def test_assignments_enumerate_every_point_once(field, d):
     assert all(set(a) == set(variables) for a in found)
     assert len({tuple(a[v] for v in variables) for a in found}) == len(found)
     assert len(found) == field.size() ** d
+
+
+ROUND_TRIP_DOMAINS = [
+    PrimeField(5), GaloisField(3, (2, 1, 1), "t"), RationalField(),
+    RationalField(padic=2), FunctionField(3), EXTENSIONS[6],
+    _monogenic(FunctionField(2), "t^2 + x*t + 1"),
+]
+
+
+@SETTINGS
+@given(st.sampled_from(ROUND_TRIP_DOMAINS), st.data())
+def test_canonical_text_parses_back(domain, data):
+    f = data.draw(polys(domain, random_elements))
+    assert parse_poly(f.to_string(), domain, f.variables) == f
