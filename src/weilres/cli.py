@@ -10,16 +10,15 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .documents import (Document, canonical_json, field_record,
-                        load_document_text, presentation_record,
-                        restriction_record)
+from .documents import (canonical_json, field_record, load_document_text,
+                        presentation_record, restriction_record)
 from .errors import DocumentError, EnumerationBoundError, WeilresError
-from .extensions import FreeExtension, charpoly, is_integral
+from .extensions import FreeExtension, charpoly
 from .lognorm import LogNorm
 from .poly import parse_poly
 from .restriction import base_change, disc_generators, points_over, restrict
 from .galois import fixed_points
-from .spectral import spectral_radius
+from .spectral import spectral_value
 from .verify import SUITES
 
 EXIT_PASS = 0
@@ -153,12 +152,13 @@ def cmd_charpoly(doc, args):
 def cmd_integrality(doc, args):
     ext, element = _parse_element(doc, args.element)
     chi = charpoly(element)
-    base = ext.base
+    # lognorm raises first over a base without a valuation
+    lognorms = [ext.base.lognorm(c) for c in chi.coefficients]
     return EXIT_PASS, {
         "element": str(element),
         "charpoly": chi.to_string(),
-        "coefficient_lognorms": [str(base.lognorm(c)) for c in chi.coefficients],
-        "integral": is_integral(element),
+        "coefficient_lognorms": [str(n) for n in lognorms],
+        "integral": all(n <= LogNorm(0) for n in lognorms),
     }
 
 
@@ -168,7 +168,7 @@ def cmd_spectral(doc, args):
     return EXIT_PASS, {
         "element": str(element),
         "charpoly": chi.to_string(),
-        "spectral_radius": str(spectral_radius(element)),
+        "spectral_radius": str(spectral_value(chi)),
     }
 
 

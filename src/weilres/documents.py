@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
+from fractions import Fraction
 
 from .errors import DocumentError, EnumerationBoundError
 from .extensions import RANK_CAP, FreeExtension, from_minimal_polynomial
-from .fields import (Field, FunctionField, GaloisField, PrimeField,
-                     RationalField)
+from .fields import (FunctionField, GaloisField, PrimeField, RationalField,
+                     _ustr)
 from .galois import GroupAction
 from .lognorm import LogNorm
 from .poly import parse_poly
@@ -38,6 +39,16 @@ def _check_keys(record, required, optional, path):
     missing = set(required) - set(record)
     if missing:
         raise DocumentError("%s: missing keys %s" % (path, sorted(missing)))
+
+
+def _array(record, key, path):
+    """record[key], which must be a JSON array: a string is not read as a
+    list of its characters.  The message starts with the record's path, like
+    every other document error."""
+    value = record[key]
+    if not isinstance(value, list):
+        raise DocumentError("%s: %s.%s must be an array" % (path, path, key))
+    return value
 
 
 @contextmanager
@@ -74,10 +85,8 @@ def parse_field(record, path="field"):
             prime = PrimeField(record["p"])
             modulus = record["modulus"]
             if isinstance(modulus, str):
-                poly = parse_poly(modulus, prime, (symbol,))
-                coeffs = [0] * (poly.total_degree() + 1)
-                for exps, c in poly.terms.items():
-                    coeffs[exps[0]] = c.value
+                coeffs = [c.value for c in
+                          parse_poly(modulus, prime, (symbol,)).dense_coefficients()]
             else:
                 coeffs = list(modulus)
             return GaloisField(record["p"], coeffs, symbol)
@@ -89,7 +98,6 @@ def parse_field(record, path="field"):
             return RationalField(padic=record["p"])
         if kind == "function":
             _check_keys(record, ["kind", "p"], ["r", "symbol"], path)
-            from fractions import Fraction
             r = Fraction(record.get("r", "1/2"))
             return FunctionField(record["p"], r, record.get("symbol", "x"))
     raise DocumentError("%s: unknown field kind %r" % (path, kind))
@@ -99,7 +107,6 @@ def field_record(field):
     if isinstance(field, PrimeField):
         return {"kind": "prime", "p": field.p}
     if isinstance(field, GaloisField):
-        from .fields import _ustr
         return {"kind": "galois", "p": field.p,
                 "modulus": _ustr(field.modulus, field.symbol),
                 "symbol": field.symbol}
@@ -123,7 +130,7 @@ def parse_extension(record, field, path="extension"):
     _check_keys(record, ["structure_constants", "unit"], ["rank", "basis"], path)
     with _reported(path):
         if "basis" in record:
-            basis = record["basis"]
+            basis = _array(record, "basis", path)
         elif "rank" in record:
             if not 0 < record["rank"] <= RANK_CAP:
                 raise DocumentError("%s: rank must be 1 .. %d" % (path, RANK_CAP))
@@ -133,13 +140,13 @@ def parse_extension(record, field, path="extension"):
         n = len(basis)
         if record.get("rank", n) != n:
             raise DocumentError("%s: rank disagrees with the basis length" % path)
-        structure = record["structure_constants"]
+        structure = _array(record, "structure_constants", path)
         if len(structure) != n:
             raise DocumentError("%s: structure_constants must be %d^3" % (path, n))
         parsed = tuple(
             tuple(tuple(_scalar(field, c, path) for c in cell) for cell in row)
             for row in structure)
-        unit = tuple(_scalar(field, c, path) for c in record["unit"])
+        unit = tuple(_scalar(field, c, path) for c in _array(record, "unit", path))
         return FreeExtension(field, basis, parsed, unit)
 
 
@@ -160,8 +167,9 @@ def parse_action(record, field, path="action"):
     with _reported(path):
         matrices = [
             [[_scalar(field, c, path) for c in row] for row in m]
-            for m in record["matrices"]]
-        return GroupAction(record["elements"], record["table"], matrices, field)
+            for m in _array(record, "matrices", path)]
+        return GroupAction(_array(record, "elements", path),
+                           _array(record, "table", path), matrices, field)
 
 
 def action_record(action):
@@ -184,15 +192,13 @@ def parse_presentation(record, field, extension, path):
         domain = extension
     else:
         raise DocumentError("%s: 'over' must be 'base' or 'extension'" % path)
-    for key in ("variables", "generators", "radii"):
-        if key in record and not isinstance(record[key], list):
-            raise DocumentError("%s.%s must be an array" % (path, key))
-    variables = tuple(record["variables"])
+    variables = tuple(_array(record, "variables", path))
+    texts = _array(record, "generators", path)
+    radii = _array(record, "radii", path) if "radii" in record else None
     with _reported(path):
-        gens = [parse_poly(text, domain, variables) for text in record["generators"]]
-        radii = None
-        if "radii" in record:
-            radii = [LogNorm.parse(r) for r in record["radii"]]
+        gens = [parse_poly(text, domain, variables) for text in texts]
+        if radii is not None:
+            radii = [LogNorm.parse(r) for r in radii]
         return Presentation(domain, variables, gens, radii=radii,
                             provenance=record.get("provenance", path))
 
@@ -273,12 +279,12 @@ def _parse_options(record, field, extension):
     if "test_fields" in record:
         options["test_fields"] = [
             parse_field(f, "options.test_fields[%d]" % i)
-            for i, f in enumerate(record["test_fields"])]
+            for i, f in enumerate(_array(record, "test_fields", "options"))]
     if "radius_elements" in record:
         if extension is None:
             raise DocumentError("options.radius_elements need an extension")
         elems = []
-        for i, text in enumerate(record["radius_elements"]):
+        for i, text in enumerate(_array(record, "radius_elements", "options")):
             with _reported("options.radius_elements[%d]" % i):
                 elems.append(parse_poly(str(text), extension).constant_value())
         options["radius_elements"] = elems
@@ -290,6 +296,8 @@ def load_document_text(text):
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError("invalid JSON: %s" % exc)
+    except RecursionError:
+        raise DocumentError("invalid JSON: nested too deeply to parse")
     return load_document(data)
 
 

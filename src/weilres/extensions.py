@@ -16,11 +16,12 @@ from __future__ import annotations
 import itertools
 
 from .errors import IncompatibleFieldError, UnsupportedOperationError
-from .fields import FieldElement, FunctionField, canonical_embedding, power
+from .fields import (FieldElement, FunctionField, _join_signed, _needs_parens,
+                     _term_string, canonical_embedding, power)
 from .lognorm import LogNorm
 from .linalg import (berkowitz_charpoly, mat_add, mat_identity, mat_is_zero,
                      mat_mul, mat_scale)
-from .poly import Poly, PolyRing, _join_signed, _needs_parens, _term_string
+from .poly import Poly, PolyRing
 
 RANK_CAP = 16
 
@@ -334,17 +335,12 @@ def from_minimal_polynomial(base, m, symbol=None):
     m must be a monic univariate Poly over base; the structure constants are
     obtained by reduction of s^(i+j) modulo m.
     """
-    if len(m.variables) != 1:
-        raise ValueError("minimal polynomial must be univariate")
-    var = m.variables[0]
+    coeffs = m.dense_coefficients()
     if symbol is None:
-        symbol = var
-    n = m.total_degree()
+        symbol = m.variables[0]
+    n = len(coeffs) - 1
     if n < 1:
         raise ValueError("minimal polynomial must have degree at least 1")
-    coeffs = [base.zero() for _ in range(n + 1)]
-    for exps, c in m.terms.items():
-        coeffs[exps[0]] = c
     if not coeffs[n].is_one():
         raise ValueError("minimal polynomial must be monic")
     zero, one = base.zero(), base.one()

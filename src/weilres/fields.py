@@ -103,22 +103,48 @@ def _uord(a):
     raise ValueError("zero polynomial has no vanishing order")
 
 
+def _needs_parens(s):
+    depth = 0
+    for i, ch in enumerate(s):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif depth == 0 and i > 0 and ch in "+-":
+            return True
+    return False
+
+
+def _join_signed(parts):
+    """Terms joined by ' + ', a leading '-' folded into ' - '; "0" if none."""
+    if not parts:
+        return "0"
+    out = parts[0]
+    for part in parts[1:]:
+        out += " - " + part[1:] if part.startswith("-") else " + " + part
+    return out
+
+
+def _term_string(variables, exps, coeff):
+    mono = "*".join(
+        v if e == 1 else "%s^%d" % (v, e)
+        for v, e in zip(variables, exps) if e)
+    c = str(coeff)
+    if not mono:
+        return "(%s)" % c if _needs_parens(c) else c
+    if c == "1":
+        return mono
+    if c == "-1":
+        return "-" + mono
+    if _needs_parens(c):
+        c = "(%s)" % c
+    return c + "*" + mono
+
+
 def _ustr(a, symbol):
     """Canonical string, descending degree, e.g. 'x^2 + 2*x + 1'."""
-    if not a:
-        return "0"
-    parts = []
-    for d in range(len(a) - 1, -1, -1):
-        c = a[d]
-        if c == 0:
-            continue
-        if d == 0:
-            parts.append(str(c))
-        elif d == 1:
-            parts.append(symbol if c == 1 else "%d*%s" % (c, symbol))
-        else:
-            parts.append("%s^%d" % (symbol, d) if c == 1 else "%d*%s^%d" % (c, symbol, d))
-    return " + ".join(parts)
+    return _join_signed([_term_string((symbol,), (d,), a[d])
+                         for d in range(len(a) - 1, -1, -1) if a[d]])
 
 
 def _is_irreducible(coeffs, p):
@@ -305,7 +331,8 @@ class FieldElement:
 
 
 class Field:
-    """Common surface of the supported exact coefficient fields."""
+    """Common surface of the supported exact coefficient fields; two are
+    equal when their classes and the _key tuples their __init__ sets agree."""
 
     kind = None
     characteristic = 0
@@ -354,6 +381,12 @@ class Field:
     def _sort_key(self, value):
         raise NotImplementedError
 
+    def __eq__(self, other):
+        return type(other) is type(self) and other._key == self._key
+
+    def __hash__(self):
+        return hash((self.kind,) + self._key)
+
 
 class PrimeField(Field):
     kind = "prime"
@@ -363,6 +396,7 @@ class PrimeField(Field):
             raise ValueError("characteristic %r is not prime" % (p,))
         self.p = p
         self.characteristic = p
+        self._key = (p,)
         super().__init__()
 
     def coerce(self, v):
@@ -408,12 +442,6 @@ class PrimeField(Field):
     def _sort_key(self, value):
         return (value,)
 
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("prime", self.p))
-
     def __repr__(self):
         return "F_%d" % self.p
 
@@ -423,8 +451,9 @@ class GaloisField(Field):
 
     The modulus is given by its coefficient tuple in ascending degree,
     including the leading 1; irreducibility is verified at construction by
-    Rabin's test.  The degree is capped at m <= 4.  Elements are
-    coordinate tuples in the basis 1, s, ..., s^(m-1) where s is `symbol`.
+    Rabin's test.  The degree is capped at m <= 4.  Element values are
+    the trimmed ascending coefficient tuples of their reduced representatives
+    in s = `symbol`, zero being (), the form of the _u* helpers above.
     """
 
     kind = "galois"
@@ -450,6 +479,7 @@ class GaloisField(Field):
         self.modulus = modulus
         self.degree = m
         self.symbol = symbol
+        self._key = (p, modulus, symbol)
         super().__init__()
 
     def coerce(self, v):
@@ -457,32 +487,27 @@ class GaloisField(Field):
             if v.field == self:
                 return v
             if isinstance(v.field, PrimeField) and v.field.p == self.p:
-                return FieldElement(self, (v.value,) + (0,) * (self.degree - 1))
+                return FieldElement(self, _utrim((v.value,)))
             raise IncompatibleFieldError("cannot coerce from %s" % v.field)
         if isinstance(v, int):
-            return FieldElement(self, (v % self.p,) + (0,) * (self.degree - 1))
+            return FieldElement(self, _utrim((v % self.p,)))
         if isinstance(v, (tuple, list)):
             if len(v) != self.degree:
                 raise ValueError("coordinate vector must have length %d" % self.degree)
-            return FieldElement(self, tuple(c % self.p for c in v))
+            return FieldElement(self, _utrim(c % self.p for c in v))
         raise TypeError("cannot coerce %r into %s" % (v, self))
 
     def generator(self):
-        return FieldElement(self, (0, 1) + (0,) * (self.degree - 2))
-
-    def _pad(self, a):
-        return tuple(a) + (0,) * (self.degree - len(a))
+        return FieldElement(self, (0, 1))
 
     def _add(self, a, b):
-        return tuple((x + y) % self.p for x, y in zip(a, b))
+        return _uadd(a, b, self.p)
 
     def _neg(self, a):
-        return tuple((-x) % self.p for x in a)
+        return _uneg(a, self.p)
 
     def _mul(self, a, b):
-        prod = _umul(_utrim(a), _utrim(b), self.p)
-        _, rem = _udivmod(prod, self.modulus, self.p)
-        return self._pad(rem)
+        return _udivmod(_umul(a, b, self.p), self.modulus, self.p)[1]
 
     def _inv(self, a):
         # a^(q-2) = a^-1 in the multiplicative group of order q - 1
@@ -496,11 +521,11 @@ class GaloisField(Field):
 
     def elements(self):
         # coordinate 0 varies fastest
-        return [FieldElement(self, coords[::-1])
+        return [FieldElement(self, _utrim(coords[::-1]))
                 for coords in itertools.product(range(self.p), repeat=self.degree)]
 
     def random_element(self, rng):
-        return FieldElement(self, tuple(rng.randrange(self.p) for _ in range(self.degree)))
+        return FieldElement(self, _utrim(rng.randrange(self.p) for _ in range(self.degree)))
 
     def symbol_constant(self, name):
         if name == self.symbol:
@@ -508,17 +533,12 @@ class GaloisField(Field):
         return None
 
     def _format(self, value):
-        return _ustr(_utrim(value), self.symbol)
+        return _ustr(value, self.symbol)
 
     def _sort_key(self, value):
-        return tuple(value)
-
-    def __eq__(self, other):
-        return (isinstance(other, GaloisField) and other.p == self.p
-                and other.modulus == self.modulus and other.symbol == self.symbol)
-
-    def __hash__(self):
-        return hash(("galois", self.p, self.modulus, self.symbol))
+        # lexicographic order on trimmed tuples is the order on their
+        # zero-padded coordinate vectors: 0 is the least coordinate
+        return value
 
     def __repr__(self):
         return "F_%d[%s]/(%s)" % (self.p, self.symbol, _ustr(self.modulus, self.symbol))
@@ -534,6 +554,7 @@ class RationalField(Field):
             raise ValueError("p-adic valuation needs a prime, got %r" % (padic,))
         self.padic = padic
         self.has_valuation = padic is not None
+        self._key = (padic,)
         super().__init__()
 
     def coerce(self, v):
@@ -585,12 +606,6 @@ class RationalField(Field):
     def _sort_key(self, value):
         return (value.numerator, value.denominator)
 
-    def __eq__(self, other):
-        return isinstance(other, RationalField) and other.padic == self.padic
-
-    def __hash__(self):
-        return hash(("rationals", self.padic))
-
     def __repr__(self):
         return "Q" if self.padic is None else "Q(%d-adic)" % self.padic
 
@@ -634,6 +649,7 @@ class FunctionField(Field):
         self.characteristic = p
         self.r = r
         self.symbol = symbol
+        self._key = (p, r, symbol)
         super().__init__()
 
     def _make(self, num, den):
@@ -734,13 +750,6 @@ class FunctionField(Field):
     def _sort_key(self, value):
         return (value.num, value.den)
 
-    def __eq__(self, other):
-        return (isinstance(other, FunctionField) and other.p == self.p
-                and other.r == self.r and other.symbol == self.symbol)
-
-    def __hash__(self):
-        return hash(("function", self.p, self.r, self.symbol))
-
     def __repr__(self):
         return "F_%d(%s)" % (self.p, self.symbol)
 
@@ -760,8 +769,6 @@ def canonical_embedding(src, dst):
     if isinstance(src, PrimeField):
         if isinstance(dst, GaloisField) and dst.p == src.p:
             return lambda a: dst.coerce(a)
-        if isinstance(dst, PrimeField) and dst.p == src.p:
-            return lambda a: dst.coerce(a.value)
     if isinstance(src, RationalField) and isinstance(dst, RationalField):
         if src.padic is None:
             return lambda a: dst.coerce(a.value)

@@ -191,13 +191,10 @@ def induced_action(action, result):
     return subs
 
 
-def action_point_map(action, result, g_index, field=None):
+def action_point_map(action, result, g_index, field):
     """The transform of restriction points induced by one group element,
     over the base field or a canonical extension of it."""
-    ext = result.extension
-    base = ext.base
-    target = field if field is not None else base
-    emb = canonical_embedding(base, target)
+    emb = canonical_embedding(result.extension.base, field)
     matrix = [[emb(c) for c in row] for row in action.matrices[g_index]]
     variables = result.presentation.variables
     index = {name: i for i, name in enumerate(variables)}
@@ -208,7 +205,7 @@ def action_point_map(action, result, g_index, field=None):
         for block in blocks:
             vals = [point[index[name]] for name in block]
             for i, name in enumerate(block):
-                acc = target.zero()
+                acc = field.zero()
                 for j, v in enumerate(vals):
                     acc = acc + matrix[i][j] * v
                 out[index[name]] = acc
@@ -230,16 +227,16 @@ class FixedPointPresentation:
         return "FixedPointPresentation(%r)" % (self.presentation,)
 
 
-def fixed_points(action, result, allow_wild=False):
+def fixed_points(action, result):
     """Append the linear generators (g.v) - v for group generators g and solve.
 
     Tameness is enforced: in positive characteristic the group order must be
-    coprime to the characteristic unless allow_wild overrides (the linear
-    solving can silently lose relations in the wild case).
+    coprime to the characteristic (the linear solving can silently lose
+    relations in the wild case).
     """
     base = result.extension.base
     char = base.characteristic
-    if char > 0 and gcd(action.order, char) != 1 and not allow_wild:
+    if char > 0 and gcd(action.order, char) != 1:
         raise TamenessError(
             "group order %d shares a factor with the characteristic %d"
             % (action.order, char))
@@ -295,11 +292,10 @@ def fixed_points(action, result, allow_wild=False):
     return FixedPointPresentation(reduced, relations, eliminated, unreduced)
 
 
-def diagonal_section(x, ext, field=None):
+def diagonal_section(x, ext, field):
     """The map sending a point of x to the corresponding fixed restriction point:
     each coordinate u becomes the block coordinates of u * 1 in the basis."""
-    target = field if field is not None else ext.base
-    emb = canonical_embedding(ext.base, target)
+    emb = canonical_embedding(ext.base, field)
     unit = [emb(c) for c in ext.unit]
 
     def section(point):

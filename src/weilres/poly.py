@@ -23,7 +23,8 @@ from math import comb
 
 from .errors import (EnumerationBoundError, IncompatibleFieldError,
                      UnsupportedOperationError)
-from .fields import Field, FieldElement, FunctionField, RationalField, power
+from .fields import (Field, FieldElement, FunctionField, RationalField,
+                     _join_signed, _term_string, power)
 from .lognorm import lognorm_max
 
 
@@ -82,6 +83,16 @@ class Poly:
         if not self.terms:
             return -1
         return max(sum(exps) for exps in self.terms)
+
+    def dense_coefficients(self):
+        """[c_0, ..., c_d] of a univariate polynomial of degree d, zeros
+        included; [] for zero.  ValueError unless there is one variable."""
+        if len(self.variables) != 1:
+            raise ValueError("dense coefficients need a univariate polynomial")
+        coeffs = [self.domain.zero()] * (self.total_degree() + 1)
+        for (e,), c in self.terms.items():
+            coeffs[e] = c
+        return coeffs
 
     def support(self):
         """Names of the variables that actually occur."""
@@ -267,44 +278,6 @@ class Poly:
         return "Poly(%s)" % self
 
 
-def _needs_parens(s):
-    depth = 0
-    for i, ch in enumerate(s):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif depth == 0 and i > 0 and ch in "+-":
-            return True
-    return False
-
-
-def _join_signed(parts):
-    """Terms joined by ' + ', a leading '-' folded into ' - '; "0" if none."""
-    if not parts:
-        return "0"
-    out = parts[0]
-    for part in parts[1:]:
-        out += " - " + part[1:] if part.startswith("-") else " + " + part
-    return out
-
-
-def _term_string(variables, exps, coeff):
-    mono = "*".join(
-        v if e == 1 else "%s^%d" % (v, e)
-        for v, e in zip(variables, exps) if e)
-    c = str(coeff)
-    if not mono:
-        return "(%s)" % c if _needs_parens(c) else c
-    if c == "1":
-        return mono
-    if c == "-1":
-        return "-" + mono
-    if _needs_parens(c):
-        c = "(%s)" % c
-    return c + "*" + mono
-
-
 class PolyRing:
     """Coefficient-domain handle for matrices whose entries are polynomials."""
 
@@ -375,11 +348,14 @@ def gauss_norm(p, radii):
 # labels of an extension).  Division requires a constant, invertible divisor.
 # A power whose estimated degree, term count or coefficient bit length (see
 # _check_power) exceeds its bound raises EnumerationBoundError before any
-# multiplication.
+# multiplication.  Parentheses and unary minus signs nest at most
+# PARSE_DEPTH_BOUND deep, far under Python's recursion limit; deeper input
+# raises ValueError.
 
 POWER_DEGREE_BOUND = 1000
 POWER_TERM_BOUND = 10 ** 4
 POWER_BIT_BOUND = 10 ** 4
+PARSE_DEPTH_BOUND = 100
 
 
 class _Tokens:
@@ -412,6 +388,7 @@ class _Tokens:
                 continue
             raise ValueError("unexpected character %r in polynomial %r" % (ch, text))
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.toks[self.pos][0] if self.pos < len(self.toks) else None
@@ -548,12 +525,18 @@ def _parse_atom(toks, domain, variables):
         if sym is None:
             raise ValueError("unknown identifier %r" % val)
         return Poly.constant(domain, sym, variables)
+    if kind not in ("(", "-"):
+        raise ValueError("unexpected token %r" % (val,))
+    toks.depth += 1
+    if toks.depth > PARSE_DEPTH_BOUND:
+        raise ValueError("polynomial nests parentheses and signs deeper than %d"
+                         % PARSE_DEPTH_BOUND)
     if kind == "(":
         inner = _parse_expr(toks, domain, variables)
         closing = toks.next()
         if closing[0] != ")":
             raise ValueError("unbalanced parentheses")
-        return inner
-    if kind == "-":
-        return -_parse_atom(toks, domain, variables)
-    raise ValueError("unexpected token %r" % (val,))
+    else:
+        inner = -_parse_atom(toks, domain, variables)
+    toks.depth -= 1
+    return inner

@@ -18,6 +18,7 @@ from .extensions import AlgebraElement, FreeExtension, charpoly, extend_scalars
 from .fields import Field, canonical_embedding
 from .lognorm import LogNorm
 from .poly import Poly
+from .spectral import spectral_radius
 
 POINT_FIELD_CAP = 100
 POINT_VARIABLE_CAP = 6
@@ -133,15 +134,13 @@ def expand_element(f, ext, variables=None):
     return tuple(c.with_variables(tuple(all_blocks)) for c in acc.coords)
 
 
-def restrict(p, ext=None):
+def restrict(p, ext):
     """Present the restriction of p along the extension by its coefficient ideal.
 
     The variables of the result are the blocks u_1 .. u_n of each original
     variable in order; the generators are all basis coordinates of all original
     generators.
     """
-    if ext is None:
-        ext = p.base
     if not isinstance(ext, FreeExtension):
         raise TypeError("restriction needs a free extension")
     if p.base != ext:
@@ -176,8 +175,6 @@ def disc_generators(ext, radius_elements, var_block, y_prefix="y"):
     integral convention every y_ij has log-radius 0, on the scaled convention
     the j-th y of radius element r carries log-radius j * lognorm-of-r.
     """
-    from .spectral import spectral_radius
-
     n = ext.rank
     var_block = tuple(var_block)
     if len(var_block) != n:
@@ -222,10 +219,7 @@ def product(r1, r2):
         raise IncompatibleFieldError("restrictions over different bases")
     if r1.extension != r2.extension:
         raise IncompatibleFieldError("restrictions along different extensions")
-    rename = _disjoint_renaming(r1.original.variables, r2.original.variables)
-    p2 = rename_presentation(r2.original, rename)
-    combined = product_presentation(r1.original, p2)
-    return restrict(combined, r1.extension)
+    return restrict(product_presentation(r1.original, r2.original), r1.extension)
 
 
 def product_presentation(p1, p2):

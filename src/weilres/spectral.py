@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import UnsupportedOperationError
-from .extensions import charpoly, is_nilpotent
+from .extensions import charpoly, is_nilpotent, tensor_product
 from .fields import FunctionField
 from .lognorm import LogNorm, lognorm_max
 from .poly import Poly
@@ -113,8 +113,6 @@ def non_quasicompact_witness(ext, threshold):
     Separable extensions are rejected: along them the restriction of a disc
     is a finite product of discs, hence admits a single exhaustion level.
     """
-    from .extensions import tensor_product
-
     base = ext.base
     if not isinstance(base, FunctionField):
         raise UnsupportedOperationError("witness construction needs a valued "
@@ -164,24 +162,19 @@ def non_quasicompact_witness(ext, threshold):
 def _is_pure_inseparable(mp, p, base):
     # t^p - a shape: every exponent with nonzero coefficient is 0 or p,
     # and the derivative vanishes (all exponents divisible by p)
-    for exps, c in mp.terms.items():
-        e = exps[0]
-        if e % p != 0 and not c.is_zero():
-            return False
-    constant = None
-    for exps, c in mp.terms.items():
-        if exps[0] == 0:
-            constant = c
-    if constant is None:
+    coeffs = mp.dense_coefficients()
+    if any(e % p and not c.is_zero() for e, c in enumerate(coeffs)):
+        return False
+    constant = coeffs[0]
+    if constant.is_zero():
         return False
     # the constant is -a; require a topologically nilpotent (lognorm < 0)
     return base.lognorm(constant) < LogNorm(0)
 
 
-def _nilpotency_order(b, cap=None):
-    cap = cap or b.extension.rank + 1
+def _nilpotency_order(b):
     power = b.extension.unit_element()
-    for e in range(1, cap + 1):
+    for e in range(1, b.extension.rank + 2):
         power = power * b
         if power.is_zero():
             return e

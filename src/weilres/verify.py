@@ -291,10 +291,7 @@ def suite_descent(seed=1, doc=None):
         tx = Presentation(tbase, ("u",), [gen])
         tfields = [tbase]
         if q ** n <= 100:
-            mp = text_.minimal_polynomial
-            coeffs = [0] * (n + 1)
-            for exps, c in mp.terms.items():
-                coeffs[exps[0]] = c.value
+            coeffs = [c.value for c in text_.minimal_polynomial.dense_coefficients()]
             tfields.append(GaloisField(q, coeffs, text_.symbol))
         rows = verify_descent(tx, text_, tact, tfields)
         if not all(r["count_left"] == r["count_right"] and r["bijection_ok"]

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from weilres.cli import main
 
 from test_documents import golden_doc
@@ -363,3 +365,79 @@ def test_power_term_and_bit_bounds(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, ["charpoly", "2^10", "--input", rational])
     assert code == 0
     assert json.loads(out)["element"] == "1024"
+
+
+def test_deep_nesting_is_input_error(tmp_path, capsys):
+    from weilres.poly import PARSE_DEPTH_BOUND
+
+    f9 = {"version": "weilres/1", "field": {"kind": "prime", "p": 3},
+          "extension": {"minimal_polynomial": "t^2 + 1", "symbol": "t"}}
+    path = write_doc(tmp_path, f9)
+    deep_json = tmp_path / "deep.json"
+    deep_json.write_text('{"version": "weilres/1", "field": '
+                         + "[" * 100000 + "]" * 100000 + "}")
+    for text, doc in (("(" * 3000 + "t" + ")" * 3000, path),
+                      ("t*" + "-" * 3000 + "t", path),
+                      ("t", str(deep_json))):
+        code, out, err = run(capsys, ["charpoly", text, "--input", doc])
+        assert code == 2 and out == ""
+        assert err.startswith("input error: ") and err.count("\n") == 1, err
+    # at the bound the parser still reads the element; t*t = -1
+    for text, chi in (("(" * PARSE_DEPTH_BOUND + "t" + ")" * PARSE_DEPTH_BOUND,
+                       "z^2 + 1"),
+                      ("t*" + "-" * PARSE_DEPTH_BOUND + "t", "z^2 + 2*z + 1")):
+        code, out, _ = run(capsys, ["charpoly", text, "--input", path])
+        assert code == 0
+        assert json.loads(out)["charpoly"] == chi
+
+
+def _raw_extension_doc():
+    return {"version": "weilres/1", "field": {"kind": "prime", "p": 3},
+            "extension": {"basis": ["a", "b"],
+                          "structure_constants": [[["1", "0"], ["0", "1"]],
+                                                  [["0", "1"], ["2", "0"]]],
+                          "unit": ["1", "0"]},
+            "presentations": {"line": {"over": "extension", "variables": ["u"],
+                                       "generators": ["u^2 + 1"]}},
+            "options": {"radius_elements": ["2"]}}
+
+
+@pytest.mark.parametrize("make, section, key, value, argv", [
+    (golden_doc, "action", "elements", "ab", ["fixed-points", "conic"]),
+    (golden_doc, "action", "table", "01", ["fixed-points", "conic"]),
+    (golden_doc, "action", "matrices", "1001", ["fixed-points", "conic"]),
+    (golden_doc, "options", "test_fields", "abc", ["points", "conic"]),
+    (_raw_extension_doc, "options", "radius_elements", "2", ["restrict", "line"]),
+    (_raw_extension_doc, "extension", "basis", "ab", ["restrict", "line"]),
+    (_raw_extension_doc, "extension", "structure_constants", "ab",
+     ["restrict", "line"]),
+    (_raw_extension_doc, "extension", "unit", "10", ["restrict", "line"]),
+])
+def test_strings_are_not_arrays(tmp_path, capsys, make, section, key, value, argv):
+    data = make()
+    path = write_doc(tmp_path, data, "good.json")
+    assert run(capsys, argv + ["--input", path])[0] == 0
+    data[section][key] = value
+    path = write_doc(tmp_path, data)
+    code, out, err = run(capsys, argv + ["--input", path])
+    assert code == 2 and out == ""
+    assert err == "input error: %s: %s.%s must be an array\n" % (section, section, key)
+
+
+def test_one_characteristic_polynomial_per_command(tmp_path, capsys, monkeypatch):
+    import weilres.extensions
+
+    calls = []
+    real = weilres.extensions.berkowitz_charpoly
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(weilres.extensions, "berkowitz_charpoly", counted)
+    path = write_doc(tmp_path, padic_doc())
+    for command in ("charpoly", "integrality", "spectral"):
+        del calls[:]
+        code, _, _ = run(capsys, [command, "t", "--input", path])
+        assert code == 0
+        assert len(calls) == 1, command

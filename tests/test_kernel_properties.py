@@ -8,8 +8,12 @@ gcd path, the fraction-free characteristic polynomial over F_p(x) against
 Berkowitz on the unscaled matrix and the cofactor oracle, the one
 square-and-multiply loop against repeated products, and univariate division
 against its defining identity.  Canonical polynomial text parses back to the
-same polynomial over every field kind.  Runs are derandomized so every run
-tries the same examples.
+same polynomial over every field kind.  F_{p^m} values stay trimmed tuples
+whose order is that of their zero-padded coordinate vectors, the shared term
+printer writes F_p polynomials as the former dedicated printer did, dense
+coefficient lists rebuild their polynomial, and fields are equal exactly when
+their constructions are.  Runs are derandomized so every run tries the same
+examples.
 """
 
 import itertools
@@ -25,7 +29,8 @@ from weilres import (FunctionField, GaloisField, Poly, PrimeField,
                      RationalField, from_minimal_polynomial, parse_poly)
 from weilres.extensions import (AlgebraElement, charpoly, mult_matrix,
                                 tensor_product)
-from weilres.fields import _RatFunc, _uadd, _udivmod, _umul, _utrim, power
+from weilres.fields import (_RatFunc, _uadd, _udivmod, _umul, _ustr, _utrim,
+                            power)
 from weilres.linalg import berkowitz_charpoly, mat_identity, mat_mul
 from weilres.restriction import _assignments
 
@@ -362,3 +367,105 @@ ROUND_TRIP_DOMAINS = [
 def test_canonical_text_parses_back(domain, data):
     f = data.draw(polys(domain, random_elements))
     assert parse_poly(f.to_string(), domain, f.variables) == f
+
+
+GALOIS_FIELDS = [
+    GaloisField(2, (1, 1, 1)), GaloisField(2, (1, 1, 0, 1)),
+    GaloisField(3, (1, 0, 1)), GaloisField(2, (1, 1, 0, 0, 1)),
+    GaloisField(3, (1, 2, 0, 1)),
+]
+
+
+def _padded(a):
+    return a.value + (0,) * (a.field.degree - len(a.value))
+
+
+@SETTINGS
+@given(st.sampled_from(GALOIS_FIELDS), st.data())
+def test_galois_values_stay_trimmed(field, data):
+    p, m = field.p, field.degree
+    coords = st.lists(st.integers(-p, 2 * p), min_size=m, max_size=m)
+    a, b = field.coerce(data.draw(coords)), field.coerce(data.draw(coords))
+    n = data.draw(st.integers(-p, 2 * p))
+    values = [a, b, a + b, a - b, -a, a * b, a - a, field.coerce(n),
+              field.coerce(PrimeField(p).coerce(n)), field.generator(),
+              field.random_element(random.Random(n))]
+    if not a.is_zero():
+        values.append(a.inverse())
+        assert (a * a.inverse()).is_one()
+    for x in values:
+        assert x.value == _utrim(x.value) and len(x.value) <= m
+    # coordinate-wise on the zero-padded vectors, as elements were stored before
+    assert _padded(a + b) == tuple((x + y) % p for x, y in zip(_padded(a), _padded(b)))
+    assert _padded(-a) == tuple((-x) % p for x in _padded(a))
+    c = data.draw(coords)
+    assert _padded(field.coerce(c)) == tuple(x % p for x in c)
+
+
+@pytest.mark.parametrize("field", [GaloisField(2, (1, 1, 0, 1)),
+                                   GaloisField(3, (1, 0, 1))])
+def test_galois_sort_key_is_zero_padded_order(field):
+    elements = field.elements()
+    assert len({a.value for a in elements}) == field.size()
+    for a in elements:
+        assert a.value == _utrim(a.value)
+        for b in elements:
+            assert (a.sort_key() < b.sort_key()) == (_padded(a) < _padded(b))
+
+
+def _ustr_reference(a, symbol):
+    """The term rules of fields._ustr before it called the shared printer."""
+    if not a:
+        return "0"
+    parts = []
+    for d in range(len(a) - 1, -1, -1):
+        c = a[d]
+        if c == 0:
+            continue
+        if d == 0:
+            parts.append(str(c))
+        elif d == 1:
+            parts.append(symbol if c == 1 else "%d*%s" % (c, symbol))
+        else:
+            parts.append("%s^%d" % (symbol, d) if c == 1 else "%d*%s^%d" % (c, symbol, d))
+    return " + ".join(parts)
+
+
+@SETTINGS
+@given(st.sampled_from([2, 3, 5, 7]), st.sampled_from(["x", "t", "s_1"]), st.data())
+def test_ustr_matches_its_former_term_rules(p, symbol, data):
+    a = _utrim(data.draw(st.lists(st.integers(0, p - 1), max_size=6)))
+    assert _ustr(a, symbol) == _ustr_reference(a, symbol)
+
+
+@SETTINGS
+@given(st.sampled_from(ROUND_TRIP_DOMAINS), st.data())
+def test_dense_coefficients_round_trip(domain, data):
+    f = data.draw(polys(domain, random_elements))
+    if len(f.variables) != 1:
+        with pytest.raises(ValueError):
+            f.dense_coefficients()
+        return
+    coeffs = f.dense_coefficients()
+    assert len(coeffs) == f.total_degree() + 1
+    assert Poly(domain, f.variables, {(e,): c for e, c in enumerate(coeffs)}) == f
+
+
+FIELD_CONSTRUCTIONS = [
+    lambda: PrimeField(3), lambda: PrimeField(5),
+    lambda: GaloisField(3, (1, 0, 1), "t"), lambda: GaloisField(3, (1, 0, 1), "s"),
+    lambda: GaloisField(3, (2, 1, 1), "t"), lambda: RationalField(),
+    lambda: RationalField(padic=3), lambda: RationalField(padic=5),
+    lambda: FunctionField(3), lambda: FunctionField(3, Fraction(1, 3)),
+    lambda: FunctionField(3, symbol="y"), lambda: FunctionField(5),
+]
+
+
+def test_field_identity():
+    for i, make in enumerate(FIELD_CONSTRUCTIONS):
+        a, b = make(), make()
+        assert a is not b and a == b and hash(a) == hash(b)
+        for j, other in enumerate(FIELD_CONSTRUCTIONS):
+            assert (a == other()) == (i == j), (a, other())
+    assert GaloisField(3, (4, 3, 1), "t") == GaloisField(3, (1, 0, 1), "t")
+    assert PrimeField(3) != RationalField(padic=3) != FunctionField(3) != PrimeField(3)
