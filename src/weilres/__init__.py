@@ -27,6 +27,6 @@ from .spectral import (WitnessCertificate, coordinate_norm,
                        spectral_value_product_check)
 from .galois import (FixedPointPresentation, GroupAction, action_point_map,
                      cyclic_frobenius_action, diagonal_section, fixed_points,
-                     induced_action, validate_action, verify_descent)
+                     validate_action, verify_descent)
 
 __version__ = "0.1.0"

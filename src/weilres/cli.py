@@ -2,7 +2,8 @@
 
 Commands: restrict, disc, charpoly, integrality, spectral, fixed-points,
 points, verify.  Exit codes: 0 pass, 1 verification failure, 2 input error,
-3 resource bound exceeded.
+3 resource bound exceeded, 4 internal error (any other exception, reported on
+one line).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ EXIT_PASS = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_INPUT = 2
 EXIT_RESOURCE = 3
+EXIT_INTERNAL = 4
 
 
 def build_parser():
@@ -254,6 +256,10 @@ def main(argv=None):
     except (WeilresError, ValueError) as exc:
         sys.stderr.write("input error: %s\n" % exc)
         return EXIT_INPUT
+    except Exception as exc:
+        sys.stderr.write("internal error: %s: %s\n"
+                         % (type(exc).__name__, " ".join(str(exc).splitlines())))
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -30,10 +30,14 @@ def canonical_json(obj):
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _check_keys(record, required, optional, path):
+def _object(record, path):
     if not isinstance(record, dict):
         raise DocumentError("%s: expected an object" % path)
-    unknown = set(record) - set(required) - set(optional)
+    return record
+
+
+def _check_keys(record, required, optional, path):
+    unknown = set(_object(record, path)) - set(required) - set(optional)
     if unknown:
         raise DocumentError("%s: unknown keys %s" % (path, sorted(unknown)))
     missing = set(required) - set(record)
@@ -41,14 +45,28 @@ def _check_keys(record, required, optional, path):
         raise DocumentError("%s: missing keys %s" % (path, sorted(missing)))
 
 
-def _array(record, key, path):
+def _array(record, key, path, label=None):
     """record[key], which must be a JSON array: a string is not read as a
     list of its characters.  The message starts with the record's path, like
-    every other document error."""
+    every other document error, and names the value by label (path.key
+    unless given)."""
     value = record[key]
     if not isinstance(value, list):
-        raise DocumentError("%s: %s.%s must be an array" % (path, path, key))
+        raise DocumentError("%s: %s must be an array"
+                            % (path, label or "%s.%s" % (path, key)))
     return value
+
+
+def _scalars(record, key, field, path, depth=1, label=None):
+    """record[key] read as scalars nested depth arrays deep; every level must
+    be a JSON array (a unit vector is one level, the action's matrices and a
+    raw extension's structure constants are three)."""
+    label = label or "%s.%s" % (path, key)
+    value = _array(record, key, path, label)
+    if depth == 1:
+        return [_scalar(field, c, path) for c in value]
+    return [_scalars(value, i, field, path, depth - 1, "%s[%d]" % (label, i))
+            for i in range(len(value))]
 
 
 @contextmanager
@@ -121,7 +139,7 @@ def field_record(field):
 
 
 def parse_extension(record, field, path="extension"):
-    if "minimal_polynomial" in record:
+    if "minimal_polynomial" in _object(record, path):
         _check_keys(record, ["minimal_polynomial"], ["symbol"], path)
         symbol = record.get("symbol", "t")
         with _reported(path):
@@ -140,14 +158,11 @@ def parse_extension(record, field, path="extension"):
         n = len(basis)
         if record.get("rank", n) != n:
             raise DocumentError("%s: rank disagrees with the basis length" % path)
-        structure = _array(record, "structure_constants", path)
+        structure = _scalars(record, "structure_constants", field, path, 3)
         if len(structure) != n:
             raise DocumentError("%s: structure_constants must be %d^3" % (path, n))
-        parsed = tuple(
-            tuple(tuple(_scalar(field, c, path) for c in cell) for cell in row)
-            for row in structure)
-        unit = tuple(_scalar(field, c, path) for c in _array(record, "unit", path))
-        return FreeExtension(field, basis, parsed, unit)
+        return FreeExtension(field, basis, structure,
+                             _scalars(record, "unit", field, path))
 
 
 def extension_record(ext):
@@ -165,11 +180,9 @@ def extension_record(ext):
 def parse_action(record, field, path="action"):
     _check_keys(record, ["elements", "table", "matrices"], [], path)
     with _reported(path):
-        matrices = [
-            [[_scalar(field, c, path) for c in row] for row in m]
-            for m in _array(record, "matrices", path)]
         return GroupAction(_array(record, "elements", path),
-                           _array(record, "table", path), matrices, field)
+                           _array(record, "table", path),
+                           _scalars(record, "matrices", field, path, 3), field)
 
 
 def action_record(action):
@@ -257,10 +270,11 @@ def load_document(data):
     if "action" in data:
         action = parse_action(data["action"], field)
     presentations = {}
-    for name, record in (data.get("presentations") or {}).items():
+    for name, record in _object(data.get("presentations", {}),
+                                "presentations").items():
         presentations[name] = parse_presentation(
             record, field, extension, "presentations.%s" % name)
-    options = _parse_options(data.get("options") or {}, field, extension)
+    options = _parse_options(data.get("options", {}), field, extension)
     return Document(field, extension, action, presentations, options)
 
 

@@ -150,8 +150,10 @@ class FreeExtension:
         raise TypeError("cannot coerce %r into %s" % (v, self))
 
     def symbol_constant(self, name):
-        if self.symbol is not None and name == self.symbol and self.rank >= 2:
-            return self.basis_element(1)
+        """A basis label names its basis element (a monogenic extension's
+        only identifier label is its symbol); other names go to the base."""
+        if name in self.basis_names:
+            return self.basis_element(self.basis_names.index(name))
         base_sym = self.base.symbol_constant(name)
         if base_sym is not None:
             return self.scalar(base_sym)
@@ -468,14 +470,6 @@ class MonicPoly:
 
     def __hash__(self):
         return hash((self.ring, self.coefficients))
-
-    def evaluate(self, x):
-        """Horner evaluation at a ring element x (matrices go through
-        charpoly_matrix_value instead)."""
-        acc = self.ring.one()
-        for c in self.coefficients:
-            acc = acc * x + c
-        return acc
 
     def to_string(self, var="z"):
         n = self.degree

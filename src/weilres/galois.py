@@ -46,10 +46,6 @@ class GroupAction:
     def order(self):
         return len(self.elements)
 
-    def compose(self, i, j):
-        """Index of elements[i] after elements[j] (apply j first)."""
-        return self.table[i][j]
-
     def generating_indices(self):
         """A generating set of the group, greedily closed from the table."""
         closure = {0}
@@ -156,41 +152,6 @@ def cyclic_frobenius_action(ext, names=None):
     return GroupAction(names, table, matrices, base)
 
 
-def induced_action(action, result):
-    """Per group element, the linear substitution on the restriction variables.
-
-    A base point with block coordinates (a_k1, ..., a_kn) for each original
-    variable is sent to the point with coordinates of g applied to
-    sum_j a_kj e_j, i.e. each block transforms by the action matrix.  Only
-    presentations whose generators are defined over the base field are
-    accepted; anything else would need an explicit equivariance datum.
-    """
-    ext = result.extension
-    for f in result.original.generators:
-        for coeff in f.terms.values():
-            if coeff.scalar_part() is None:
-                raise UnsupportedOperationError(
-                    "generators are not defined over the base field; "
-                    "the induced action is not determined")
-    base = ext.base
-    n = ext.rank
-    subs = []
-    for matrix in action.matrices:
-        mapping = {}
-        for v in result.original.variables:
-            block = result.coordinate_map[v]
-            for i in range(n):
-                form = Poly.zero(base, block)
-                for j in range(n):
-                    c = matrix[i][j]
-                    if c.is_zero():
-                        continue
-                    form = form + Poly.variable(base, block[j]).scale(c)
-                mapping[block[i]] = form
-        subs.append(mapping)
-    return subs
-
-
 def action_point_map(action, result, g_index, field):
     """The transform of restriction points induced by one group element,
     over the base field or a canonical extension of it."""
@@ -227,12 +188,24 @@ class FixedPointPresentation:
         return "FixedPointPresentation(%r)" % (self.presentation,)
 
 
+def _linear_form(base, variables, row):
+    """The linear polynomial sum_j row[j] * variables[j] over base."""
+    n = len(variables)
+    return Poly(base, variables, {
+        tuple(int(i == j) for i in range(n)): c
+        for j, c in enumerate(row) if not c.is_zero()}, clean=True)
+
+
 def fixed_points(action, result):
     """Append the linear generators (g.v) - v for group generators g and solve.
 
-    Tameness is enforced: in positive characteristic the group order must be
-    coprime to the characteristic (the linear solving can silently lose
-    relations in the wild case).
+    Group element g moves each coordinate block by its matrix M_g, so the
+    relations of a block are the nonzero rows of M_g - I at the block's
+    columns.  Tameness is enforced: in positive characteristic the group order
+    must be coprime to the characteristic (the linear solving can silently
+    lose relations in the wild case).  Only presentations whose generators are
+    defined over the base field are accepted; anything else would need an
+    explicit equivariance datum.
     """
     base = result.extension.base
     char = base.characteristic
@@ -243,42 +216,41 @@ def fixed_points(action, result):
     ok, diagnostics = validate_action(action, result.extension)
     if not ok:
         raise ValueError("invalid action: %s" % "; ".join(diagnostics))
-    subs = induced_action(action, result)
+    if any(c.scalar_part() is None for f in result.original.generators
+           for c in f.terms.values()):
+        raise UnsupportedOperationError(
+            "generators are not defined over the base field; "
+            "the induced action is not determined")
     variables = result.presentation.variables
-    relations = []
+    index = {v: k for k, v in enumerate(variables)}
+    one, zero = base.one(), base.zero()
+    rows = []
     for g in action.generating_indices():
-        mapping = subs[g]
-        for v in variables:
-            form = mapping.get(v)
-            if form is None:
-                continue
-            rel = form - Poly.variable(base, v)
-            if not rel.is_zero():
-                relations.append(rel.with_variables(variables))
+        shifted = [[c - one if i == j else c for j, c in enumerate(m_row)]
+                   for i, m_row in enumerate(action.matrices[g])]
+        shifted = [r for r in shifted if any(not c.is_zero() for c in r)]
+        for v in result.original.variables:
+            columns = [index[name] for name in result.coordinate_map[v]]
+            for m_row in shifted:
+                row = [zero] * len(variables)
+                for k, c in zip(columns, m_row):
+                    row[k] = c
+                rows.append(row)
+    relations = [_linear_form(base, variables, row) for row in rows]
     unreduced = Presentation(
         base, variables,
         list(result.presentation.generators) + relations,
         provenance="fixed points (unreduced)")
-    rows = []
-    for rel in relations:
-        aligned = rel.with_variables(variables)
-        row = [aligned.terms.get(tuple(1 if i == k else 0 for i in range(len(variables))),
-                                 base.zero())
-               for k in range(len(variables))]
-        rows.append(row)
     solved = eliminate_linear(rows, len(variables), base)
-    bindings = {}
-    for col, expr in solved.items():
-        poly = Poly.zero(base, variables)
-        for j, c in enumerate(expr):
-            if not c.is_zero():
-                poly = poly + Poly.variable(base, variables[j]).scale(c)
-        bindings[variables[col]] = poly
-    free = tuple(v for i, v in enumerate(variables) if i not in solved)
+    free_columns = [k for k in range(len(variables)) if k not in solved]
+    free = tuple(variables[k] for k in free_columns)
+    eliminated = {variables[col]: _linear_form(
+                      base, free, [expr[k] for k in free_columns])
+                  for col, expr in solved.items()}
     reduced_gens = []
     seen = set()
     for g in result.presentation.generators:
-        sub = g.substitute(bindings)
+        sub = g.substitute(eliminated)
         if sub.is_zero():
             continue
         sub = sub.with_variables(free)
@@ -287,8 +259,6 @@ def fixed_points(action, result):
             seen.add(key)
             reduced_gens.append(sub)
     reduced = Presentation(base, free, reduced_gens, provenance="fixed points")
-    eliminated = {variables[col]: bindings[variables[col]].with_variables(free)
-                  for col in solved}
     return FixedPointPresentation(reduced, relations, eliminated, unreduced)
 
 

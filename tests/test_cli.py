@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import pytest
 
@@ -170,6 +171,21 @@ def test_fixed_points_command(tmp_path, capsys):
     assert record["presentation"]["generators"] == ["u_1^2 + 1"]
     assert record["eliminated"] == {"u_2": "0"}
     assert "u_2" in record["unreduced"]["generators"]
+
+
+FIXED_POINTS_GOLDEN = json.loads(
+    (pathlib.Path(__file__).parent / "fixed_points_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", FIXED_POINTS_GOLDEN, ids=lambda c: c["name"])
+def test_fixed_points_output_is_recorded(tmp_path, capsys, case):
+    # byte-equal output for cyclic Frobenius over F_49, F_8 (two variables
+    # each), F_25 and F_343, and over F_9 in a basis whose fixed line is not
+    # a coordinate axis, so the eliminated bindings are nonzero
+    path = write_doc(tmp_path, case["document"])
+    code, out, err = run(capsys, ["fixed-points", "X", "--input", path])
+    assert (code, err) == (0, "")
+    assert out == case["expected"]
 
 
 def test_verify_descent_document(tmp_path, capsys):
@@ -422,6 +438,61 @@ def test_strings_are_not_arrays(tmp_path, capsys, make, section, key, value, arg
     code, out, err = run(capsys, argv + ["--input", path])
     assert code == 2 and out == ""
     assert err == "input error: %s: %s.%s must be an array\n" % (section, section, key)
+
+
+@pytest.mark.parametrize("make, argv, edit, message", [
+    (golden_doc, ["points", "conic"],
+     lambda d: d.update(presentations=[1]), "presentations: expected an object"),
+    (golden_doc, ["points", "conic"],
+     lambda d: d.update(presentations="abc"), "presentations: expected an object"),
+    (golden_doc, ["points", "conic"],
+     lambda d: d.update(extension=5), "extension: expected an object"),
+    (golden_doc, ["points", "conic"],
+     lambda d: d.update(options=[]), "options: expected an object"),
+    (golden_doc, ["fixed-points", "conic"],
+     lambda d: d["action"].update(matrices=[["10", "01"], ["10", "02"]]),
+     "action: action.matrices[0][0] must be an array"),
+    (golden_doc, ["fixed-points", "conic"],
+     lambda d: d["action"]["matrices"].__setitem__(1, "1002"),
+     "action: action.matrices[1] must be an array"),
+    (_raw_extension_doc, ["restrict", "line"],
+     lambda d: d["extension"].update(
+         structure_constants=[["10", "01"], ["01", "20"]]),
+     "extension: extension.structure_constants[0][0] must be an array"),
+    (_raw_extension_doc, ["restrict", "line"],
+     lambda d: d["extension"]["structure_constants"].__setitem__(1, "ab"),
+     "extension: extension.structure_constants[1] must be an array"),
+])
+def test_nested_shapes_are_input_errors(tmp_path, capsys, make, argv, edit,
+                                        message):
+    data = make()
+    edit(data)
+    path = write_doc(tmp_path, data)
+    code, out, err = run(capsys, argv + ["--input", path])
+    assert (code, out, err) == (2, "", "input error: %s\n" % message)
+
+
+def test_unexpected_exception_is_internal_error(tmp_path, capsys, monkeypatch):
+    import weilres.cli
+
+    def broken(doc, args):
+        raise TypeError("unsupported operand\nsecond line")
+
+    monkeypatch.setitem(weilres.cli.COMMANDS, "restrict", broken)
+    path = write_doc(tmp_path, golden_doc())
+    code, out, err = run(capsys, ["restrict", "conic_ext", "--input", path])
+    assert (code, out) == (4, "")
+    assert err == "internal error: TypeError: unsupported operand second line\n"
+
+
+def test_raw_basis_labels_are_identifiers(tmp_path, capsys):
+    data = _raw_extension_doc()
+    data["presentations"]["line"]["generators"] = ["u - b", "a*b - b"]
+    path = write_doc(tmp_path, data)
+    code, out, _ = run(capsys, ["restrict", "line", "--input", path])
+    assert code == 0
+    # u = u_1 a + u_2 b; b*b = 2a, and a*b - b vanishes
+    assert json.loads(out)["presentation"]["generators"] == ["u_1", "u_2 + 2"]
 
 
 def test_one_characteristic_polynomial_per_command(tmp_path, capsys, monkeypatch):

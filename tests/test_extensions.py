@@ -53,6 +53,23 @@ def test_structure_constant_validation(f3):
         FreeExtension(f3, ("1", "t"), worse, (f3(0), f3(1)))
 
 
+def test_raw_basis_labels_resolve(f3, k2):
+    ext = FreeExtension(f3, ("a", "b"),
+                        [[[f3(1), f3(0)], [f3(0), f3(1)]],
+                         [[f3(0), f3(1)], [f3(2), f3(0)]]], (f3(1), f3(0)))
+    assert (parse_poly("u - b", ext, ("u",))
+            == Poly.variable(ext, "u") - Poly.constant(ext, ext.basis_element(1)))
+    assert parse_poly("a*b + b^2", ext).constant_value() == ext.element([2, 1])
+    # an extension's label wins over its base's symbol: here e_2 is named x
+    # over F_2(x), with e_2^2 = x
+    x = k2.symbol_constant("x")
+    zero, one = k2.zero(), k2.one()
+    sq = FreeExtension(k2, ("1", "x"), [[[one, zero], [zero, one]],
+                                        [[zero, one], [x, zero]]], (one, zero))
+    assert parse_poly("x", sq).constant_value() == sq.basis_element(1)
+    assert parse_poly("x^2", sq).constant_value() == sq.scalar(x)
+
+
 def test_rank_cap(f2):
     with pytest.raises(ValueError):
         FreeExtension(f2, tuple("e%d" % i for i in range(17)),

@@ -6,9 +6,8 @@ from weilres import (GaloisField, GroupAction, IncompatibleFieldError, Poly,
                      Presentation, PrimeField, TamenessError,
                      UnsupportedOperationError, action_point_map, base_change,
                      cyclic_frobenius_action, diagonal_section, extend_scalars,
-                     fixed_points, from_minimal_polynomial, induced_action,
-                     parse_poly, points_over, restrict, validate_action,
-                     verify_descent)
+                     fixed_points, from_minimal_polynomial, parse_poly,
+                     points_over, restrict, validate_action, verify_descent)
 
 
 @pytest.fixture
@@ -59,48 +58,58 @@ def test_corrupted_action_reports_diagnostics(f9_ext, f3):
     assert diagnostics
 
 
-# -- the induced action ----------------------------------------------------------
+# -- the relations of the action -------------------------------------------------
 
-def test_induced_identity_is_identity(restricted_conic, frobenius, f3):
-    subs = induced_action(frobenius, restricted_conic)
-    u1 = Poly.variable(f3, "u_1")
-    u2 = Poly.variable(f3, "u_2")
-    assert subs[0]["u_1"] == u1
-    assert subs[0]["u_2"] == u2
-    assert subs[1]["u_1"] == u1
-    assert subs[1]["u_2"] == -u2
-
-
-def test_induced_action_is_group_action(restricted_conic, frobenius):
-    subs = induced_action(frobenius, restricted_conic)
-    for i in range(frobenius.order):
-        for j in range(frobenius.order):
-            composed = {v: subs[i][v].substitute(subs[j])
-                        for v in subs[i]}
-            assert composed == subs[frobenius.table[i][j]]
+def _relation_rows(fp, variables, base):
+    """Coefficient rows of the linear relations over variables."""
+    unit = [tuple(int(i == j) for i in range(len(variables)))
+            for j in range(len(variables))]
+    rows = []
+    for rel in fp.linear_relations:
+        aligned = rel.with_variables(variables)
+        assert set(aligned.terms) <= set(unit)
+        rows.append([aligned.terms.get(e, base.zero()) for e in unit])
+    return rows
 
 
 def test_linear_part_is_matrix_minus_identity(restricted_conic, frobenius, f3):
-    subs = induced_action(frobenius, restricted_conic)
+    fp = fixed_points(frobenius, restricted_conic)
     matrix = frobenius.matrices[1]
-    block = restricted_conic.coordinate_map["u"]
-    for i, v in enumerate(block):
-        rel = subs[1][v] - Poly.variable(f3, v)
-        aligned = rel.with_variables(block)
-        for j, w in enumerate(block):
-            exps = tuple(1 if k == j else 0 for k in range(len(block)))
-            coeff = aligned.terms.get(exps, f3.zero())
-            expected = matrix[i][j] - (f3.one() if i == j else f3.zero())
-            assert coeff == expected
+    # frob = diag(1, -1): the row of u_1 vanishes and is skipped
+    assert _relation_rows(fp, ("u_1", "u_2"), f3) == [
+        [f3(0), matrix[1][1] - f3(1)]]
 
 
-def test_induced_action_rejects_non_base_defined(f9_ext):
+def test_relations_sit_at_each_block(f2):
+    ext = from_minimal_polynomial(f2, parse_poly("t^3 + t + 1", f2, ("t",)), "t")
+    act = cyclic_frobenius_action(ext)
+    x = Presentation(f2, ("u", "v"), [parse_poly("u^2 + u*v + 1", f2, ("u", "v"))])
+    result = restrict(base_change(x, ext), ext)
+    fp = fixed_points(act, result)
+    variables = result.presentation.variables
+    assert variables == ("u_1", "u_2", "u_3", "v_1", "v_2", "v_3")
+    zero = [f2(0)] * 3
+    expected = []
+    for block in range(2):
+        for i, row in enumerate(act.matrices[1]):
+            shifted = [c - f2(int(i == j)) for j, c in enumerate(row)]
+            if shifted != zero:
+                expected.append(zero * block + shifted + zero * (1 - block))
+    assert expected and _relation_rows(fp, variables, f2) == expected
+
+
+def test_fixed_points_rejects_non_base_defined(f9_ext, f3):
     gen = parse_poly("u^2 - t", f9_ext, ("u",))   # coefficient involves t
     pres = Presentation(f9_ext, ("u",), [gen])
     result = restrict(pres, f9_ext)
-    act = cyclic_frobenius_action(f9_ext)
-    with pytest.raises(UnsupportedOperationError):
-        induced_action(act, result)
+    with pytest.raises(UnsupportedOperationError, match="not defined over the base"):
+        fixed_points(cyclic_frobenius_action(f9_ext), result)
+    # an invalid action is reported before the generators are looked at
+    bad = GroupAction(("id", "frob"), ((0, 1), (1, 0)),
+                      [[[f3(1), f3(0)], [f3(0), f3(1)]],
+                       [[f3(1), f3(1)], [f3(0), f3(2)]]], f3)
+    with pytest.raises(ValueError, match="invalid action"):
+        fixed_points(bad, result)
 
 
 def test_point_level_stability(restricted_conic, frobenius, f3):
@@ -122,6 +131,8 @@ def test_fixed_points_trivial_group(restricted_conic, f9_ext):
     assert (fp.presentation.canonical_generator_set()
             == restricted_conic.presentation.canonical_generator_set())
     assert not fp.eliminated
+    assert fp.linear_relations == ()
+    assert fp.unreduced.generators == restricted_conic.presentation.generators
 
 
 def test_fixed_points_golden(restricted_conic, frobenius, f3):
