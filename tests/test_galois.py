@@ -112,6 +112,17 @@ def test_fixed_points_rejects_non_base_defined(f9_ext, f3):
         fixed_points(bad, result)
 
 
+def test_induced_identity_is_identity(restricted_conic, frobenius, f3):
+    # the identity moves no point; frob = diag(1, -1) sends (u_1, u_2) to (u_1, -u_2)
+    ident = action_point_map(frobenius, restricted_conic, 0, f3)
+    frob = action_point_map(frobenius, restricted_conic, 1, f3)
+    assert restricted_conic.presentation.variables == ("u_1", "u_2")
+    for a in range(3):
+        for b in range(3):
+            assert ident((f3(a), f3(b))) == (f3(a), f3(b))
+            assert frob((f3(a), f3(b))) == (f3(a), -f3(b))
+
+
 def test_point_level_stability(restricted_conic, frobenius, f3):
     f9 = GaloisField(3, (1, 0, 1), "t")
     for field in (f3, f9):
