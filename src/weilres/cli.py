@@ -94,8 +94,11 @@ def _load(path):
 def _emit(record, output):
     text = canonical_json(record)
     if output:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise DocumentError("cannot write %s: %s" % (output, exc))
     else:
         sys.stdout.write(text)
 

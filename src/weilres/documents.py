@@ -147,6 +147,8 @@ def parse_extension(record, field, path="extension"):
             return from_minimal_polynomial(field, m, symbol)
     _check_keys(record, ["structure_constants", "unit"], ["rank", "basis"], path)
     with _reported(path):
+        if "rank" in record and type(record["rank"]) is not int:
+            raise DocumentError("%s: rank must be an integer" % path)
         if "basis" in record:
             basis = _array(record, "basis", path)
         elif "rank" in record:
@@ -284,7 +286,7 @@ def _parse_options(record, field, extension):
                 "options")
     options = {}
     if "seed" in record:
-        if not isinstance(record["seed"], int):
+        if type(record["seed"]) is not int:
             raise DocumentError("options.seed must be an integer")
         options["seed"] = record["seed"]
     if "threshold" in record:

@@ -296,7 +296,9 @@ def points_over(p, domain):
     output is sorted canonically.  Exceeding the configured bounds (at most
     POINT_VARIABLE_CAP variables, POINT_FIELD_CAP elements and
     POINT_ASSIGNMENT_BUDGET assignments) raises EnumerationBoundError before
-    any enumeration rather than truncating.
+    any enumeration rather than truncating.  Each generator is compiled once
+    per call and evaluated incrementally along the enumeration
+    (_CompiledGenerator).
     """
     if len(p.variables) > POINT_VARIABLE_CAP:
         raise EnumerationBoundError(
@@ -321,17 +323,96 @@ def points_over(p, domain):
     else:
         pres = base_change(p, domain)
     elems = domain.elements()
-    points = []
-    for assignment in _assignments(pres.variables, elems):
-        if all(g.evaluate(assignment).is_zero() for g in pres.generators):
-            points.append(tuple(assignment[v] for v in pres.variables))
-    points.sort(key=lambda pt: tuple(x.sort_key() for x in pt))
-    return points
+    # generators in few leading variables first: once one of them is nonzero
+    # it rules out every assignment until one of its variables changes
+    oracle = sorted((_CompiledGenerator(g, elems) for g in pres.generators),
+                    key=lambda c: c.depth)
+    found = []
+    for assignment in _assignments(pres.variables, range(len(elems))):
+        # the enumerator's dicts keep the order of pres.variables
+        idx = tuple(assignment.values())
+        for gen in oracle:
+            if not gen.vanishes(idx):
+                break
+        else:
+            found.append(idx)
+    keys = [x.sort_key() for x in elems]
+    found.sort(key=lambda idx: tuple(keys[i] for i in idx))
+    return [tuple(elems[i] for i in idx) for idx in found]
 
 
 def _assignments(variables, elems):
     for values in itertools.product(elems, repeat=len(variables)):
         yield dict(zip(variables, values))
+
+
+class _CompiledGenerator:
+    """One generator of points_over, compiled for a list of domain elements.
+
+    Points are tuples of element indices.  A term's depth is the last
+    position it uses; partial[t] is the constant term plus every term of
+    depth < t at the last point evaluated, so a new point recomputes only
+    the depths from the first position where it differs from that point, and
+    a point that agrees with it up to the generator's own depth reuses its
+    verdict.  Powers are tabulated once per exponent, and the terms in a
+    single variable are summed into one table per depth.
+    """
+
+    __slots__ = ("depth", "levels", "partial", "seen", "verdict")
+
+    def __init__(self, g, elems):
+        powers = {}
+
+        def power_table(e):
+            if e not in powers:
+                powers[e] = [x ** e for x in elems]
+            return powers[e]
+
+        const = g.domain.zero()
+        tables, mixed = {}, {}
+        for exps, c in g.terms.items():
+            used = [(k, e) for k, e in enumerate(exps) if e]
+            if not used:
+                const = c
+                continue
+            depth = used[-1][0]
+            if len(used) == 1:
+                row = [c * x for x in power_table(used[0][1])]
+                old = tables.get(depth)
+                tables[depth] = row if old is None else [
+                    a + b for a, b in zip(old, row)]
+            else:
+                mixed.setdefault(depth, []).append(
+                    (c, [(k, power_table(e)) for k, e in used]))
+        self.depth = max([-1, *tables, *mixed])
+        self.levels = [(tables.get(t), mixed.get(t, ()))
+                       for t in range(self.depth + 1)]
+        self.partial = [const] * (self.depth + 2)
+        self.seen = (-1,) * (self.depth + 1)
+        self.verdict = const.is_zero()
+
+    def vanishes(self, idx):
+        """Whether the generator is zero at the point with these indices."""
+        seen, depth = self.seen, self.depth
+        t = 0
+        while t <= depth and idx[t] == seen[t]:
+            t += 1
+        if t > depth:
+            return self.verdict
+        partial = self.partial
+        for t in range(t, depth + 1):
+            table, mixed = self.levels[t]
+            s = partial[t]
+            if table is not None:
+                s = s + table[idx[t]]
+            for c, factors in mixed:
+                for k, powers in factors:
+                    c = c * powers[idx[k]]
+                s = s + c
+            partial[t + 1] = s
+        self.seen = idx
+        self.verdict = partial[depth + 1].is_zero()
+        return self.verdict
 
 
 def psi_apply(result, point):

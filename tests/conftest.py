@@ -1,9 +1,10 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from weilres import (FunctionField, Poly, PrimeField, RationalField,
-                     from_minimal_polynomial, parse_poly)
+                     base_change, from_minimal_polynomial, parse_poly)
 
 
 @pytest.fixture
@@ -109,3 +110,18 @@ def _z_coefficient(det, k, dom):
         terms[reduced] = c
     reduced_vars = tuple(v for v in det.variables if v != "_z")
     return Poly(dom, reduced_vars, terms)
+
+
+def dense_points(pres, domain):
+    """Independent oracle for points_over: every assignment over the domain's
+    elements, each generator evaluated from scratch by Poly.evaluate, sorted
+    by the elements' sort keys.  The bounds are not checked."""
+    if pres.base != domain:
+        pres = base_change(pres, domain)
+    points = []
+    for values in itertools.product(domain.elements(), repeat=len(pres.variables)):
+        assignment = dict(zip(pres.variables, values))
+        if all(g.evaluate(assignment).is_zero() for g in pres.generators):
+            points.append(values)
+    points.sort(key=lambda pt: tuple(x.sort_key() for x in pt))
+    return points

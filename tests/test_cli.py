@@ -251,6 +251,29 @@ def test_missing_input_file(tmp_path, capsys):
     assert "cannot read" in err
 
 
+def test_unwritable_output_is_input_error(tmp_path, capsys):
+    path = write_doc(tmp_path, golden_doc())
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, ["points", "conic", "--input", path,
+                                  "--output", str(target)])
+    assert code == 2
+    assert out == "" and not target.exists()
+    assert err.startswith("input error: cannot write ") and err.count("\n") == 1, err
+
+
+def test_sphere_document_point_count(capsys):
+    # a^2 + ... + e^2 = 1 over F_9: for a nondegenerate quadratic form Q in
+    # an odd number n of variables, Q = c has q^(n-1) + q^((n-1)/2) *
+    # eta((-1)^((n-1)/2) * c * det Q) solutions (Lidl and Niederreiter,
+    # Finite Fields, Thm. 6.27); here eta(1) = 1, so 9^4 + 9^2
+    path = pathlib.Path(__file__).parent / "sphere_f9.json"
+    code, out, _ = run(capsys, ["points", "sphere", "--input", str(path)])
+    assert code == 0
+    record = json.loads(out)
+    assert record["count"] == 9 ** 4 + 9 ** 2 == 6642
+    assert len(set(map(tuple, record["points"]))) == 6642
+
+
 def test_schema_error_exit_code(tmp_path, capsys):
     data = golden_doc()
     data["extra"] = 1

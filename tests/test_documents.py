@@ -159,6 +159,23 @@ def test_raw_extension_shape_errors_are_document_errors():
             load_document_text(json.dumps(data))
 
 
+def test_boolean_seed_is_document_error():
+    data = golden_doc()
+    data["options"]["seed"] = True
+    with pytest.raises(DocumentError, match="options.seed must be an integer"):
+        load_document_text(json.dumps(data))
+
+
+@pytest.mark.parametrize("shape", [{"rank": True}, {"rank": True, "basis": ["e"]}])
+def test_boolean_rank_is_document_error(shape):
+    extension = {"structure_constants": [[["1"]]], "unit": ["1"]}
+    extension.update(shape)
+    data = {"version": "weilres/1", "field": {"kind": "prime", "p": 3},
+            "extension": extension}
+    with pytest.raises(DocumentError, match="extension: rank must be an integer"):
+        load_document_text(json.dumps(data))
+
+
 def test_invalid_json_reported():
     with pytest.raises(DocumentError):
         load_document_text("{not json")

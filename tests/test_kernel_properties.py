@@ -32,9 +32,9 @@ from weilres.extensions import (AlgebraElement, charpoly, mult_matrix,
 from weilres.fields import (_RatFunc, _uadd, _udivmod, _umul, _ustr, _utrim,
                             power)
 from weilres.linalg import berkowitz_charpoly, mat_identity, mat_mul
-from weilres.restriction import _assignments
+from weilres.restriction import Presentation, _assignments, points_over
 
-from conftest import naive_charpoly_coeffs
+from conftest import dense_points, naive_charpoly_coeffs
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None,
                     max_examples=60)
@@ -353,6 +353,50 @@ def test_assignments_enumerate_every_point_once(field, d):
     assert all(set(a) == set(variables) for a in found)
     assert len({tuple(a[v] for v in variables) for a in found}) == len(found)
     assert len(found) == field.size() ** d
+
+
+# (base of the presentation, domain enumerated): F_p, F_{p^m}, a field
+# extension as a FreeExtension, a ring with zero divisors, and a base
+# presentation lifted to F_9 by base_change
+POINT_DOMAINS = [(f, f) for f in (
+    PrimeField(2), PrimeField(3), PrimeField(5), GaloisField(2, (1, 1, 1), "w"),
+    GaloisField(3, (1, 0, 1), "t"), EXTENSIONS[3], EXTENSIONS[1])] + [
+    (PrimeField(3), GaloisField(3, (1, 0, 1), "t"))]
+
+
+@st.composite
+def point_generators(draw, base, variables):
+    """Generators over base: none, constants (zero among them), and sums of
+    terms in a drawn subset of the variables, so that mixed terms occur and
+    some generators skip the last variable.  Half the time every generator
+    is shifted to vanish at one drawn point, so that solution sets are
+    seldom empty."""
+    elements = base.elements()
+    anchor = None
+    if draw(st.booleans()):
+        anchor = {v: draw(st.sampled_from(elements)) for v in variables}
+    gens = []
+    for _ in range(draw(st.integers(0, 3))):
+        used = [k for k in range(len(variables)) if draw(st.booleans())]
+        terms = {}
+        for _ in range(draw(st.integers(0, 4))):
+            exps = [0] * len(variables)
+            for k in used:
+                exps[k] = draw(st.integers(0, 3))
+            terms[tuple(exps)] = draw(st.sampled_from(elements))
+        g = Poly(base, variables, terms)
+        gens.append(g if anchor is None else g - g.evaluate(anchor))
+    return gens
+
+
+@settings(SETTINGS, max_examples=200)
+@given(st.sampled_from(POINT_DOMAINS), st.integers(0, 3), st.data())
+def test_points_over_matches_dense_enumeration(domains, d, data):
+    base, domain = domains
+    variables = ("a", "b", "c")[:d]
+    pres = Presentation(base, variables,
+                        data.draw(point_generators(base, variables)))
+    assert points_over(pres, domain) == dense_points(pres, domain)
 
 
 ROUND_TRIP_DOMAINS = [

@@ -219,6 +219,35 @@ def test_points_sorted_deterministically(f3):
     assert [[str(c) for c in p] for p in pts] == [["0"], ["1"], ["2"]]
 
 
+def test_points_over_enumerates_once_without_evaluate(monkeypatch, f3):
+    # the oracle runs its compiled generators over one enumeration of all
+    # q^d assignments; Poly.evaluate stays for psi_apply and verify only
+    import weilres.restriction
+
+    enumerate_ = weilres.restriction._assignments
+    calls, yields = [], []
+
+    def counted(variables, elems):
+        calls.append(tuple(variables))
+        for assignment in enumerate_(variables, elems):
+            yields.append(assignment)
+            yield assignment
+
+    def no_evaluate(self, assignment):
+        raise AssertionError("Poly.evaluate called")
+
+    monkeypatch.setattr(weilres.restriction, "_assignments", counted)
+    monkeypatch.setattr(Poly, "evaluate", no_evaluate)
+    f9 = GaloisField(3, (1, 0, 1), "t")
+    variables = ("a", "b", "c")
+    pres = Presentation(f3, variables, [
+        parse_poly("a^2 + b*c - 1", f3, variables), parse_poly("a - c^2", f3, variables)])
+    pts = points_over(pres, f9)
+    assert calls == [variables] and len(yields) == 9 ** 3
+    assert pts and all((a ** 2 + b * c - 1).is_zero() and (a - c ** 2).is_zero()
+                       for a, b, c in pts)
+
+
 def test_enumeration_bounds():
     f101 = PrimeField(101)
     pres = Presentation(f101, ("u",), [])
