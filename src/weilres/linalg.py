@@ -59,27 +59,38 @@ def berkowitz_charpoly(matrix, ring):
     entries may live in a polynomial ring.
     """
     n = len(matrix)
-    one, zero = ring.one(), ring.zero()
+    one = ring.one()
+    # a ring handle may bring its own sums of products (PolyRing's packed
+    # kernel); the generic ones serve every other ring
+    krylov = getattr(ring, "krylov", _krylov)
+    sums_of_products = getattr(ring, "sums_of_products", _sums_of_products)
     vec = [one]
     for r in range(1, n + 1):
-        lead = matrix[r - 1][r - 1]
         row = matrix[r - 1][: r - 1]
+        sub = tuple(matrix[i][: r - 1] for i in range(r - 1))
         col = tuple(matrix[i][r - 1] for i in range(r - 1))
-        sub = tuple(tuple(matrix[i][j] for j in range(r - 1)) for i in range(r - 1))
         # Toeplitz column: 1, -a, -R C, -R M C, -R M^2 C, ...
-        toep = [one, -lead]
-        v = col
-        for _ in range(r - 1):
-            toep.append(-_dot(row, v))
-            v = mat_vec(sub, v)
-        new = []
-        for i in range(r + 1):
-            acc = zero
-            for j in range(max(0, i - r), min(i, r - 1) + 1):
-                acc = acc + toep[i - j] * vec[j]
-            new.append(acc)
-        vec = new
+        toep = [one, -matrix[r - 1][r - 1]] + [-x for x in krylov(row, sub, col)]
+        vec = sums_of_products([
+            [(toep[i - j], vec[j]) for j in range(max(0, i - r), min(i, r - 1) + 1)]
+            for i in range(r + 1)])
     return vec
+
+
+def _sums_of_products(groups):
+    """For every nonempty group of pairs (a, b), the sum of the products a * b."""
+    return [_dot(*zip(*group)) for group in groups]
+
+
+def _krylov(row, sub, col):
+    """[R C, R M C, ..., R M^(k-1) C] for the row R, the k x k matrix M = sub
+    and the column C."""
+    out, v = [], col
+    for j in range(len(col)):
+        if j:
+            v = mat_vec(sub, v)
+        out.append(_dot(row, v))
+    return out
 
 
 def eliminate_linear(rows, nvars, field):

@@ -57,8 +57,31 @@ def sqrt2_2adic(q2):
     return from_minimal_polynomial(q2, parse_poly("t^2 - 2", q2, ("t",)), "t")
 
 
+def generic_sum_of_products(pairs):
+    """Reference for the packed kernel: sum a_i * b_i term by term with
+    FieldElement products and sums, over the variables of the operands in
+    order of first occurrence; the constructor drops the zeros."""
+    variables = []
+    for pair in pairs:
+        for f in pair:
+            variables += [v for v in f.variables if v not in variables]
+    domain = pairs[0][0].domain
+    terms = {}
+    for a, b in pairs:
+        for e1, c1 in a.terms.items():
+            for e2, c2 in b.terms.items():
+                exps = [0] * len(variables)
+                for f, es in ((a, e1), (b, e2)):
+                    for v, e in zip(f.variables, es):
+                        exps[variables.index(v)] += e
+                key = tuple(exps)
+                terms[key] = terms.get(key, domain.zero()) + c1 * c2
+    return Poly(domain, variables, terms)
+
+
 def naive_charpoly_coeffs(matrix, ring):
-    """Independent oracle: cofactor expansion of det(z*I - M) over ring[z].
+    """Independent oracle: cofactor expansion of det(z*I - M) over ring[z],
+    its products taken by generic_sum_of_products.
 
     Returns the coefficient list [1, c_1, ..., c_n] as polynomials over the
     underlying domain (constants when the matrix entries are scalars).
@@ -91,7 +114,7 @@ def _naive_det(rows):
     total = None
     for j in range(n):
         minor = [[rows[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        term = rows[0][j] * _naive_det(minor)
+        term = generic_sum_of_products([(rows[0][j], _naive_det(minor))])
         if j % 2 == 1:
             term = -term
         total = term if total is None else total + term

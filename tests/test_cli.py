@@ -1,3 +1,4 @@
+import hashlib
 import json
 import pathlib
 
@@ -272,6 +273,25 @@ def test_sphere_document_point_count(capsys):
     record = json.loads(out)
     assert record["count"] == 9 ** 4 + 9 ** 2 == 6642
     assert len(set(map(tuple, record["points"]))) == 6642
+
+
+# SHA-256 of the disc output of two documents past the benchmark's ranks,
+# recorded with the generic F_p(x) products, before the packed kernel: its
+# output must stay byte-identical there too
+DISC_GUARDS = {
+    "disc_t_over_x_rank10.json":
+        "accde375d158438485ad8044b82fc769083b65c5875fadd191d90741c0142a86",
+    "disc_one_plus_xt_rank8.json":
+        "f6296be7171d017cd51fa315bf00042654a5e7049e66c2532a3ca37309d9cec5",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DISC_GUARDS))
+def test_disc_guard_document_digest(capsys, name):
+    path = pathlib.Path(__file__).parent / name
+    code, out, _ = run(capsys, ["disc", "--input", str(path)])
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DISC_GUARDS[name]
 
 
 def test_schema_error_exit_code(tmp_path, capsys):

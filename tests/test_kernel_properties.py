@@ -7,7 +7,11 @@ the coerced constants, the function field's polynomial shortcuts against its
 gcd path, the fraction-free characteristic polynomial over F_p(x) against
 Berkowitz on the unscaled matrix and the cofactor oracle, the one
 square-and-multiply loop against repeated products, and univariate division
-against its defining identity.  Canonical polynomial text parses back to the
+against its defining identity.  The packed F_p(x) kernel behind Poly
+products, PolyRing.sums_of_products and PolyRing.krylov is checked against
+the generic FieldElement sums of products, and a coefficient with a
+denominator against its fallback.  The F_{p^m} inverse by extended Euclid is
+checked against a^(q-2).  Canonical polynomial text parses back to the
 same polynomial over every field kind.  F_{p^m} values stay trimmed tuples
 whose order is that of their zero-padded coordinate vectors, the shared term
 printer writes F_p polynomials as the former dedicated printer did, dense
@@ -25,16 +29,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weilres import (FunctionField, GaloisField, Poly, PrimeField,
-                     RationalField, from_minimal_polynomial, parse_poly)
+from weilres import (FunctionField, GaloisField, IncompatibleFieldError, Poly,
+                     PolyRing, PrimeField, RationalField,
+                     from_minimal_polynomial, parse_poly)
 from weilres.extensions import (AlgebraElement, charpoly, mult_matrix,
                                 tensor_product)
 from weilres.fields import (_RatFunc, _uadd, _udivmod, _umul, _ustr, _utrim,
                             power)
 from weilres.linalg import berkowitz_charpoly, mat_identity, mat_mul
+from weilres.poly import _packed_krylov, _packed_sums
 from weilres.restriction import Presentation, _assignments, points_over
 
-from conftest import dense_points, naive_charpoly_coeffs
+from conftest import dense_points, generic_sum_of_products, naive_charpoly_coeffs
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None,
                     max_examples=60)
@@ -513,3 +519,139 @@ def test_field_identity():
             assert (a == other()) == (i == j), (a, other())
     assert GaloisField(3, (4, 3, 1), "t") == GaloisField(3, (1, 0, 1), "t")
     assert PrimeField(3) != RationalField(padic=3) != FunctionField(3) != PrimeField(3)
+
+
+# F_1009(x) needs slots of over 20 bits; () gives constants
+KERNEL_FIELDS = [FunctionField(2), FunctionField(3), FunctionField(1009)]
+KERNEL_VARIABLES = [(), ("u",), ("u", "v"), ("v", "u"), ("w", "u")]
+
+
+@st.composite
+def kernel_polys(draw, k):
+    """Polynomials in x over k with numerators of x-degree up to 8.  A full
+    numerator has every coefficient p - 1: sums of such products over one
+    monomial fill a slot up to the kernel's bound, and one variable to its
+    largest exponent fills an exponent field."""
+    variables = draw(st.sampled_from(KERNEL_VARIABLES))
+    full = draw(st.booleans())
+    digit = st.just(k.p - 1) if full else st.integers(0, k.p - 1)
+    terms = {}
+    for _ in range(draw(st.integers(0, 3))):
+        exps = tuple(draw(st.integers(0, 3)) for _ in variables)
+        terms[exps] = k.from_coeffs(draw(st.lists(digit, min_size=1, max_size=9)))
+    return Poly(k, variables, terms)
+
+
+@st.composite
+def kernel_cases(draw):
+    """Rows and a vector of polynomials over one F_p(x); in half the cases
+    every pair comes back negated, so every sum vanishes."""
+    k = draw(st.sampled_from(KERNEL_FIELDS))
+    m = draw(st.integers(1, 3))
+    v = [draw(kernel_polys(k)) for _ in range(m)]
+    rows = [[draw(kernel_polys(k)) for _ in range(m)]
+            for _ in range(draw(st.integers(1, 3)))]
+    if draw(st.booleans()):
+        v = v + [-f for f in v]
+        rows = [row + row for row in rows]
+    return rows, v
+
+
+def _same(got, want):
+    return got.variables == want.variables and got.terms == want.terms
+
+
+def generic_krylov(row, sub, col):
+    """R C, R M C, ..., R M^(k-1) C by generic_sum_of_products."""
+    out, v = [], list(col)
+    for _ in col:
+        out.append(generic_sum_of_products(list(zip(row, v))))
+        v = [generic_sum_of_products(list(zip(line, v))) for line in sub]
+    return out
+
+
+@settings(SETTINGS, max_examples=200)
+@given(kernel_cases())
+def test_packed_kernel_matches_generic_products(case):
+    rows, v = case
+    ring = PolyRing(v[0].domain)
+    # the rows share v, and the last group squares an operand
+    groups = [list(zip(row, v)) for row in rows] + [[(v[0], v[0])]]
+    assert _packed_sums(groups) is not None
+    for group, got in zip(groups, ring.sums_of_products(groups), strict=True):
+        assert _same(got, generic_sum_of_products(group))
+    # small products take the generic loop, wide ones the kernel
+    wide = sum(rows[0] + v, Poly.zero(v[0].domain))
+    for a, b in list(zip(rows[0], v)) + [(wide, wide)]:
+        assert _same(a * b, generic_sum_of_products([(a, b)]))
+    # the first len(v) rows, padded with the last, as a square matrix
+    sub = [rows[min(i, len(rows) - 1)] for i in range(len(v))]
+    assert _packed_krylov(rows[0], sub, v) is not None
+    for got, want in zip(ring.krylov(rows[0], sub, v),
+                         generic_krylov(rows[0], sub, v), strict=True):
+        assert _same(got, want)
+
+
+@SETTINGS
+@given(kernel_cases(), st.data())
+def test_denominator_takes_the_generic_path(case, data):
+    rows, v = case
+    k = v[0].domain
+    over_x = Poly(k, ("u",), {(1,): k.from_coeffs((1,), (0, 1))})
+    i = data.draw(st.integers(0, len(v) - 1))
+    v = v[:i] + [v[i] + over_x] + v[i + 1:]
+    ring = PolyRing(k)
+    groups = [list(zip(row, v)) for row in rows]
+    assert _packed_sums(groups) is None
+    for group, got in zip(groups, ring.sums_of_products(groups), strict=True):
+        assert _same(got, generic_sum_of_products(group))
+    # M^j C over F_p(x) grows fast: two powers at most
+    col = [v[i]] + (v[:i] + v[i + 1:])[:1]
+    row = rows[0][:len(col)]
+    assert _packed_krylov(row, [row] * len(col), col) is None
+    for got, want in zip(ring.krylov(row, [row] * len(col), col),
+                         generic_krylov(row, [row] * len(col), col), strict=True):
+        assert _same(got, want)
+    assert _same(rows[0][0] * over_x,
+                 generic_sum_of_products([(rows[0][0], over_x)]))
+
+
+def test_packed_kernel_keeps_the_domain_check():
+    a = Poly.variable(FunctionField(2), "u")
+    b = Poly.variable(FunctionField(3), "u")
+    with pytest.raises(IncompatibleFieldError):
+        a * b
+    with pytest.raises(IncompatibleFieldError):
+        PolyRing(a.domain).sums_of_products([[(a, a), (a, b)]])
+    with pytest.raises(IncompatibleFieldError):
+        PolyRing(a.domain).krylov([a], [[a]], [b])
+
+
+@pytest.mark.parametrize("field", [
+    GaloisField(2, (1, 1, 1)), GaloisField(2, (1, 1, 0, 1)),
+    GaloisField(3, (1, 0, 1)), GaloisField(2, (1, 1, 0, 0, 1)),
+    GaloisField(3, (1, 2, 0, 1))], ids=["F_4", "F_8", "F_9", "F_16", "F_27"])
+def test_galois_inverse_matches_fermat(field):
+    q = field.size()
+    units = [a for a in field.elements() if not a.is_zero()]
+    assert len(units) == q - 1
+    for a in units:
+        inv = a.inverse()
+        assert inv.value == power(a.value, q - 2, None, field._mul)
+        assert (a * inv).is_one()
+
+
+F_1009_4 = GaloisField(1009, (1, 1, 0, 0, 1), "s")
+
+
+@SETTINGS
+@given(st.integers(0, 2 ** 32))
+def test_galois_inverse_matches_fermat_over_f1009(seed):
+    a = F_1009_4.random_element(random.Random(seed))
+    if a.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            a.inverse()
+        return
+    inv = a.inverse()
+    assert inv.value == power(a.value, F_1009_4.size() - 2, None, F_1009_4._mul)
+    assert (a * inv).is_one() and inv.value == _utrim(inv.value)
