@@ -9,6 +9,7 @@ one line).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .documents import (canonical_json, field_record, load_document_text,
@@ -29,16 +30,18 @@ EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parse_args leaves it as
+    it was."""
     parser = argparse.ArgumentParser(
         prog="weilres",
         description="exact restriction of polynomially presented spaces "
                     "along finite free extensions")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_input=True):
-        p.add_argument("--input", required=needs_input,
-                       help="path to the JSON document")
+    def common(p):
+        p.add_argument("--input", required=True, help="path to the JSON document")
         p.add_argument("--output", help="write the result here instead of stdout")
 
     p = sub.add_parser("restrict", help="restrict a presentation along the extension")

@@ -170,10 +170,6 @@ class Poly:
                 return self.scale(other)
             except TypeError:
                 return NotImplemented
-        if len(self.terms) * len(other.terms) >= _PACKED_PAIRS:
-            packed = _packed_sums([[(self, other)]])
-            if packed is not None:
-                return packed[0]
         variables, a, b = self._merged(other)
         terms = {}
         for e1, c1 in a.terms.items():
@@ -311,11 +307,6 @@ def _first_seen(lists):
 # numerators are Kronecker-packed per slot width.
 
 _POLYNOMIAL = (1,)
-
-# Packing costs about 15 us a call, so a product of fewer term pairs is
-# faster by the generic loop (crossover at 9 to 16 pairs over F_2(x) and
-# F_3(x), Python 3.11 on a 2-vCPU VM).  Berkowitz's sums always run packed.
-_PACKED_PAIRS = 16
 
 
 def _packed_sums(groups):
@@ -488,13 +479,6 @@ class PolyRing:
 
     def one(self):
         return Poly.constant(self.domain, self.domain.one())
-
-    def coerce(self, v):
-        if isinstance(v, Poly):
-            if v.domain != self.domain:
-                raise IncompatibleFieldError("polynomial over a different domain")
-            return v
-        return Poly.constant(self.domain, self.domain.coerce(v))
 
     def sums_of_products(self, groups):
         out = _packed_sums(groups)

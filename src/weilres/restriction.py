@@ -14,11 +14,12 @@ from __future__ import annotations
 import itertools
 
 from .errors import EnumerationBoundError, IncompatibleFieldError
-from .extensions import AlgebraElement, FreeExtension, charpoly, extend_scalars
+from .extensions import (AlgebraElement, FreeExtension, MonicPoly, charpoly,
+                         extend_scalars)
 from .fields import Field, canonical_embedding
 from .lognorm import LogNorm
 from .poly import Poly
-from .spectral import spectral_radius
+from .spectral import spectral_value
 
 POINT_FIELD_CAP = 100
 POINT_VARIABLE_CAP = 6
@@ -189,17 +190,17 @@ def disc_generators(ext, radius_elements, var_block, y_prefix="y"):
             r = ext.coerce(r)
         if r.extension != ext:
             raise IncompatibleFieldError("radius element outside the extension")
-        scaled = r * generic
-        chi = charpoly(scaled)
+        chi = charpoly(r * generic)
         rho = None
         if ext.has_valuation and not any(isinstance(c, Poly) for c in r.coords):
-            rho = spectral_radius(r)
+            # chi(r) is chi at the unit's coordinates: substituting them is a
+            # ring map sending r * generic to r
+            at_unit = dict(zip(var_block, ext.unit))
+            rho = spectral_value(MonicPoly(
+                base, [c.evaluate(at_unit) for c in chi.coefficients]))
         for j in range(1, n + 1):
             y = "%s%d_%d" % (y_prefix, i, j)
-            c_j = chi.coefficient(j)
-            if not isinstance(c_j, Poly):
-                c_j = Poly.constant(base, c_j)
-            gen = Poly.variable(base, y) - c_j
+            gen = Poly.variable(base, y) - chi.coefficient(j)
             gens.append(gen)
             radius_meta[y] = {
                 "integral_lognorm": str(LogNorm(0)),
@@ -328,9 +329,7 @@ def points_over(p, domain):
     oracle = sorted((_CompiledGenerator(g, elems) for g in pres.generators),
                     key=lambda c: c.depth)
     found = []
-    for assignment in _assignments(pres.variables, range(len(elems))):
-        # the enumerator's dicts keep the order of pres.variables
-        idx = tuple(assignment.values())
+    for idx in _assignments(pres.variables, range(len(elems))):
         for gen in oracle:
             if not gen.vanishes(idx):
                 break
@@ -342,8 +341,8 @@ def points_over(p, domain):
 
 
 def _assignments(variables, elems):
-    for values in itertools.product(elems, repeat=len(variables)):
-        yield dict(zip(variables, values))
+    """Every tuple of elems, one entry per variable in order."""
+    return itertools.product(elems, repeat=len(variables))
 
 
 class _CompiledGenerator:

@@ -19,7 +19,7 @@ from .fields import (FunctionField, GaloisField, PrimeField, RationalField,
 from .galois import (action_point_map, cyclic_frobenius_action, fixed_points,
                      verify_descent)
 from .lognorm import LogNorm, MINUS_INF
-from .poly import Poly, parse_poly
+from .poly import Poly, _first_seen, parse_poly
 from .restriction import (Presentation, base_change, disc_generators,
                           points_over, product, product_presentation, psi_apply,
                           restrict)
@@ -210,8 +210,8 @@ def suite_products(seed=1):
     one = ext.unit_element()
     single_u, _ = disc_generators(ext, [one], ("u_1", "u_2"), y_prefix="yu")
     single_v, _ = disc_generators(ext, [one], ("v_1", "v_2"), y_prefix="yv")
-    du = Presentation(base, _vars_of(single_u), single_u)
-    dv = Presentation(base, _vars_of(single_v), single_v)
+    du = Presentation(base, _first_seen(g.variables for g in single_u), single_u)
+    dv = Presentation(base, _first_seen(g.variables for g in single_v), single_v)
     both = product_presentation(du, dv)
     combined = Presentation(base, both.variables, list(single_u) + list(single_v))
     report.add("polydisc_product_compatibility",
@@ -219,15 +219,6 @@ def suite_products(seed=1):
                "two one-variable disc restrictions multiply to the "
                "two-variable disc restriction")
     return report
-
-
-def _vars_of(gens):
-    seen = []
-    for g in gens:
-        for v in g.variables:
-            if v not in seen:
-                seen.append(v)
-    return tuple(seen)
 
 
 def golden_descent_inputs():

@@ -555,3 +555,32 @@ def test_one_characteristic_polynomial_per_command(tmp_path, capsys, monkeypatch
         code, _, _ = run(capsys, [command, "t", "--input", path])
         assert code == 0
         assert len(calls) == 1, command
+    # disc reads chi(r) of its one radius element off the symbolic chi
+    del calls[:]
+    path = write_doc(tmp_path, function_doc(), "function.json")
+    code, _, _ = run(capsys, ["disc", "--input", path])
+    assert code == 0
+    assert len(calls) == 1
+
+
+def test_parser_is_built_once(tmp_path, capsys, monkeypatch):
+    import argparse
+    import types
+
+    import weilres.cli
+
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return argparse.ArgumentParser(*args, **kwargs)
+
+    # argparse itself looks its class up by name, so only the CLI's own
+    # reference is replaced
+    monkeypatch.setattr(weilres.cli, "argparse",
+                        types.SimpleNamespace(ArgumentParser=counted))
+    path = write_doc(tmp_path, padic_doc())
+    for command in ("charpoly", "integrality", "spectral"):
+        code, _, _ = run(capsys, [command, "t", "--input", path])
+        assert code == 0
+    assert len(built) <= 1

@@ -7,17 +7,18 @@ the coerced constants, the function field's polynomial shortcuts against its
 gcd path, the fraction-free characteristic polynomial over F_p(x) against
 Berkowitz on the unscaled matrix and the cofactor oracle, the one
 square-and-multiply loop against repeated products, and univariate division
-against its defining identity.  The packed F_p(x) kernel behind Poly
-products, PolyRing.sums_of_products and PolyRing.krylov is checked against
-the generic FieldElement sums of products, and a coefficient with a
-denominator against its fallback.  The F_{p^m} inverse by extended Euclid is
-checked against a^(q-2).  Canonical polynomial text parses back to the
-same polynomial over every field kind.  F_{p^m} values stay trimmed tuples
-whose order is that of their zero-padded coordinate vectors, the shared term
-printer writes F_p polynomials as the former dedicated printer did, dense
-coefficient lists rebuild their polynomial, and fields are equal exactly when
-their constructions are.  Runs are derandomized so every run tries the same
-examples.
+against its defining identity.  The packed F_p(x) kernel behind
+PolyRing.sums_of_products and PolyRing.krylov is checked against the
+generic FieldElement sums of products, and a coefficient with a denominator
+against its fallback.  The disc log-radii read off the symbolic
+characteristic polynomial are checked against spectral_radius.  The
+F_{p^m} inverse by extended Euclid is checked against a^(q-2).  Canonical
+polynomial text parses back to the same polynomial over every field kind.
+F_{p^m} values stay trimmed tuples whose order is that of their zero-padded
+coordinate vectors, the shared term printer writes F_p polynomials as the
+former dedicated printer did, dense coefficient lists rebuild their
+polynomial, and fields are equal exactly when their constructions are.  Runs
+are derandomized so every run tries the same examples.
 """
 
 import itertools
@@ -32,13 +33,15 @@ from hypothesis import strategies as st
 from weilres import (FunctionField, GaloisField, IncompatibleFieldError, Poly,
                      PolyRing, PrimeField, RationalField,
                      from_minimal_polynomial, parse_poly)
-from weilres.extensions import (AlgebraElement, charpoly, mult_matrix,
-                                tensor_product)
+from weilres.extensions import (AlgebraElement, FreeExtension, charpoly,
+                                mult_matrix, tensor_product)
 from weilres.fields import (_RatFunc, _uadd, _udivmod, _umul, _ustr, _utrim,
                             power)
 from weilres.linalg import berkowitz_charpoly, mat_identity, mat_mul
 from weilres.poly import _packed_krylov, _packed_sums
-from weilres.restriction import Presentation, _assignments, points_over
+from weilres.restriction import (Presentation, _assignments, disc_generators,
+                                 points_over)
+from weilres.spectral import spectral_radius
 
 from conftest import dense_points, generic_sum_of_products, naive_charpoly_coeffs
 
@@ -286,6 +289,33 @@ def test_common_denominator_clears_every_denominator(p, data):
     assert k.common_denominator([]).is_one()
 
 
+def _reversed_basis(ext):
+    """ext on its basis in reverse order, so its unit is the last vector."""
+    structure = [[list(reversed(cell)) for cell in reversed(row)]
+                 for row in reversed(ext.structure)]
+    return FreeExtension(ext.base, tuple(reversed(ext.basis_names)), structure,
+                         tuple(reversed(ext.unit)))
+
+
+# the raw extension's unit is not e_1, so evaluating chi at the unit's
+# coordinates does more than read off constant terms
+DISC_EXTENSIONS = FUNCTION_EXTENSIONS + [_reversed_basis(FUNCTION_EXTENSIONS[4])]
+
+
+@SETTINGS
+@given(st.sampled_from(DISC_EXTENSIONS), st.data())
+def test_disc_lognorms_are_spectral_radii(ext, data):
+    coord = st.one_of(function_field_elements(ext.base), st.just(ext.base.zero()))
+    radius = [ext.element([data.draw(coord) for _ in range(ext.rank)])
+              for _ in range(data.draw(st.integers(1, 2)))]
+    block = tuple("x_%d" % (j + 1) for j in range(ext.rank))
+    _, meta = disc_generators(ext, radius, block)
+    for i, r in enumerate(radius, start=1):
+        rho = spectral_radius(r)
+        for j in range(1, ext.rank + 1):
+            assert meta["y%d_%d" % (i, j)]["scaled_lognorm"] == str(rho * j)
+
+
 @st.composite
 def linear_polys(draw, base, variables):
     # degree <= 1 keeps the ninth powers small
@@ -355,10 +385,10 @@ def test_univariate_division_identity(p, data):
 @pytest.mark.parametrize("d", [0, 1, 2, 3])
 def test_assignments_enumerate_every_point_once(field, d):
     variables = ("a", "b", "c")[:d]
-    found = list(_assignments(variables, field.elements()))
-    assert all(set(a) == set(variables) for a in found)
-    assert len({tuple(a[v] for v in variables) for a in found}) == len(found)
-    assert len(found) == field.size() ** d
+    elems = field.elements()
+    found = list(_assignments(variables, elems))
+    assert all(len(a) == d and set(a) <= set(elems) for a in found)
+    assert len(set(found)) == len(found) == field.size() ** d
 
 
 # (base of the presentation, domain enumerated): F_p, F_{p^m}, a field
@@ -580,7 +610,7 @@ def test_packed_kernel_matches_generic_products(case):
     assert _packed_sums(groups) is not None
     for group, got in zip(groups, ring.sums_of_products(groups), strict=True):
         assert _same(got, generic_sum_of_products(group))
-    # small products take the generic loop, wide ones the kernel
+    # a single product takes the generic loop, narrow or wide
     wide = sum(rows[0] + v, Poly.zero(v[0].domain))
     for a, b in list(zip(rows[0], v)) + [(wide, wide)]:
         assert _same(a * b, generic_sum_of_products([(a, b)]))
