@@ -14,7 +14,8 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from .errors import DocumentError, EnumerationBoundError
-from .extensions import RANK_CAP, FreeExtension, from_minimal_polynomial
+from .extensions import (RANK_CAP, FreeExtension, check_rank,
+                         from_minimal_polynomial)
 from .fields import (FunctionField, GaloisField, PrimeField, RationalField,
                      _ustr)
 from .galois import GroupAction
@@ -158,6 +159,7 @@ def parse_extension(record, field, path="extension"):
         else:
             raise DocumentError("%s: need either basis or rank" % path)
         n = len(basis)
+        check_rank(n)
         if record.get("rank", n) != n:
             raise DocumentError("%s: rank disagrees with the basis length" % path)
         structure = _scalars(record, "structure_constants", field, path, 3)

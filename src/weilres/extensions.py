@@ -19,8 +19,8 @@ from .errors import IncompatibleFieldError, UnsupportedOperationError
 from .fields import (FieldElement, FunctionField, _join_signed, _needs_parens,
                      _term_string, canonical_embedding, power)
 from .lognorm import LogNorm
-from .linalg import (berkowitz_charpoly, mat_add, mat_identity, mat_is_zero,
-                     mat_mul, mat_scale)
+from .linalg import (_algebra_product, berkowitz_charpoly, mat_add,
+                     mat_identity, mat_is_zero, mat_mul, mat_scale)
 from .poly import Poly, PolyRing
 
 RANK_CAP = 16
@@ -34,12 +34,15 @@ class FreeExtension:
         self.rank = len(self.basis_names)
         if self.rank < 1:
             raise ValueError("rank must be positive")
-        if self.rank > RANK_CAP:
-            raise ValueError("rank %d exceeds the cap %d" % (self.rank, RANK_CAP))
-        self.structure = tuple(
-            tuple(tuple(base.coerce(c) for c in cell) for cell in row)
-            for row in structure)
-        self.unit = tuple(base.coerce(c) for c in unit)
+        check_rank(self.rank)
+
+        def lift(c):
+            # most constants arrive as elements of base already
+            return c if type(c) is FieldElement and c.field is base else base.coerce(c)
+
+        self.structure = tuple(tuple(tuple(map(lift, cell)) for cell in row)
+                               for row in structure)
+        self.unit = tuple(map(lift, unit))
         self.minimal_polynomial = minimal_polynomial
         self.symbol = symbol
         if len(self.structure) != self.rank or any(
@@ -61,25 +64,44 @@ class FreeExtension:
     # -- construction-time checks -------------------------------------------
 
     def _validate(self):
-        n = self.rank
+        """Commutativity, the unit law and associativity on every basis
+        triple (i >= j, all k), on the raw values of the structure constants
+        with the base field's own _add and _mul."""
+        n, field = self.rank, self.base
+        add, mul = field._add, field._mul
+        zero, one = field._zero.value, field._one.value
+        table = [[[c.value for c in cell] for cell in row]
+                 for row in self.structure]
         for i in range(n):
             for j in range(i):
-                if self.structure[i][j] != self.structure[j][i]:
+                if table[i][j] != table[j][i]:
                     raise ValueError("structure constants are not commutative at (%d, %d)"
                                      % (i, j))
+        # right[j][i]: the nonzero constants of e_i e_j as (k, c) pairs
+        right = [[[(k, c) for k, c in enumerate(table[i][j]) if c != zero]
+                  for i in range(n)] for j in range(n)]
+
+        def times(x, j):
+            # x e_j = sum_i x_i e_i e_j for a raw coordinate vector x
+            out = [zero] * n
+            for xi, cell in zip(x, right[j]):
+                if xi != zero:
+                    for k, c in cell:
+                        out[k] = add(out[k], mul(xi, c))
+            return out
+
+        unit = [c.value for c in self.unit]
         for j in range(n):
-            e_j = self.basis_element(j)
-            if (self.unit_element() * e_j).coords != e_j.coords:
+            if times(unit, j) != [one if k == j else zero for k in range(n)]:
                 raise ValueError("unit law fails on basis vector %d" % j)
+        # triple[i][j][k] = (e_i e_j) e_k for i >= j, each computed once
+        triple = [[[times(table[i][j], k) for k in range(n)]
+                   for j in range(i + 1)] for i in range(n)]
         for i in range(n):
-            e_i = self.basis_element(i)
             for j in range(i + 1):
-                e_ij = e_i * self.basis_element(j)
                 for k in range(n):
-                    e_k = self.basis_element(k)
-                    left = e_ij * e_k
-                    right = e_i * (self.basis_element(j) * e_k)
-                    if left.coords != right.coords:
+                    # e_i (e_j e_k) is (e_j e_k) e_i
+                    if triple[i][j][k] != triple[max(j, k)][min(j, k)][i]:
                         raise ValueError(
                             "associativity fails on basis triple (%d, %d, %d)" % (i, j, k))
 
@@ -193,11 +215,10 @@ class FreeExtension:
         return "free rank-%d algebra over %s" % (self.rank, self.base)
 
 
-def _smul(x, c):
-    # multiply a coordinate (base scalar or Poly) by a base scalar
-    if isinstance(x, Poly):
-        return x.scale(c)
-    return x * c
+def check_rank(n):
+    """Raise ValueError when a rank-n algebra is over RANK_CAP."""
+    if n > RANK_CAP:
+        raise ValueError("rank %d exceeds the cap %d" % (n, RANK_CAP))
 
 
 class AlgebraElement:
@@ -244,20 +265,12 @@ class AlgebraElement:
     def __mul__(self, other):
         a, b = self._check(other)
         ext = self.extension
-        out = [None] * ext.rank
-        for x, row in zip(a, ext.sparse_structure):
-            if x.is_zero():
-                continue
-            for y, cell in zip(b, row):
-                if y.is_zero():
-                    continue
-                prod = x * y
-                for k, c in cell:
-                    term = prod if c is None else _smul(prod, c)
-                    out[k] = term if out[k] is None else out[k] + term
-        poly = isinstance(a[0], Poly) or isinstance(b[0], Poly)
-        zero = Poly.zero(ext.base) if poly else ext.base.zero()
-        return AlgebraElement(ext, tuple(zero if c is None else c for c in out))
+        # _check lifts both operands to polynomials when either has one
+        if isinstance(a[0], Poly):
+            coords = PolyRing(ext.base).algebra_product(a, b, ext.sparse_structure)
+        else:
+            coords = _algebra_product(a, b, ext.sparse_structure, ext.base.zero())
+        return AlgebraElement(ext, coords)
 
     __rmul__ = __mul__
 
@@ -270,7 +283,8 @@ class AlgebraElement:
             lifted = self.extension.element(self.coords)
             return AlgebraElement(self.extension,
                                   tuple(x * c for x in lifted.coords))
-        return AlgebraElement(self.extension, tuple(_smul(x, c) for x in self.coords))
+        # a Poly times a base scalar is its scaling
+        return AlgebraElement(self.extension, tuple(x * c for x in self.coords))
 
     def is_zero(self):
         return all(c.is_zero() for c in self.coords)
@@ -345,20 +359,24 @@ def from_minimal_polynomial(base, m, symbol=None):
         raise ValueError("minimal polynomial must have degree at least 1")
     if not coeffs[n].is_one():
         raise ValueError("minimal polynomial must be monic")
-    zero, one = base.zero(), base.one()
-    # powers[k] = coordinates of s^k for k = 0 .. 2n-2
+    check_rank(n)
+    # powers[k] = coordinates of s^k for k = 0 .. 2n-2, on raw values:
+    # s^(k+1) = s * s^k with s^n = -c_0 - c_1 s - ... - c_(n-1) s^(n-1)
+    add, mul = base._add, base._mul
+    low = [base._neg(c.value) for c in coeffs[:n]]
+    zero = base.zero().value
     powers = []
-    cur = [one] + [zero] * (n - 1)
+    cur = [base.one().value] + [zero] * (n - 1)
     for k in range(2 * n - 1):
-        powers.append(tuple(cur))
-        shifted = [zero] + cur[:n - 1]
+        powers.append(tuple(FieldElement(base, v) for v in cur))
         top = cur[n - 1]
-        reduced = [shifted[i] - coeffs[i] * top for i in range(n)]
-        cur = reduced
+        cur = [zero] + cur[:n - 1]
+        if top != zero:
+            cur = [add(v, mul(c, top)) for v, c in zip(cur, low)]
     structure = tuple(tuple(powers[i + j] for j in range(n)) for i in range(n))
     names = tuple("1" if k == 0 else (symbol if k == 1 else "%s^%d" % (symbol, k))
                   for k in range(n))
-    unit = (one,) + (zero,) * (n - 1)
+    unit = powers[0]
     return FreeExtension(base, names, structure, unit, validate=False,
                          minimal_polynomial=m, symbol=symbol)
 

@@ -3,7 +3,8 @@
 Matrices are tuples of row tuples; the ring is any handle providing zero()
 and one() (a Field, a FreeExtension or a PolyRing).  The characteristic
 polynomial uses the Berkowitz iteration, which is division-free and therefore
-valid when the entries are polynomials.
+valid when the entries are polynomials.  The generic sums of products and
+algebra products here serve every ring whose handle brings no faster ones.
 """
 
 from __future__ import annotations
@@ -80,6 +81,25 @@ def berkowitz_charpoly(matrix, ring):
 def _sums_of_products(groups):
     """For every nonempty group of pairs (a, b), the sum of the products a * b."""
     return [_dot(*zip(*group)) for group in groups]
+
+
+def _algebra_product(a, b, table, zero):
+    """The coordinates of the product of the coordinate vectors a and b of a
+    free algebra whose table[i][j] holds the nonzero structure constants of
+    e_i e_j as (k, c_ijk) pairs, c_ijk None where it is 1; zero fills the
+    coordinates no product reaches."""
+    out = [None] * len(table)
+    for x, row in zip(a, table):
+        if x.is_zero():
+            continue
+        for y, cell in zip(b, row):
+            if y.is_zero():
+                continue
+            prod = x * y
+            for k, c in cell:
+                term = prod if c is None else prod * c
+                out[k] = term if out[k] is None else out[k] + term
+    return tuple(zero if c is None else c for c in out)
 
 
 def _krylov(row, sub, col):

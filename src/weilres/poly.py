@@ -19,13 +19,15 @@ by parse_poly.
 
 from __future__ import annotations
 
+from itertools import repeat
 from math import comb
+from operator import and_, is_, lshift, rshift
 
 from .errors import (EnumerationBoundError, IncompatibleFieldError,
                      UnsupportedOperationError)
-from .fields import (Field, FieldElement, FunctionField, RationalField,
-                     _RatFunc, _join_signed, _term_string, power)
-from .linalg import _krylov, _sums_of_products
+from .fields import (Field, FieldElement, FunctionField, PrimeField,
+                     RationalField, _RatFunc, _join_signed, _term_string, power)
+from .linalg import _algebra_product, _krylov, _sums_of_products
 from .lognorm import lognorm_max
 
 
@@ -83,7 +85,7 @@ class Poly:
     def total_degree(self):
         if not self.terms:
             return -1
-        return max(sum(exps) for exps in self.terms)
+        return max(map(sum, self.terms))
 
     def dense_coefficients(self):
         """[c_0, ..., c_d] of a univariate polynomial of degree d, zeros
@@ -288,35 +290,44 @@ def _first_seen(lists):
 
 
 # ---------------------------------------------------------------------------
-# The packed kernel over F_p(x).
+# The packed kernel over F_p and F_p(x).
 #
-# Sums of products of polynomials whose coefficients are all polynomials in x
-# (denominator 1) over one F_p(x), the form of every entry Berkowitz meets
-# once charpoly has cleared denominators.  An exponent vector is packed into
-# one int with a field of `width` bits per variable (Monagan and Pearce,
-# CASC 2007), so a monomial product is one int addition.  A numerator
-# c_0 + c_1 x + ... with 0 <= c_i < p is packed into the int
+# Sums of products of polynomials whose coefficients all lie in one F_p, or
+# are all polynomials in x (denominator 1) over one F_p(x): the form of every
+# entry Berkowitz meets once charpoly has cleared denominators, and of the
+# coordinates of an algebra product over such a base.  An exponent vector is
+# packed into one int with a field of `width` bits per variable (Monagan and
+# Pearce, CASC 2007), so a monomial product is one int addition.  A
+# numerator c_0 + c_1 x + ... with 0 <= c_i < p is packed into the int
 # sum c_i 2^(i*slot) (Kronecker substitution; Harvey, J. Symb. Comput.
-# 2009), so a coefficient product is one int multiplication.  The raw
-# products are summed per packed monomial and reduced mod p once, at the end.
-# Nothing carries across a field or a slot: no exponent of a product exceeds
-# the total degrees of its factors added, below 2^width, and each product of
-# two terms adds at most (shorter numerator length) * (p - 1)^2 to a slot, so
-# a sum stays below 2^slot.  An operand is keyed once: a list of (packed
-# exponent vector, numerator) pairs with its longest numerator length; its
-# numerators are Kronecker-packed per slot width.
+# 2009), so a coefficient product is one int multiplication; an F_p value c
+# is the numerator (c,) of length 1.  The raw products are summed per packed
+# monomial and reduced mod p once, at the end.  Nothing carries across a
+# field or a slot: no exponent of a product exceeds the total degrees of its
+# factors added, below 2^width, and each product of two terms adds at most
+# (shorter numerator length) * (p - 1)^2 to a slot, times the coefficient sum
+# of the structure constant that weights it in an algebra product, so a sum
+# stays below 2^slot.  An operand is keyed once: a list of (packed exponent
+# vector, numerator) pairs with its longest numerator length; its numerators
+# are Kronecker-packed per slot width.
 
 _POLYNOMIAL = (1,)
+_KERNEL_FIELDS = (PrimeField, FunctionField)
+# Keying costs an algebra product about as much as the generic loop spends on
+# 32 term products (ranks 2 to 8 over F_3, timed with timeit on a 2-vCPU VM
+# under Python 3.11): below that bound on sum |a_i| * sum |b_j| the generic
+# loop is faster.
+_PACKED_PRODUCTS = 32
 
 
 def _packed_sums(groups):
     """For every group of pairs (a, b), the sum of the products a * b by the
     packed kernel, over the variables of its operands in order of first
     occurrence as the generic products and sums give them; None unless every
-    coefficient is a polynomial in x over one F_p(x).  Each distinct operand
-    is packed once."""
+    coefficient lies in one F_p or is a polynomial in x over one F_p(x).
+    Each distinct operand is packed once."""
     domain = groups[0][0][0].domain
-    if type(domain) is not FunctionField:
+    if type(domain) not in _KERNEL_FIELDS:
         return None
     operands = {id(f): f for group in groups for pair in group for f in pair}
     degree = {}
@@ -332,12 +343,13 @@ def _packed_sums(groups):
     position = {name: i * width for i, name in enumerate(union)}
     keyed = {key: _keyed(f, position) for key, f in operands.items()}
     p = domain.p
-    slot = _slot_width([[(keyed[id(a)], keyed[id(b)]) for a, b in group]
+    slot = _slot_width([_group_bound((keyed[id(a)], keyed[id(b)]) for a, b in group)
                         for group in groups], p)
     packed = {key: _kronecker(terms, slot) for key, (terms, _) in keyed.items()}
     return [_to_poly(_reduced(_accumulate(
         [(packed[id(a)], packed[id(b)]) for a, b in group]), p, slot)[0],
-        domain, union, order, width) for group, order in zip(groups, orders)]
+        domain, order, _layout(union, order, width))
+        for group, order in zip(groups, orders)]
 
 
 def _packed_krylov(row, sub, col):
@@ -349,7 +361,7 @@ def _packed_krylov(row, sub, col):
     if not col:
         return []
     domain = col[0].domain
-    if type(domain) is not FunctionField:
+    if type(domain) not in _KERNEL_FIELDS:
         return None
     stacked = (tuple(row),) + tuple(tuple(line) for line in sub)
     bounds = []
@@ -368,7 +380,8 @@ def _packed_krylov(row, sub, col):
     out, slot = [], None
     for j in range(k):
         lines = stacked[:1] if j == k - 1 else stacked
-        wanted = _slot_width([list(zip(line, v)) for line in keyed[:len(lines)]], p)
+        wanted = _slot_width([_group_bound(zip(line, v))
+                              for line in keyed[:len(lines)]], p)
         if wanted != slot:
             slot = wanted
             packed = [[_kronecker(terms, slot) for terms, _ in line] for line in keyed]
@@ -377,18 +390,106 @@ def _packed_krylov(row, sub, col):
                 for line in packed[:len(lines)]]
         orders = [_first_seen(names for f, order in zip(line, orders)
                               for names in (f.variables, order)) for line in lines]
-        out.append(_to_poly(sums[0][0], domain, union, orders[0], width))
+        out.append(_to_poly(sums[0][0], domain, orders[0],
+                            _layout(union, orders[0], width)))
         v, orders = sums[1:], orders[1:]
     return out
+
+
+def _packed_algebra_product(a, b, table):
+    """The coordinates sum_(i,j) c_ijk a_i b_j of the product of the
+    coordinate vectors a and b of a free algebra by the packed kernel, each
+    over the variables the generic loop gives it; table[i][j] holds the
+    nonzero structure constants of e_i e_j as (k, c_ijk) pairs, c_ijk None
+    where it is 1.  None as for _packed_sums, and when a structure constant
+    has a denominator.  Each product a_i b_j is summed once and added into
+    every coordinate k with the packed c_ijk as its weight; each coordinate
+    is reduced mod p once."""
+    domain = a[0].domain
+    if type(domain) not in _KERNEL_FIELDS:
+        return None
+    # a square keys its coordinates once
+    square = all(map(is_, a, b))
+    live = [f for f in (a if square else a + b) if f.terms]
+    degrees = [_polynomial_degree(f, domain) for f in live]
+    if None in degrees:
+        return None
+    # no exponent of a product exceeds twice the largest total degree
+    width = max(2 * max(degrees, default=0), 1).bit_length()
+    lists = dict.fromkeys(f.variables for f in live)
+    union = _first_seen(lists)
+    position = {name: i * width for i, name in enumerate(union)}
+    ka = [_keyed(f, position) if f.terms else None for f in a]
+    kb = ka if square else [_keyed(f, position) if f.terms else None for f in b]
+    n, p = len(table), domain.p
+    # per coordinate: its slot bound and the variable lists of the products
+    # reaching it, which are all `union` when the operands share one list
+    shared = len(lists) == 1
+    bounds, reach, pairs = [0] * n, [[] for _ in range(n)], []
+    for i, row in enumerate(table):
+        if ka[i] is None:
+            continue
+        ta, la = ka[i]
+        for j, cell in enumerate(row):
+            if kb[j] is None or not cell:
+                continue
+            tb, lb = kb[j]
+            bound = len(ta) * len(tb) * min(la, lb)
+            weights = []
+            for k, c in cell:
+                w = _POLYNOMIAL if c is None else _numerator(c.value)
+                if w is None:
+                    return None
+                bounds[k] += bound * sum(w)
+                weights.append((k, w))
+                if not shared:
+                    reach[k] += (a[i].variables, b[j].variables)
+            pairs.append((i, j, weights))
+    slot = _slot_width(bounds, p)
+    pa = [None if f is None else _kronecker(f[0], slot) for f in ka]
+    pb = pa if square else [None if f is None else _kronecker(f[0], slot) for f in kb]
+    sums = [{} for _ in range(n)]
+    for i, j, weights in pairs:
+        product = _accumulate([(pa[i], pb[j])]).items()
+        for k, w in weights:
+            total = sums[k]
+            get = total.get
+            w = w[0] if len(w) == 1 else _pack(w, slot)
+            for key, s in product:
+                total[key] = get(key, 0) + w * s
+    layouts = {}
+    out = []
+    for total, bound, names in zip(sums, bounds, reach):
+        if not bound:
+            out.append(Poly.zero(domain))
+            continue
+        order = union if shared else _first_seen(names)
+        if order not in layouts:
+            layouts[order] = _layout(union, order, width)
+        out.append(_to_poly(_reduced(total, p, slot)[0], domain, order, layouts[order]))
+    return tuple(out)
+
+
+def _terms(coords):
+    return sum(len(f.terms) for f in coords)
+
+
+def _numerator(value):
+    """The coefficients c_0, c_1, ... of an F_p or F_p(x) value, None when
+    it has a denominator; an F_p value c is (c,)."""
+    if type(value) is int:
+        return (value,)
+    return value.num if value.den == _POLYNOMIAL else None
 
 
 def _polynomial_degree(f, domain):
     """The total degree of f, or None when a coefficient of f has a
     denominator; raises when f is over another domain."""
     _check_domains(domain, f.domain)
-    for c in f.terms.values():
-        if c.value.den != _POLYNOMIAL:
-            return None
+    if type(domain) is FunctionField:
+        for c in f.terms.values():
+            if c.value.den != _POLYNOMIAL:
+                return None
     return f.total_degree()
 
 
@@ -398,30 +499,34 @@ def _keyed(f, position):
     shifts = [position[name] for name in f.variables]
     terms, length = [], 0
     for exps, c in f.terms.items():
-        key = 0
-        for e, sh in zip(exps, shifts):
-            key += e << sh
-        num = c.value.num
+        key = sum(map(lshift, exps, shifts))
+        num = c.value
+        num = (num,) if type(num) is int else num.num
         terms.append((key, num))
         length = max(length, len(num))
     return terms, length
 
 
-def _slot_width(groups, p):
-    """Bits for a slot of the sum of any group of keyed factor pairs."""
-    bound = max(sum(len(a) * len(b) * min(la, lb) for (a, la), (b, lb) in group)
-                for group in groups)
-    return (bound * (p - 1) ** 2).bit_length()
+def _group_bound(pairs):
+    """At most how many times (p - 1)^2 the products of the keyed factor
+    pairs add to one slot."""
+    return sum(len(a) * len(b) * min(la, lb) for (a, la), (b, lb) in pairs)
+
+
+def _slot_width(bounds, p):
+    """Bits for a slot of a sum of at most max(bounds) times (p - 1)^2."""
+    return (max(bounds, default=0) * (p - 1) ** 2).bit_length()
+
+
+def _pack(num, slot):
+    packed = 0
+    for c in reversed(num):
+        packed = (packed << slot) | c
+    return packed
 
 
 def _kronecker(terms, slot):
-    out = []
-    for key, num in terms:
-        packed = 0
-        for c in reversed(num):
-            packed = (packed << slot) | c
-        out.append((key, packed))
-    return out
+    return [(key, _pack(num, slot)) for key, num in terms]
 
 
 def _accumulate(pairs):
@@ -443,6 +548,12 @@ def _reduced(sums, p, slot):
     mask = (1 << slot) - 1
     terms, length = [], 0
     for k, total in sums.items():
+        if total <= mask:
+            # the sum fills one slot: a numerator of length 1
+            if total % p:
+                terms.append((k, (total % p,)))
+                length = max(length, 1)
+            continue
         num = []
         while total:
             num.append((total & mask) % p)
@@ -455,21 +566,33 @@ def _reduced(sums, p, slot):
     return terms, length
 
 
-def _to_poly(terms, domain, union, order, width):
-    """The polynomial over `order` of terms keyed over `union`."""
-    mask = (1 << width) - 1
-    shifts = [union.index(name) * width for name in order]
-    return Poly(domain, order, {
-        tuple((k >> sh) & mask for sh in shifts):
-            FieldElement(domain, _RatFunc(num, _POLYNOMIAL))
-        for k, num in terms}, clean=True)
+def _layout(union, order, width):
+    """How exponent vectors over `order` are read off keys packed over
+    `union`: their shifts, the field mask and the vectors read so far."""
+    return [union.index(name) * width for name in order], (1 << width) - 1, {}
+
+
+def _to_poly(terms, domain, order, layout):
+    """The polynomial over `order` of packed terms, read by `layout`."""
+    shifts, mask, decoded = layout
+    prime = type(domain) is PrimeField
+    out = {}
+    for k, num in terms:
+        exps = decoded.get(k)
+        if exps is None:
+            exps = decoded[k] = tuple(map(and_, map(rshift, repeat(k), shifts),
+                                          repeat(mask)))
+        out[exps] = FieldElement(domain,
+                                 num[0] if prime else _RatFunc(num, _POLYNOMIAL))
+    return Poly(domain, order, out, clean=True)
 
 
 class PolyRing:
-    """Coefficient-domain handle for matrices whose entries are polynomials.
+    """Coefficient-domain handle for matrices and algebra coordinates whose
+    entries are polynomials.
 
-    Its sums_of_products and krylov run the packed kernel when it applies,
-    and the generic products and sums otherwise."""
+    Its sums_of_products, krylov and algebra_product run the packed kernel
+    when it applies, and the generic products and sums otherwise."""
 
     def __init__(self, domain):
         self.domain = domain
@@ -487,6 +610,12 @@ class PolyRing:
     def krylov(self, row, sub, col):
         out = _packed_krylov(row, sub, col)
         return _krylov(row, sub, col) if out is None else out
+
+    def algebra_product(self, a, b, table):
+        out = None
+        if _terms(a) * _terms(b) >= _PACKED_PRODUCTS:
+            out = _packed_algebra_product(a, b, table)
+        return _algebra_product(a, b, table, self.zero()) if out is None else out
 
     def __eq__(self, other):
         return isinstance(other, PolyRing) and other.domain == self.domain

@@ -79,6 +79,50 @@ def generic_sum_of_products(pairs):
     return Poly(domain, variables, terms)
 
 
+def generic_algebra_product(a, b, table, zero):
+    """Reference for the packed algebra product: the generic loop that
+    AlgebraElement.__mul__ ran on its own, one Poly product per pair of
+    nonzero coordinates, scaled by each c_ijk of table[i][j] (None where it
+    is 1) and summed per coordinate k; zero where no product lands."""
+    out = [None] * len(table)
+    for x, row in zip(a, table):
+        if x.is_zero():
+            continue
+        for y, cell in zip(b, row):
+            if y.is_zero():
+                continue
+            prod = x * y
+            for k, c in cell:
+                term = prod if c is None else prod.scale(c)
+                out[k] = term if out[k] is None else out[k] + term
+    return tuple(zero if c is None else c for c in out)
+
+
+def reference_validate(ext):
+    """Reference for FreeExtension._validate: the same checks in the same
+    order by AlgebraElement products of basis elements, with FieldElement
+    arithmetic throughout; raises ValueError with the same messages."""
+    n = ext.rank
+    for i in range(n):
+        for j in range(i):
+            if ext.structure[i][j] != ext.structure[j][i]:
+                raise ValueError("structure constants are not commutative at (%d, %d)"
+                                 % (i, j))
+    for j in range(n):
+        e_j = ext.basis_element(j)
+        if (ext.unit_element() * e_j).coords != e_j.coords:
+            raise ValueError("unit law fails on basis vector %d" % j)
+    for i in range(n):
+        e_i = ext.basis_element(i)
+        for j in range(i + 1):
+            e_ij = e_i * ext.basis_element(j)
+            for k in range(n):
+                e_k = ext.basis_element(k)
+                if (e_ij * e_k).coords != (e_i * (ext.basis_element(j) * e_k)).coords:
+                    raise ValueError(
+                        "associativity fails on basis triple (%d, %d, %d)" % (i, j, k))
+
+
 def naive_charpoly_coeffs(matrix, ring):
     """Independent oracle: cofactor expansion of det(z*I - M) over ring[z],
     its products taken by generic_sum_of_products.

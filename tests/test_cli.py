@@ -275,6 +275,40 @@ def test_sphere_document_point_count(capsys):
     assert len(set(map(tuple, record["points"]))) == 6642
 
 
+def test_rank_cap_is_checked_before_the_power_table(capsys, monkeypatch):
+    # t^1000 + t + 1 is refused before from_minimal_polynomial builds any of
+    # its 1,999 power vectors (8.5 s of work when the cap came after them):
+    # once the polynomial is parsed, no F_2 arithmetic may run
+    import weilres.documents
+    from weilres.fields import PrimeField
+
+    def arithmetic(*args):
+        raise AssertionError("the power table was started")
+
+    build = weilres.documents.from_minimal_polynomial
+
+    def guarded(base, m, symbol=None):
+        monkeypatch.setattr(PrimeField, "_add", arithmetic)
+        monkeypatch.setattr(PrimeField, "_mul", arithmetic)
+        return build(base, m, symbol)
+
+    monkeypatch.setattr(weilres.documents, "from_minimal_polynomial", guarded)
+    path = pathlib.Path(__file__).parent / "restrict_rank1000.json"
+    code, out, err = run(capsys, ["restrict", "X", "--input", str(path)])
+    assert code == 2 and out == ""
+    assert err == "input error: extension: rank 1000 exceeds the cap 16\n", err
+
+
+def test_raw_rank_cap_is_checked_before_the_structure_constants(tmp_path, capsys):
+    data = {"version": "weilres/1", "field": {"kind": "prime", "p": 2},
+            "extension": {"basis": ["e%d" % i for i in range(17)],
+                          "structure_constants": "not read", "unit": ["1"]}}
+    path = write_doc(tmp_path, data)
+    code, out, err = run(capsys, ["charpoly", "e1", "--input", path])
+    assert code == 2 and out == ""
+    assert err == "input error: extension: rank 17 exceeds the cap 16\n", err
+
+
 # SHA-256 of the disc output of two documents past the benchmark's ranks,
 # recorded with the generic F_p(x) products, before the packed kernel: its
 # output must stay byte-identical there too

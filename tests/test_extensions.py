@@ -10,7 +10,7 @@ from weilres import (FreeExtension, IncompatibleFieldError, Poly,
 from weilres.extensions import charpoly_matrix_value
 from weilres.linalg import mat_is_zero, mat_mul
 
-from conftest import naive_charpoly_coeffs
+from conftest import naive_charpoly_coeffs, reference_validate
 
 
 # -- construction ------------------------------------------------------------
@@ -51,6 +51,40 @@ def test_structure_constant_validation(f3):
     # x^2 = 2 + 2t over F_3 with x*1 = x is still associative; break the unit
     with pytest.raises(ValueError):
         FreeExtension(f3, ("1", "t"), worse, (f3(0), f3(1)))
+
+
+def _refused(field, table, unit, message):
+    """The table is refused with message, on construction and by the
+    AlgebraElement-product reference."""
+    names = tuple("e%d" % (i + 1) for i in range(len(unit)))
+    with pytest.raises(ValueError, match=message):
+        FreeExtension(field, names, table, unit)
+    ext = FreeExtension(field, names, table, unit, validate=False)
+    with pytest.raises(ValueError, match=message):
+        reference_validate(ext)
+
+
+def test_non_commutative_table_rejected(f3):
+    # e_2 e_1 = e_2 but e_1 e_2 = 0
+    _refused(f3, [[[f3(1), f3(0)], [f3(0), f3(0)]],
+                  [[f3(0), f3(1)], [f3(0), f3(0)]]], (f3(1), f3(0)),
+             r"not commutative at \(1, 0\)")
+
+
+def test_unit_law_failure_rejected(f2):
+    # the table of F_4 = F_2[w]/(w^2 + w + 1) with w declared the unit
+    _refused(f2, [[[f2(1), f2(0)], [f2(0), f2(1)]],
+                  [[f2(0), f2(1)], [f2(1), f2(1)]]], (f2(0), f2(1)),
+             "unit law fails on basis vector 0")
+
+
+def test_commutative_non_associative_table_rejected(f3):
+    # basis 1, x, y with x^2 = y, x*y = 0 and y^2 = 1: commutative with unit
+    # e_1, but (x*x)*y = 1 while x*(x*y) = 0
+    o, i = f3(0), f3(1)
+    one, x, y, zero = [i, o, o], [o, i, o], [o, o, i], [o, o, o]
+    _refused(f3, [[one, x, y], [x, y, zero], [y, zero, one]], (i, o, o),
+             r"associativity fails on basis triple \(1, 1, 2\)")
 
 
 def test_raw_basis_labels_resolve(f3, k2):

@@ -7,18 +7,22 @@ the coerced constants, the function field's polynomial shortcuts against its
 gcd path, the fraction-free characteristic polynomial over F_p(x) against
 Berkowitz on the unscaled matrix and the cofactor oracle, the one
 square-and-multiply loop against repeated products, and univariate division
-against its defining identity.  The packed F_p(x) kernel behind
+against its defining identity.  The packed F_p and F_p(x) kernel behind
 PolyRing.sums_of_products and PolyRing.krylov is checked against the
 generic FieldElement sums of products, and a coefficient with a denominator
-against its fallback.  The disc log-radii read off the symbolic
-characteristic polynomial are checked against spectral_radius.  The
-F_{p^m} inverse by extended Euclid is checked against a^(q-2).  Canonical
-polynomial text parses back to the same polynomial over every field kind.
-F_{p^m} values stay trimmed tuples whose order is that of their zero-padded
-coordinate vectors, the shared term printer writes F_p polynomials as the
-former dedicated printer did, dense coefficient lists rebuild their
-polynomial, and fields are equal exactly when their constructions are.  Runs
-are derandomized so every run tries the same examples.
+against its fallback; behind PolyRing.algebra_product it is checked against
+the generic loop of algebra products on monogenic and written-out tables.
+The validation of structure tables on raw values is checked against the
+AlgebraElement-product reference on random valid and altered tables.  The
+disc log-radii read off the symbolic characteristic polynomial are checked
+against spectral_radius.  The F_{p^m} inverse by extended Euclid is checked
+against a^(q-2).  Canonical polynomial text parses back to the same
+polynomial over every field kind.  F_{p^m} values stay trimmed tuples whose
+order is that of their zero-padded coordinate vectors, the shared term
+printer writes F_p polynomials as the former dedicated printer did, dense
+coefficient lists rebuild their polynomial, and fields are equal exactly
+when their constructions are.  Runs are derandomized so every run tries the
+same examples.
 """
 
 import itertools
@@ -38,12 +42,13 @@ from weilres.extensions import (AlgebraElement, FreeExtension, charpoly,
 from weilres.fields import (_RatFunc, _uadd, _udivmod, _umul, _ustr, _utrim,
                             power)
 from weilres.linalg import berkowitz_charpoly, mat_identity, mat_mul
-from weilres.poly import _packed_krylov, _packed_sums
+from weilres.poly import _packed_algebra_product, _packed_krylov, _packed_sums
 from weilres.restriction import (Presentation, _assignments, disc_generators,
                                  points_over)
 from weilres.spectral import spectral_radius
 
-from conftest import dense_points, generic_sum_of_products, naive_charpoly_coeffs
+from conftest import (dense_points, generic_algebra_product, generic_sum_of_products,
+                      naive_charpoly_coeffs, reference_validate)
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None,
                     max_examples=60)
@@ -552,31 +557,35 @@ def test_field_identity():
 
 
 # F_1009(x) needs slots of over 20 bits; () gives constants
-KERNEL_FIELDS = [FunctionField(2), FunctionField(3), FunctionField(1009)]
+FUNCTION_KERNEL_FIELDS = [FunctionField(2), FunctionField(3), FunctionField(1009)]
+KERNEL_FIELDS = FUNCTION_KERNEL_FIELDS + [PrimeField(2), PrimeField(3), PrimeField(1009)]
 KERNEL_VARIABLES = [(), ("u",), ("u", "v"), ("v", "u"), ("w", "u")]
 
 
 @st.composite
-def kernel_polys(draw, k):
-    """Polynomials in x over k with numerators of x-degree up to 8.  A full
-    numerator has every coefficient p - 1: sums of such products over one
-    monomial fill a slot up to the kernel's bound, and one variable to its
-    largest exponent fills an exponent field."""
-    variables = draw(st.sampled_from(KERNEL_VARIABLES))
+def kernel_polys(draw, k, variable_lists=KERNEL_VARIABLES, max_terms=3):
+    """Polynomials over F_p, or polynomials in x over F_p(x) with numerators
+    of x-degree up to 8.  A full coefficient has every digit p - 1: sums of
+    such products over one monomial fill a slot up to the kernel's bound,
+    and one variable to its largest exponent fills an exponent field."""
+    variables = draw(st.sampled_from(variable_lists))
     full = draw(st.booleans())
     digit = st.just(k.p - 1) if full else st.integers(0, k.p - 1)
     terms = {}
-    for _ in range(draw(st.integers(0, 3))):
+    for _ in range(draw(st.integers(0, max_terms))):
         exps = tuple(draw(st.integers(0, 3)) for _ in variables)
-        terms[exps] = k.from_coeffs(draw(st.lists(digit, min_size=1, max_size=9)))
+        if isinstance(k, PrimeField):
+            terms[exps] = k.coerce(draw(digit))
+        else:
+            terms[exps] = k.from_coeffs(draw(st.lists(digit, min_size=1, max_size=9)))
     return Poly(k, variables, terms)
 
 
 @st.composite
-def kernel_cases(draw):
-    """Rows and a vector of polynomials over one F_p(x); in half the cases
-    every pair comes back negated, so every sum vanishes."""
-    k = draw(st.sampled_from(KERNEL_FIELDS))
+def kernel_cases(draw, fields=KERNEL_FIELDS):
+    """Rows and a vector of polynomials over one F_p or F_p(x); in half the
+    cases every pair comes back negated, so every sum vanishes."""
+    k = draw(st.sampled_from(fields))
     m = draw(st.integers(1, 3))
     v = [draw(kernel_polys(k)) for _ in range(m)]
     rows = [[draw(kernel_polys(k)) for _ in range(m)]
@@ -623,7 +632,7 @@ def test_packed_kernel_matches_generic_products(case):
 
 
 @SETTINGS
-@given(kernel_cases(), st.data())
+@given(kernel_cases(FUNCTION_KERNEL_FIELDS), st.data())
 def test_denominator_takes_the_generic_path(case, data):
     rows, v = case
     k = v[0].domain
@@ -655,6 +664,125 @@ def test_packed_kernel_keeps_the_domain_check():
         PolyRing(a.domain).sums_of_products([[(a, a), (a, b)]])
     with pytest.raises(IncompatibleFieldError):
         PolyRing(a.domain).krylov([a], [[a]], [b])
+
+
+def _algebra_tables():
+    f2, f3 = PrimeField(2), PrimeField(3)
+    k2, k3 = FunctionField(2), FunctionField(3)
+    f4 = _monogenic(f2, "w^2 + w + 1", "w")
+    f8 = _monogenic(f2, "t^3 + t + 1")
+    cubic3 = _monogenic(f3, "t^3 + 2*t + 1")
+    return [
+        # monogenic tables
+        f4, f8, _monogenic(f2, "t^5 + t^2 + 1"), cubic3, _monogenic(f3, "t^2"),
+        _monogenic(k2, "t^2 + x*t + 1"), _monogenic(k3, "t^3 + (2*x^2 + x + 2)*t + 2*x"),
+        # written-out tables; over the reversed basis the unit is the last vector
+        tensor_product(f4, f8), tensor_product(cubic3, _monogenic(f3, "s^2 + 2", "s")),
+        _reversed_basis(cubic3), _reversed_basis(_monogenic(k2, "t^3 + x^2*t + x")),
+    ]
+
+
+ALGEBRA_TABLES = _algebra_tables()
+
+
+@st.composite
+def algebra_product_cases(draw):
+    """Two coordinate vectors of polynomials over the base of a monogenic or
+    written-out table over F_p or with polynomial constants over F_p(x), their
+    coordinates over different variable lists, some of them zero."""
+    ext = draw(st.sampled_from(ALGEBRA_TABLES))
+    k = ext.base
+    lists = [("u",), ("u", "v"), ("v", "u"), ("w",)]
+    coord = st.one_of(kernel_polys(k, lists, max_terms=4), st.just(Poly.zero(k)),
+                      st.just(Poly.zero(k, ("v",))))
+    a, b = ([draw(coord) for _ in range(ext.rank)] for _ in range(2))
+    return ext, tuple(a), tuple(b)
+
+
+@settings(SETTINGS, max_examples=200)
+@given(algebra_product_cases())
+def test_packed_algebra_product_matches_generic_loop(case):
+    ext, a, b = case
+    table, zero = ext.sparse_structure, Poly.zero(ext.base)
+    for x, y in ((a, b), (a, a)):
+        want = generic_algebra_product(x, y, table, zero)
+        got = _packed_algebra_product(x, y, table)
+        assert got is not None
+        for g, w in zip(got, want, strict=True):
+            assert _same(g, w)
+        # the element product takes the kernel or, below its size gate, the
+        # generic loop, with the same coordinates either way
+        product = ext.element(x) * ext.element(y)
+        for g, w in zip(product.coords, want, strict=True):
+            assert _same(g, w)
+
+
+def test_algebra_product_with_denominators_takes_the_generic_loop():
+    k = FunctionField(2)
+    over_x = _monogenic(k, "t^2 + t/x + 1")
+    u = (Poly.variable(k, "u"), Poly.variable(k, "v"))
+    assert _packed_algebra_product(u, u, over_x.sparse_structure) is None
+    ext = _monogenic(k, "t^2 + x*t + 1")
+    v = (Poly(k, ("u",), {(1,): k.from_coeffs((1,), (0, 1))}), u[1])
+    assert _packed_algebra_product(v, u, ext.sparse_structure) is None
+    for e, x in ((over_x, u), (ext, v)):
+        want = generic_algebra_product(x, u, e.sparse_structure, Poly.zero(k))
+        got = (e.element(x) * e.element(u)).coords
+        assert all(_same(g, w) for g, w in zip(got, want, strict=True))
+
+
+VALIDATION_FIELDS = [PrimeField(2), PrimeField(3), GaloisField(2, (1, 1, 1), "w"),
+                     RationalField(), FunctionField(2)]
+
+
+@st.composite
+def structure_tables(draw):
+    """The table of base[t]/(m) for a random monic m of degree 1 to 4, on a
+    permuted basis (so the unit moves), then in most cases with one change:
+    c_ijk and c_jik together, one of them alone, or one unit coordinate.
+    In half the cases a changed c_ijk has e_i and e_j off the unit where the
+    rank allows, so the unit law holds and the later checks decide."""
+    field = draw(st.sampled_from(VALIDATION_FIELDS))
+    n = draw(st.integers(1, 4))
+    element = random_elements(field)
+    terms = {(i,): draw(element) for i in range(n)}
+    terms[(n,)] = field.one()
+    ext = from_minimal_polynomial(field, Poly(field, ("t",), terms), "t")
+    perm = draw(st.permutations(range(n)))
+    table = [[[ext.structure[perm[i]][perm[j]][perm[k]] for k in range(n)]
+              for j in range(n)] for i in range(n)]
+    unit = [ext.unit[perm[k]] for k in range(n)]
+    change = draw(st.sampled_from(["none", "pair", "one", "unit"]))
+    delta = draw(element.filter(lambda c: not c.is_zero()))
+    indices = list(range(n))
+    if draw(st.booleans()):
+        indices = [x for x in indices if x != perm.index(0)] or indices
+    i, j = (draw(st.sampled_from(indices)) for _ in range(2))
+    k = draw(st.integers(0, n - 1))
+    if change in ("pair", "one"):
+        table[i][j][k] = table[i][j][k] + delta
+        if change == "pair" and i != j:
+            table[j][i][k] = table[j][i][k] + delta
+    elif change == "unit":
+        unit[k] = unit[k] + delta
+    return field, table, unit
+
+
+def _refusal(check):
+    try:
+        check()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@settings(SETTINGS, max_examples=300)
+@given(structure_tables())
+def test_raw_validation_matches_reference(case):
+    field, table, unit = case
+    names = tuple("e%d" % (i + 1) for i in range(len(unit)))
+    ext = FreeExtension(field, names, table, unit, validate=False)
+    assert _refusal(ext._validate) == _refusal(lambda: reference_validate(ext))
 
 
 @pytest.mark.parametrize("field", [
