@@ -169,32 +169,12 @@ def parse_extension(record, field, path="extension"):
                              _scalars(record, "unit", field, path))
 
 
-def extension_record(ext):
-    if ext.minimal_polynomial is not None:
-        return {"minimal_polynomial": ext.minimal_polynomial.to_string(),
-                "symbol": ext.symbol}
-    return {
-        "basis": list(ext.basis_names),
-        "structure_constants": [[[str(c) for c in cell] for cell in row]
-                                for row in ext.structure],
-        "unit": [str(c) for c in ext.unit],
-    }
-
-
 def parse_action(record, field, path="action"):
     _check_keys(record, ["elements", "table", "matrices"], [], path)
     with _reported(path):
         return GroupAction(_array(record, "elements", path),
                            _array(record, "table", path),
                            _scalars(record, "matrices", field, path, 3), field)
-
-
-def action_record(action):
-    return {
-        "elements": list(action.elements),
-        "table": [list(row) for row in action.table],
-        "matrices": [[[str(c) for c in row] for row in m] for m in action.matrices],
-    }
 
 
 def parse_presentation(record, field, extension, path):
@@ -220,11 +200,11 @@ def parse_presentation(record, field, extension, path):
                             provenance=record.get("provenance", path))
 
 
-def presentation_record(pres):
+def presentation_record(pres, render=str):
     record = {
         "over": "extension" if isinstance(pres.base, FreeExtension) else "base",
         "variables": list(pres.variables),
-        "generators": [g.to_string() for g in pres.generators],
+        "generators": [render(g) for g in pres.generators],
     }
     if pres.radii is not None:
         record["radii"] = [str(r) for r in pres.radii]
@@ -320,12 +300,22 @@ def load_document_text(text):
 
 
 def restriction_record(result):
+    # the generators of a restriction are the nonzero polynomials of its
+    # coefficient index, the same objects, so each is rendered once
+    rendered = {}
+
+    def render(poly):
+        text = rendered.get(id(poly))
+        if text is None:
+            text = rendered[id(poly)] = poly.to_string()
+        return text
+
     return {
         "base_field": field_record(result.presentation.base),
-        "presentation": presentation_record(result.presentation),
+        "presentation": presentation_record(result.presentation, render),
         "coordinate_map": {v: list(block)
                            for v, block in result.coordinate_map.items()},
-        "coefficient_index": [[p.to_string() for p in row]
+        "coefficient_index": [[render(p) for p in row]
                               for row in result.coefficient_index],
         "metadata": _plain(result.metadata),
     }

@@ -19,8 +19,8 @@ from .errors import IncompatibleFieldError, UnsupportedOperationError
 from .fields import (FieldElement, FunctionField, _join_signed, _needs_parens,
                      _term_string, canonical_embedding, power)
 from .lognorm import LogNorm
-from .linalg import (_algebra_product, berkowitz_charpoly, mat_add,
-                     mat_identity, mat_is_zero, mat_mul, mat_scale)
+from .linalg import (_algebra_product, berkowitz_charpoly, mat_identity,
+                     mat_is_zero, mat_mul)
 from .poly import Poly, PolyRing
 
 RANK_CAP = 16
@@ -433,12 +433,22 @@ def extend_scalars(ext, target):
 
 
 def mult_matrix(b):
-    """Matrix of multiplication by b: column j holds the coordinates of b*e_j."""
+    """Matrix of multiplication by b: column j holds the coordinates of b*e_j,
+    whose k-th is the sum of the b_i c_ijk, taken in the order of i, so
+    scalings and sums are all it needs."""
     ext = b.extension
     n = ext.rank
     b = ext.element(b.coords)
-    cols = [(b * ext.basis_element(j)).coords for j in range(n)]
-    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+    rows = [[None] * n for _ in range(n)]
+    for x, table_row in zip(b.coords, ext.sparse_structure):
+        if x.is_zero():
+            continue
+        for j, cell in enumerate(table_row):
+            for k, c in cell:
+                term = x if c is None else x * c
+                rows[k][j] = term if rows[k][j] is None else rows[k][j] + term
+    zero = b.ring.zero()
+    return tuple(tuple(zero if e is None else e for e in row) for row in rows)
 
 
 class MonicPoly:
@@ -463,9 +473,6 @@ class MonicPoly:
     def coefficient(self, i):
         """c_i for 1 <= i <= n."""
         return self.coefficients[i - 1]
-
-    def is_pure_power(self):
-        return all(c.is_zero() for c in self.coefficients)
 
     def __mul__(self, other):
         if not isinstance(other, MonicPoly):
@@ -509,34 +516,37 @@ def charpoly(b):
     allowed; Cayley-Hamilton holds exactly for the result.
     """
     ring = b.ring
-    matrix = mult_matrix(b)
-    base = b.extension.base
+    ext = b.extension
+    base = ext.base
     d = base.one()
     if isinstance(base, FunctionField):
-        # Over F_p(x) the iteration runs on d*M, whose coefficients are all
-        # polynomials in x, so no gcd runs inside it; c_j(d*M) = d^j c_j(M).
-        d = base.common_denominator(
-            [c for row in matrix for entry in row
-             for c in (entry.terms.values() if isinstance(entry, Poly) else (entry,))])
+        # Over F_p(x) the matrix is built for d*b, d the common denominator
+        # of the coordinates of b times that of the structure constants: its
+        # entries have only polynomials in x as coefficients, so no gcd runs
+        # while it is built or Berkowitz iterates; c_j(b) = c_j(d*b) / d^j.
+        values = [c for x in b.coords
+                  for c in (x.terms.values() if isinstance(x, Poly) else (x,))]
+        d = base.common_denominator(values) * base.common_denominator(
+            [c for row in ext.sparse_structure for cell in row
+             for _, c in cell if c is not None])
+        if not d.is_one():
+            scale = base.scaler(d)
+            b = AlgebraElement(ext, tuple(_map_values(x, scale) for x in b.coords))
+    vec = berkowitz_charpoly(mult_matrix(b), ring)[1:]
     if d.is_one():
-        return MonicPoly(ring, berkowitz_charpoly(matrix, ring)[1:])
-    vec = berkowitz_charpoly(mat_scale(matrix, d), ring)
-    d_inv = d.inverse()
-    scale = d_inv
-    coefficients = []
-    for c in vec[1:]:
-        coefficients.append(c * scale)
-        scale = scale * d_inv
-    return MonicPoly(ring, coefficients)
+        return MonicPoly(ring, vec)
+    unscale = base.unscaler(d)
+    return MonicPoly(ring, [_map_values(c, lambda v: unscale(v, j))
+                            for j, c in enumerate(vec, start=1)])
 
 
-def charpoly_matrix_value(mp, matrix, ring):
-    """chi(M) for a monic polynomial chi and a square matrix M over ring."""
-    n = len(matrix)
-    acc = mat_identity(n, ring)
-    for c in mp.coefficients:
-        acc = mat_add(mat_mul(acc, matrix), mat_scale(mat_identity(n, ring), c))
-    return acc
+def _map_values(c, f):
+    """A base scalar, or a Poly over the base, with f applied to its values;
+    f keeps nonzero values nonzero."""
+    if isinstance(c, Poly):
+        return Poly(c.domain, c.variables,
+                    {e: f(v) for e, v in c.terms.items()}, clean=True)
+    return f(c)
 
 
 def is_integral(b):

@@ -116,6 +116,25 @@ def _uord(a):
     raise ValueError("zero polynomial has no vanishing order")
 
 
+def _usquarefree(a, p):
+    """Pairwise coprime monic squarefree f with multiplicities e such that the
+    monic a is the product of the f^e: Yun's algorithm, with the part whose
+    multiplicities p divides, a polynomial in x^p, taken by its p-th root
+    (over F_p, c_0 + c_1 x^p + ... is (c_0 + c_1 x + ...)^p)."""
+    out, i = [], 1
+    c = _ugcd(a, _utrim([k * ak % p for k, ak in enumerate(a)][1:]), p)
+    w = _udivmod(a, c, p)[0]
+    while len(w) > 1:
+        y = _ugcd(w, c, p)
+        f = _udivmod(w, y, p)[0]
+        if len(f) > 1:
+            out.append((f, i))
+        w, c, i = y, _udivmod(c, y, p)[0], i + 1
+    if len(c) > 1:
+        out += [(f, e * p) for f, e in _usquarefree(c[::p], p)]
+    return out
+
+
 def _needs_parens(s):
     depth = 0
     for i, ch in enumerate(s):
@@ -698,10 +717,6 @@ class FunctionField(Field):
     def variable(self):
         return self._make((0, 1), (1,))
 
-    def from_coeffs(self, num, den=(1,)):
-        p = self.p
-        return self._make(tuple(c % p for c in num), tuple(c % p for c in den))
-
     # Polynomials (denominator 1) add and multiply to polynomials, already
     # canonical: _uadd and _umul trim, so a cancelled sum is ((), (1,)).
 
@@ -729,6 +744,59 @@ class FunctionField(Field):
             g = _ugcd(d, den, p)
             d = _umul(d, _udivmod(den, g, p)[0], p)
         return FieldElement(self, _RatFunc(d, (1,)))
+
+    def scaler(self, d):
+        """a -> d*a for the a whose denominators divide the polynomial d, with
+        one exact division of d per distinct denominator and no gcd."""
+        p, quotients = self.p, {}
+
+        def scale(a):
+            num, den = a.value.num, a.value.den
+            q = quotients.get(den)
+            if q is None:
+                q = quotients[den] = _udivmod(d.value.num, den, p)[0]
+            return FieldElement(self, _RatFunc(_umul(num, q, p), (1,)))
+        return scale
+
+    def unscaler(self, d):
+        """(c, j) -> c / d^j for a monic polynomial d and polynomials c.
+
+        d is split once into a coprime base: x^v and the squarefree factors
+        f^e of d / x^v.  Each base factor is divided out of the numerator
+        while it divides it, at most j*v or j*e times; for x that is a
+        shift.  What remains of a factor of degree 1 is coprime to the
+        numerator, since the factor is irreducible, so only the remains of
+        factors of degree 2 and more need the gcd that _make runs on d^j.
+        """
+        p, num = self.p, d.value.num
+        v = _uord(num)
+        base = _usquarefree(num[v:], p)
+
+        def mul(a, b):
+            return _umul(a, b, p)
+
+        def unscale(c, j):
+            num = c.value.num
+            if not num:
+                return c
+            k = min(_uord(num), j * v)
+            num, den, wide = num[k:], (0,) * (j * v - k) + (1,), (1,)
+            for f, e in base:
+                cap = j * e
+                while cap:
+                    q, r = _udivmod(num, f, p)
+                    if r:
+                        break
+                    num, cap = q, cap - 1
+                if len(f) == 2:
+                    den = mul(den, power(f, cap, lambda: (1,), mul))
+                else:
+                    wide = mul(wide, power(f, cap, lambda: (1,), mul))
+            if len(wide) > 1:
+                g = _ugcd(num, wide, p)
+                num, wide = _udivmod(num, g, p)[0], _udivmod(wide, g, p)[0]
+            return FieldElement(self, _RatFunc(num, mul(den, wide)))
+        return unscale
 
     def _inv(self, a):
         return self._make(a.den, a.num).value

@@ -15,10 +15,6 @@ def mat_identity(n, ring):
     return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
 
 
-def mat_add(a, b):
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
 def mat_mul(a, b):
     n, k, m = len(a), len(b), len(b[0])
     bt = tuple(zip(*b))
@@ -49,10 +45,6 @@ def mat_is_zero(a):
     return all(entry.is_zero() for row in a for entry in row)
 
 
-def mat_scale(a, c):
-    return tuple(tuple(entry * c for entry in row) for row in a)
-
-
 def berkowitz_charpoly(matrix, ring):
     """Coefficients [1, c_1, ..., c_n] of det(z*I - M) = z^n + c_1 z^(n-1) + ...
 
@@ -67,11 +59,12 @@ def berkowitz_charpoly(matrix, ring):
     sums_of_products = getattr(ring, "sums_of_products", _sums_of_products)
     vec = [one]
     for r in range(1, n + 1):
-        row = matrix[r - 1][: r - 1]
+        # -R, negated once: its entries are smaller than the R M^j C
+        row = [-x for x in matrix[r - 1][: r - 1]]
         sub = tuple(matrix[i][: r - 1] for i in range(r - 1))
         col = tuple(matrix[i][r - 1] for i in range(r - 1))
         # Toeplitz column: 1, -a, -R C, -R M C, -R M^2 C, ...
-        toep = [one, -matrix[r - 1][r - 1]] + [-x for x in krylov(row, sub, col)]
+        toep = [one, -matrix[r - 1][r - 1]] + krylov(row, sub, col)
         vec = sums_of_products([
             [(toep[i - j], vec[j]) for j in range(max(0, i - r), min(i, r - 1) + 1)]
             for i in range(r + 1)])

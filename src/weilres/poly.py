@@ -337,8 +337,11 @@ def _packed_sums(groups):
             return None
     width = max([degree[id(a)] + degree[id(b)] for group in groups for a, b in group]
                 + [1]).bit_length()
-    orders = [_first_seen(f.variables for pair in group for f in pair)
-              for group in groups]
+    lists = dict.fromkeys(f.variables for f in operands.values())
+    # operands on one variable list give every sum that list
+    orders = ([next(iter(lists))] * len(groups) if len(lists) == 1 else
+              [_first_seen(f.variables for pair in group for f in pair)
+               for group in groups])
     union = _first_seen(orders)
     position = {name: i * width for i, name in enumerate(union)}
     keyed = {key: _keyed(f, position) for key, f in operands.items()}
@@ -346,9 +349,10 @@ def _packed_sums(groups):
     slot = _slot_width([_group_bound((keyed[id(a)], keyed[id(b)]) for a, b in group)
                         for group in groups], p)
     packed = {key: _kronecker(terms, slot) for key, (terms, _) in keyed.items()}
+    layouts = {order: _layout(union, order, width) for order in orders}
     return [_to_poly(_reduced(_accumulate(
         [(packed[id(a)], packed[id(b)]) for a, b in group]), p, slot)[0],
-        domain, order, _layout(union, order, width))
+        domain, order, layouts[order])
         for group, order in zip(groups, orders)]
 
 
@@ -372,12 +376,15 @@ def _packed_krylov(row, sub, col):
         bounds.append(max(degrees + [0]))
     k, p = len(col), domain.p
     width = max(bounds[0] + bounds[2] + (k - 1) * bounds[1], 1).bit_length()
-    union = _first_seen(f.variables for line in stacked + (col,) for f in line)
+    lists = dict.fromkeys(f.variables for line in stacked + (col,) for f in line)
+    union = _first_seen(lists)
     position = {name: i * width for i, name in enumerate(union)}
     keyed = [[_keyed(f, position) for f in line] for line in stacked]
     v = [_keyed(f, position) for f in col]
+    # operands on one variable list give every result that list
+    shared = len(lists) == 1
     orders = [f.variables for f in col]
-    out, slot = [], None
+    out, slot, layouts = [], None, {}
     for j in range(k):
         lines = stacked[:1] if j == k - 1 else stacked
         wanted = _slot_width([_group_bound(zip(line, v))
@@ -388,10 +395,13 @@ def _packed_krylov(row, sub, col):
         packed_v = [_kronecker(terms, slot) for terms, _ in v]
         sums = [_reduced(_accumulate(list(zip(line, packed_v))), p, slot)
                 for line in packed[:len(lines)]]
-        orders = [_first_seen(names for f, order in zip(line, orders)
-                              for names in (f.variables, order)) for line in lines]
-        out.append(_to_poly(sums[0][0], domain, orders[0],
-                            _layout(union, orders[0], width)))
+        if not shared:
+            orders = [_first_seen(names for f, order in zip(line, orders)
+                                  for names in (f.variables, order)) for line in lines]
+        order = orders[0]
+        if order not in layouts:
+            layouts[order] = _layout(union, order, width)
+        out.append(_to_poly(sums[0][0], domain, order, layouts[order]))
         v, orders = sums[1:], orders[1:]
     return out
 
@@ -514,8 +524,9 @@ def _group_bound(pairs):
 
 
 def _slot_width(bounds, p):
-    """Bits for a slot of a sum of at most max(bounds) times (p - 1)^2."""
-    return (max(bounds, default=0) * (p - 1) ** 2).bit_length()
+    """Bits for a slot of a sum of at most max(bounds) times (p - 1)^2,
+    rounded up to whole bytes."""
+    return -(-(max(bounds, default=0) * (p - 1) ** 2).bit_length() // 8) * 8
 
 
 def _pack(num, slot):
@@ -542,26 +553,37 @@ def _accumulate(pairs):
     return sums
 
 
+# residue mod p of every byte value, for the p a one-byte slot admits: it
+# holds (p - 1)^2 at least, so p < 17
+_RESIDUES = {p: bytes(c % p for c in range(256)) for p in (2, 3, 5, 7, 11, 13)}
+
+
 def _reduced(sums, p, slot):
     """Raw sums keyed again: every slot reduced mod p, numerators trimmed,
-    cancelled terms dropped."""
+    cancelled terms dropped.  Slots are whole bytes; where a slot's residue
+    is that of its lowest byte (one-byte slots, and p = 2, which divides
+    256), all slots of a sum are read with one to_bytes and one translate."""
+    size = slot >> 3
+    table = _RESIDUES.get(p) if size == 1 or p == 2 else None
     mask = (1 << slot) - 1
     terms, length = [], 0
     for k, total in sums.items():
         if total <= mask:
             # the sum fills one slot: a numerator of length 1
-            if total % p:
-                terms.append((k, (total % p,)))
-                length = max(length, 1)
-            continue
-        num = []
-        while total:
-            num.append((total & mask) % p)
-            total >>= slot
-        while num and not num[-1]:
-            num.pop()
+            num = (total % p,) if total % p else ()
+        elif table is not None:
+            raw = total.to_bytes(-(-total.bit_length() // slot) * size, "little")
+            num = tuple(raw[::size].translate(table).rstrip(b"\0"))
+        else:
+            num = []
+            while total:
+                num.append((total & mask) % p)
+                total >>= slot
+            while num and not num[-1]:
+                num.pop()
+            num = tuple(num)
         if num:
-            terms.append((k, tuple(num)))
+            terms.append((k, num))
             length = max(length, len(num))
     return terms, length
 

@@ -183,6 +183,7 @@ def disc_generators(ext, radius_elements, var_block, y_prefix="y"):
     base = ext.base
     generic = AlgebraElement(ext, tuple(
         Poly.variable(base, v).with_variables(var_block) for v in var_block))
+    at_unit = dict(zip(var_block, ext.unit))
     gens = []
     radius_meta = {}
     for i, r in enumerate(radius_elements, start=1):
@@ -195,9 +196,9 @@ def disc_generators(ext, radius_elements, var_block, y_prefix="y"):
         if ext.has_valuation and not any(isinstance(c, Poly) for c in r.coords):
             # chi(r) is chi at the unit's coordinates: substituting them is a
             # ring map sending r * generic to r
-            at_unit = dict(zip(var_block, ext.unit))
-            rho = spectral_value(MonicPoly(
-                base, [c.evaluate(at_unit) for c in chi.coefficients]))
+            rho = spectral_value(MonicPoly(base, [
+                _homogeneous_value(c, j, at_unit)
+                for j, c in enumerate(chi.coefficients, start=1)]))
         for j in range(1, n + 1):
             y = "%s%d_%d" % (y_prefix, i, j)
             gen = Poly.variable(base, y) - chi.coefficient(j)
@@ -207,6 +208,25 @@ def disc_generators(ext, radius_elements, var_block, y_prefix="y"):
                 "scaled_lognorm": str(rho * j) if rho is not None else None,
             }
     return gens, radius_meta
+
+
+def _homogeneous_value(f, j, point):
+    """The value at point (name -> value) of f, homogeneous of degree j.
+
+    A monomial of degree j avoids every zero coordinate exactly when its
+    exponents on the nonzero ones add up to j, so each term is kept or
+    dropped on its exponents alone, before any product is taken: at a unit
+    e_k only the term of x_k^j is kept."""
+    live = [(i, point[v]) for i, v in enumerate(f.variables)
+            if not point[v].is_zero()]
+    total = f.domain.zero()
+    for exps, c in f.terms.items():
+        if sum(exps[i] for i, _ in live) == j:
+            for i, u in live:
+                if exps[i]:
+                    c = c * u ** exps[i]
+            total = total + c
+    return total
 
 
 def product(r1, r2):

@@ -5,6 +5,7 @@ import pytest
 
 from weilres import (FunctionField, Poly, PrimeField, RationalField,
                      base_change, from_minimal_polynomial, parse_poly)
+from weilres.linalg import mat_identity, mat_mul
 
 
 @pytest.fixture
@@ -121,6 +122,17 @@ def reference_validate(ext):
                 if (e_ij * e_k).coords != (e_i * (ext.basis_element(j) * e_k)).coords:
                     raise ValueError(
                         "associativity fails on basis triple (%d, %d, %d)" % (i, j, k))
+
+
+def charpoly_matrix_value(mp, matrix, ring):
+    """chi(M) for a monic polynomial chi and a square matrix M over ring, by
+    Horner's rule: acc <- acc*M + c*I."""
+    n = len(matrix)
+    acc = mat_identity(n, ring)
+    for c in mp.coefficients:
+        acc = tuple(tuple(x + c if i == j else x for j, x in enumerate(row))
+                    for i, row in enumerate(mat_mul(acc, matrix)))
+    return acc
 
 
 def naive_charpoly_coeffs(matrix, ring):

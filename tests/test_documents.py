@@ -4,8 +4,7 @@ import pytest
 
 from weilres import DocumentError, FreeExtension, GaloisField, LogNorm
 from weilres.errors import EnumerationBoundError
-from weilres.documents import (action_record, canonical_json,
-                               extension_record, field_record,
+from weilres.documents import (canonical_json, field_record,
                                load_document_text, presentation_record,
                                restriction_record)
 from weilres.poly import POWER_DEGREE_BOUND
@@ -184,9 +183,8 @@ def test_invalid_json_reported():
 def test_records_round_trip():
     doc = load_document_text(json.dumps(golden_doc()))
     assert field_record(doc.field) == {"kind": "prime", "p": 3}
-    assert extension_record(doc.extension)["minimal_polynomial"] == "t^2 + 1"
-    rec = action_record(doc.action)
-    assert rec["matrices"][1][1] == ["0", "2"]
+    assert doc.extension.minimal_polynomial.to_string() == "t^2 + 1"
+    assert [str(c) for c in doc.action.matrices[1][1]] == ["0", "2"]
     pres = presentation_record(doc.presentations["conic"])
     assert pres["generators"] == ["u^2 + 1"]
     result = restrict(doc.presentations["conic_ext"], doc.extension)

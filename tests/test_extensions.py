@@ -7,10 +7,10 @@ from weilres import (FreeExtension, IncompatibleFieldError, Poly,
                      UnsupportedOperationError, charpoly, extend_scalars,
                      from_minimal_polynomial, is_integral, is_nilpotent,
                      mult_matrix, parse_poly, tensor_product)
-from weilres.extensions import charpoly_matrix_value
 from weilres.linalg import mat_is_zero, mat_mul
 
-from conftest import naive_charpoly_coeffs, reference_validate
+from conftest import (charpoly_matrix_value, naive_charpoly_coeffs,
+                      reference_validate)
 
 
 # -- construction ------------------------------------------------------------
@@ -220,7 +220,10 @@ def test_cayley_hamilton_random(q2, f3):
 def test_mult_matrix_is_ring_homomorphism(f9_ext):
     rng = random.Random(23)
     ext = f9_ext
-    from weilres.linalg import mat_add
+
+    def mat_add(a, b):
+        return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
     for _ in range(100):
         b1 = ext.random_element(rng)
         b2 = ext.random_element(rng)
@@ -297,7 +300,7 @@ def test_tensor_self_square_nilpotent(k2):
     diff = y - tbar
     assert (diff * diff).is_zero()
     assert is_nilpotent(diff)
-    assert charpoly(diff).is_pure_power()
+    assert all(c.is_zero() for c in charpoly(diff).coefficients)
 
 
 def test_tensor_f9_f9_splits(f9_ext, f3):

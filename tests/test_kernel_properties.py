@@ -9,9 +9,13 @@ Berkowitz on the unscaled matrix and the cofactor oracle, the one
 square-and-multiply loop against repeated products, and univariate division
 against its defining identity.  The packed F_p and F_p(x) kernel behind
 PolyRing.sums_of_products and PolyRing.krylov is checked against the
-generic FieldElement sums of products, and a coefficient with a denominator
-against its fallback; behind PolyRing.algebra_product it is checked against
-the generic loop of algebra products on monogenic and written-out tables.
+generic FieldElement sums of products, on slots of one and two bytes, and a
+coefficient with a denominator against its fallback; behind
+PolyRing.algebra_product it is checked against the generic loop of algebra
+products on monogenic and written-out tables.  The unscaling c / d^j by a
+coprime factor base of d is checked against the gcd path, the columns of
+mult_matrix against the products b*e_j, and chi(r) read off chi(r * generic)
+by selecting terms against Poly.evaluate at the unit.
 The validation of structure tables on raw values is checked against the
 AlgebraElement-product reference on random valid and altered tables.  The
 disc log-radii read off the symbolic characteristic polynomial are checked
@@ -43,8 +47,8 @@ from weilres.fields import (_RatFunc, _uadd, _udivmod, _umul, _ustr, _utrim,
                             power)
 from weilres.linalg import berkowitz_charpoly, mat_identity, mat_mul
 from weilres.poly import _packed_algebra_product, _packed_krylov, _packed_sums
-from weilres.restriction import (Presentation, _assignments, disc_generators,
-                                 points_over)
+from weilres.restriction import (Presentation, _assignments, _homogeneous_value,
+                                 disc_generators, points_over)
 from weilres.spectral import spectral_radius
 
 from conftest import (dense_points, generic_algebra_product, generic_sum_of_products,
@@ -209,13 +213,10 @@ def test_function_field_polynomial_shortcut_matches_gcd_path(p, data):
     assert k._make(_umul(num, den, p), den) == shortcut
     c = data.draw(st.integers(1, p - 1))
     assert k._make(_umul(num, (c,), p), (c,)) == shortcut
-    # outside input may be unreduced; from_coeffs reduces it first
-    lifted = tuple(c + p * data.draw(st.integers(0, 2)) for c in num)
-    assert k.from_coeffs(lifted) == shortcut
     assert shortcut.is_zero() == (not any(num))
     # sums and products of polynomials skip _make; they must equal its
     # result, and a sum that cancels must be the canonical zero
-    other = k.from_coeffs(data.draw(st.lists(coeff, max_size=4)))
+    other = k._make(tuple(data.draw(st.lists(coeff, max_size=4))), (1,))
     a, b = shortcut.value, other.value
     assert k._add(a, b) == k._make(_uadd(a.num, b.num, p), (1,)).value
     assert k._mul(a, b) == k._make(_umul(a.num, b.num, p), (1,)).value
@@ -319,6 +320,76 @@ def test_disc_lognorms_are_spectral_radii(ext, data):
         rho = spectral_radius(r)
         for j in range(1, ext.rank + 1):
             assert meta["y%d_%d" % (i, j)]["scaled_lognorm"] == str(rho * j)
+
+
+@SETTINGS
+@given(st.sampled_from([2, 3]), st.data())
+def test_unscale_matches_make(p, data):
+    """c / d^j by stripping a coprime factor base of d is _make(c, d^j).  d
+    is a product of powers of x, of the other linear factors and of an
+    irreducible quadratic; the numerator carries powers of the same factors,
+    so the strip meets its exponent cap and, where factors of equal
+    multiplicity share one squarefree factor of d, the final gcd."""
+    k = FunctionField(p, Fraction(1, 2))
+    quadratic = (1, 1, 1) if p == 2 else (1, 0, 1)
+    pieces = [(0, 1)] + [(a, 1) for a in range(1, p)] + [quadratic]
+    mul = lambda a, b: _umul(a, b, p)
+    digit = st.integers(0, p - 1)
+    d, num = (1,), _utrim(data.draw(st.lists(digit, min_size=1, max_size=4)))
+    for f in pieces:
+        d = mul(d, power(f, data.draw(st.integers(0, 3)), lambda: (1,), mul))
+        num = mul(num, power(f, data.draw(st.integers(0, 4)), lambda: (1,), mul))
+    j = data.draw(st.integers(1, 3))
+    unscale = k.unscaler(k._make(d, (1,)))
+    assert unscale(k._make(num, (1,)), j) == k._make(num, power(d, j, None, mul))
+
+
+def _sheared_basis(ext):
+    """ext on the basis e_1 + e_2, e_2, ..., e_n, whose unit has two nonzero
+    coordinates."""
+    def coordinates(x):
+        return [x[0], x[1] - x[0]] + list(x[2:])
+
+    basis = [ext.basis_element(0) + ext.basis_element(1)] + [
+        ext.basis_element(i) for i in range(1, ext.rank)]
+    structure = [[coordinates((a * b).coords) for b in basis] for a in basis]
+    return FreeExtension(ext.base, tuple("f_%d" % (i + 1) for i in range(ext.rank)),
+                         structure, coordinates(ext.unit))
+
+
+# units e_1, e_n and one that is no basis vector
+SELECTION_EXTENSIONS = DISC_EXTENSIONS + [_sheared_basis(FUNCTION_EXTENSIONS[1])]
+
+
+@SETTINGS
+@given(st.sampled_from(SELECTION_EXTENSIONS), st.data())
+def test_unit_value_by_selection_matches_evaluate(ext, data):
+    """chi(r) read off the coefficients of chi(r * generic) by selecting the
+    terms that avoid the unit's zero coordinates is their value there."""
+    coord = st.one_of(function_field_elements(ext.base), st.just(ext.base.zero()))
+    r = ext.element([data.draw(coord) for _ in range(ext.rank)])
+    block = tuple("x_%d" % (j + 1) for j in range(ext.rank))
+    generic = AlgebraElement(ext, tuple(
+        Poly.variable(ext.base, v).with_variables(block) for v in block))
+    at_unit = dict(zip(block, ext.unit))
+    chi = charpoly(r * generic)
+    for j, c in enumerate(chi.coefficients, start=1):
+        assert _homogeneous_value(c, j, at_unit) == c.evaluate(at_unit)
+
+
+@SETTINGS
+@given(function_charpoly_cases())
+def test_mult_matrix_columns_are_basis_products(b):
+    """Column j of mult_matrix(b) is b*e_j, over the same variables."""
+    ext = b.extension
+    matrix = mult_matrix(b)
+    for j in range(ext.rank):
+        want = (b * ext.basis_element(j)).coords
+        for i in range(ext.rank):
+            got = matrix[i][j]
+            assert got == want[i]
+            if isinstance(got, Poly) and not got.is_zero():
+                assert got.variables == want[i].variables
 
 
 @st.composite
@@ -577,7 +648,8 @@ def kernel_polys(draw, k, variable_lists=KERNEL_VARIABLES, max_terms=3):
         if isinstance(k, PrimeField):
             terms[exps] = k.coerce(draw(digit))
         else:
-            terms[exps] = k.from_coeffs(draw(st.lists(digit, min_size=1, max_size=9)))
+            terms[exps] = k._make(tuple(draw(st.lists(digit, min_size=1, max_size=9))),
+                                  (1,))
     return Poly(k, variables, terms)
 
 
@@ -631,12 +703,26 @@ def test_packed_kernel_matches_generic_products(case):
         assert _same(got, want)
 
 
+@settings(SETTINGS, max_examples=20)
+@given(st.data())
+def test_two_byte_slots_over_f2(data):
+    """Over F_2(x) a sum of products of many full terms needs slots of two
+    bytes, and a slot's residue is its lowest byte's."""
+    k = FunctionField(2)
+    digits = st.lists(st.integers(0, 1), min_size=6, max_size=9)
+    ops = [Poly(k, ("u", "v"), {(a, b): k._make(tuple(data.draw(digits)), (1,))
+                                for a in range(4) for b in range(4)})
+           for _ in range(3)]
+    group = [(ops[0], ops[1]), (ops[1], ops[2]), (ops[2], ops[2])]
+    assert _same(_packed_sums([group])[0], generic_sum_of_products(group))
+
+
 @SETTINGS
 @given(kernel_cases(FUNCTION_KERNEL_FIELDS), st.data())
 def test_denominator_takes_the_generic_path(case, data):
     rows, v = case
     k = v[0].domain
-    over_x = Poly(k, ("u",), {(1,): k.from_coeffs((1,), (0, 1))})
+    over_x = Poly(k, ("u",), {(1,): k._make((1,), (0, 1))})
     i = data.draw(st.integers(0, len(v) - 1))
     v = v[:i] + [v[i] + over_x] + v[i + 1:]
     ring = PolyRing(k)
@@ -723,7 +809,7 @@ def test_algebra_product_with_denominators_takes_the_generic_loop():
     u = (Poly.variable(k, "u"), Poly.variable(k, "v"))
     assert _packed_algebra_product(u, u, over_x.sparse_structure) is None
     ext = _monogenic(k, "t^2 + x*t + 1")
-    v = (Poly(k, ("u",), {(1,): k.from_coeffs((1,), (0, 1))}), u[1])
+    v = (Poly(k, ("u",), {(1,): k._make((1,), (0, 1))}), u[1])
     assert _packed_algebra_product(v, u, ext.sparse_structure) is None
     for e, x in ((over_x, u), (ext, v)):
         want = generic_algebra_product(x, u, e.sparse_structure, Poly.zero(k))
