@@ -479,6 +479,10 @@ class MonicPoly:
             return NotImplemented
         if other.ring != self.ring:
             raise IncompatibleFieldError("monic polynomials over different rings")
+        # Q and F_p(x) multiply on cleared raw values; other rings term by term
+        product = getattr(self.ring, "monic_product", None)
+        if product is not None:
+            return MonicPoly(self.ring, product(self.coefficients, other.coefficients))
         one = self.ring.one()
         a = [one] + list(self.coefficients)
         b = [one] + list(other.coefficients)
@@ -516,28 +520,36 @@ def charpoly(b):
     allowed; Cayley-Hamilton holds exactly for the result.
     """
     ring = b.ring
-    ext = b.extension
-    base = ext.base
-    d = base.one()
-    if isinstance(base, FunctionField):
-        # Over F_p(x) the matrix is built for d*b, d the common denominator
-        # of the coordinates of b times that of the structure constants: its
-        # entries have only polynomials in x as coefficients, so no gcd runs
-        # while it is built or Berkowitz iterates; c_j(b) = c_j(d*b) / d^j.
-        values = [c for x in b.coords
-                  for c in (x.terms.values() if isinstance(x, Poly) else (x,))]
-        d = base.common_denominator(values) * base.common_denominator(
-            [c for row in ext.sparse_structure for cell in row
-             for _, c in cell if c is not None])
-        if not d.is_one():
-            scale = base.scaler(d)
-            b = AlgebraElement(ext, tuple(_map_values(x, scale) for x in b.coords))
+    base = b.extension.base
+    d, b = _cleared(b)
+    # c_j(b) = c_j(d*b) / d^j
     vec = berkowitz_charpoly(mult_matrix(b), ring)[1:]
     if d.is_one():
         return MonicPoly(ring, vec)
     unscale = base.unscaler(d)
     return MonicPoly(ring, [_map_values(c, lambda v: unscale(v, j))
                             for j, c in enumerate(vec, start=1)])
+
+
+def _cleared(b):
+    """(d, d*b) with d a polynomial such that the multiplication matrix of
+    d*b has only polynomials in x as coefficients: over F_p(x), d is the
+    common denominator of the coordinates of b times that of the structure
+    constants, so no gcd runs while that matrix is built or iterated.  Over
+    other fields d is 1 and b is returned as it is."""
+    ext = b.extension
+    base = ext.base
+    if not isinstance(base, FunctionField):
+        return base.one(), b
+    values = [c for x in b.coords
+              for c in (x.terms.values() if isinstance(x, Poly) else (x,))]
+    d = base.common_denominator(values) * base.common_denominator(
+        [c for row in ext.sparse_structure for cell in row
+         for _, c in cell if c is not None])
+    if d.is_one():
+        return d, b
+    scale = base.scaler(d)
+    return d, AlgebraElement(ext, tuple(_map_values(x, scale) for x in b.coords))
 
 
 def _map_values(c, f):
@@ -561,9 +573,12 @@ def is_integral(b):
 
 
 def is_nilpotent(b):
-    """Whether M_b^n = 0 (equivalently the characteristic polynomial is z^n)."""
+    """Whether M_b^n = 0 (equivalently the characteristic polynomial is z^n).
+
+    M_b is nilpotent exactly when d*M_b is for a nonzero d, so the power is
+    taken of the cleared matrix, with no gcd over F_p(x)."""
     if any(isinstance(c, Poly) for c in b.coords):
         raise UnsupportedOperationError("nilpotency is decided for scalar coordinates")
-    m = mult_matrix(b)
+    m = mult_matrix(_cleared(b)[1])
     n = b.extension.rank
     return mat_is_zero(power(m, n, lambda: mat_identity(n, b.ring), mat_mul))

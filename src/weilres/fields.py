@@ -26,6 +26,7 @@ All elements are immutable values; every operation is a pure function.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from fractions import Fraction
 
@@ -389,7 +390,11 @@ class Field:
         return self.coerce(v)
 
     def lognorm(self, element):
-        raise UnsupportedOperationError("field %s carries no valuation" % self)
+        """The log-norm of element: its integer _order, -inf for zero."""
+        if not self.has_valuation:
+            raise UnsupportedOperationError("field %s carries no valuation" % self)
+        v = self._order(element.value)
+        return MINUS_INF if v is None else LogNorm(v)
 
     def is_finite(self):
         return False
@@ -611,22 +616,37 @@ class RationalField(Field):
     def _inv(self, a):
         return 1 / a
 
-    def lognorm(self, element):
-        if not self.has_valuation:
-            raise UnsupportedOperationError("plain rationals carry no valuation")
-        a = element.value
-        if a == 0:
-            return MINUS_INF
-        p = self.padic
-        v = 0
+    def _order(self, a):
+        """-v_p(a) for a raw value a of the p-adic kind; None for zero."""
+        if not a:
+            return None
+        p, v = self.padic, 0
         num, den = a.numerator, a.denominator
         while num % p == 0:
             num //= p
-            v += 1
+            v -= 1
         while den % p == 0:
             den //= p
-            v -= 1
-        return LogNorm(-v)
+            v += 1
+        return v
+
+    def monic_product(self, a, b):
+        """The coefficients c_1, c_2, ... of (z^n + a_1 z^(n-1) + ...) times
+        (z^m + b_1 z^(m-1) + ...) for sequences a and b of elements: each
+        side is cleared by the lcm of its denominators, the integers are
+        convolved, and each sum becomes one Fraction over d_a * d_b."""
+        ra, da = self._cleared(a)
+        rb, db = self._cleared(b)
+        d = da * db
+        return [FieldElement(self, Fraction(c, d))
+                for c in _convolve(ra, rb, operator.add, operator.mul, 0)[1:]]
+
+    @staticmethod
+    def _cleared(elements):
+        """[d, d*a_1, ...] as integers and d, the lcm of the denominators."""
+        d = math.lcm(*(a.value.denominator for a in elements))
+        return [d] + [a.value.numerator * (d // a.value.denominator)
+                      for a in elements], d
 
     def random_element(self, rng):
         return FieldElement(self, Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
@@ -639,6 +659,18 @@ class RationalField(Field):
 
     def __repr__(self):
         return "Q" if self.padic is None else "Q(%d-adic)" % self.padic
+
+
+def _convolve(a, b, add, mul, zero):
+    """The product of two coefficient lists under raw add and mul, skipping
+    the zero terms."""
+    out = [zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x != zero:
+            for j, y in enumerate(b):
+                if y != zero:
+                    out[i + j] = add(out[i + j], mul(x, y))
+    return out
 
 
 class _RatFunc:
@@ -798,14 +830,31 @@ class FunctionField(Field):
             return FieldElement(self, _RatFunc(num, mul(den, wide)))
         return unscale
 
+    def monic_product(self, a, b):
+        """The coefficients c_1, c_2, ... of (z^n + a_1 z^(n-1) + ...) times
+        (z^m + b_1 z^(m-1) + ...) for sequences a and b of elements: each
+        side is cleared by its common denominator, the numerators are
+        convolved with no gcd, and each sum is divided by d_a * d_b once."""
+        p = self.p
+        ra, da = self._cleared(a)
+        rb, db = self._cleared(b)
+        d = _umul(da, db, p)
+        return [self._make(c, d) for c in _convolve(
+            ra, rb, lambda x, y: _uadd(x, y, p), lambda x, y: _umul(x, y, p),
+            ())[1:]]
+
+    def _cleared(self, elements):
+        """[d, d*a_1, ...] as numerator tuples and d, the common denominator."""
+        d = self.common_denominator(elements)
+        scale = self.scaler(d)
+        return [d.value.num] + [scale(a).value.num for a in elements], d.value.num
+
     def _inv(self, a):
         return self._make(a.den, a.num).value
 
-    def lognorm(self, element):
-        a = element.value
-        if not a.num:
-            return MINUS_INF
-        return LogNorm(_uord(a.den) - _uord(a.num))
+    def _order(self, a):
+        """lognorm of a raw value a, ord(den) - ord(num); None for zero."""
+        return _uord(a.den) - _uord(a.num) if a.num else None
 
     def random_element(self, rng):
         num = tuple(rng.randrange(self.p) for _ in range(rng.randint(1, 3)))

@@ -12,20 +12,28 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import UnsupportedOperationError
+from .errors import EnumerationBoundError, UnsupportedOperationError
 from .extensions import charpoly, is_nilpotent, tensor_product
 from .fields import FunctionField
-from .lognorm import LogNorm, lognorm_max
-from .poly import Poly
+from .lognorm import LogNorm, MINUS_INF, lognorm_max
+from .poly import POWER_DEGREE_BOUND, Poly
 
 
 def spectral_value(p):
-    """max over i of lognorm(c_i) / i; -inf exactly when all c_i vanish."""
+    """max over i of lognorm(c_i) / i; -inf exactly when all c_i vanish.
+
+    The integer orders v_i of the coefficients are compared as the
+    fractions v_i / i by cross-multiplication, and one LogNorm is built."""
     ring = p.ring
     if not getattr(ring, "has_valuation", False):
         raise UnsupportedOperationError("spectral values need a valued coefficient field")
-    return lognorm_max(ring.lognorm(c) / i
-                       for i, c in enumerate(p.coefficients, start=1))
+    order = ring._order
+    best, at = None, 1
+    for i, c in enumerate(p.coefficients, start=1):
+        v = order(c.value)
+        if v is not None and (best is None or v * at > best * i):
+            best, at = v, i
+    return MINUS_INF if best is None else LogNorm(Fraction(best, at))
 
 
 def spectral_value_product_check(p, q):
@@ -112,6 +120,8 @@ def non_quasicompact_witness(ext, threshold):
     together with the element x^-k (y - t(x)1) and its exact certificates.
     Separable extensions are rejected: along them the restriction of a disc
     is a finite product of discs, hence admits a single exhaustion level.
+    A k above POWER_DEGREE_BOUND raises EnumerationBoundError before x^-k
+    is built.
     """
     base = ext.base
     if not isinstance(base, FunctionField):
@@ -137,6 +147,11 @@ def non_quasicompact_witness(ext, threshold):
                 else 1)
         if Fraction(k) <= threshold.value:
             k += 1
+    if k > POWER_DEGREE_BOUND:
+        # k is the degree of x^-k, the quantity that bound caps for powers
+        raise EnumerationBoundError(
+            "witness scale x^-k needs degree k above the bound %d"
+            % POWER_DEGREE_BOUND)
     x = base.variable()
     scale = (x.inverse()) ** k
     big = tensor_product(ext, ext)

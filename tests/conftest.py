@@ -4,8 +4,11 @@ from fractions import Fraction
 import pytest
 
 from weilres import (FunctionField, Poly, PrimeField, RationalField,
-                     base_change, from_minimal_polynomial, parse_poly)
-from weilres.linalg import mat_identity, mat_mul
+                     base_change, from_minimal_polynomial, lognorm_max,
+                     parse_poly)
+from weilres.extensions import MonicPoly, mult_matrix
+from weilres.fields import power
+from weilres.linalg import mat_identity, mat_is_zero, mat_mul
 
 
 @pytest.fixture
@@ -97,6 +100,32 @@ def generic_algebra_product(a, b, table, zero):
                 term = prod if c is None else prod.scale(c)
                 out[k] = term if out[k] is None else out[k] + term
     return tuple(zero if c is None else c for c in out)
+
+
+def generic_monic_product(p, q):
+    """Reference for MonicPoly.__mul__: the convolution of [1, c_1, ...]
+    with [1, d_1, ...] by FieldElement products and sums, term by term."""
+    one = p.ring.one()
+    a = [one] + list(p.coefficients)
+    b = [one] + list(q.coefficients)
+    out = [p.ring.zero() for _ in range(len(a) + len(b) - 1)]
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return MonicPoly(p.ring, out[1:])
+
+
+def reference_spectral_value(p):
+    """Reference for spectral_value: the LogNorm maximum of lognorm(c_i) / i."""
+    return lognorm_max(p.ring.lognorm(c) / i
+                       for i, c in enumerate(p.coefficients, start=1))
+
+
+def uncleared_is_nilpotent(b):
+    """Reference for is_nilpotent: the n-th power of the multiplication
+    matrix of b itself, denominators and all, compared with zero."""
+    n = b.extension.rank
+    return mat_is_zero(power(mult_matrix(b), n, None, mat_mul))
 
 
 def reference_validate(ext):

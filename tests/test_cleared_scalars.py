@@ -1,0 +1,171 @@
+"""Property tests of the valued-field scalar paths that clear denominators.
+
+MonicPoly products over Q and F_p(x) run on cleared raw values; they are
+checked against the FieldElement convolution in conftest.py on every field
+kind, the finite fields included (those keep the generic loop).  The
+spectral value compared by integer orders is checked against the LogNorm
+maximum of lognorm(c_i) / i, and the nilpotency certificate on the cleared
+multiplication matrix against the power of the matrix itself.  Runs are
+derandomized so every run tries the same examples.
+"""
+
+import random
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from weilres import (FunctionField, GaloisField, LogNorm,
+                     PrimeField, RationalField, from_minimal_polynomial,
+                     parse_poly)
+from weilres.extensions import MonicPoly, is_nilpotent, tensor_product
+from weilres.spectral import non_quasicompact_witness, spectral_value
+
+from conftest import (generic_monic_product, reference_spectral_value,
+                      uncleared_is_nilpotent)
+
+SETTINGS = settings(derandomize=True, database=None, deadline=None,
+                    max_examples=80)
+
+VALUED_FIELDS = [RationalField(padic=2), RationalField(padic=3),
+                 FunctionField(2), FunctionField(3)]
+PRODUCT_FIELDS = VALUED_FIELDS + [RationalField(), PrimeField(2), PrimeField(3),
+                                  GaloisField(3, (1, 0, 1))]
+
+
+@st.composite
+def denominators(draw, field):
+    """A nonzero element: 1, a pure power of x (of p over Q), a linear power
+    or an arbitrary element."""
+    kind = draw(st.sampled_from(["one", "power", "linear", "random"]))
+    if kind == "one":
+        return field.one()
+    if isinstance(field, FunctionField):
+        k = draw(st.integers(1, 3))
+        base = field.variable() if kind == "power" else field.variable() + field.one()
+        if kind != "random":
+            return base ** k
+    elif isinstance(field, RationalField):
+        if kind != "random":
+            return field.coerce((field.padic or 2) ** draw(st.integers(1, 3))
+                                if kind == "power" else draw(st.integers(1, 12)))
+    den = field.zero()
+    while den.is_zero():
+        den = field.random_element(random.Random(draw(st.integers(0, 2 ** 16))))
+    return den
+
+
+@st.composite
+def monic_polys(draw, field, max_degree=4):
+    """Monic polynomials whose coefficients are often zero, and share one
+    denominator when `shared` is drawn."""
+    degree = draw(st.integers(1, max_degree))
+    shared = draw(denominators(field)) if draw(st.booleans()) else None
+    coefficients = []
+    for _ in range(degree):
+        if draw(st.integers(0, 3)) == 0:
+            coefficients.append(field.zero())
+            continue
+        num = field.random_element(random.Random(draw(st.integers(0, 2 ** 16))))
+        den = shared if shared is not None else draw(denominators(field))
+        coefficients.append(num / den)
+    return MonicPoly(field, coefficients)
+
+
+def _assert_same(got, want):
+    assert got == want
+    assert [type(c.value) for c in got.coefficients] == \
+        [type(c.value) for c in want.coefficients]
+    assert hash(got) == hash(want)
+    assert got.to_string() == want.to_string()
+
+
+@SETTINGS
+@given(st.sampled_from(PRODUCT_FIELDS), st.data())
+def test_monic_product_matches_generic_convolution(field, data):
+    p = data.draw(monic_polys(field))
+    q = data.draw(monic_polys(field))
+    _assert_same(p * q, generic_monic_product(p, q))
+
+
+def test_monic_product_edge_cases():
+    for field in PRODUCT_FIELDS:
+        zero, one = field.zero(), field.one()
+        cases = [
+            (MonicPoly(field, [zero]), MonicPoly(field, [zero])),
+            (MonicPoly(field, [one]), MonicPoly(field, [-one])),
+            (MonicPoly(field, [zero, zero, zero]), MonicPoly(field, [one, zero])),
+        ]
+        if field.has_valuation or isinstance(field, RationalField):
+            x = (field.variable() if isinstance(field, FunctionField)
+                 else field.coerce(field.padic or 5))
+            # equal pure power denominators, and a product that cancels them
+            cases.append((MonicPoly(field, [one / x, zero, one / x ** 2]),
+                          MonicPoly(field, [-one / x, one / x ** 3])))
+        for p, q in cases:
+            _assert_same(p * q, generic_monic_product(p, q))
+
+
+@SETTINGS
+@given(st.sampled_from(VALUED_FIELDS), st.data())
+def test_spectral_value_matches_lognorm_maximum(field, data):
+    p = data.draw(monic_polys(field, max_degree=6))
+    q = data.draw(monic_polys(field))
+    for poly in (p, q, generic_monic_product(p, q)):
+        got, want = spectral_value(poly), reference_spectral_value(poly)
+        assert got == want and str(got) == str(want)
+
+
+def test_spectral_value_examples():
+    q2, k3 = RationalField(padic=2), FunctionField(3)
+    zero, half, x = q2.zero(), q2.coerce(Fraction(1, 2)), k3.variable()
+    cases = [
+        (MonicPoly(q2, [zero, zero, zero]), "-inf"),
+        (MonicPoly(k3, [k3.zero()] * 4), "-inf"),
+        (MonicPoly(q2, [zero, -half]), "1/2"),
+        # a tie, v/1 == 2v/2: the first coefficient already has the maximum
+        (MonicPoly(q2, [half, half * half, zero]), "1"),
+        (MonicPoly(k3, [x.inverse() ** 2, x.inverse() ** 4]), "2"),
+        # negative orders only: the maximum of -1/1, -4/2 and -3/3
+        (MonicPoly(k3, [x, x ** 4, x ** 3]), "-1"),
+        (MonicPoly(q2, [q2.coerce(4), q2.coerce(2)]), "-1/2"),
+    ]
+    for poly, text in cases:
+        assert str(spectral_value(poly)) == text
+        assert str(reference_spectral_value(poly)) == text
+
+
+def _self_tensor(p):
+    """t^p - x over F_p(x), its self-tensor and y - tbar = 1 (x) t - t (x) 1."""
+    k = FunctionField(p, Fraction(1, 2))
+    ext = from_minimal_polynomial(k, parse_poly("t^%d - x" % p, k, ("t",)), "t")
+    big = tensor_product(ext, ext)
+    return ext, big, big.basis_element(1) - big.basis_element(ext.rank)
+
+
+def test_witness_nilpotency_matches_uncleared_power():
+    for p in (2, 3):
+        ext, big, _ = _self_tensor(p)
+        x = ext.base.variable()
+        for k in range(1, 9):
+            cert = non_quasicompact_witness(ext, LogNorm(k - 1))
+            assert cert.k == k
+            assert is_nilpotent(cert.element)
+            assert uncleared_is_nilpotent(cert.element)
+            unit = big.unit_element().scale(x.inverse() ** k)
+            assert not is_nilpotent(unit)
+            assert not uncleared_is_nilpotent(unit)
+
+
+@settings(SETTINGS, max_examples=40)
+@given(st.integers(0, 2 ** 16), st.booleans())
+def test_is_nilpotent_matches_uncleared_power(seed, multiple):
+    """Random elements of the self-tensor of t^2 - x, and random multiples
+    of y - tbar, which are nilpotent, both with denominators."""
+    ext, big, diff = _self_tensor(2)
+    b = big.random_element(random.Random(seed))
+    if multiple:
+        b = b * diff
+    assert is_nilpotent(b) == uncleared_is_nilpotent(b)
+    if multiple:
+        assert is_nilpotent(b)

@@ -309,6 +309,20 @@ def test_raw_rank_cap_is_checked_before_the_structure_constants(tmp_path, capsys
     assert err == "input error: extension: rank 17 exceeds the cap 16\n", err
 
 
+@pytest.mark.parametrize("threshold", [None, "1e400"])
+def test_example26_threshold_beyond_the_degree_bound(capsys, threshold):
+    """The document's threshold 100000 and the flag's 1e400 both need a
+    scale x^-k above POWER_DEGREE_BOUND: one resource line, exit 3."""
+    path = pathlib.Path(__file__).parent / "example26_threshold_100000.json"
+    argv = ["verify", "--suite", "example26", "--input", str(path)]
+    if threshold is not None:
+        argv += ["--threshold", threshold]
+    code, out, err = run(capsys, argv)
+    assert code == 3 and out == ""
+    assert err == ("resource bound: witness scale x^-k needs degree k above "
+                   "the bound 1000\n"), err
+
+
 # SHA-256 of the disc output of two documents past the benchmark's ranks,
 # recorded with the generic F_p(x) products, before the packed kernel: its
 # output must stay byte-identical there too

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from weilres import (LogNorm, MINUS_INF, MonicPoly,
+from weilres import (EnumerationBoundError, LogNorm, MINUS_INF, MonicPoly,
                      UnsupportedOperationError, charpoly,
                      coordinate_norm_spread, from_minimal_polynomial,
                      is_integral, is_nilpotent, non_quasicompact_witness,
@@ -121,6 +121,13 @@ def test_witness_fractional_threshold(k2):
     ext = from_minimal_polynomial(k2, parse_poly("t^2 - x", k2, ("t",)), "t")
     assert non_quasicompact_witness(ext, LogNorm(Fraction(7, 2))).k == 4
     assert non_quasicompact_witness(ext, LogNorm(4)).k == 5
+
+
+def test_witness_scale_is_bounded_before_it_is_built(k2):
+    ext = from_minimal_polynomial(k2, parse_poly("t^2 - x", k2, ("t",)), "t")
+    with pytest.raises(EnumerationBoundError):
+        non_quasicompact_witness(ext, LogNorm(1000))
+    assert non_quasicompact_witness(ext, LogNorm(7)).k == 8
 
 
 def test_witness_char3_variant(k3):
