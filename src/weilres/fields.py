@@ -66,30 +66,31 @@ def _umul(a, b, p):
     return _utrim(out)
 
 
-def _udivmod(a, b, p):
-    """Quotient and remainder of a by b over F_p; b must be trimmed and nonzero."""
+def _udivmod(a, b, p, quotient=True):
+    """Quotient and remainder of a by b over F_p, or the remainder alone if
+    not quotient; b must be trimmed and nonzero."""
     if not b:
         raise ZeroDivisionError("univariate division by zero polynomial")
     binv = pow(b[-1], p - 2, p)
     rem = list(_utrim(a))
-    quo = [0] * max(len(rem) - len(b) + 1, 0)
+    quo = []
     # each step cancels the leading coefficient and pops it; the first
     # factor is nonzero, so the quotient comes out trimmed
     while len(rem) >= len(b):
         shift = len(rem) - len(b)
         factor = (rem[-1] * binv) % p
-        quo[shift] = factor
+        if quotient:
+            quo.append(factor)
         if factor:
             for i in range(len(b) - 1):
                 rem[shift + i] = (rem[shift + i] - factor * b[i]) % p
         rem.pop()
-    return tuple(quo), _utrim(rem)
+    return (tuple(quo[::-1]), _utrim(rem)) if quotient else _utrim(rem)
 
 
 def _ugcd(a, b, p):
     while b:
-        _, r = _udivmod(a, b, p)
-        a, b = b, r
+        a, b = b, _udivmod(a, b, p, quotient=False)
     if a:
         inv = pow(a[-1], p - 2, p)
         a = tuple((c * inv) % p for c in a)
@@ -192,9 +193,9 @@ def _is_irreducible(coeffs, p):
         return False
 
     def mulmod(a, b):
-        return _udivmod(_umul(a, b, p), coeffs, p)[1]
+        return _udivmod(_umul(a, b, p), coeffs, p, quotient=False)
 
-    x = _udivmod((0, 1), coeffs, p)[1]
+    x = _udivmod((0, 1), coeffs, p, quotient=False)
     # frobenius[k] = x^(p^k) mod f
     frobenius = [x]
     for _ in range(m):
@@ -544,7 +545,7 @@ class GaloisField(Field):
         return _uneg(a, self.p)
 
     def _mul(self, a, b):
-        return _udivmod(_umul(a, b, self.p), self.modulus, self.p)[1]
+        return _udivmod(_umul(a, b, self.p), self.modulus, self.p, quotient=False)
 
     def _inv(self, a):
         return _uinv(a, self.modulus, self.p)

@@ -16,17 +16,22 @@ def mat_identity(n, ring):
 
 
 def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
+    """a * b, skipping every product with a zero operand; an entry that
+    has no other product is its first one, a zero of the entries' ring."""
     bt = tuple(zip(*b))
+    live_columns = [[(l, y) for l, y in enumerate(col) if not y.is_zero()]
+                    for col in bt]
     out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = a[i][0] * bt[j][0]
-            for l in range(1, k):
-                acc = acc + a[i][l] * bt[j][l]
-            row.append(acc)
-        out.append(tuple(row))
+    for row in a:
+        live = [not x.is_zero() for x in row]
+        out_row = []
+        for col, pairs in zip(bt, live_columns):
+            acc = None
+            for l, y in pairs:
+                if live[l]:
+                    acc = row[l] * y if acc is None else acc + row[l] * y
+            out_row.append(row[0] * col[0] if acc is None else acc)
+        out.append(tuple(out_row))
     return tuple(out)
 
 

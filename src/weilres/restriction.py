@@ -16,7 +16,7 @@ import itertools
 from .errors import EnumerationBoundError, IncompatibleFieldError
 from .extensions import (AlgebraElement, FreeExtension, MonicPoly, charpoly,
                          extend_scalars)
-from .fields import Field, canonical_embedding
+from .fields import Field, GaloisField, PrimeField, canonical_embedding
 from .lognorm import LogNorm
 from .poly import Poly
 from .spectral import spectral_value
@@ -365,6 +365,32 @@ def _assignments(variables, elems):
     return itertools.product(elems, repeat=len(variables))
 
 
+def _packing(domain, terms):
+    """(pack, zero) for a generator of `terms` terms: pack(x) puts the F_p
+    coordinates of x (one for F_p, the trimmed tuple for F_{p^m}, those of
+    each coordinate for an algebra) in slots of w bits, the first lowest,
+    and zero(s) tests a sum of packed values slot by slot mod p.  A slot
+    sums at most `terms` coordinates below p: w bits hold it, no carry."""
+    def slots(d):  # (pack, number of slots, p); pack reads w when it runs
+        if isinstance(d, FreeExtension):
+            inner, k, p = slots(d.base)
+            return (lambda x: sum(inner(c) << (w * k * i)
+                                  for i, c in enumerate(x.coords))), k * d.rank, p
+        if isinstance(d, GaloisField):
+            return (lambda x: sum(c << (w * i)
+                                  for i, c in enumerate(x.value))), d.degree, d.p
+        return (lambda x: x.value), 1, d.p
+
+    pack, m, p = slots(domain)
+    w = ((terms + 1) * (p - 1)).bit_length()
+    mask, low = (1 << w) - 1, sum(1 << (w * i) for i in range(m))
+    if m == 1:
+        return pack, lambda s: s % p == 0
+    if p == 2:
+        return pack, lambda s: not s & low
+    return pack, lambda s: not any((s >> (w * i) & mask) % p for i in range(m))
+
+
 class _CompiledGenerator:
     """One generator of points_over, compiled for a list of domain elements.
 
@@ -375,40 +401,48 @@ class _CompiledGenerator:
     a point that agrees with it up to the generator's own depth reuses its
     verdict.  Powers are tabulated once per exponent, and the terms in a
     single variable are summed into one table per depth.
+
+    Values are packed (_packing): a sum is one int addition, tested at the
+    generator's depth.  Mixed terms multiply ints over F_p, else elements.
     """
 
-    __slots__ = ("depth", "levels", "partial", "seen", "verdict")
+    __slots__ = ("depth", "levels", "packed", "partial", "seen", "verdict", "zero")
 
     def __init__(self, g, elems):
-        powers = {}
+        pack, self.zero = _packing(g.domain, len(g.terms))
+        prime = isinstance(g.domain, PrimeField)
+        powers = {1: elems}
 
         def power_table(e):
             if e not in powers:
                 powers[e] = [x ** e for x in elems]
             return powers[e]
 
-        const = g.domain.zero()
+        const = 0
         tables, mixed = {}, {}
         for exps, c in g.terms.items():
             used = [(k, e) for k, e in enumerate(exps) if e]
             if not used:
-                const = c
+                const = pack(c)
                 continue
             depth = used[-1][0]
             if len(used) == 1:
-                row = [c * x for x in power_table(used[0][1])]
+                row = [pack(c * x) for x in power_table(used[0][1])]
                 old = tables.get(depth)
                 tables[depth] = row if old is None else [
                     a + b for a, b in zip(old, row)]
             else:
-                mixed.setdefault(depth, []).append(
-                    (c, [(k, power_table(e)) for k, e in used]))
+                mixed.setdefault(depth, []).append((c.value if prime else c, [
+                    (k, [x.value for x in power_table(e)] if prime else power_table(e))
+                    for k, e in used]))
+        self.packed = None if prime or not mixed else {
+            x.sort_key(): pack(x) for x in elems}
         self.depth = max([-1, *tables, *mixed])
         self.levels = [(tables.get(t), mixed.get(t, ()))
                        for t in range(self.depth + 1)]
         self.partial = [const] * (self.depth + 2)
         self.seen = (-1,) * (self.depth + 1)
-        self.verdict = const.is_zero()
+        self.verdict = self.zero(const)
 
     def vanishes(self, idx):
         """Whether the generator is zero at the point with these indices."""
@@ -418,19 +452,19 @@ class _CompiledGenerator:
             t += 1
         if t > depth:
             return self.verdict
-        partial = self.partial
+        partial, packed = self.partial, self.packed
         for t in range(t, depth + 1):
             table, mixed = self.levels[t]
             s = partial[t]
             if table is not None:
-                s = s + table[idx[t]]
+                s += table[idx[t]]
             for c, factors in mixed:
                 for k, powers in factors:
                     c = c * powers[idx[k]]
-                s = s + c
+                s += c if packed is None else packed[c.sort_key()]
             partial[t + 1] = s
         self.seen = idx
-        self.verdict = partial[depth + 1].is_zero()
+        self.verdict = self.zero(partial[depth + 1])
         return self.verdict
 
 

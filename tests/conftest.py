@@ -7,7 +7,7 @@ from weilres import (FunctionField, Poly, PrimeField, RationalField,
                      base_change, from_minimal_polynomial, lognorm_max,
                      parse_poly)
 from weilres.extensions import MonicPoly, mult_matrix
-from weilres.fields import power
+from weilres.fields import _udivmod, power
 from weilres.linalg import mat_identity, mat_is_zero, mat_mul
 
 
@@ -125,7 +125,36 @@ def uncleared_is_nilpotent(b):
     """Reference for is_nilpotent: the n-th power of the multiplication
     matrix of b itself, denominators and all, compared with zero."""
     n = b.extension.rank
-    return mat_is_zero(power(mult_matrix(b), n, None, mat_mul))
+    return mat_is_zero(power(mult_matrix(b), n, None, dense_mat_mul))
+
+
+def dense_mat_mul(a, b):
+    """Reference for linalg.mat_mul: every entry the full dot product, the
+    products with a zero operand included."""
+    n, k, m = len(a), len(b), len(b[0])
+    bt = tuple(zip(*b))
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(m):
+            acc = a[i][0] * bt[j][0]
+            for l in range(1, k):
+                acc = acc + a[i][l] * bt[j][l]
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def quotient_building_ugcd(a, b, p):
+    """Reference for fields._ugcd: Euclid by full division steps, each
+    quotient built and thrown away, the last nonzero remainder made monic."""
+    while b:
+        _, r = _udivmod(a, b, p)
+        a, b = b, r
+    if a:
+        inv = pow(a[-1], p - 2, p)
+        a = tuple((c * inv) % p for c in a)
+    return a
 
 
 def reference_validate(ext):

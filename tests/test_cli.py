@@ -275,6 +275,26 @@ def test_sphere_document_point_count(capsys):
     assert len(set(map(tuple, record["points"]))) == 6642
 
 
+@pytest.mark.parametrize("name,count", [
+    # 3 variables over F_27: 27^2 + 27 * eta(-1) by the same theorem, and
+    # -1 is not a square since 27 = 3 mod 4; odd p with m = 3 takes the
+    # slot-by-slot zero test: 27^2 - 27
+    ("sphere_f27.json", 702),
+    # 4 variables over F_16: in characteristic 2 the sum of the squares is
+    # the square of the sum, so the sphere is the plane a + b + c + d = 1;
+    # p = 2 takes the zero test on the low bit of every slot: 16^3
+    ("sphere_f16.json", 4096),
+])
+def test_sphere_counts_on_the_packed_zero_tests(capsys, name, count):
+    # both counts are also those of conftest.dense_points on the documents
+    path = pathlib.Path(__file__).parent / name
+    code, out, _ = run(capsys, ["points", "sphere", "--input", str(path)])
+    assert code == 0
+    record = json.loads(out)
+    assert record["count"] == count
+    assert len(set(map(tuple, record["points"]))) == count
+
+
 def test_rank_cap_is_checked_before_the_power_table(capsys, monkeypatch):
     # t^1000 + t + 1 is refused before from_minimal_polynomial builds any of
     # its 1,999 power vectors (8.5 s of work when the cap came after them):

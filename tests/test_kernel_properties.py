@@ -6,8 +6,12 @@ filter against that filter, the raw zero and one tests against equality with
 the coerced constants, the function field's polynomial shortcuts against its
 gcd path, the fraction-free characteristic polynomial over F_p(x) against
 Berkowitz on the unscaled matrix and the cofactor oracle, the one
-square-and-multiply loop against repeated products, and univariate division
-against its defining identity.  The packed F_p and F_p(x) kernel behind
+square-and-multiply loop against repeated products, univariate division
+against its defining identity, the remainder-only gcd against Euclid by full
+divisions, and the matrix product that skips zero operands against the dense
+loop.  The compiled point oracle, on packed F_p coordinates, is checked
+against the plain enumeration over every packing and zero test, with slot
+sums at the width's bound.  The packed F_p and F_p(x) kernel behind
 PolyRing.sums_of_products and PolyRing.krylov is checked against the
 generic FieldElement sums of products, on slots of one and two bytes, and a
 coefficient with a denominator against its fallback; behind
@@ -43,16 +47,17 @@ from weilres import (FunctionField, GaloisField, IncompatibleFieldError, Poly,
                      from_minimal_polynomial, parse_poly)
 from weilres.extensions import (AlgebraElement, FreeExtension, charpoly,
                                 mult_matrix, tensor_product)
-from weilres.fields import (_RatFunc, _uadd, _udivmod, _umul, _ustr, _utrim,
-                            power)
+from weilres.fields import (_RatFunc, _uadd, _udivmod, _ugcd, _umul, _ustr,
+                            _utrim, power)
 from weilres.linalg import berkowitz_charpoly, mat_identity, mat_mul
 from weilres.poly import _packed_algebra_product, _packed_krylov, _packed_sums
 from weilres.restriction import (Presentation, _assignments, _homogeneous_value,
                                  disc_generators, points_over)
 from weilres.spectral import spectral_radius
 
-from conftest import (dense_points, generic_algebra_product, generic_sum_of_products,
-                      naive_charpoly_coeffs, reference_validate)
+from conftest import (dense_mat_mul, dense_points, generic_algebra_product,
+                      generic_sum_of_products, naive_charpoly_coeffs,
+                      quotient_building_ugcd, reference_validate)
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None,
                     max_examples=60)
@@ -456,6 +461,46 @@ def test_univariate_division_identity(p, data):
     assert q == _utrim(q) and r == _utrim(r)
 
 
+@SETTINGS
+@given(st.sampled_from([2, 3, 5]), st.data())
+def test_remainder_only_gcd_matches_quotient_building_euclid(p, data):
+    # a common factor makes most gcds nontrivial; zero operands occur too
+    coeff = st.integers(0, p - 1)
+    a, b, c = (_utrim(data.draw(st.lists(coeff, max_size=n))) for n in (5, 4, 3))
+    for x, y in ((a, b), (_umul(a, c, p), _umul(b, c, p)), (a, ()), ((), b)):
+        assert _ugcd(x, y, p) == quotient_building_ugcd(x, y, p)
+
+
+MATRIX_RINGS = [FunctionField(2), FunctionField(3), RationalField(), PrimeField(5),
+                PolyRing(PrimeField(3))]
+
+
+@st.composite
+def matrix_pairs(draw):
+    """A product a * b over one of MATRIX_RINGS, shapes 1 to 4, about half
+    the entries zero, so that whole rows, columns and dot products vanish."""
+    ring = draw(st.sampled_from(MATRIX_RINGS))
+    if isinstance(ring, PolyRing):
+        entry = polys(ring.domain)
+    elif isinstance(ring, FunctionField):
+        entry = function_field_elements(ring)
+    else:
+        entry = scalars(ring)
+    entry = st.one_of(entry, st.just(ring.zero()))
+    n, k, m = (draw(st.integers(1, 4)) for _ in range(3))
+    return tuple(tuple(tuple(draw(entry) for _ in range(cols)) for _ in range(rows))
+                 for rows, cols in ((n, k), (k, m)))
+
+
+@SETTINGS
+@given(matrix_pairs())
+def test_sparse_mat_mul_matches_dense_loop(pair):
+    a, b = pair
+    got, want = mat_mul(a, b), dense_mat_mul(a, b)
+    assert got == want
+    assert all(type(x) is type(y) for r, s in zip(got, want) for x, y in zip(r, s))
+
+
 @pytest.mark.parametrize("field", [PrimeField(2), PrimeField(3),
                                    GaloisField(2, (1, 1, 1), "w")])
 @pytest.mark.parametrize("d", [0, 1, 2, 3])
@@ -467,12 +512,17 @@ def test_assignments_enumerate_every_point_once(field, d):
     assert len(set(found)) == len(found) == field.size() ** d
 
 
-# (base of the presentation, domain enumerated): F_p, F_{p^m}, a field
-# extension as a FreeExtension, a ring with zero divisors, and a base
-# presentation lifted to F_9 by base_change
+# (base of the presentation, domain enumerated): F_p, F_{p^m} with m = 2, 3
+# and 4 over odd and even p, a field extension as a FreeExtension, one of
+# rank 2 over F_4 (coordinates of coordinates), a ring with zero divisors,
+# and a base presentation lifted to F_9 by base_change; between them they
+# take every packing and zero test of the compiled oracle
 POINT_DOMAINS = [(f, f) for f in (
     PrimeField(2), PrimeField(3), PrimeField(5), GaloisField(2, (1, 1, 1), "w"),
-    GaloisField(3, (1, 0, 1), "t"), EXTENSIONS[3], EXTENSIONS[1])] + [
+    GaloisField(3, (1, 0, 1), "t"), GaloisField(5, (2, 0, 1), "t"),
+    GaloisField(3, (1, 2, 0, 1), "t"), GaloisField(2, (1, 1, 0, 0, 1), "t"),
+    EXTENSIONS[3], EXTENSIONS[1],
+    _monogenic(GaloisField(2, (1, 1, 1), "w"), "s^2 + s + w", "s"))] + [
     (PrimeField(3), GaloisField(3, (1, 0, 1), "t"))]
 
 
@@ -509,6 +559,30 @@ def test_points_over_matches_dense_enumeration(domains, d, data):
     pres = Presentation(base, variables,
                         data.draw(point_generators(base, variables)))
     assert points_over(pres, domain) == dense_points(pres, domain)
+
+
+# F_8 (p = 2), F_49 (odd p, m = 2) and F_97 (m = 1)
+SLOT_FIELDS = {"F_8": GaloisField(2, (1, 1, 0, 1), "t"),
+               "F_49": GaloisField(7, (1, 0, 1), "t"), "F_97": PrimeField(97)}
+
+
+@pytest.mark.parametrize("name,k", [("F_8", 1), ("F_8", 2), ("F_8", 29), ("F_8", 30),
+                                    ("F_49", 3), ("F_49", 30), ("F_97", 1), ("F_97", 30)])
+def test_point_oracle_slots_hold_every_sum(name, k):
+    """sum_{e=1}^k (p-1)*u^e + (p-1)*u*v puts k + 1 terms of coordinates up
+    to p - 1 on one slot at u = 1.  At k = 29 over F_8 and k = 30 over F_49
+    such sums reach 2^(w-1) for the slot width w of k + 1 terms, so slots one
+    bit narrower would carry into the next one and lose points."""
+    field = SLOT_FIELDS[name]
+    top = field.coerce(field.characteristic - 1)
+    terms = {(e, 0): top for e in range(1, k + 1)}
+    terms[(1, 1)] = top
+    pres = Presentation(field, ("u", "v"), [Poly(field, ("u", "v"), terms)])
+    got = points_over(pres, field)
+    assert got == dense_points(pres, field)
+    assert (field.one(), -field.coerce(k)) in got
+    constant = Presentation(field, ("u", "v"), [Poly.constant(field, top, ("u", "v"))])
+    assert points_over(constant, field) == [] == dense_points(constant, field)
 
 
 ROUND_TRIP_DOMAINS = [
