@@ -72,19 +72,17 @@ def _udivmod(a, b, p, quotient=True):
     if not b:
         raise ZeroDivisionError("univariate division by zero polynomial")
     binv = pow(b[-1], p - 2, p)
-    rem = list(_utrim(a))
-    quo = []
-    # each step cancels the leading coefficient and pops it; the first
-    # factor is nonzero, so the quotient comes out trimmed
-    while len(rem) >= len(b):
-        shift = len(rem) - len(b)
-        factor = (rem[-1] * binv) % p
+    rem, nb, quo = list(_utrim(a)), len(b) - 1, []
+    # each step pops the leading coefficient and cancels it below; the
+    # first factor is nonzero, so the quotient comes out trimmed
+    while len(rem) > nb:
+        factor = (rem.pop() * binv) % p
         if quotient:
             quo.append(factor)
         if factor:
-            for i in range(len(b) - 1):
+            shift = len(rem) - nb
+            for i in range(nb):
                 rem[shift + i] = (rem[shift + i] - factor * b[i]) % p
-        rem.pop()
     return (tuple(quo[::-1]), _utrim(rem)) if quotient else _utrim(rem)
 
 
