@@ -572,7 +572,7 @@ def test_point_oracle_slots_hold_every_sum(name, k):
     """sum_{e=1}^k (p-1)*u^e + (p-1)*u*v puts k + 1 terms of coordinates up
     to p - 1 on one slot at u = 1.  At k = 29 over F_8 and k = 30 over F_49
     such sums reach 2^(w-1) for the slot width w of k + 1 terms, so slots one
-    bit narrower would carry into the next one and lose points."""
+    bit narrower would carry into the next one and give wrong points."""
     field = SLOT_FIELDS[name]
     top = field.coerce(field.characteristic - 1)
     terms = {(e, 0): top for e in range(1, k + 1)}
