@@ -16,7 +16,7 @@ import itertools
 from .errors import EnumerationBoundError, IncompatibleFieldError
 from .extensions import (AlgebraElement, FreeExtension, MonicPoly, charpoly,
                          extend_scalars)
-from .fields import Field, GaloisField, PrimeField, canonical_embedding
+from .fields import Field, GaloisField, canonical_embedding
 from .lognorm import LogNorm
 from .poly import Poly
 from .spectral import spectral_value
@@ -403,14 +403,14 @@ class _CompiledGenerator:
     single variable are summed into one table per depth.
 
     Values are packed (_packing): a sum is one int addition, tested at the
-    generator's depth.  Mixed terms multiply ints over F_p, else elements.
+    generator's depth.  Mixed terms multiply elements and add the packed
+    product.
     """
 
     __slots__ = ("depth", "levels", "packed", "partial", "seen", "verdict", "zero")
 
     def __init__(self, g, elems):
         pack, self.zero = _packing(g.domain, len(g.terms))
-        prime = isinstance(g.domain, PrimeField)
         powers = {1: elems}
 
         def power_table(e):
@@ -432,11 +432,9 @@ class _CompiledGenerator:
                 tables[depth] = row if old is None else [
                     a + b for a, b in zip(old, row)]
             else:
-                mixed.setdefault(depth, []).append((c.value if prime else c, [
-                    (k, [x.value for x in power_table(e)] if prime else power_table(e))
-                    for k, e in used]))
-        self.packed = None if prime or not mixed else {
-            x.sort_key(): pack(x) for x in elems}
+                mixed.setdefault(depth, []).append(
+                    (c, [(k, power_table(e)) for k, e in used]))
+        self.packed = {x.sort_key(): pack(x) for x in elems} if mixed else None
         self.depth = max([-1, *tables, *mixed])
         self.levels = [(tables.get(t), mixed.get(t, ()))
                        for t in range(self.depth + 1)]
@@ -461,7 +459,7 @@ class _CompiledGenerator:
             for c, factors in mixed:
                 for k, powers in factors:
                     c = c * powers[idx[k]]
-                s += c if packed is None else packed[c.sort_key()]
+                s += packed[c.sort_key()]
             partial[t + 1] = s
         self.seen = idx
         self.verdict = self.zero(partial[depth + 1])
