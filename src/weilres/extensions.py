@@ -45,6 +45,7 @@ class FreeExtension:
         self.unit = tuple(map(lift, unit))
         self.minimal_polynomial = minimal_polynomial
         self.symbol = symbol
+        self._hash = None
         if len(self.structure) != self.rank or any(
                 len(row) != self.rank or any(len(cell) != self.rank for cell in row)
                 for row in self.structure):
@@ -201,12 +202,17 @@ class FreeExtension:
         return getattr(self.base, "has_valuation", False)
 
     def __eq__(self, other):
-        return (isinstance(other, FreeExtension) and other.base == self.base
-                and other.basis_names == self.basis_names
-                and other.structure == self.structure and other.unit == self.unit)
+        return other is self or (
+            isinstance(other, FreeExtension) and other.base == self.base
+            and other.basis_names == self.basis_names
+            and other.structure == self.structure and other.unit == self.unit)
 
     def __hash__(self):
-        return hash(("ext", self.base, self.basis_names, self.structure, self.unit))
+        # the extension never changes, so its structure is hashed once
+        if self._hash is None:
+            self._hash = hash(("ext", self.base, self.basis_names,
+                               self.structure, self.unit))
+        return self._hash
 
     def __repr__(self):
         if self.minimal_polynomial is not None:

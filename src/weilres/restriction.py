@@ -317,9 +317,13 @@ def points_over(p, domain):
     output is sorted canonically.  Exceeding the configured bounds (at most
     POINT_VARIABLE_CAP variables, POINT_FIELD_CAP elements and
     POINT_ASSIGNMENT_BUDGET assignments) raises EnumerationBoundError before
-    any enumeration rather than truncating.  Each generator is compiled once
-    per call and evaluated incrementally along the enumeration
-    (_CompiledGenerator).
+    any enumeration rather than truncating; the budget counts all q^d
+    assignments.  Each generator is compiled once per call
+    (_CompiledGenerator) and evaluated incrementally along an enumeration of
+    the first d - 1 variables.  Per prefix that passes the generators in
+    those variables, the values of the last variable come from the residue
+    index of every generator that can be solved there, and each of them is
+    tested on the other generators.
     """
     if len(p.variables) > POINT_VARIABLE_CAP:
         raise EnumerationBoundError(
@@ -348,13 +352,33 @@ def points_over(p, domain):
     # it rules out every assignment until one of its variables changes
     oracle = sorted((_CompiledGenerator(g, elems) for g in pres.generators),
                     key=lambda c: c.depth)
+    if not pres.variables:  # the one empty point; no last variable to solve
+        return [()] if all(gen.vanishes(()) for gen in oracle) else []
+    last = len(pres.variables) - 1
+    early = [gen for gen in oracle if gen.depth < last]
+    # the last variable is read off the residue index of each generator
+    # that can be solved there; the other generators of that depth test
+    # what is left
+    solved = [gen for gen in oracle if gen.index is not None]
+    more = solved[1:]
+    tested = [gen for gen in oracle if gen.depth == last and gen.index is None]
+    everything = range(len(elems))
     found = []
-    for idx in _assignments(pres.variables, range(len(elems))):
-        for gen in oracle:
-            if not gen.vanishes(idx):
+    for prefix in _assignments(pres.variables[:-1], everything):
+        for gen in early:
+            if not gen.vanishes(prefix):
                 break
         else:
-            found.append(idx)
+            hits = solved[0].solutions(prefix) if solved else everything
+            for gen in more:
+                hits = hits & gen.solutions(prefix)
+            for i in hits:
+                idx = prefix + (i,)
+                for gen in tested:
+                    if not gen.vanishes(idx):
+                        break
+                else:
+                    found.append(idx)
     keys = [x.sort_key() for x in elems]
     found.sort(key=lambda idx: tuple(keys[i] for i in idx))
     return [tuple(elems[i] for i in idx) for idx in found]
@@ -366,11 +390,15 @@ def _assignments(variables, elems):
 
 
 def _packing(domain, terms):
-    """(pack, zero) for a generator of `terms` terms: pack(x) puts the F_p
-    coordinates of x (one for F_p, the trimmed tuple for F_{p^m}, those of
-    each coordinate for an algebra) in slots of w bits, the first lowest,
-    and zero(s) tests a sum of packed values slot by slot mod p.  A slot
-    sums at most `terms` coordinates below p: w bits hold it, no carry."""
+    """(pack, zero, residue, negated) for a generator of `terms` terms.
+
+    pack(x) puts the F_p coordinates of x (one for F_p, the trimmed tuple
+    for F_{p^m}, those of each coordinate for an algebra) in slots of w
+    bits, the first lowest, and zero(s) tests a sum of packed values slot by
+    slot mod p.  A slot sums at most `terms` coordinates below p: w bits
+    hold it, no carry.  So zero(a + b) holds exactly when residue(b) ==
+    negated(a): residue(s) reduces every slot mod p and negated(s) is the
+    residue of -s."""
     def slots(d):  # (pack, number of slots, p); pack reads w when it runs
         if isinstance(d, FreeExtension):
             inner, k, p = slots(d.base)
@@ -385,10 +413,17 @@ def _packing(domain, terms):
     w = ((terms + 1) * (p - 1)).bit_length()
     mask, low = (1 << w) - 1, sum(1 << (w * i) for i in range(m))
     if m == 1:
-        return pack, lambda s: s % p == 0
-    if p == 2:
-        return pack, lambda s: not s & low
-    return pack, lambda s: not any((s >> (w * i) & mask) % p for i in range(m))
+        return pack, lambda s: s % p == 0, lambda s: s % p, lambda s: -s % p
+    if p == 2:  # each slot's low bit is its parity, its own negative
+        def parities(s):
+            return s & low
+        return pack, lambda s: not s & low, parities, parities
+    return (pack, lambda s: not any((s >> (w * i) & mask) % p for i in range(m)),
+            lambda s: tuple((s >> (w * i) & mask) % p for i in range(m)),
+            lambda s: tuple(-(s >> (w * i) & mask) % p for i in range(m)))
+
+
+_NO_HITS = frozenset()
 
 
 class _CompiledGenerator:
@@ -396,21 +431,28 @@ class _CompiledGenerator:
 
     Points are tuples of element indices.  A term's depth is the last
     position it uses; partial[t] is the constant term plus every term of
-    depth < t at the last point evaluated, so a new point recomputes only
-    the depths from the first position where it differs from that point, and
-    a point that agrees with it up to the generator's own depth reuses its
-    verdict.  Powers are tabulated once per exponent, and the terms in a
-    single variable are summed into one table per depth.
+    depth < t at the last point evaluated, kept for the first `valid`
+    depths, so a new point recomputes only the depths from the first
+    position where it differs from that point, and a point that agrees with
+    it up to the generator's own depth reuses its verdict.  Powers are
+    tabulated once per exponent, and the terms in a single variable are
+    summed into one table per depth.
 
     Values are packed (_packing): a sum is one int addition, tested at the
-    generator's depth.  Mixed terms multiply elements and add the packed
+    generator's depth.  Mixed terms multiply elements, the first factor's
+    products with the coefficient read from a table, and add the packed
     product.
+
+    When the generator's depth is the last variable and only a table sits
+    there, `index` maps each residue to the indices of the last variable
+    whose table value has it, and solutions() reads the zeros off it.
     """
 
-    __slots__ = ("depth", "levels", "packed", "partial", "seen", "verdict", "zero")
+    __slots__ = ("depth", "index", "levels", "negated", "packed", "partial",
+                 "seen", "valid", "verdict", "zero")
 
     def __init__(self, g, elems):
-        pack, self.zero = _packing(g.domain, len(g.terms))
+        pack, self.zero, residue, self.negated = _packing(g.domain, len(g.terms))
         powers = {1: elems}
 
         def power_table(e):
@@ -432,38 +474,61 @@ class _CompiledGenerator:
                 tables[depth] = row if old is None else [
                     a + b for a, b in zip(old, row)]
             else:
+                (k, e), rest = used[0], used[1:]
                 mixed.setdefault(depth, []).append(
-                    (c, [(k, power_table(e)) for k, e in used]))
+                    (k, [c * x for x in power_table(e)],
+                     [(j, power_table(f)) for j, f in rest]))
         self.packed = {x.sort_key(): pack(x) for x in elems} if mixed else None
         self.depth = max([-1, *tables, *mixed])
         self.levels = [(tables.get(t), mixed.get(t, ()))
                        for t in range(self.depth + 1)]
         self.partial = [const] * (self.depth + 2)
-        self.seen = (-1,) * (self.depth + 1)
+        self.seen, self.valid = (), 0
         self.verdict = self.zero(const)
+        self.index = None
+        top = tables.get(self.depth)
+        if self.depth == len(g.variables) - 1 and top is not None \
+                and self.depth not in mixed:
+            index = {}
+            for i, s in enumerate(top):
+                index.setdefault(residue(s), []).append(i)
+            self.index = {r: frozenset(ids) for r, ids in index.items()}
 
-    def vanishes(self, idx):
-        """Whether the generator is zero at the point with these indices."""
-        seen, depth = self.seen, self.depth
-        t = 0
-        while t <= depth and idx[t] == seen[t]:
+    def _advance(self, idx, stop):
+        """Bring partial[1 .. stop] up to the point idx; False when they
+        already were."""
+        seen, t = self.seen, 0
+        top = min(stop, self.valid)
+        while t < top and idx[t] == seen[t]:
             t += 1
-        if t > depth:
-            return self.verdict
+        if t == stop:
+            return False
         partial, packed = self.partial, self.packed
-        for t in range(t, depth + 1):
+        for t in range(t, stop):
             table, mixed = self.levels[t]
             s = partial[t]
             if table is not None:
                 s += table[idx[t]]
-            for c, factors in mixed:
+            for k, first, factors in mixed:
+                c = first[idx[k]]
                 for k, powers in factors:
                     c = c * powers[idx[k]]
                 s += packed[c.sort_key()]
             partial[t + 1] = s
-        self.seen = idx
-        self.verdict = self.zero(partial[depth + 1])
+        self.seen, self.valid = idx, stop
+        return True
+
+    def vanishes(self, idx):
+        """Whether the generator is zero at the point with these indices."""
+        if self._advance(idx, self.depth + 1):
+            self.verdict = self.zero(self.partial[self.depth + 1])
         return self.verdict
+
+    def solutions(self, prefix):
+        """The indices i of the last variable at which the generator is zero
+        at prefix + (i,); needs `index`."""
+        self._advance(prefix, self.depth)
+        return self.index.get(self.negated(self.partial[self.depth]), _NO_HITS)
 
 
 def psi_apply(result, point):

@@ -316,6 +316,21 @@ def test_tensor_f9_f9_splits(f9_ext, f3):
     assert f * f == f
 
 
+def test_equal_extensions_built_apart_hash_equal(f3):
+    # the hash is computed once per extension; equal extensions must still
+    # agree on it, so that their elements meet as keys of one set
+    def build():
+        f9 = from_minimal_polynomial(f3, parse_poly("t^2 + 1", f3, ("t",)), "t")
+        return f9, tensor_product(f9, f9)
+
+    (a, big_a), (b, big_b) = build(), build()
+    for x, y in ((a, b), (big_a, big_b)):
+        assert x is not y and x == y and hash(x) == hash(y)
+        keys = set(x.elements())
+        assert all(e in keys for e in y.elements())
+        assert len(keys | set(y.elements())) == x.size()
+
+
 def test_tensor_base_mismatch(f9_ext, f4_ext):
     with pytest.raises(IncompatibleFieldError):
         tensor_product(f9_ext, f4_ext)

@@ -585,6 +585,52 @@ def test_point_oracle_slots_hold_every_sum(name, k):
     assert points_over(constant, field) == [] == dense_points(constant, field)
 
 
+# F_97 (m = 1), F_16 (p = 2), F_27 and F_49 (odd p, m = 3 and 2) and F_25
+# as a rank-2 algebra over F_5: every residue of the solved last variable
+SOLVE_DOMAINS = {"F_97": PrimeField(97), "F_16": GaloisField(2, (1, 1, 0, 0, 1), "t"),
+                 "F_27": GaloisField(3, (1, 2, 0, 1), "t"),
+                 "F_49": GaloisField(7, (1, 0, 1), "t"),
+                 "F_5[t]/(t^2 + 2)": _monogenic(PrimeField(5), "t^2 + 2")}
+# generators in a and b, b the last variable; Q is the size of the domain,
+# so that b^Q - b is zero at every element and its table is identically zero
+SOLVE_CASES = {
+    "two solved": ["b^2 - a^2", "b^3 - a^3"],
+    "solved and mixed": ["b^2 - a", "a*b - 1"],
+    "skips the last": ["a^2 - 1", "b^2 - a"],
+    "only skips the last": ["a^3 - a"],
+    "zero table": ["b^Q - b + a^2 - 1"],
+    "zero table and solved": ["b^Q - b + a - 1", "b^2 - a"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(SOLVE_CASES))
+@pytest.mark.parametrize("name", sorted(SOLVE_DOMAINS))
+def test_point_oracle_solves_the_last_variable(name, case):
+    """The last variable read off the residue index (and the rest tested
+    point by point) gives the points of the plain enumeration."""
+    domain = SOLVE_DOMAINS[name]
+    texts = [t.replace("Q", str(domain.size())) for t in SOLVE_CASES[case]]
+    pres = Presentation(domain, ("a", "b"),
+                        [parse_poly(t, domain, ("a", "b")) for t in texts])
+    got = points_over(pres, domain)
+    assert got and got == dense_points(pres, domain)
+
+
+@pytest.mark.parametrize("name", sorted(SOLVE_DOMAINS))
+def test_point_oracle_with_one_variable_and_none(name):
+    domain = SOLVE_DOMAINS[name]
+    q = domain.size()
+    for texts in (["b^2 - 1"], ["b^2 - 1", "b^3 - b"], ["b^%d - b" % q],
+                  ["b^%d - b" % q, "1"], ["0"], []):
+        pres = Presentation(domain, ("b",), [parse_poly(t, domain, ("b",)) for t in texts])
+        assert points_over(pres, domain) == dense_points(pres, domain)
+    # no variables: the empty point, unless a constant generator is nonzero
+    for c, want in ((0, [()]), (1, [])):
+        pres = Presentation(domain, (), [Poly.constant(domain, domain.coerce(c), ())])
+        assert points_over(pres, domain) == dense_points(pres, domain) == want
+    assert points_over(Presentation(domain, (), []), domain) == [()]
+
+
 ROUND_TRIP_DOMAINS = [
     PrimeField(5), GaloisField(3, (2, 1, 1), "t"), RationalField(),
     RationalField(padic=2), FunctionField(3), EXTENSIONS[6],

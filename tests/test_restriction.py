@@ -220,8 +220,9 @@ def test_points_sorted_deterministically(f3):
 
 
 def test_points_over_enumerates_once_without_evaluate(monkeypatch, f3):
-    # the oracle runs its compiled generators over one enumeration of all
-    # q^d assignments; Poly.evaluate stays for psi_apply and verify only
+    # the oracle runs its compiled generators over one enumeration of the
+    # q^(d-1) prefixes, reading or testing the last variable per prefix;
+    # Poly.evaluate stays for psi_apply and verify only
     import weilres.restriction
 
     enumerate_ = weilres.restriction._assignments
@@ -243,7 +244,7 @@ def test_points_over_enumerates_once_without_evaluate(monkeypatch, f3):
     pres = Presentation(f3, variables, [
         parse_poly("a^2 + b*c - 1", f3, variables), parse_poly("a - c^2", f3, variables)])
     pts = points_over(pres, f9)
-    assert calls == [variables] and len(yields) == 9 ** 3
+    assert calls == [variables[:-1]] and len(yields) == 9 ** 2
     assert pts and all((a ** 2 + b * c - 1).is_zero() and (a - c ** 2).is_zero()
                        for a, b, c in pts)
 
