@@ -349,7 +349,7 @@ def points_over(p, domain):
         pres = base_change(p, domain)
     elems = domain.elements()
     # generators in few leading variables first: once one of them is nonzero
-    # it rules out every assignment until one of its variables changes
+    # it rules out every prefix until one of its variables changes
     oracle = sorted((_CompiledGenerator(g, elems) for g in pres.generators),
                     key=lambda c: c.depth)
     if not pres.variables:  # the one empty point; no last variable to solve
