@@ -586,7 +586,7 @@ def test_point_oracle_slots_hold_every_sum(name, k):
 
 
 # F_97 (m = 1), F_16 (p = 2), F_27 and F_49 (odd p, m = 3 and 2) and F_25
-# as a rank-2 algebra over F_5: every residue of the solved last variable
+# as a rank-2 algebra over F_5: each of the three residues of _packing
 SOLVE_DOMAINS = {"F_97": PrimeField(97), "F_16": GaloisField(2, (1, 1, 0, 0, 1), "t"),
                  "F_27": GaloisField(3, (1, 2, 0, 1), "t"),
                  "F_49": GaloisField(7, (1, 0, 1), "t"),
