@@ -525,14 +525,30 @@ def charpoly(b):
     Computed with a division-free iteration so polynomial coordinates are
     allowed; Cayley-Hamilton holds exactly for the result.
     """
+    return _unscaled_charpoly(*_cleared(b))
+
+
+def generic_charpoly(r, variables):
+    """charpoly(r * (x_1 e_1 + ... + x_n e_n)) for r with scalar coordinates
+    and x_1, ..., x_n named by `variables`.  Coordinate i of that product is
+    sum_l m_il x_l on row i of m = mult_matrix(d*r), d clearing r and the
+    structure constants, so no gcd runs before c_j is unscaled by d^j."""
+    ext = r.extension
+    d, r = _cleared(r)
+    units = [tuple(int(k == l) for k in range(ext.rank)) for l in range(ext.rank)]
+    forms = AlgebraElement(ext, tuple(Poly(ext.base, variables, dict(zip(units, row)))
+                                      for row in mult_matrix(r)))
+    e, forms = _cleared(forms)
+    return _unscaled_charpoly(d * e, forms)
+
+
+def _unscaled_charpoly(d, b):
+    """The characteristic polynomial of b / d: c_j(b / d) = c_j(b) / d^j."""
     ring = b.ring
-    base = b.extension.base
-    d, b = _cleared(b)
-    # c_j(b) = c_j(d*b) / d^j
     vec = berkowitz_charpoly(mult_matrix(b), ring)[1:]
     if d.is_one():
         return MonicPoly(ring, vec)
-    unscale = base.unscaler(d)
+    unscale = b.extension.base.unscaler(d)
     return MonicPoly(ring, [_map_values(c, lambda v: unscale(v, j))
                             for j, c in enumerate(vec, start=1)])
 

@@ -3,8 +3,10 @@
 Matrices are tuples of row tuples; the ring is any handle providing zero()
 and one() (a Field, a FreeExtension or a PolyRing).  The characteristic
 polynomial uses the Berkowitz iteration, which is division-free and therefore
-valid when the entries are polynomials.  The generic sums of products and
-algebra products here serve every ring whose handle brings no faster ones.
+valid when the entries are polynomials.  A ring handle with a charpoly of
+its own (PolyRing, over F_p and F_p(x)) runs the whole iteration in its
+packed kernel; the generic iteration and algebra product here serve every
+other ring and every matrix that kernel declines.
 """
 
 from __future__ import annotations
@@ -56,12 +58,14 @@ def berkowitz_charpoly(matrix, ring):
     Division-free: only ring additions and multiplications are used, so the
     entries may live in a polynomial ring.
     """
+    # PolyRing keeps the whole iteration in its packed kernel where every
+    # entry allows it (its charpoly returns None otherwise)
+    kernel = getattr(ring, "charpoly", None)
+    vec = None if kernel is None else kernel(matrix)
+    if vec is not None:
+        return vec
     n = len(matrix)
     one = ring.one()
-    # a ring handle may bring its own sums of products (PolyRing's packed
-    # kernel); the generic ones serve every other ring
-    krylov = getattr(ring, "krylov", _krylov)
-    sums_of_products = getattr(ring, "sums_of_products", _sums_of_products)
     vec = [one]
     for r in range(1, n + 1):
         # -R, negated once: its entries are smaller than the R M^j C
@@ -69,16 +73,15 @@ def berkowitz_charpoly(matrix, ring):
         sub = tuple(matrix[i][: r - 1] for i in range(r - 1))
         col = tuple(matrix[i][r - 1] for i in range(r - 1))
         # Toeplitz column: 1, -a, -R C, -R M C, -R M^2 C, ...
-        toep = [one, -matrix[r - 1][r - 1]] + krylov(row, sub, col)
-        vec = sums_of_products([
-            [(toep[i - j], vec[j]) for j in range(max(0, i - r), min(i, r - 1) + 1)]
-            for i in range(r + 1)])
+        toep, v = [one, -matrix[r - 1][r - 1]], col
+        for j in range(r - 1):
+            if j:
+                v = mat_vec(sub, v)
+            toep.append(_dot(row, v))
+        vec = [_dot(*zip(*[(toep[i - j], vec[j])
+                           for j in range(max(0, i - r), min(i, r - 1) + 1)]))
+               for i in range(r + 1)]
     return vec
-
-
-def _sums_of_products(groups):
-    """For every nonempty group of pairs (a, b), the sum of the products a * b."""
-    return [_dot(*zip(*group)) for group in groups]
 
 
 def _algebra_product(a, b, table, zero):
@@ -98,17 +101,6 @@ def _algebra_product(a, b, table, zero):
                 term = prod if c is None else prod * c
                 out[k] = term if out[k] is None else out[k] + term
     return tuple(zero if c is None else c for c in out)
-
-
-def _krylov(row, sub, col):
-    """[R C, R M C, ..., R M^(k-1) C] for the row R, the k x k matrix M = sub
-    and the column C."""
-    out, v = [], col
-    for j in range(len(col)):
-        if j:
-            v = mat_vec(sub, v)
-        out.append(_dot(row, v))
-    return out
 
 
 def eliminate_linear(rows, nvars, field):

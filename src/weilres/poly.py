@@ -27,7 +27,7 @@ from .errors import (EnumerationBoundError, IncompatibleFieldError,
                      UnsupportedOperationError)
 from .fields import (Field, FieldElement, FunctionField, PrimeField,
                      RationalField, _RatFunc, _join_signed, _term_string, power)
-from .linalg import _algebra_product, _krylov, _sums_of_products
+from .linalg import _algebra_product
 from .lognorm import lognorm_max
 
 
@@ -292,24 +292,27 @@ def _first_seen(lists):
 # ---------------------------------------------------------------------------
 # The packed kernel over F_p and F_p(x).
 #
-# Sums of products of polynomials whose coefficients all lie in one F_p, or
-# are all polynomials in x (denominator 1) over one F_p(x): the form of every
-# entry Berkowitz meets once charpoly has cleared denominators, and of the
-# coordinates of an algebra product over such a base.  An exponent vector is
-# packed into one int with a field of `width` bits per variable (Monagan and
-# Pearce, CASC 2007), so a monomial product is one int addition.  A
-# numerator c_0 + c_1 x + ... with 0 <= c_i < p is packed into the int
-# sum c_i 2^(i*slot) (Kronecker substitution; Harvey, J. Symb. Comput.
-# 2009), so a coefficient product is one int multiplication; an F_p value c
-# is the numerator (c,) of length 1.  The raw products are summed per packed
-# monomial and reduced mod p once, at the end.  Nothing carries across a
-# field or a slot: no exponent of a product exceeds the total degrees of its
-# factors added, below 2^width, and each product of two terms adds at most
-# (shorter numerator length) * (p - 1)^2 to a slot, times the coefficient sum
-# of the structure constant that weights it in an algebra product, so a sum
-# stays below 2^slot.  An operand is keyed once: a list of (packed exponent
-# vector, numerator) pairs with its longest numerator length; its numerators
-# are Kronecker-packed per slot width.
+# Polynomials whose coefficients all lie in one F_p, or are all polynomials
+# in x (denominator 1) over one F_p(x): the form of every entry Berkowitz
+# meets once charpoly has cleared denominators, and of the coordinates of an
+# algebra product over such a base.  An exponent vector is packed into one
+# int with a field of `width` bits per variable (Monagan and Pearce, CASC
+# 2007), so a monomial product is one int addition.  A numerator
+# c_0 + c_1 x + ... with 0 <= c_i < p is packed into the int
+# sum c_i 256^(i*size), a slot of `size` bytes per coefficient (Kronecker
+# substitution; Harvey, J. Symb. Comput. 2009), so a coefficient product is
+# one int multiplication; an F_p value c is the numerator (c,).  A
+# polynomial is keyed once, into a _Keyed: its numerators in canonical
+# slots, the fewest whole bytes that hold p - 1 (one byte for p < 257), and
+# re-strided into wider slots only when a product needs them, once per
+# width.  The raw products are summed per packed monomial and reduced mod p
+# once, straight back into canonical slots, so a value stays keyed from one
+# product to the next.  Nothing carries across a field or a slot: no
+# exponent of a product exceeds the total degrees of its factors added,
+# below 2^width, and a product a * b puts at most min(|a|, |b|) term
+# products on one monomial, each adding at most (shorter numerator length)
+# * (p - 1)^2 to a slot, times the coefficient sum of the structure constant
+# that weights it in an algebra product, so a sum stays below 256^size.
 
 _POLYNOMIAL = (1,)
 _KERNEL_FIELDS = (PrimeField, FunctionField)
@@ -320,90 +323,37 @@ _KERNEL_FIELDS = (PrimeField, FunctionField)
 _PACKED_PRODUCTS = 32
 
 
-def _packed_sums(groups):
-    """For every group of pairs (a, b), the sum of the products a * b by the
-    packed kernel, over the variables of its operands in order of first
-    occurrence as the generic products and sums give them; None unless every
-    coefficient lies in one F_p or is a polynomial in x over one F_p(x).
-    Each distinct operand is packed once."""
-    domain = groups[0][0][0].domain
-    if type(domain) not in _KERNEL_FIELDS:
-        return None
-    operands = {id(f): f for group in groups for pair in group for f in pair}
-    degree = {}
-    for key, f in operands.items():
-        degree[key] = _polynomial_degree(f, domain)
-        if degree[key] is None:
-            return None
-    width = max([degree[id(a)] + degree[id(b)] for group in groups for a, b in group]
-                + [1]).bit_length()
-    lists = dict.fromkeys(f.variables for f in operands.values())
-    # operands on one variable list give every sum that list
-    orders = ([next(iter(lists))] * len(groups) if len(lists) == 1 else
-              [_first_seen(f.variables for pair in group for f in pair)
-               for group in groups])
-    union = _first_seen(orders)
-    position = {name: i * width for i, name in enumerate(union)}
-    keyed = {key: _keyed(f, position) for key, f in operands.items()}
-    p = domain.p
-    slot = _slot_width([_group_bound((keyed[id(a)], keyed[id(b)]) for a, b in group)
-                        for group in groups], p)
-    packed = {key: _kronecker(terms, slot) for key, (terms, _) in keyed.items()}
-    layouts = {order: _layout(union, order, width) for order in orders}
-    return [_to_poly(_reduced(_accumulate(
-        [(packed[id(a)], packed[id(b)]) for a, b in group]), p, slot)[0],
-        domain, order, layouts[order])
-        for group, order in zip(groups, orders)]
+class _Keyed:
+    """A polynomial in the kernel: its terms as (packed exponent vector,
+    numerator packed in canonical slots of `size` bytes), the most slots a
+    numerator has, and its variable list; `strided` holds its terms at
+    every slot size asked for so far."""
 
+    __slots__ = ("terms", "length", "order", "size", "strided")
 
-def _packed_krylov(row, sub, col):
-    """[R C, R M C, ..., R M^(k-1) C] for the row R, the k x k matrix M = sub
-    and the column C by the packed kernel, each over the variables the
-    generic products and sums give it; None as for _packed_sums.  Exponents
-    are packed once; M^j C stays keyed from one power to the next, and R
-    and M are Kronecker-packed again only when the slot width grows."""
-    if not col:
-        return []
-    domain = col[0].domain
-    if type(domain) not in _KERNEL_FIELDS:
-        return None
-    stacked = (tuple(row),) + tuple(tuple(line) for line in sub)
-    bounds = []
-    for group in (row, [f for line in sub for f in line], col):
-        degrees = [_polynomial_degree(f, domain) for f in group]
-        if None in degrees:
-            return None
-        bounds.append(max(degrees + [0]))
-    k, p = len(col), domain.p
-    width = max(bounds[0] + bounds[2] + (k - 1) * bounds[1], 1).bit_length()
-    lists = dict.fromkeys(f.variables for line in stacked + (col,) for f in line)
-    union = _first_seen(lists)
-    position = {name: i * width for i, name in enumerate(union)}
-    keyed = [[_keyed(f, position) for f in line] for line in stacked]
-    v = [_keyed(f, position) for f in col]
-    # operands on one variable list give every result that list
-    shared = len(lists) == 1
-    orders = [f.variables for f in col]
-    out, slot, layouts = [], None, {}
-    for j in range(k):
-        lines = stacked[:1] if j == k - 1 else stacked
-        wanted = _slot_width([_group_bound(zip(line, v))
-                              for line in keyed[:len(lines)]], p)
-        if wanted != slot:
-            slot = wanted
-            packed = [[_kronecker(terms, slot) for terms, _ in line] for line in keyed]
-        packed_v = [_kronecker(terms, slot) for terms, _ in v]
-        sums = [_reduced(_accumulate(list(zip(line, packed_v))), p, slot)
-                for line in packed[:len(lines)]]
-        if not shared:
-            orders = [_first_seen(names for f, order in zip(line, orders)
-                                  for names in (f.variables, order)) for line in lines]
-        order = orders[0]
-        if order not in layouts:
-            layouts[order] = _layout(union, order, width)
-        out.append(_to_poly(sums[0][0], domain, order, layouts[order]))
-        v, orders = sums[1:], orders[1:]
-    return out
+    def __init__(self, terms, length, order, size):
+        self.terms = terms
+        self.length = length
+        self.order = order
+        self.size = size
+        self.strided = {size: terms}
+
+    def at(self, wider):
+        """The terms with numerators in slots of `wider` bytes; a numerator
+        of one slot is the same int in any slot."""
+        terms = self.strided.get(wider)
+        if terms is None:
+            terms, length, size = self.terms, self.length, self.size
+            if length > 1:
+                terms = []
+                for key, v in self.terms:
+                    raw = v.to_bytes(length * size, "little")
+                    spread = bytearray(length * wider)
+                    for b in range(size):
+                        spread[b::wider] = raw[b::size]
+                    terms.append((key, int.from_bytes(spread, "little")))
+            self.strided[wider] = terms
+        return terms
 
 
 def _packed_algebra_product(a, b, table):
@@ -411,10 +361,11 @@ def _packed_algebra_product(a, b, table):
     coordinate vectors a and b of a free algebra by the packed kernel, each
     over the variables the generic loop gives it; table[i][j] holds the
     nonzero structure constants of e_i e_j as (k, c_ijk) pairs, c_ijk None
-    where it is 1.  None as for _packed_sums, and when a structure constant
-    has a denominator.  Each product a_i b_j is summed once and added into
-    every coordinate k with the packed c_ijk as its weight; each coordinate
-    is reduced mod p once."""
+    where it is 1.  None unless every coefficient lies in one F_p or is a
+    polynomial in x over one F_p(x), and when a structure constant has a
+    denominator.  Each product a_i b_j is summed once and added into every
+    coordinate k with the packed c_ijk as its weight; each coordinate is
+    reduced mod p once."""
     domain = a[0].domain
     if type(domain) not in _KERNEL_FIELDS:
         return None
@@ -429,22 +380,24 @@ def _packed_algebra_product(a, b, table):
     lists = dict.fromkeys(f.variables for f in live)
     union = _first_seen(lists)
     position = {name: i * width for i, name in enumerate(union)}
-    ka = [_keyed(f, position) if f.terms else None for f in a]
-    kb = ka if square else [_keyed(f, position) if f.terms else None for f in b]
-    n, p = len(table), domain.p
+    p = domain.p
+    unit = _bytes(p - 1)
+    ka = [_key(f, position, unit) if f.terms else None for f in a]
+    kb = ka if square else [_key(f, position, unit) if f.terms else None for f in b]
+    n = len(table)
     # per coordinate: its slot bound and the variable lists of the products
     # reaching it, which are all `union` when the operands share one list
     shared = len(lists) == 1
     bounds, reach, pairs = [0] * n, [[] for _ in range(n)], []
     for i, row in enumerate(table):
-        if ka[i] is None:
+        x = ka[i]
+        if x is None:
             continue
-        ta, la = ka[i]
         for j, cell in enumerate(row):
-            if kb[j] is None or not cell:
+            y = kb[j]
+            if y is None or not cell:
                 continue
-            tb, lb = kb[j]
-            bound = len(ta) * len(tb) * min(la, lb)
+            bound = min(len(x.terms), len(y.terms)) * min(x.length, y.length)
             weights = []
             for k, c in cell:
                 w = _POLYNOMIAL if c is None else _numerator(c.value)
@@ -454,17 +407,15 @@ def _packed_algebra_product(a, b, table):
                 weights.append((k, w))
                 if not shared:
                     reach[k] += (a[i].variables, b[j].variables)
-            pairs.append((i, j, weights))
-    slot = _slot_width(bounds, p)
-    pa = [None if f is None else _kronecker(f[0], slot) for f in ka]
-    pb = pa if square else [None if f is None else _kronecker(f[0], slot) for f in kb]
+            pairs.append((x, y, weights))
+    size = _bytes(max(bounds) * (p - 1) ** 2)
     sums = [{} for _ in range(n)]
-    for i, j, weights in pairs:
-        product = _accumulate([(pa[i], pb[j])]).items()
+    for x, y, weights in pairs:
+        product = _accumulate([(x.at(size), y.at(size))]).items()
         for k, w in weights:
             total = sums[k]
             get = total.get
-            w = w[0] if len(w) == 1 else _pack(w, slot)
+            w = w[0] if len(w) == 1 else _pack(w, 8 * size)
             for key, s in product:
                 total[key] = get(key, 0) + w * s
     layouts = {}
@@ -476,7 +427,7 @@ def _packed_algebra_product(a, b, table):
         order = union if shared else _first_seen(names)
         if order not in layouts:
             layouts[order] = _layout(union, order, width)
-        out.append(_to_poly(_reduced(total, p, slot)[0], domain, order, layouts[order]))
+        out.append(_to_poly(_reduced(total, p, size)[0], domain, order, layouts[order]))
     return tuple(out)
 
 
@@ -503,30 +454,24 @@ def _polynomial_degree(f, domain):
     return f.total_degree()
 
 
-def _keyed(f, position):
-    """f keyed: [(packed exponent vector, numerator)] and the longest
-    numerator length."""
+def _key(f, position, size, p=0):
+    """f keyed over the exponent fields at `position`, its numerators in
+    slots of `size` bytes, negated mod p when p is given."""
     shifts = [position[name] for name in f.variables]
     terms, length = [], 0
     for exps, c in f.terms.items():
-        key = sum(map(lshift, exps, shifts))
         num = c.value
         num = (num,) if type(num) is int else num.num
-        terms.append((key, num))
+        if p:
+            num = [-x % p for x in num]
+        terms.append((sum(map(lshift, exps, shifts)), _pack(num, 8 * size)))
         length = max(length, len(num))
-    return terms, length
+    return _Keyed(terms, length, f.variables, size)
 
 
-def _group_bound(pairs):
-    """At most how many times (p - 1)^2 the products of the keyed factor
-    pairs add to one slot."""
-    return sum(len(a) * len(b) * min(la, lb) for (a, la), (b, lb) in pairs)
-
-
-def _slot_width(bounds, p):
-    """Bits for a slot of a sum of at most max(bounds) times (p - 1)^2,
-    rounded up to whole bytes."""
-    return -(-(max(bounds, default=0) * (p - 1) ** 2).bit_length() // 8) * 8
+def _bytes(bound):
+    """Whole bytes for a slot that holds `bound`, at least one."""
+    return max(-(-bound.bit_length() // 8), 1)
 
 
 def _pack(num, slot):
@@ -534,10 +479,6 @@ def _pack(num, slot):
     for c in reversed(num):
         packed = (packed << slot) | c
     return packed
-
-
-def _kronecker(terms, slot):
-    return [(key, _pack(num, slot)) for key, num in terms]
 
 
 def _accumulate(pairs):
@@ -553,39 +494,62 @@ def _accumulate(pairs):
     return sums
 
 
-# residue mod p of every byte value, for the p a one-byte slot admits: it
-# holds (p - 1)^2 at least, so p < 17
-_RESIDUES = {p: bytes(c % p for c in range(256)) for p in (2, 3, 5, 7, 11, 13)}
+# c * m mod p for every byte value c, per p whose products fit a one-byte
+# slot ((p - 1)^2 < 256, so p < 17) and per multiplier m = 256^b mod p of a
+# slot's byte b
+_RESIDUES = {p: {m: bytes(c * m % p for c in range(256))
+                 for m in {pow(256, b, p) for b in range(p)}}
+             for p in (2, 3, 5, 7, 11, 13)}
 
 
-def _reduced(sums, p, slot):
-    """Raw sums keyed again: every slot reduced mod p, numerators trimmed,
-    cancelled terms dropped.  Slots are whole bytes; where a slot's residue
-    is that of its lowest byte (one-byte slots, and p = 2, which divides
-    256), all slots of a sum are read with one to_bytes and one translate."""
-    size = slot >> 3
-    table = _RESIDUES.get(p) if size == 1 or p == 2 else None
-    mask = (1 << slot) - 1
-    terms, length = [], 0
-    for k, total in sums.items():
-        if total <= mask:
-            # the sum fills one slot: a numerator of length 1
-            num = (total % p,) if total % p else ()
-        elif table is not None:
-            raw = total.to_bytes(-(-total.bit_length() // slot) * size, "little")
-            num = tuple(raw[::size].translate(table).rstrip(b"\0"))
-        else:
-            num = []
-            while total:
-                num.append((total & mask) % p)
-                total >>= slot
-            while num and not num[-1]:
-                num.pop()
-            num = tuple(num)
-        if num:
-            terms.append((k, num))
-            length = max(length, len(num))
-    return terms, length
+def _reduced(sums, p, size):
+    """Raw sums in slots of `size` bytes reduced mod p into canonical slots,
+    cancelled terms dropped: the terms and the most slots a numerator has.
+    A sum of one slot takes one %.  Otherwise, for p < 17, a slot's residue
+    is the sum over its bytes b of byte * 256^b mod p, read with one
+    translate per b for all slots of a sum; the size * (p - 1) at most add
+    up without a carry and one more translate reduces them.  Over F_2 only
+    the lowest byte counts, and in one-byte slots its lowest bit, read with
+    one mask.  Larger p are reduced slot by slot."""
+    items, terms, unit = sums.items(), [], _bytes(p - 1)
+    slots = -(-max(sums.values(), default=0).bit_length() // (8 * size))
+    n = slots * size
+    if slots == 1:
+        # every sum fills one slot: numerators of length 1
+        for k, total in items:
+            v = total % p
+            if v:
+                terms.append((k, v))
+    elif p == 2 and size == 1:
+        mask = int.from_bytes(b"\1" * slots, "little")
+        for k, total in items:
+            v = total & mask
+            if v:
+                terms.append((k, v))
+    elif p in _RESIDUES and size * (p - 1) < 256:
+        tables = _RESIDUES[p]
+        lanes = [(b, tables[pow(256, b, p)]) for b in range(size) if pow(256, b, p)]
+        table = tables[1]
+        for k, total in items:
+            raw = total.to_bytes(n, "little")
+            if len(lanes) == 1:
+                v = int.from_bytes(raw[::size].translate(table), "little")
+            else:
+                lane = sum(int.from_bytes(raw[b::size].translate(t), "little")
+                           for b, t in lanes)
+                v = int.from_bytes(lane.to_bytes(slots, "little").translate(table),
+                                   "little")
+            if v:
+                terms.append((k, v))
+    else:
+        for k, total in items:
+            raw = total.to_bytes(n, "little")
+            v = int.from_bytes(b"".join(
+                (int.from_bytes(raw[i:i + size], "little") % p).to_bytes(unit, "little")
+                for i in range(0, n, size)), "little")
+            if v:
+                terms.append((k, v))
+    return terms, -(-max((v for _, v in terms), default=0).bit_length() // (8 * unit))
 
 
 def _layout(union, order, width):
@@ -595,17 +559,24 @@ def _layout(union, order, width):
 
 
 def _to_poly(terms, domain, order, layout):
-    """The polynomial over `order` of packed terms, read by `layout`."""
+    """The polynomial over `order` of terms in canonical slots, read by
+    `layout`."""
     shifts, mask, decoded = layout
     prime = type(domain) is PrimeField
+    unit = _bytes(domain.p - 1)
     out = {}
-    for k, num in terms:
+    for k, v in terms:
         exps = decoded.get(k)
         if exps is None:
             exps = decoded[k] = tuple(map(and_, map(rshift, repeat(k), shifts),
                                           repeat(mask)))
-        out[exps] = FieldElement(domain,
-                                 num[0] if prime else _RatFunc(num, _POLYNOMIAL))
+        if prime:
+            out[exps] = FieldElement(domain, v)
+            continue
+        raw = v.to_bytes(-(-v.bit_length() // (8 * unit)) * unit, "little")
+        num = tuple(raw) if unit == 1 else tuple(
+            int.from_bytes(raw[i:i + unit], "little") for i in range(0, len(raw), unit))
+        out[exps] = FieldElement(domain, _RatFunc(num, _POLYNOMIAL))
     return Poly(domain, order, out, clean=True)
 
 
@@ -613,8 +584,8 @@ class PolyRing:
     """Coefficient-domain handle for matrices and algebra coordinates whose
     entries are polynomials.
 
-    Its sums_of_products, krylov and algebra_product run the packed kernel
-    when it applies, and the generic products and sums otherwise."""
+    Its charpoly and algebra_product run the packed kernel when it applies;
+    linalg's generic Berkowitz iteration and algebra loop serve otherwise."""
 
     def __init__(self, domain):
         self.domain = domain
@@ -625,13 +596,67 @@ class PolyRing:
     def one(self):
         return Poly.constant(self.domain, self.domain.one())
 
-    def sums_of_products(self, groups):
-        out = _packed_sums(groups)
-        return _sums_of_products(groups) if out is None else out
+    def charpoly(self, matrix):
+        """Coefficients [1, c_1, ..., c_n] of det(z*I - M) by the iteration of
+        linalg.berkowitz_charpoly, each over the variables it gives them;
+        None unless every entry is a polynomial over this F_p, or in x over
+        this F_p(x).  Each entry is keyed once, and once more negated where
+        the iteration negates it; only the n + 1 results leave the kernel."""
+        domain = self.domain
+        if type(domain) not in _KERNEL_FIELDS:
+            return None
+        entries = [f for row in matrix for f in row]
+        degrees = [_polynomial_degree(f, domain) for f in entries]
+        if None in degrees:
+            return None
+        n, p = len(matrix), domain.p
+        # no exponent of a Krylov or Toeplitz product exceeds n times the
+        # largest entry degree
+        width = max(n * max(degrees, default=0), 1).bit_length()
+        union = _first_seen(dict.fromkeys(f.variables for f in entries))
+        position = {name: i * width for i, name in enumerate(union)}
+        unit, square = _bytes(p - 1), (p - 1) ** 2
+        plain = [[_key(f, position, unit) for f in row] for row in matrix[:-1]]
+        negated = [[_key(f, position, unit, p) for f in row[:i + 1]]
+                   for i, row in enumerate(matrix)]
 
-    def krylov(self, row, sub, col):
-        out = _packed_krylov(row, sub, col)
-        return _krylov(row, sub, col) if out is None else out
+        def merge(a, b):
+            # the variable list of a sum or product of operands over a and b
+            return a if a == b else _first_seen((a, b))
+
+        def dot(xs, ys):
+            order, bound, pairs = None, 0, []
+            for x, y in zip(xs, ys):
+                pair = merge(x.order, y.order)
+                order = pair if order is None else merge(order, pair)
+                if x.terms and y.terms:
+                    bound += min(len(x.terms), len(y.terms)) * min(x.length, y.length)
+                    pairs.append((x, y))
+            size = _bytes(bound * square)
+            terms, length = _reduced(_accumulate(
+                [(x.at(size), y.at(size)) for x, y in pairs]), p, size)
+            return _Keyed(terms, length, order, unit)
+
+        one = _Keyed([(0, 1)], 1, (), unit)
+        vec = [one]
+        for r in range(n):
+            row, sub = negated[r][:r], [line[:r] for line in plain[:r]]
+            # Toeplitz column: 1, -a, -R C, -R M C, -R M^2 C, ...
+            toep, v = [one, negated[r][r]], [line[r] for line in plain[:r]]
+            for j in range(r):
+                if j:
+                    v = [dot(line, v) for line in sub]
+                toep.append(dot(row, v))
+            vec = [dot(*zip(*[(toep[i - j], vec[j])
+                              for j in range(max(0, i - r - 1), min(i, r) + 1)]))
+                   for i in range(r + 2)]
+        layouts = {}
+        out = []
+        for f in vec:
+            if f.order not in layouts:
+                layouts[f.order] = _layout(union, f.order, width)
+            out.append(_to_poly(f.terms, domain, f.order, layouts[f.order]))
+        return out
 
     def algebra_product(self, a, b, table):
         out = None

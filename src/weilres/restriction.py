@@ -15,7 +15,7 @@ import itertools
 
 from .errors import EnumerationBoundError, IncompatibleFieldError
 from .extensions import (AlgebraElement, FreeExtension, MonicPoly, charpoly,
-                         extend_scalars)
+                         extend_scalars, generic_charpoly)
 from .fields import Field, GaloisField, canonical_embedding
 from .lognorm import LogNorm
 from .poly import Poly
@@ -181,8 +181,6 @@ def disc_generators(ext, radius_elements, var_block, y_prefix="y"):
     if len(var_block) != n:
         raise ValueError("var_block must name %d variables" % n)
     base = ext.base
-    generic = AlgebraElement(ext, tuple(
-        Poly.variable(base, v).with_variables(var_block) for v in var_block))
     at_unit = dict(zip(var_block, ext.unit))
     gens = []
     radius_meta = {}
@@ -191,9 +189,11 @@ def disc_generators(ext, radius_elements, var_block, y_prefix="y"):
             r = ext.coerce(r)
         if r.extension != ext:
             raise IncompatibleFieldError("radius element outside the extension")
-        chi = charpoly(r * generic)
+        scalar = not any(isinstance(c, Poly) for c in r.coords)
+        chi = generic_charpoly(r, var_block) if scalar else charpoly(r * AlgebraElement(
+            ext, tuple(Poly.variable(base, v).with_variables(var_block) for v in var_block)))
         rho = None
-        if ext.has_valuation and not any(isinstance(c, Poly) for c in r.coords):
+        if ext.has_valuation and scalar:
             # chi(r) is chi at the unit's coordinates: substituting them is a
             # ring map sending r * generic to r
             rho = spectral_value(MonicPoly(base, [

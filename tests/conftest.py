@@ -83,6 +83,21 @@ def generic_sum_of_products(pairs):
     return Poly(domain, variables, terms)
 
 
+class GenericPolyRing:
+    """A PolyRing without the packed kernel: over it berkowitz_charpoly runs
+    its generic iteration on Poly arithmetic, the chain whose values and
+    variable lists PolyRing.charpoly must give."""
+
+    def __init__(self, domain):
+        self.domain = domain
+
+    def zero(self):
+        return Poly.zero(self.domain)
+
+    def one(self):
+        return Poly.constant(self.domain, self.domain.one())
+
+
 def generic_algebra_product(a, b, table, zero):
     """Reference for the packed algebra product: the generic loop that
     AlgebraElement.__mul__ ran on its own, one Poly product per pair of

@@ -343,14 +343,21 @@ def test_example26_threshold_beyond_the_degree_bound(capsys, threshold):
                    "the bound 1000\n"), err
 
 
-# SHA-256 of the disc output of two documents past the benchmark's ranks,
-# recorded with the generic F_p(x) products, before the packed kernel: its
-# output must stay byte-identical there too
+# SHA-256 of the disc output of documents past the benchmark's ranks or
+# primes, so that the packed kernel's output stays byte-identical there too.
+# The two over F_2(x) were recorded with the generic F_p(x) products, before
+# the kernel; they reduce slots by the F_2 mask.  The F_3(x) and F_1009(x)
+# ones were recorded with the generic reduction of the kernel's sums of
+# products; they reduce slots by residue tables and slot by slot.
 DISC_GUARDS = {
     "disc_t_over_x_rank10.json":
         "accde375d158438485ad8044b82fc769083b65c5875fadd191d90741c0142a86",
     "disc_one_plus_xt_rank8.json":
         "f6296be7171d017cd51fa315bf00042654a5e7049e66c2532a3ca37309d9cec5",
+    "disc_xt_f3_rank7.json":
+        "81a5700c48aee4eebd6dd335d0e8997d98173231c98fe4586ad55dfdaa018d42",
+    "disc_tx_f1009_rank6.json":
+        "2a8a92630b4b7a9d05ecdf6ad08133991eb1bfff5993cff97248b1ca5dafcf0c",
 }
 
 

@@ -12,14 +12,20 @@ divisions, and the matrix product that skips zero operands against the dense
 loop.  The compiled point oracle, on packed F_p coordinates, is checked
 against the plain enumeration over every packing and zero test, with slot
 sums at the width's bound.  The packed F_p and F_p(x) kernel behind
-PolyRing.sums_of_products and PolyRing.krylov is checked against the
-generic FieldElement sums of products, on slots of one and two bytes, and a
-coefficient with a denominator against its fallback; behind
+PolyRing.charpoly is checked against the generic Berkowitz iteration on Poly
+arithmetic, term by term over the same variable lists, and against the
+cofactor oracle: over F_2(x) in slots of one byte (read with one mask) and
+two, over F_3(x), F_7(x) and F_13(x) in slots whose bytes are read with
+residue tables, over F_1009(x) in canonical slots of two bytes, on zero
+matrices and rows, with a coefficient with a denominator against its
+fallback and with mixed domains against the domain check; behind
 PolyRing.algebra_product it is checked against the generic loop of algebra
 products on monogenic and written-out tables.  The unscaling c / d^j by a
 coprime factor base of d is checked against the gcd path, the columns of
-mult_matrix against the products b*e_j, and chi(r) read off chi(r * generic)
-by selecting terms against Poly.evaluate at the unit.
+mult_matrix against the products b*e_j, chi(r) read off chi(r * generic)
+by selecting terms against Poly.evaluate at the unit, and chi(r * generic)
+built from the cleared rows of mult_matrix(r) against charpoly of the
+algebra product.
 The validation of structure tables on raw values is checked against the
 AlgebraElement-product reference on random valid and altered tables.  The
 disc log-radii read off the symbolic characteristic polynomial are checked
@@ -46,18 +52,19 @@ from weilres import (FunctionField, GaloisField, IncompatibleFieldError, Poly,
                      PolyRing, PrimeField, RationalField,
                      from_minimal_polynomial, parse_poly)
 from weilres.extensions import (AlgebraElement, FreeExtension, charpoly,
-                                mult_matrix, tensor_product)
+                                generic_charpoly, mult_matrix, tensor_product)
 from weilres.fields import (_RatFunc, _uadd, _udivmod, _ugcd, _umul, _ustr,
                             _utrim, power)
 from weilres.linalg import berkowitz_charpoly, mat_identity, mat_mul
-from weilres.poly import _packed_algebra_product, _packed_krylov, _packed_sums
+from weilres.poly import _packed_algebra_product
 from weilres.restriction import (Presentation, _assignments, _homogeneous_value,
                                  disc_generators, points_over)
 from weilres.spectral import spectral_radius
 
-from conftest import (dense_mat_mul, dense_points, generic_algebra_product,
-                      generic_sum_of_products, naive_charpoly_coeffs,
-                      quotient_building_ugcd, reference_validate)
+from conftest import (GenericPolyRing, dense_mat_mul, dense_points,
+                      generic_algebra_product, generic_sum_of_products,
+                      naive_charpoly_coeffs, quotient_building_ugcd,
+                      reference_validate)
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None,
                     max_examples=60)
@@ -380,6 +387,28 @@ def test_unit_value_by_selection_matches_evaluate(ext, data):
     chi = charpoly(r * generic)
     for j, c in enumerate(chi.coefficients, start=1):
         assert _homogeneous_value(c, j, at_unit) == c.evaluate(at_unit)
+
+
+@SETTINGS
+@given(st.sampled_from(SELECTION_EXTENSIONS + [EXTENSIONS[4], EXTENSIONS[6]]),
+       st.data())
+def test_generic_charpoly_matches_the_algebra_product(ext, data):
+    """chi(r * generic) from the cleared rows of mult_matrix(r) is charpoly
+    of the algebra product r * generic, over the same variables; over
+    F_p(x)[t]/(t^2 + t/x + 1) the structure constants need a second
+    clearing, and over F_3 and Q there is none."""
+    k = ext.base
+    scalar = function_field_elements(k) if isinstance(k, FunctionField) else scalars(k)
+    r = ext.element([data.draw(st.one_of(scalar, st.just(k.zero())))
+                     for _ in range(ext.rank)])
+    block = tuple("x_%d" % (j + 1) for j in range(ext.rank))
+    generic = AlgebraElement(ext, tuple(
+        Poly.variable(k, v).with_variables(block) for v in block))
+    want = charpoly(r * generic)
+    got = generic_charpoly(r, block)
+    assert got.ring == want.ring
+    for g, w in zip(got.coefficients, want.coefficients, strict=True):
+        assert _same(g, w)
 
 
 @SETTINGS
@@ -747,8 +776,10 @@ def test_field_identity():
     assert PrimeField(3) != RationalField(padic=3) != FunctionField(3) != PrimeField(3)
 
 
-# F_1009(x) needs slots of over 20 bits; () gives constants
-FUNCTION_KERNEL_FIELDS = [FunctionField(2), FunctionField(3), FunctionField(1009)]
+# F_1009(x) needs canonical slots of two bytes; over F_7(x) and F_13(x) the
+# bytes of a wide slot have residue tables of their own; () gives constants
+FUNCTION_KERNEL_FIELDS = [FunctionField(2), FunctionField(3), FunctionField(7),
+                          FunctionField(13), FunctionField(1009)]
 KERNEL_FIELDS = FUNCTION_KERNEL_FIELDS + [PrimeField(2), PrimeField(3), PrimeField(1009)]
 KERNEL_VARIABLES = [(), ("u",), ("u", "v"), ("v", "u"), ("w", "u")]
 
@@ -774,102 +805,113 @@ def kernel_polys(draw, k, variable_lists=KERNEL_VARIABLES, max_terms=3):
 
 
 @st.composite
-def kernel_cases(draw, fields=KERNEL_FIELDS):
-    """Rows and a vector of polynomials over one F_p or F_p(x); in half the
-    cases every pair comes back negated, so every sum vanishes."""
+def kernel_matrices(draw, fields=KERNEL_FIELDS, max_rank=4):
+    """Square matrices of rank 1 to max_rank over one F_p or F_p(x), about a
+    third of the entries zero, over no variables or over some; in most cases
+    one row is then zeroed or replaced by the negative of another, so that
+    whole dot products vanish or cancel."""
     k = draw(st.sampled_from(fields))
-    m = draw(st.integers(1, 3))
-    v = [draw(kernel_polys(k)) for _ in range(m)]
-    rows = [[draw(kernel_polys(k)) for _ in range(m)]
-            for _ in range(draw(st.integers(1, 3)))]
-    if draw(st.booleans()):
-        v = v + [-f for f in v]
-        rows = [row + row for row in rows]
-    return rows, v
+    n = draw(st.integers(1, max_rank))
+    entry = st.one_of(kernel_polys(k), kernel_polys(k),
+                      st.sampled_from([Poly.zero(k), Poly.zero(k, ("v",))]))
+    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    change = draw(st.sampled_from(["none", "zero row", "negated row"]))
+    if change == "zero row":
+        rows[i] = [Poly.zero(k)] * n
+    elif change == "negated row":
+        rows[i] = [-f for f in rows[j]]
+    return tuple(tuple(row) for row in rows)
 
 
 def _same(got, want):
     return got.variables == want.variables and got.terms == want.terms
 
 
-def generic_krylov(row, sub, col):
-    """R C, R M C, ..., R M^(k-1) C by generic_sum_of_products."""
-    out, v = [], list(col)
-    for _ in col:
-        out.append(generic_sum_of_products(list(zip(row, v))))
-        v = [generic_sum_of_products(list(zip(line, v))) for line in sub]
-    return out
+def _check_packed_charpoly(matrix):
+    """PolyRing.charpoly against the generic iteration, term by term over
+    the same variable lists, and at rank 3 or less against the cofactor
+    oracle; berkowitz_charpoly hands the matrix to it."""
+    domain = matrix[0][0].domain
+    got = PolyRing(domain).charpoly(matrix)
+    assert got is not None
+    want = berkowitz_charpoly(matrix, GenericPolyRing(domain))
+    for g, w in zip(got, want, strict=True):
+        assert _same(g, w)
+    through = berkowitz_charpoly(matrix, PolyRing(domain))
+    assert all(_same(g, w) for g, w in zip(through, want, strict=True))
+    if len(matrix) <= 3:
+        assert got == naive_charpoly_coeffs(matrix, GenericPolyRing(domain))
 
 
 @settings(SETTINGS, max_examples=200)
-@given(kernel_cases())
-def test_packed_kernel_matches_generic_products(case):
-    rows, v = case
-    ring = PolyRing(v[0].domain)
-    # the rows share v, and the last group squares an operand
-    groups = [list(zip(row, v)) for row in rows] + [[(v[0], v[0])]]
-    assert _packed_sums(groups) is not None
-    for group, got in zip(groups, ring.sums_of_products(groups), strict=True):
-        assert _same(got, generic_sum_of_products(group))
-    # a single product takes the generic loop, narrow or wide
-    wide = sum(rows[0] + v, Poly.zero(v[0].domain))
-    for a, b in list(zip(rows[0], v)) + [(wide, wide)]:
-        assert _same(a * b, generic_sum_of_products([(a, b)]))
-    # the first len(v) rows, padded with the last, as a square matrix
-    sub = [rows[min(i, len(rows) - 1)] for i in range(len(v))]
-    assert _packed_krylov(rows[0], sub, v) is not None
-    for got, want in zip(ring.krylov(rows[0], sub, v),
-                         generic_krylov(rows[0], sub, v), strict=True):
-        assert _same(got, want)
+@given(kernel_matrices())
+def test_packed_kernel_matches_generic_products(matrix):
+    _check_packed_charpoly(matrix)
 
 
-@settings(SETTINGS, max_examples=20)
+@pytest.mark.parametrize("k", KERNEL_FIELDS, ids=str)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_packed_charpoly_of_zero_matrices(k, n):
+    """Every dot product has a zero operand: slots of one byte, no terms,
+    and the variable lists of the zero entries still merged."""
+    for zero in (Poly.zero(k), Poly.zero(k, ("u", "v"))):
+        matrix = tuple((zero,) * n for _ in range(n))
+        _check_packed_charpoly(matrix)
+        got = PolyRing(k).charpoly(matrix)
+        assert got[0] == Poly.constant(k, k.one()) and all(c.is_zero() for c in got[1:])
+
+
+@settings(SETTINGS, max_examples=8)
 @given(st.data())
 def test_two_byte_slots_over_f2(data):
-    """Over F_2(x) a sum of products of many full terms needs slots of two
-    bytes, and a slot's residue is its lowest byte's."""
+    """Over F_2(x), rank 3 with nine terms a full entry and numerators of
+    length 16: R C at the last step sums 2 * 9 * 16 products on a slot and
+    needs two bytes, a slot's residue is its lowest byte's lowest bit;
+    entries with one term keep one-byte slots, read with one mask."""
     k = FunctionField(2)
-    digits = st.lists(st.integers(0, 1), min_size=6, max_size=9)
-    ops = [Poly(k, ("u", "v"), {(a, b): k._make(tuple(data.draw(digits)), (1,))
-                                for a in range(4) for b in range(4)})
-           for _ in range(3)]
-    group = [(ops[0], ops[1]), (ops[1], ops[2]), (ops[2], ops[2])]
-    assert _same(_packed_sums([group])[0], generic_sum_of_products(group))
+    digits = st.lists(st.integers(0, 1), min_size=15, max_size=15)
+
+    def entry(terms):
+        return Poly(k, ("u", "v"), {(a, b): k._make(tuple(data.draw(digits)) + (1,), (1,))
+                                    for a in range(terms) for b in range(terms)})
+
+    for terms in (3, 1):
+        _check_packed_charpoly(tuple(tuple(entry(terms) for _ in range(3))
+                                     for _ in range(3)))
 
 
 @SETTINGS
-@given(kernel_cases(FUNCTION_KERNEL_FIELDS), st.data())
-def test_denominator_takes_the_generic_path(case, data):
-    rows, v = case
-    k = v[0].domain
+@given(kernel_matrices(FUNCTION_KERNEL_FIELDS, max_rank=3), st.data())
+def test_denominator_takes_the_generic_path(matrix, data):
+    k = matrix[0][0].domain
     over_x = Poly(k, ("u",), {(1,): k._make((1,), (0, 1))})
-    i = data.draw(st.integers(0, len(v) - 1))
-    v = v[:i] + [v[i] + over_x] + v[i + 1:]
-    ring = PolyRing(k)
-    groups = [list(zip(row, v)) for row in rows]
-    assert _packed_sums(groups) is None
-    for group, got in zip(groups, ring.sums_of_products(groups), strict=True):
-        assert _same(got, generic_sum_of_products(group))
-    # M^j C over F_p(x) grows fast: two powers at most
-    col = [v[i]] + (v[:i] + v[i + 1:])[:1]
-    row = rows[0][:len(col)]
-    assert _packed_krylov(row, [row] * len(col), col) is None
-    for got, want in zip(ring.krylov(row, [row] * len(col), col),
-                         generic_krylov(row, [row] * len(col), col), strict=True):
-        assert _same(got, want)
+    n = len(matrix)
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    rows = [list(row) for row in matrix]
+    rows[i][j] = rows[i][j] + over_x
+    matrix = tuple(tuple(row) for row in rows)
+    assert PolyRing(k).charpoly(matrix) is None
+    got = berkowitz_charpoly(matrix, PolyRing(k))
+    want = berkowitz_charpoly(matrix, GenericPolyRing(k))
+    assert all(_same(g, w) for g, w in zip(got, want, strict=True))
     assert _same(rows[0][0] * over_x,
                  generic_sum_of_products([(rows[0][0], over_x)]))
 
 
 def test_packed_kernel_keeps_the_domain_check():
-    a = Poly.variable(FunctionField(2), "u")
+    k = FunctionField(2)
+    a = Poly.variable(k, "u")
     b = Poly.variable(FunctionField(3), "u")
+    over_x = Poly(k, ("u",), {(1,): k._make((1,), (0, 1))})
     with pytest.raises(IncompatibleFieldError):
         a * b
-    with pytest.raises(IncompatibleFieldError):
-        PolyRing(a.domain).sums_of_products([[(a, a), (a, b)]])
-    with pytest.raises(IncompatibleFieldError):
-        PolyRing(a.domain).krylov([a], [[a]], [b])
+    # a foreign entry raises before any entry's denominator declines the kernel
+    for matrix in (((a, b), (a, a)), ((b,),), ((over_x, a), (b, a))):
+        with pytest.raises(IncompatibleFieldError):
+            PolyRing(k).charpoly(matrix)
+        with pytest.raises(IncompatibleFieldError):
+            berkowitz_charpoly(matrix, PolyRing(k))
 
 
 def _algebra_tables():
