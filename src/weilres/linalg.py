@@ -90,14 +90,13 @@ def _algebra_product(a, b, table, zero):
     e_i e_j as (k, c_ijk) pairs, c_ijk None where it is 1; zero fills the
     coordinates no product reaches."""
     out = [None] * len(table)
+    live = [(j, y) for j, y in enumerate(b) if not y.is_zero()]
     for x, row in zip(a, table):
         if x.is_zero():
             continue
-        for y, cell in zip(b, row):
-            if y.is_zero():
-                continue
+        for j, y in live:
             prod = x * y
-            for k, c in cell:
+            for k, c in row[j]:
                 term = prod if c is None else prod * c
                 out[k] = term if out[k] is None else out[k] + term
     return tuple(zero if c is None else c for c in out)

@@ -363,9 +363,9 @@ def _packed_algebra_product(a, b, table):
     nonzero structure constants of e_i e_j as (k, c_ijk) pairs, c_ijk None
     where it is 1.  None unless every coefficient lies in one F_p or is a
     polynomial in x over one F_p(x), and when a structure constant has a
-    denominator.  Each product a_i b_j is summed once and added into every
-    coordinate k with the packed c_ijk as its weight; each coordinate is
-    reduced mod p once."""
+    denominator.  The products a_i b_j of equal structure constants are
+    summed together once and added into every coordinate k with the packed
+    c_ijk as its weight; each coordinate is reduced mod p once."""
     domain = a[0].domain
     if type(domain) not in _KERNEL_FIELDS:
         return None
@@ -388,7 +388,7 @@ def _packed_algebra_product(a, b, table):
     # per coordinate: its slot bound and the variable lists of the products
     # reaching it, which are all `union` when the operands share one list
     shared = len(lists) == 1
-    bounds, reach, pairs = [0] * n, [[] for _ in range(n)], []
+    bounds, reach, groups = [0] * n, [[] for _ in range(n)], {}
     for i, row in enumerate(table):
         x = ka[i]
         if x is None:
@@ -407,11 +407,12 @@ def _packed_algebra_product(a, b, table):
                 weights.append((k, w))
                 if not shared:
                     reach[k] += (a[i].variables, b[j].variables)
-            pairs.append((x, y, weights))
+            # e_i e_j depends on i + j alone in a monogenic algebra
+            groups.setdefault(tuple(weights), []).append((x, y))
     size = _bytes(max(bounds) * (p - 1) ** 2)
     sums = [{} for _ in range(n)]
-    for x, y, weights in pairs:
-        product = _accumulate([(x.at(size), y.at(size))]).items()
+    for weights, group in groups.items():
+        product = _accumulate([(x.at(size), y.at(size)) for x, y in group]).items()
         for k, w in weights:
             total = sums[k]
             get = total.get

@@ -12,11 +12,15 @@ original presentation over the extension.
 from __future__ import annotations
 
 import itertools
+from functools import partial, reduce
+from math import comb
+from operator import mul
 
 from .errors import EnumerationBoundError, IncompatibleFieldError
 from .extensions import (AlgebraElement, FreeExtension, MonicPoly, charpoly,
-                         extend_scalars, generic_charpoly)
-from .fields import Field, GaloisField, canonical_embedding
+                         extend_scalars, generic_charpoly, mult_matrix)
+from .fields import Field, GaloisField, canonical_embedding, power
+from .linalg import _algebra_product
 from .lognorm import LogNorm
 from .poly import Poly
 from .spectral import spectral_value
@@ -47,7 +51,7 @@ class Presentation:
                 raise TypeError("generators must be Poly values")
             if g.domain != base:
                 raise IncompatibleFieldError("generator over a different base")
-            if not g.support() <= set(self.variables):
+            if g.variables != self.variables and not g.support() <= set(self.variables):
                 raise ValueError("generator uses undeclared variables %s"
                                  % sorted(g.support() - set(self.variables)))
             gens.append(g.with_variables(self.variables))
@@ -105,34 +109,86 @@ def expand_element(f, ext, variables=None):
 
     Returns a vector of rank-many polynomials over the base in the block
     variables of every variable in `variables` (default: the variables of f).
+    G^e, for G = u_1 e_1 + ... + u_n e_n, is the sum of the u^alpha times
+    multinomial(e; alpha) * e^alpha over the alpha of _multinomial_terms.  A
+    term multiplies the powers of its variables by the algebra product, the
+    one with the fewest terms first taken times its coefficient by the
+    coefficient's multiplication matrix.  Distinct terms of f have distinct
+    degrees in the blocks, so their monomials are never summed.
     """
     if f.domain != ext:
         raise IncompatibleFieldError("polynomial is not defined over the extension")
     variables = tuple(variables) if variables is not None else f.variables
-    base = ext.base
-    n = ext.rank
-    all_blocks = []
-    for v in variables:
-        all_blocks.extend(block_names(v, n))
+    base, n = ext.base, ext.rank
+    all_blocks = tuple(name for v in variables for name in block_names(v, n))
     if len(set(all_blocks)) != len(all_blocks):
         raise ValueError("coordinate block names collide; rename the variables")
-    images = {}
-    for v in variables:
-        coords = tuple(
-            Poly.variable(base, name).with_variables(tuple(all_blocks))
-            for name in block_names(v, n))
-        images[v] = AlgebraElement(ext, coords)
-    zero = AlgebraElement(ext, tuple(
-        Poly.zero(base, tuple(all_blocks)) for _ in range(n)))
-    acc = zero
+    offset = {v: i * n for i, v in enumerate(variables)}
+    table, basis, monomials, powers = ext.sparse_structure, {}, {}, {}
+    # a product of scalar coordinates; it skips the zeros of its first factor
+    times = partial(_algebra_product, table=table, zero=base.zero())
+
+    def monomial(alpha, c):  # the coordinates of c * e^alpha
+        x = None
+        for i, a in enumerate(alpha):
+            if a:
+                if (i, a) not in basis:
+                    basis[i, a] = power(ext.basis_element(i).coords, a, None, times)
+                x = basis[i, a] if x is None else times(basis[i, a], x)
+        return x if c == 1 else tuple(v * c for v in x)
+
+    def generic_power(v, e):  # the coordinates of G_v^e
+        if e not in monomials:
+            monomials[e] = [(alpha, monomial(alpha, c)) for alpha, c
+                            in _multinomial_terms(e, n, base.characteristic)]
+        if (v, e) not in powers:
+            pad = (0,) * offset[v], (0,) * (len(all_blocks) - offset[v] - n)
+            powers[v, e] = tuple(Poly(base, all_blocks, {
+                pad[0] + alpha + pad[1]: x[k] for alpha, x in monomials[e]
+                if not x[k].is_zero()}, clean=True) for k in range(n))
+        return powers[v, e]
+
+    out = [{} for _ in range(n)]
     for exps, coeff in f.terms.items():
-        term = AlgebraElement(ext, tuple(
-            Poly.constant(base, c, tuple(all_blocks)) for c in coeff.coords))
-        for v, e in zip(f.variables, exps):
-            if e:
-                term = term * images[v] ** e
-        acc = acc + term
-    return tuple(c.with_variables(tuple(all_blocks)) for c in acc.coords)
+        factors = sorted((generic_power(v, e) for v, e in zip(f.variables, exps) if e),
+                         key=lambda x: sum(len(c.terms) for c in x))
+        if not factors:
+            factors = [[Poly.constant(base, c, all_blocks) for c in coeff.coords]]
+        elif coeff.coords != ext.unit:
+            scaled = []  # coordinate k: the sum of m_kj * coordinate j
+            for row in mult_matrix(coeff):
+                acc = {}
+                for c, x in zip(row, factors[0]):
+                    for key, v in x.terms.items() if not c.is_zero() else ():
+                        acc[key] = acc[key] + v * c if key in acc else v * c
+                scaled.append(Poly(base, all_blocks, acc))
+            factors[0] = tuple(scaled)
+        term = reduce(mul, [AlgebraElement(ext, x) for x in factors])
+        for terms, x in zip(out, term.coords):
+            terms.update(x.terms)
+    return tuple(Poly(base, all_blocks, terms, clean=True) for terms in out)
+
+
+def _multinomial_terms(e, n, p):
+    """Every alpha of length n with |alpha| = e whose multinomial coefficient
+    e! / (alpha_1! ... alpha_n!) is nonzero mod p, with that coefficient,
+    reduced mod p when p > 0.  In characteristic p each base-p digit of e is
+    split over the n slots with no carry: by Lucas's theorem these alpha are
+    exactly the ones whose coefficient is nonzero mod p, and it is the
+    product of the digits' multinomials."""
+    # (p^j, base-p digit j of e); e itself when p = 0
+    digits = [(p ** j, e // p ** j % p) for j in range(e.bit_length())
+              if e // p ** j] if p else [(1, e)]
+    terms = [((0,) * n, 1)]
+    for place, digit in digits:
+        # (the leading slots, what is left, their multinomial coefficient)
+        parts = [((), digit, 1)]
+        for _ in range(n - 1):
+            parts = [(beta + (b,), left - b, m * comb(left, b))
+                     for beta, left, m in parts for b in range(left + 1)]
+        terms = [(tuple(a + place * b for a, b in zip(alpha, beta + (left,))),
+                  c * m % p if p else m) for alpha, c in terms for beta, left, m in parts]
+    return terms
 
 
 def restrict(p, ext):
@@ -200,9 +256,12 @@ def disc_generators(ext, radius_elements, var_block, y_prefix="y"):
                 _homogeneous_value(c, j, at_unit)
                 for j, c in enumerate(chi.coefficients, start=1)]))
         for j in range(1, n + 1):
-            y = "%s%d_%d" % (y_prefix, i, j)
-            gen = Poly.variable(base, y) - chi.coefficient(j)
-            gens.append(gen)
+            y, c = "%s%d_%d" % (y_prefix, i, j), chi.coefficient(j)
+            if y in var_block:
+                raise ValueError("variable %r names both a y and a block variable" % y)
+            terms = {(0,) + exps: -v for exps, v in c.terms.items()}
+            terms[(1,) + (0,) * len(c.variables)] = base.one()
+            gens.append(Poly(base, (y,) + c.variables, terms, clean=True))
             radius_meta[y] = {
                 "integral_lognorm": str(LogNorm(0)),
                 "scaled_lognorm": str(rho * j) if rho is not None else None,

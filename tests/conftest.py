@@ -6,9 +6,10 @@ import pytest
 from weilres import (FunctionField, Poly, PrimeField, RationalField,
                      base_change, from_minimal_polynomial, lognorm_max,
                      parse_poly)
-from weilres.extensions import MonicPoly, mult_matrix
+from weilres.extensions import AlgebraElement, MonicPoly, mult_matrix
 from weilres.fields import _udivmod, power
 from weilres.linalg import mat_identity, mat_is_zero, mat_mul
+from weilres.restriction import block_names
 
 
 @pytest.fixture
@@ -59,6 +60,28 @@ def f9_ext(f3):
 @pytest.fixture
 def sqrt2_2adic(q2):
     return from_minimal_polynomial(q2, parse_poly("t^2 - 2", q2, ("t",)), "t")
+
+
+def naive_expand_element(f, ext, variables=None):
+    """Reference for restriction.expand_element: each term's coefficient,
+    as constant polynomial coordinates, times every power of the generic
+    element u_1 e_1 + ... + u_n e_n it needs, each taken by square-and-multiply
+    with algebra products, the terms summed as algebra elements."""
+    variables = tuple(variables) if variables is not None else f.variables
+    base, n = ext.base, ext.rank
+    all_blocks = tuple(name for v in variables for name in block_names(v, n))
+    images = {v: AlgebraElement(ext, tuple(
+        Poly.variable(base, name).with_variables(all_blocks)
+        for name in block_names(v, n))) for v in variables}
+    acc = AlgebraElement(ext, tuple(Poly.zero(base, all_blocks) for _ in range(n)))
+    for exps, coeff in f.terms.items():
+        term = AlgebraElement(ext, tuple(
+            Poly.constant(base, c, all_blocks) for c in coeff.coords))
+        for v, e in zip(f.variables, exps):
+            if e:
+                term = term * images[v] ** e
+        acc = acc + term
+    return tuple(c.with_variables(all_blocks) for c in acc.coords)
 
 
 def generic_sum_of_products(pairs):

@@ -369,6 +369,27 @@ def test_disc_guard_document_digest(capsys, name):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DISC_GUARDS[name]
 
 
+# SHA-256 of the restrict output of documents whose powers have many base-p
+# digits, over F_3 and F_4 and over Q where every multinomial coefficient
+# counts, recorded with the square-and-multiply expansion.
+RESTRICT_GUARDS = {
+    "restrict_lucas_f3.json":
+        "45c0c8902ea82082d965c753d411939a3aa919209ce1e1329fe26a2044c21684",
+    "restrict_multinomial_q.json":
+        "bdb87099c387733c0a101c219d88eef90c1f0ddfb3cb776d1f3f03e4b9216aaa",
+    "restrict_lucas_f4.json":
+        "e5fc1aac5b939a2842a7fe5345e805143c87615f702542292a2758843d60b574",
+}
+
+
+@pytest.mark.parametrize("name", sorted(RESTRICT_GUARDS))
+def test_restrict_guard_document_digest(capsys, name):
+    path = pathlib.Path(__file__).parent / name
+    code, out, _ = run(capsys, ["restrict", "X", "--input", str(path)])
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == RESTRICT_GUARDS[name]
+
+
 def test_schema_error_exit_code(tmp_path, capsys):
     data = golden_doc()
     data["extra"] = 1
