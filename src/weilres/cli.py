@@ -2,8 +2,8 @@
 
 Commands: restrict, disc, charpoly, integrality, spectral, fixed-points,
 points, verify.  Exit codes: 0 pass, 1 verification failure, 2 input error,
-3 resource bound exceeded, 4 internal error (any other exception, reported on
-one line).
+3 resource bound exceeded (a bound of this package, or MemoryError), 4
+internal error (any other exception, reported on one line).
 """
 
 from __future__ import annotations
@@ -264,8 +264,8 @@ def main(argv=None):
         code, record = COMMANDS[args.command](doc, args)
         _emit(record, args.output)
         return code
-    except EnumerationBoundError as exc:
-        sys.stderr.write("resource bound: %s\n" % exc)
+    except (EnumerationBoundError, MemoryError) as exc:
+        sys.stderr.write("resource bound: %s\n" % (str(exc) or "out of memory"))
         return EXIT_RESOURCE
     except (WeilresError, ValueError) as exc:
         sys.stderr.write("input error: %s\n" % exc)

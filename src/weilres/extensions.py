@@ -16,8 +16,8 @@ from __future__ import annotations
 import itertools
 
 from .errors import IncompatibleFieldError, UnsupportedOperationError
-from .fields import (FieldElement, FunctionField, _join_signed, _needs_parens,
-                     _term_string, canonical_embedding, power)
+from .fields import (FieldElement, _join_signed, _needs_parens, _term_string,
+                     canonical_embedding, power)
 from .lognorm import LogNorm
 from .linalg import (_algebra_product, berkowitz_charpoly, mat_identity,
                      mat_is_zero, mat_mul)
@@ -485,18 +485,22 @@ class MonicPoly:
             return NotImplemented
         if other.ring != self.ring:
             raise IncompatibleFieldError("monic polynomials over different rings")
-        # Q and F_p(x) multiply on cleared raw values; other rings term by term
-        product = getattr(self.ring, "monic_product", None)
-        if product is not None:
-            return MonicPoly(self.ring, product(self.coefficients, other.coefficients))
-        one = self.ring.one()
-        a = [one] + list(self.coefficients)
-        b = [one] + list(other.coefficients)
-        out = [self.ring.zero() for _ in range(len(a) + len(b) - 1)]
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                out[i + j] = out[i + j] + x * y
-        return MonicPoly(self.ring, out[1:])
+        # each side cleared by a common denominator of its coefficients: the
+        # numerators convolve with no gcd and each sum is divided by d_a * d_b
+        # once.  Zero numerators, 0 or (), are skipped; a Poly is always true,
+        # so over a PolyRing every product is taken, as term by term.
+        zero, _, add, mul, over = self.ring.numerators()
+        da, a = self.ring.cleared(self.coefficients)
+        db, b = self.ring.cleared(other.coefficients)
+        b = [db] + b
+        out = [zero] * (len(a) + len(b))
+        for i, x in enumerate([da] + a):
+            if x:
+                for j, y in enumerate(b):
+                    if y:
+                        out[i + j] = add(out[i + j], mul(x, y))
+        d = mul(da, db)
+        return MonicPoly(self.ring, [over(c, d) for c in out[1:]])
 
     def __eq__(self, other):
         if not isinstance(other, MonicPoly):
@@ -554,24 +558,25 @@ def _unscaled_charpoly(d, b):
 
 
 def _cleared(b):
-    """(d, d*b) with d a polynomial such that the multiplication matrix of
-    d*b has only polynomials in x as coefficients: over F_p(x), d is the
-    common denominator of the coordinates of b times that of the structure
-    constants, so no gcd runs while that matrix is built or iterated.  Over
-    other fields d is 1 and b is returned as it is."""
+    """(d, d*b) with d a base scalar such that the multiplication matrix of
+    d*b has only numerators as entries (integers over Q, polynomials in x
+    over F_p(x)), so no gcd runs while it is iterated: base.cleared's d for
+    the coordinates of b times that for the structure constants.  Over
+    finite fields d is 1 and b is returned as it is."""
     ext = b.extension
     base = ext.base
-    if not isinstance(base, FunctionField):
-        return base.one(), b
-    values = [c for x in b.coords
-              for c in (x.terms.values() if isinstance(x, Poly) else (x,))]
-    d = base.common_denominator(values) * base.common_denominator(
-        [c for row in ext.sparse_structure for cell in row
-         for _, c in cell if c is not None])
+    _, one, _, mul, over = base.numerators()
+    e = base.cleared([c for row in ext.sparse_structure for cell in row
+                      for _, c in cell if c is not None])[0]
+    d, scaled = base.cleared([c for x in b.coords for c in (
+        x.terms.values() if isinstance(x, Poly) else (x,))])
+    d = over(mul(d, e), one)
     if d.is_one():
         return d, b
-    scale = base.scaler(d)
-    return d, AlgebraElement(ext, tuple(_map_values(x, scale) for x in b.coords))
+    # the scaled values, in the order cleared took them
+    scaled = iter([over(mul(n, e), one) for n in scaled])
+    return d, AlgebraElement(ext, tuple(_map_values(x, lambda _: next(scaled))
+                                        for x in b.coords))
 
 
 def _map_values(c, f):

@@ -20,6 +20,11 @@ unique rank-1 valuation with |x| = r < 1 on F_p[x]; on the monomials x^k it
 takes the value r^k.  On that scale one log-unit corresponds to one factor
 of 1/r, so lognorm(x^-k) = +k grows without bound.
 
+Every kind answers one cleared(elements): a common denominator d (1 over F_p
+and F_{p^m}, the lcm over Q, the monic lcm over F_p(x)) and the raw numerator
+of every d*a.  Monic products and characteristic polynomials work on these,
+in the ring numerators() describes, and divide by d once.
+
 All elements are immutable values; every operation is a pure function.
 """
 
@@ -411,6 +416,25 @@ class Field:
         """Resolve an identifier to a field constant, or None."""
         return None
 
+    def cleared(self, elements):
+        """(d, numerators): a common denominator d of the elements and the
+        raw numerator of every d*a, both in the ring numerators() describes.
+        Here d = 1 and the numerators are the raw values; Q and F_p(x) clear
+        their denominators."""
+        return self._one.value, [a.value for a in elements]
+
+    def numerators(self):
+        """(zero, one, add, mul, over) of the ring cleared() clears into:
+        its zero and one, its sum and product, and over(n, d), the element
+        n / d for a product d of the denominators cleared() returns."""
+        return (self._zero.value, self._one.value, self._add, self._mul,
+                lambda n, d: FieldElement(self, n))
+
+    def unscaler(self, d):
+        """(c, j) -> c / d^j for a nonzero d."""
+        inverse = d.inverse()
+        return lambda c, j: c * inverse ** j
+
     def _format(self, value):
         raise NotImplementedError
 
@@ -629,23 +653,14 @@ class RationalField(Field):
             v += 1
         return v
 
-    def monic_product(self, a, b):
-        """The coefficients c_1, c_2, ... of (z^n + a_1 z^(n-1) + ...) times
-        (z^m + b_1 z^(m-1) + ...) for sequences a and b of elements: each
-        side is cleared by the lcm of its denominators, the integers are
-        convolved, and each sum becomes one Fraction over d_a * d_b."""
-        ra, da = self._cleared(a)
-        rb, db = self._cleared(b)
-        d = da * db
-        return [FieldElement(self, Fraction(c, d))
-                for c in _convolve(ra, rb, operator.add, operator.mul, 0)[1:]]
-
-    @staticmethod
-    def _cleared(elements):
-        """[d, d*a_1, ...] as integers and d, the lcm of the denominators."""
+    def cleared(self, elements):
+        """d, the lcm of the denominators, and the integers d*a."""
         d = math.lcm(*(a.value.denominator for a in elements))
-        return [d] + [a.value.numerator * (d // a.value.denominator)
-                      for a in elements], d
+        return d, [a.value.numerator * (d // a.value.denominator) for a in elements]
+
+    def numerators(self):
+        return (0, 1, operator.add, operator.mul,
+                lambda n, d: FieldElement(self, Fraction(n, d)))
 
     def random_element(self, rng):
         return FieldElement(self, Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
@@ -658,18 +673,6 @@ class RationalField(Field):
 
     def __repr__(self):
         return "Q" if self.padic is None else "Q(%d-adic)" % self.padic
-
-
-def _convolve(a, b, add, mul, zero):
-    """The product of two coefficient lists under raw add and mul, skipping
-    the zero terms."""
-    out = [zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x != zero:
-            for j, y in enumerate(b):
-                if y != zero:
-                    out[i + j] = add(out[i + j], mul(x, y))
-    return out
 
 
 class _RatFunc:
@@ -767,27 +770,23 @@ class FunctionField(Field):
             return _RatFunc(_umul(a.num, b.num, p), (1,))
         return self._make(_umul(a.num, b.num, p), _umul(a.den, b.den, p)).value
 
-    def common_denominator(self, elements):
-        """The monic lcm d of the denominators: every d*a is a polynomial."""
+    def cleared(self, elements):
+        """d, the monic lcm of the denominators, and the numerators of every
+        d*a as coefficient tuples, scaled with one exact division of d per
+        distinct denominator and no gcd."""
+        p, d = self.p, (1,)
+        denominators = {a.value.den for a in elements}
+        for den in denominators:
+            d = _umul(d, _udivmod(den, _ugcd(d, den, p), p)[0], p)
+        if d == (1,):
+            return d, [a.value.num for a in elements]
+        quotients = {den: _udivmod(d, den, p)[0] for den in denominators}
+        return d, [_umul(a.value.num, quotients[a.value.den], p) for a in elements]
+
+    def numerators(self):
         p = self.p
-        d = (1,)
-        for den in {a.value.den for a in elements}:
-            g = _ugcd(d, den, p)
-            d = _umul(d, _udivmod(den, g, p)[0], p)
-        return FieldElement(self, _RatFunc(d, (1,)))
-
-    def scaler(self, d):
-        """a -> d*a for the a whose denominators divide the polynomial d, with
-        one exact division of d per distinct denominator and no gcd."""
-        p, quotients = self.p, {}
-
-        def scale(a):
-            num, den = a.value.num, a.value.den
-            q = quotients.get(den)
-            if q is None:
-                q = quotients[den] = _udivmod(d.value.num, den, p)[0]
-            return FieldElement(self, _RatFunc(_umul(num, q, p), (1,)))
-        return scale
+        return ((), (1,), lambda a, b: _uadd(a, b, p), lambda a, b: _umul(a, b, p),
+                self._make)
 
     def unscaler(self, d):
         """(c, j) -> c / d^j for a monic polynomial d and polynomials c.
@@ -828,25 +827,6 @@ class FunctionField(Field):
                 num, wide = _udivmod(num, g, p)[0], _udivmod(wide, g, p)[0]
             return FieldElement(self, _RatFunc(num, mul(den, wide)))
         return unscale
-
-    def monic_product(self, a, b):
-        """The coefficients c_1, c_2, ... of (z^n + a_1 z^(n-1) + ...) times
-        (z^m + b_1 z^(m-1) + ...) for sequences a and b of elements: each
-        side is cleared by its common denominator, the numerators are
-        convolved with no gcd, and each sum is divided by d_a * d_b once."""
-        p = self.p
-        ra, da = self._cleared(a)
-        rb, db = self._cleared(b)
-        d = _umul(da, db, p)
-        return [self._make(c, d) for c in _convolve(
-            ra, rb, lambda x, y: _uadd(x, y, p), lambda x, y: _umul(x, y, p),
-            ())[1:]]
-
-    def _cleared(self, elements):
-        """[d, d*a_1, ...] as numerator tuples and d, the common denominator."""
-        d = self.common_denominator(elements)
-        scale = self.scaler(d)
-        return [d.value.num] + [scale(a).value.num for a in elements], d.value.num
 
     def _inv(self, a):
         return self._make(a.den, a.num).value

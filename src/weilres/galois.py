@@ -33,6 +33,8 @@ class GroupAction:
             tuple(tuple(base.coerce(c) for c in row) for row in m)
             for m in matrices)
         k = len(self.elements)
+        if not k:
+            raise ValueError("a group action needs at least one element")
         if len(self.table) != k or any(len(row) != k for row in self.table):
             raise ValueError("composition table must be %d x %d" % (k, k))
         if any(type(c) is not int or not 0 <= c < k

@@ -3,10 +3,11 @@
 Matrices are tuples of row tuples; the ring is any handle providing zero()
 and one() (a Field, a FreeExtension or a PolyRing).  The characteristic
 polynomial uses the Berkowitz iteration, which is division-free and therefore
-valid when the entries are polynomials.  A ring handle with a charpoly of
-its own (PolyRing, over F_p and F_p(x)) runs the whole iteration in its
-packed kernel; the generic iteration and algebra product here serve every
-other ring and every matrix that kernel declines.
+valid when the entries are polynomials.  The iteration is written once, in
+berkowitz, over a unit, a negation and a dot product: berkowitz_charpoly runs
+it on ring elements, and PolyRing.charpoly (over F_p and F_p(x)) on entries
+keyed into its packed kernel with the kernel's keyed dot.  The generic
+algebra product here serves every ring and product that kernel declines.
 """
 
 from __future__ import annotations
@@ -62,25 +63,27 @@ def berkowitz_charpoly(matrix, ring):
     # entry allows it (its charpoly returns None otherwise)
     kernel = getattr(ring, "charpoly", None)
     vec = None if kernel is None else kernel(matrix)
-    if vec is not None:
-        return vec
-    n = len(matrix)
-    one = ring.one()
+    return berkowitz(matrix, ring.one(), lambda x: -x, _dot) if vec is None else vec
+
+
+def berkowitz(matrix, one, negate, dot):
+    """[1, c_1, ..., c_n] for the square matrix by Berkowitz's iteration
+    (Inform. Process. Lett. 18, 1984), given the unit `one`, negate(x) = -x
+    and dot(xs, ys), the sum of the x*y over two equally long nonempty
+    sequences.  Each entry on or below the diagonal is negated once."""
     vec = [one]
-    for r in range(1, n + 1):
+    for r, line in enumerate(matrix):
         # -R, negated once: its entries are smaller than the R M^j C
-        row = [-x for x in matrix[r - 1][: r - 1]]
-        sub = tuple(matrix[i][: r - 1] for i in range(r - 1))
-        col = tuple(matrix[i][r - 1] for i in range(r - 1))
+        row, sub = [negate(x) for x in line[:r]], [above[:r] for above in matrix[:r]]
         # Toeplitz column: 1, -a, -R C, -R M C, -R M^2 C, ...
-        toep, v = [one, -matrix[r - 1][r - 1]], col
-        for j in range(r - 1):
+        toep, v = [one, negate(line[r])], [above[r] for above in matrix[:r]]
+        for j in range(r):
             if j:
-                v = mat_vec(sub, v)
-            toep.append(_dot(row, v))
-        vec = [_dot(*zip(*[(toep[i - j], vec[j])
-                           for j in range(max(0, i - r), min(i, r - 1) + 1)]))
-               for i in range(r + 1)]
+                v = [dot(s, v) for s in sub]
+            toep.append(dot(row, v))
+        vec = [dot(*zip(*[(toep[i - j], vec[j])
+                          for j in range(max(0, i - r - 1), min(i, r) + 1)]))
+               for i in range(r + 2)]
     return vec
 
 

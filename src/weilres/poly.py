@@ -21,13 +21,13 @@ from __future__ import annotations
 
 from itertools import repeat
 from math import comb
-from operator import and_, is_, lshift, rshift
+from operator import add, and_, is_, lshift, mul, rshift
 
 from .errors import (EnumerationBoundError, IncompatibleFieldError,
                      UnsupportedOperationError)
 from .fields import (Field, FieldElement, FunctionField, PrimeField,
                      RationalField, _RatFunc, _join_signed, _term_string, power)
-from .linalg import _algebra_product
+from .linalg import _algebra_product, berkowitz
 from .lognorm import lognorm_max
 
 
@@ -313,6 +313,11 @@ def _first_seen(lists):
 # products on one monomial, each adding at most (shorter numerator length)
 # * (p - 1)^2 to a slot, times the coefficient sum of the structure constant
 # that weights it in an algebra product, so a sum stays below 256^size.
+#
+# charpoly and the algebra product share one setup (_setup) and one exit
+# (_to_polys).  charpoly runs linalg's Berkowitz loop on keyed entries with
+# its keyed dot, a sum of products reduced once; the algebra product reduces
+# each coordinate once.
 
 _POLYNOMIAL = (1,)
 _KERNEL_FIELDS = (PrimeField, FunctionField)
@@ -367,27 +372,21 @@ def _packed_algebra_product(a, b, table):
     summed together once and added into every coordinate k with the packed
     c_ijk as its weight; each coordinate is reduced mod p once."""
     domain = a[0].domain
-    if type(domain) not in _KERNEL_FIELDS:
-        return None
     # a square keys its coordinates once
     square = all(map(is_, a, b))
     live = [f for f in (a if square else a + b) if f.terms]
-    degrees = [_polynomial_degree(f, domain) for f in live]
-    if None in degrees:
-        return None
     # no exponent of a product exceeds twice the largest total degree
-    width = max(2 * max(degrees, default=0), 1).bit_length()
-    lists = dict.fromkeys(f.variables for f in live)
-    union = _first_seen(lists)
-    position = {name: i * width for i, name in enumerate(union)}
+    setup = _setup(live, domain, 2)
+    if setup is None:
+        return None
+    width, union, position, unit = setup
     p = domain.p
-    unit = _bytes(p - 1)
     ka = [_key(f, position, unit) if f.terms else None for f in a]
     kb = ka if square else [_key(f, position, unit) if f.terms else None for f in b]
     n = len(table)
     # per coordinate: its slot bound and the variable lists of the products
     # reaching it, which are all `union` when the operands share one list
-    shared = len(lists) == 1
+    shared = all(f.variables == union for f in live)
     bounds, reach, groups = [0] * n, [[] for _ in range(n)], {}
     for i, row in enumerate(table):
         x = ka[i]
@@ -419,17 +418,11 @@ def _packed_algebra_product(a, b, table):
             w = w[0] if len(w) == 1 else _pack(w, 8 * size)
             for key, s in product:
                 total[key] = get(key, 0) + w * s
-    layouts = {}
-    out = []
-    for total, bound, names in zip(sums, bounds, reach):
-        if not bound:
-            out.append(Poly.zero(domain))
-            continue
-        order = union if shared else _first_seen(names)
-        if order not in layouts:
-            layouts[order] = _layout(union, order, width)
-        out.append(_to_poly(_reduced(total, p, size)[0], domain, order, layouts[order]))
-    return tuple(out)
+    # a coordinate no product reaches is the zero polynomial over no variables
+    return tuple(_to_polys(
+        ((_reduced(total, p, size)[0], union if shared else _first_seen(names))
+         if bound else ((), ()) for total, bound, names in zip(sums, bounds, reach)),
+        domain, union, width))
 
 
 def _terms(coords):
@@ -444,15 +437,25 @@ def _numerator(value):
     return value.num if value.den == _POLYNOMIAL else None
 
 
-def _polynomial_degree(f, domain):
-    """The total degree of f, or None when a coefficient of f has a
-    denominator; raises when f is over another domain."""
-    _check_domains(domain, f.domain)
-    if type(domain) is FunctionField:
-        for c in f.terms.values():
-            if c.value.den != _POLYNOMIAL:
-                return None
-    return f.total_degree()
+def _setup(polys, domain, factor):
+    """(width, union, position, unit) for keying polys, whose products in
+    the kernel have no exponent above `factor` times their largest total
+    degree: the bits of an exponent field, the union of the variable lists,
+    each name's offset and the bytes of a canonical slot.  None unless every
+    coefficient lies in one F_p or is a polynomial in x over one F_p(x); a
+    polynomial over another domain raises first."""
+    if type(domain) not in _KERNEL_FIELDS:
+        return None
+    for f in polys:
+        _check_domains(domain, f.domain)
+    if type(domain) is FunctionField and any(
+            c.value.den != _POLYNOMIAL for f in polys for c in f.terms.values()):
+        return None
+    degree = max((f.total_degree() for f in polys), default=0)
+    width = max(factor * degree, 1).bit_length()
+    union = _first_seen(dict.fromkeys(f.variables for f in polys))
+    return (width, union, {name: i * width for i, name in enumerate(union)},
+            _bytes(domain.p - 1))
 
 
 def _key(f, position, size, p=0):
@@ -553,40 +556,40 @@ def _reduced(sums, p, size):
     return terms, -(-max((v for _, v in terms), default=0).bit_length() // (8 * unit))
 
 
-def _layout(union, order, width):
-    """How exponent vectors over `order` are read off keys packed over
-    `union`: their shifts, the field mask and the vectors read so far."""
-    return [union.index(name) * width for name in order], (1 << width) - 1, {}
-
-
-def _to_poly(terms, domain, order, layout):
-    """The polynomial over `order` of terms in canonical slots, read by
-    `layout`."""
-    shifts, mask, decoded = layout
+def _to_polys(results, domain, union, width):
+    """The polynomials of the (terms, order) results, terms in canonical
+    slots keyed over `union` and each polynomial over its `order`: the
+    shifts of an order are found once, and each key's exponents read once
+    per order."""
     prime = type(domain) is PrimeField
-    unit = _bytes(domain.p - 1)
-    out = {}
-    for k, v in terms:
-        exps = decoded.get(k)
-        if exps is None:
-            exps = decoded[k] = tuple(map(and_, map(rshift, repeat(k), shifts),
-                                          repeat(mask)))
-        if prime:
-            out[exps] = FieldElement(domain, v)
-            continue
-        raw = v.to_bytes(-(-v.bit_length() // (8 * unit)) * unit, "little")
-        num = tuple(raw) if unit == 1 else tuple(
-            int.from_bytes(raw[i:i + unit], "little") for i in range(0, len(raw), unit))
-        out[exps] = FieldElement(domain, _RatFunc(num, _POLYNOMIAL))
-    return Poly(domain, order, out, clean=True)
+    unit, mask, layouts, out = _bytes(domain.p - 1), (1 << width) - 1, {}, []
+    for terms, order in results:
+        if order not in layouts:
+            layouts[order] = [union.index(name) * width for name in order], {}
+        shifts, decoded = layouts[order]
+        poly = {}
+        for k, v in terms:
+            exps = decoded.get(k)
+            if exps is None:
+                exps = decoded[k] = tuple(map(and_, map(rshift, repeat(k), shifts),
+                                              repeat(mask)))
+            if prime:
+                poly[exps] = FieldElement(domain, v)
+                continue
+            raw = v.to_bytes(-(-v.bit_length() // (8 * unit)) * unit, "little")
+            num = tuple(raw) if unit == 1 else tuple(
+                int.from_bytes(raw[i:i + unit], "little") for i in range(0, len(raw), unit))
+            poly[exps] = FieldElement(domain, _RatFunc(num, _POLYNOMIAL))
+        out.append(Poly(domain, order, poly, clean=True))
+    return out
 
 
 class PolyRing:
-    """Coefficient-domain handle for matrices and algebra coordinates whose
-    entries are polynomials.
+    """Coefficient-domain handle for matrices, algebra coordinates and
+    monic polynomials whose entries are polynomials.
 
     Its charpoly and algebra_product run the packed kernel when it applies;
-    linalg's generic Berkowitz iteration and algebra loop serve otherwise."""
+    linalg's loops serve otherwise, on Poly arithmetic."""
 
     def __init__(self, domain):
         self.domain = domain
@@ -598,28 +601,21 @@ class PolyRing:
         return Poly.constant(self.domain, self.domain.one())
 
     def charpoly(self, matrix):
-        """Coefficients [1, c_1, ..., c_n] of det(z*I - M) by the iteration of
-        linalg.berkowitz_charpoly, each over the variables it gives them;
-        None unless every entry is a polynomial over this F_p, or in x over
-        this F_p(x).  Each entry is keyed once, and once more negated where
-        the iteration negates it; only the n + 1 results leave the kernel."""
-        domain = self.domain
-        if type(domain) not in _KERNEL_FIELDS:
-            return None
+        """Coefficients [1, c_1, ..., c_n] of det(z*I - M) by linalg.berkowitz
+        on keyed entries with the keyed dot, each over the variables it gives
+        them; None unless every entry is a polynomial over this F_p, or in x
+        over this F_p(x).  Each entry is keyed once, and once more negated
+        where the iteration negates it; only the n + 1 results leave the
+        kernel."""
         entries = [f for row in matrix for f in row]
-        degrees = [_polynomial_degree(f, domain) for f in entries]
-        if None in degrees:
-            return None
-        n, p = len(matrix), domain.p
         # no exponent of a Krylov or Toeplitz product exceeds n times the
         # largest entry degree
-        width = max(n * max(degrees, default=0), 1).bit_length()
-        union = _first_seen(dict.fromkeys(f.variables for f in entries))
-        position = {name: i * width for i, name in enumerate(union)}
-        unit, square = _bytes(p - 1), (p - 1) ** 2
-        plain = [[_key(f, position, unit) for f in row] for row in matrix[:-1]]
-        negated = [[_key(f, position, unit, p) for f in row[:i + 1]]
-                   for i, row in enumerate(matrix)]
+        setup = _setup(entries, self.domain, len(matrix))
+        if setup is None:
+            return None
+        width, union, position, unit = setup
+        p = self.domain.p
+        square = (p - 1) ** 2
 
         def merge(a, b):
             # the variable list of a sum or product of operands over a and b
@@ -638,26 +634,20 @@ class PolyRing:
                 [(x.at(size), y.at(size)) for x, y in pairs]), p, size)
             return _Keyed(terms, length, order, unit)
 
-        one = _Keyed([(0, 1)], 1, (), unit)
-        vec = [one]
-        for r in range(n):
-            row, sub = negated[r][:r], [line[:r] for line in plain[:r]]
-            # Toeplitz column: 1, -a, -R C, -R M C, -R M^2 C, ...
-            toep, v = [one, negated[r][r]], [line[r] for line in plain[:r]]
-            for j in range(r):
-                if j:
-                    v = [dot(line, v) for line in sub]
-                toep.append(dot(row, v))
-            vec = [dot(*zip(*[(toep[i - j], vec[j])
-                              for j in range(max(0, i - r - 1), min(i, r) + 1)]))
-                   for i in range(r + 2)]
-        layouts = {}
-        out = []
-        for f in vec:
-            if f.order not in layouts:
-                layouts[f.order] = _layout(union, f.order, width)
-            out.append(_to_poly(f.terms, domain, f.order, layouts[f.order]))
-        return out
+        keyed = [[_key(f, position, unit) for f in row] for row in matrix]
+        # every entry the iteration negates (on or below the diagonal), keyed
+        # once more, negated
+        negated = {x: _key(f, position, unit, p) for r, (row, line) in
+                   enumerate(zip(matrix, keyed)) for f, x in zip(row[:r + 1], line)}
+        vec = berkowitz(keyed, _Keyed([(0, 1)], 1, (), unit), negated.__getitem__, dot)
+        return _to_polys(((f.terms, f.order) for f in vec), self.domain, union, width)
+
+    def cleared(self, elements):
+        """(1, the elements): polynomials over a field need no clearing."""
+        return self.one(), list(elements)
+
+    def numerators(self):
+        return self.zero(), self.one(), add, mul, lambda n, d: n
 
     def algebra_product(self, a, b, table):
         out = None

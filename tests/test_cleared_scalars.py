@@ -1,8 +1,10 @@
 """Property tests of the valued-field scalar paths that clear denominators.
 
-MonicPoly products over Q and F_p(x) run on cleared raw values; they are
-checked against the FieldElement convolution in conftest.py on every field
-kind, the finite fields included (those keep the generic loop).  The
+MonicPoly products run on the numerators each ring's `cleared` gives: the
+integers over Q, the x-numerators over F_p(x), the raw values over finite
+fields and the polynomials themselves over a PolyRing.  They are checked
+against the FieldElement or Poly convolution in conftest.py on every field
+kind and on polynomials over each, with their variable lists.  The
 spectral value compared by integer orders is checked against the LogNorm
 maximum of lognorm(c_i) / i, and the nilpotency certificate on the cleared
 multiplication matrix against the power of the matrix itself.  Runs are
@@ -15,7 +17,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weilres import (FunctionField, GaloisField, LogNorm,
+from weilres import (FunctionField, GaloisField, LogNorm, Poly, PolyRing,
                      PrimeField, RationalField, from_minimal_polynomial,
                      parse_poly)
 from weilres.extensions import MonicPoly, is_nilpotent, tensor_product
@@ -86,6 +88,32 @@ def test_monic_product_matches_generic_convolution(field, data):
     p = data.draw(monic_polys(field))
     q = data.draw(monic_polys(field))
     _assert_same(p * q, generic_monic_product(p, q))
+
+
+@st.composite
+def polynomial_monic_polys(draw, field, max_degree=3):
+    """Monic polynomials whose coefficients are polynomials over field, on
+    differing variable lists, zeros over variables among them."""
+    coefficients = []
+    for _ in range(draw(st.integers(1, max_degree))):
+        variables = draw(st.sampled_from([(), ("u",), ("u", "v"), ("v", "u")]))
+        rng = random.Random(draw(st.integers(0, 2 ** 16)))
+        terms = {tuple(rng.randint(0, 2) for _ in variables): field.random_element(rng)
+                 for _ in range(draw(st.integers(0, 3)))}
+        coefficients.append(Poly(field, variables, terms))
+    return MonicPoly(PolyRing(field), coefficients)
+
+
+@SETTINGS
+@given(st.sampled_from(PRODUCT_FIELDS), st.data())
+def test_monic_product_over_polynomials_matches_generic_convolution(field, data):
+    p = data.draw(polynomial_monic_polys(field))
+    q = data.draw(polynomial_monic_polys(field))
+    got, want = p * q, generic_monic_product(p, q)
+    assert got == want and hash(got) == hash(want)
+    assert [c.variables for c in got.coefficients] == \
+        [c.variables for c in want.coefficients]
+    assert got.to_string() == want.to_string()
 
 
 def test_monic_product_edge_cases():

@@ -489,6 +489,35 @@ def test_action_table_entries_must_be_element_indices(tmp_path, capsys):
         assert err.startswith("input error: ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("field", [None, {"kind": "prime", "p": 3}],
+                         ids=["Q", "F_3"])
+def test_empty_group_action_is_refused(tmp_path, capsys, field):
+    # an action needs the identity at least: with no elements the run used
+    # to end in an IndexError over Q and, over F_3, in the claim that the
+    # group order 0 shares a factor with the characteristic
+    data = json.loads((pathlib.Path(__file__).parent
+                       / "fixed_points_empty_action.json").read_text())
+    if field is not None:
+        data["field"] = field
+    path = write_doc(tmp_path, data)
+    code, out, err = run(capsys, ["fixed-points", "X", "--input", path])
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: ") and err.count("\n") == 1, err
+    assert "at least one element" in err
+
+
+def test_memory_error_is_a_resource_bound(tmp_path, capsys, monkeypatch):
+    import weilres.cli
+
+    def exhausted(doc, args):
+        raise MemoryError()
+
+    monkeypatch.setitem(weilres.cli.COMMANDS, "restrict", exhausted)
+    path = write_doc(tmp_path, golden_doc())
+    code, out, err = run(capsys, ["restrict", "conic_ext", "--input", path])
+    assert (code, out, err) == (3, "", "resource bound: out of memory\n")
+
+
 def test_power_term_and_bit_bounds(tmp_path, capsys, monkeypatch):
     import weilres.poly
 

@@ -25,7 +25,10 @@ coprime factor base of d is checked against the gcd path, the columns of
 mult_matrix against the products b*e_j, chi(r) read off chi(r * generic)
 by selecting terms against Poly.evaluate at the unit, and chi(r * generic)
 built from the cleared rows of mult_matrix(r) against charpoly of the
-algebra product.
+algebra product.  Over Q and Q_2 the cleared characteristic polynomial is
+checked against the cofactor oracle on the uncleared matrix, and `cleared`
+against the lcm of the denominators over Q and the least monic clearing
+polynomial over F_p(x).
 The validation of structure tables on raw values is checked against the
 AlgebraElement-product reference on random valid and altered tables.  The
 disc log-radii read off the symbolic characteristic polynomial are checked
@@ -40,6 +43,7 @@ same examples.
 """
 
 import itertools
+import math
 import operator
 import random
 from fractions import Fraction
@@ -284,27 +288,66 @@ def test_fraction_free_charpoly_matches_plain_berkowitz(b):
         assert lifted == naive_charpoly_coeffs(matrix, b.ring)[1:]
 
 
+def _rational_extensions():
+    q, q2 = RationalField(), RationalField(padic=2)
+    return [_monogenic(q, "t^2 - 2"), _monogenic(q, "t^3 - t/2 + 1/3"),
+            _monogenic(q2, "t^2 - 2"), _monogenic(q2, "t^3 + t^2/4 - 3/2"),
+            tensor_product(_monogenic(q, "t^2 - 1/2"), _monogenic(q, "s^2 + 1", "s"))]
+
+
+RATIONAL_EXTENSIONS = _rational_extensions()
+
+
+@SETTINGS
+@given(st.sampled_from(RATIONAL_EXTENSIONS), st.booleans(), st.data())
+def test_cleared_charpoly_over_q_matches_the_uncleared_oracle(ext, symbolic, data):
+    """Over Q and Q_2, charpoly clears the denominators of the coordinates
+    and of the structure constants and divides c_j by d^j; the cofactor
+    oracle expands the multiplication matrix of b itself."""
+    coord = polys(ext.base) if symbolic else scalars(ext.base)
+    b = ext.element([data.draw(coord) for _ in range(ext.rank)])
+    chi = charpoly(b)
+    assert chi.ring == b.ring
+    lifted = [c if isinstance(c, Poly) else Poly.constant(ext.base, c)
+              for c in chi.coefficients]
+    assert lifted == naive_charpoly_coeffs(mult_matrix(b), b.ring)[1:]
+
+
 @SETTINGS
 @given(st.sampled_from([2, 3]), st.data())
-def test_common_denominator_clears_every_denominator(p, data):
+def test_cleared_clears_every_denominator(p, data):
     k = FunctionField(p, Fraction(1, 2))
     elements = data.draw(st.lists(function_field_elements(k), max_size=5))
-    d = k.common_denominator(elements)
-    assert d.value.den == (1,) and d.value.num[-1] == 1
+    d, numerators = k.cleared(elements)
+    assert d == _utrim(d) and d[-1] == 1
     product = (1,)
-    for a in elements:
-        assert (d * a).value.den == (1,)
+    for a, num in zip(elements, numerators, strict=True):
+        scaled = (k._make(d, (1,)) * a).value
+        assert scaled.den == (1,)
+        assert num == scaled.num
         product = _umul(product, a.value.den, p)
-    assert _udivmod(product, d.value.num, p)[1] == ()
+    assert _udivmod(product, d, p)[1] == ()
     # the least such d: the denominators factor into degrees <= 2, and
     # dividing out any such factor of d leaves some denominator uncleared
     for low in itertools.product(range(p), repeat=2):
         for q in (low[:1] + (1,), low + (1,)):
-            quotient, rest = _udivmod(d.value.num, q, p)
+            quotient, rest = _udivmod(d, q, p)
             if not rest:
                 assert any(_udivmod(quotient, a.value.den, p)[1]
                            for a in elements)
-    assert k.common_denominator([]).is_one()
+    assert k.cleared([]) == ((1,), [])
+
+
+@SETTINGS
+@given(st.sampled_from([None, 2, 3]),
+       st.lists(st.fractions(max_denominator=60), max_size=5))
+def test_cleared_over_q_takes_the_lcm(padic, values):
+    q = RationalField(padic=padic)
+    d, numerators = q.cleared([q.coerce(v) for v in values])
+    assert d == math.lcm(*(v.denominator for v in values))
+    assert all(type(n) is int and n == v * d
+               for n, v in zip(numerators, values, strict=True))
+    assert q.cleared([]) == (1, [])
 
 
 def _reversed_basis(ext):
