@@ -17,7 +17,8 @@ from .lognorm import LogNorm, MINUS_INF, lognorm_max
 from .poly import Poly, PolyRing, gauss_norm, parse_poly
 from .extensions import (AlgebraElement, FreeExtension, MonicPoly, charpoly,
                          extend_scalars, from_minimal_polynomial, is_integral,
-                         is_nilpotent, mult_matrix, tensor_product)
+                         is_nilpotent, mult_matrix, structure_table,
+                         tensor_product)
 from .restriction import (Presentation, RestrictionResult, base_change,
                           disc_generators, expand_element, points_over,
                           product, product_presentation, psi_apply, restrict)

@@ -4,7 +4,9 @@ A document declares a coefficient field, optionally an extension and a group
 action over it, named presentations and an options record.  Every record is
 schema-checked before any computation and unknown keys are rejected, so a
 typo fails loudly instead of silently configuring nothing.  Polynomials and
-scalars appear as canonical strings in the grammar of poly.parse_poly.
+scalars appear as canonical strings in the grammar of poly.parse_poly; names
+(basis labels, variables, symbols) must be identifiers of that grammar,
+distinct within their list, and a JSON boolean is never read as an integer.
 """
 
 from __future__ import annotations
@@ -15,12 +17,12 @@ from fractions import Fraction
 
 from .errors import DocumentError, EnumerationBoundError
 from .extensions import (RANK_CAP, FreeExtension, check_rank,
-                         from_minimal_polynomial)
+                         from_minimal_polynomial, structure_table)
 from .fields import (FunctionField, GaloisField, PrimeField, RationalField,
                      _ustr)
 from .galois import GroupAction
 from .lognorm import LogNorm
-from .poly import parse_poly
+from .poly import _Tokens, parse_poly
 from .restriction import Presentation
 
 VERSION = "weilres/1"
@@ -58,6 +60,29 @@ def _array(record, key, path, label=None):
     return value
 
 
+def _name(value, path, label):
+    """value, which must be a string that the polynomial grammar reads as one
+    identifier: basis labels, variables and field symbols are written into
+    and read back from polynomial text."""
+    try:
+        if type(value) is str and _Tokens(value).toks == [("name", value)]:
+            return value
+    except ValueError:
+        pass
+    raise DocumentError("%s: %s must be an identifier" % (path, label))
+
+
+def _names(record, key, path):
+    """record[key], an array of distinct identifiers."""
+    names, seen = _array(record, key, path), set()
+    for i, name in enumerate(names):
+        label = "%s.%s[%d]" % (path, key, i)
+        if _name(name, path, label) in seen:
+            raise DocumentError("%s: %s repeats the name %s" % (path, label, name))
+        seen.add(name)
+    return names
+
+
 def _scalars(record, key, field, path, depth=1, label=None):
     """record[key] read as scalars nested depth arrays deep; every level must
     be a JSON array (a unit vector is one level, the action's matrices and a
@@ -83,7 +108,8 @@ def _reported(path):
 
 
 def _scalar(field, value, path):
-    if isinstance(value, int):
+    # a JSON true or false is no scalar, though Python's bool is an int
+    if type(value) is int:
         return field.coerce(value)
     if isinstance(value, str):
         with _reported("%s: bad scalar %r" % (path, value)):
@@ -100,14 +126,17 @@ def parse_field(record, path="field"):
             return PrimeField(record["p"])
         if kind == "galois":
             _check_keys(record, ["kind", "p", "modulus"], ["symbol"], path)
-            symbol = record.get("symbol", "t")
+            symbol = _name(record.get("symbol", "t"), path, "%s.symbol" % path)
             prime = PrimeField(record["p"])
             modulus = record["modulus"]
             if isinstance(modulus, str):
                 coeffs = [c.value for c in
                           parse_poly(modulus, prime, (symbol,)).dense_coefficients()]
+            elif isinstance(modulus, list) and all(type(c) is int for c in modulus):
+                coeffs = modulus
             else:
-                coeffs = list(modulus)
+                raise DocumentError("%s: %s.modulus must be a string or an array of "
+                                    "integers" % (path, path))
             return GaloisField(record["p"], coeffs, symbol)
         if kind == "rationals":
             _check_keys(record, ["kind"], [], path)
@@ -118,7 +147,8 @@ def parse_field(record, path="field"):
         if kind == "function":
             _check_keys(record, ["kind", "p"], ["r", "symbol"], path)
             r = Fraction(record.get("r", "1/2"))
-            return FunctionField(record["p"], r, record.get("symbol", "x"))
+            symbol = _name(record.get("symbol", "x"), path, "%s.symbol" % path)
+            return FunctionField(record["p"], r, symbol)
     raise DocumentError("%s: unknown field kind %r" % (path, kind))
 
 
@@ -142,7 +172,7 @@ def field_record(field):
 def parse_extension(record, field, path="extension"):
     if "minimal_polynomial" in _object(record, path):
         _check_keys(record, ["minimal_polynomial"], ["symbol"], path)
-        symbol = record.get("symbol", "t")
+        symbol = _name(record.get("symbol", "t"), path, "%s.symbol" % path)
         with _reported(path):
             m = parse_poly(record["minimal_polynomial"], field, (symbol,))
             return from_minimal_polynomial(field, m, symbol)
@@ -151,7 +181,7 @@ def parse_extension(record, field, path="extension"):
         if "rank" in record and type(record["rank"]) is not int:
             raise DocumentError("%s: rank must be an integer" % path)
         if "basis" in record:
-            basis = _array(record, "basis", path)
+            basis = _names(record, "basis", path)
         elif "rank" in record:
             if not 0 < record["rank"] <= RANK_CAP:
                 raise DocumentError("%s: rank must be 1 .. %d" % (path, RANK_CAP))
@@ -165,8 +195,8 @@ def parse_extension(record, field, path="extension"):
         structure = _scalars(record, "structure_constants", field, path, 3)
         if len(structure) != n:
             raise DocumentError("%s: structure_constants must be %d^3" % (path, n))
-        return FreeExtension(field, basis, structure,
-                             _scalars(record, "unit", field, path))
+        unit = _scalars(record, "unit", field, path)
+        return FreeExtension(field, basis, structure_table(field, structure), unit)
 
 
 def parse_action(record, field, path="action"):
@@ -189,7 +219,7 @@ def parse_presentation(record, field, extension, path):
         domain = extension
     else:
         raise DocumentError("%s: 'over' must be 'base' or 'extension'" % path)
-    variables = tuple(_array(record, "variables", path))
+    variables = tuple(_names(record, "variables", path))
     texts = _array(record, "generators", path)
     radii = _array(record, "radii", path) if "radii" in record else None
     with _reported(path):

@@ -2,9 +2,13 @@
 
 A FreeExtension B over a base field A is given by its rank n, basis labels
 e_1 ... e_n, the structure constants c_ijk with e_i e_j = sum_k c_ijk e_k and
-the coordinate vector of 1.  Commutativity, the unit law and associativity
-are verified exactly at construction (derived constructions such as tensor
-products inherit associativity and skip the recheck).
+the coordinate vector of 1.  The constants are held once, as a sparse table:
+cell (i, j) lists the (k, c_ijk) with c_ijk nonzero, c_ijk as None where it
+is 1.  Every builder writes that table directly; structure_table converts a
+dense n*n*n array, the document format, where it enters.  Commutativity, the
+unit law and associativity are verified exactly at construction (derived
+constructions such as tensor products inherit associativity and skip the
+recheck).
 
 Elements carry coordinate vectors whose entries are either base scalars or
 polynomials over the base, so the same multiplication code serves both
@@ -27,7 +31,10 @@ RANK_CAP = 16
 
 
 class FreeExtension:
-    def __init__(self, base, basis_names, structure, unit, validate=True,
+    """B = base e_1 + ... + base e_n with the multiplication of its table,
+    kept as sparse_structure; equality and hashing compare the table."""
+
+    def __init__(self, base, basis_names, table, unit, validate=True,
                  minimal_polynomial=None, symbol=None):
         self.base = base
         self.basis_names = tuple(basis_names)
@@ -35,30 +42,17 @@ class FreeExtension:
         if self.rank < 1:
             raise ValueError("rank must be positive")
         check_rank(self.rank)
-
-        def lift(c):
-            # most constants arrive as elements of base already
-            return c if type(c) is FieldElement and c.field is base else base.coerce(c)
-
-        self.structure = tuple(tuple(tuple(map(lift, cell)) for cell in row)
-                               for row in structure)
-        self.unit = tuple(map(lift, unit))
+        # sparse_structure[i][j]: the nonzero constants of e_i e_j as (k, c)
+        # pairs, c None where it is 1, so products skip zeros and scaling
+        self.sparse_structure = table
+        self.unit = tuple(map(base.coerce, unit))
         self.minimal_polynomial = minimal_polynomial
         self.symbol = symbol
         self._hash = None
-        if len(self.structure) != self.rank or any(
-                len(row) != self.rank or any(len(cell) != self.rank for cell in row)
-                for row in self.structure):
+        if len(table) != self.rank or any(len(row) != self.rank for row in table):
             raise ValueError("structure constants must form an n*n*n array")
         if len(self.unit) != self.rank:
             raise ValueError("unit vector must have length n")
-        # sparse_structure[i][j]: the nonzero constants of e_i e_j as (k, c)
-        # pairs, c None where it is 1, so products skip zeros and scaling
-        self.sparse_structure = tuple(
-            tuple(tuple((k, None if c.is_one() else c)
-                        for k, c in enumerate(cell) if not c.is_zero())
-                  for cell in row)
-            for row in self.structure)
         if validate:
             self._validate()
 
@@ -71,27 +65,24 @@ class FreeExtension:
         n, field = self.rank, self.base
         add, mul = field._add, field._mul
         zero, one = field._zero.value, field._one.value
-        table = [[[c.value for c in cell] for cell in row]
-                 for row in self.structure]
+        # table[i][j]: the nonzero constants of e_i e_j as raw (k, c) pairs
+        table = [[[(k, one if c is None else c.value) for k, c in cell]
+                  for cell in row] for row in self.sparse_structure]
         for i in range(n):
             for j in range(i):
                 if table[i][j] != table[j][i]:
                     raise ValueError("structure constants are not commutative at (%d, %d)"
                                      % (i, j))
-        # right[j][i]: the nonzero constants of e_i e_j as (k, c) pairs
-        right = [[[(k, c) for k, c in enumerate(table[i][j]) if c != zero]
-                  for i in range(n)] for j in range(n)]
 
         def times(x, j):
-            # x e_j = sum_i x_i e_i e_j for a raw coordinate vector x
+            # x e_j = sum_i x_i e_i e_j for x as raw (i, x_i) pairs
             out = [zero] * n
-            for xi, cell in zip(x, right[j]):
-                if xi != zero:
-                    for k, c in cell:
-                        out[k] = add(out[k], mul(xi, c))
+            for i, xi in x:
+                for k, c in table[j][i]:
+                    out[k] = add(out[k], mul(xi, c))
             return out
 
-        unit = [c.value for c in self.unit]
+        unit = [(i, c.value) for i, c in enumerate(self.unit) if not c.is_zero()]
         for j in range(n):
             if times(unit, j) != [one if k == j else zero for k in range(n)]:
                 raise ValueError("unit law fails on basis vector %d" % j)
@@ -205,13 +196,14 @@ class FreeExtension:
         return other is self or (
             isinstance(other, FreeExtension) and other.base == self.base
             and other.basis_names == self.basis_names
-            and other.structure == self.structure and other.unit == self.unit)
+            and other.sparse_structure == self.sparse_structure
+            and other.unit == self.unit)
 
     def __hash__(self):
-        # the extension never changes, so its structure is hashed once
+        # the extension never changes, so its table is hashed once
         if self._hash is None:
             self._hash = hash(("ext", self.base, self.basis_names,
-                               self.structure, self.unit))
+                               self.sparse_structure, self.unit))
         return self._hash
 
     def __repr__(self):
@@ -351,6 +343,23 @@ class AlgebraElement:
 # construction paths
 
 
+def structure_table(base, structure):
+    """The table of FreeExtension for a dense n*n*n array of structure
+    constants over base: cell (i, j) holds the (k, c_ijk) with c_ijk nonzero,
+    c_ijk as None where it is 1."""
+    n = len(structure)
+    if any(len(row) != n or any(len(cell) != n for cell in row) for row in structure):
+        raise ValueError("structure constants must form an n*n*n array")
+
+    def lift(c):
+        # most constants arrive as elements of base already
+        return c if type(c) is FieldElement and c.field is base else base.coerce(c)
+
+    return tuple(tuple(tuple((k, None if c.is_one() else c)
+                             for k, c in enumerate(map(lift, cell)) if not c.is_zero())
+                       for cell in row) for row in structure)
+
+
 def from_minimal_polynomial(base, m, symbol=None):
     """Extension base[s]/(m(s)) with basis 1, s, ..., s^(n-1).
 
@@ -366,71 +375,61 @@ def from_minimal_polynomial(base, m, symbol=None):
     if not coeffs[n].is_one():
         raise ValueError("minimal polynomial must be monic")
     check_rank(n)
-    # powers[k] = coordinates of s^k for k = 0 .. 2n-2, on raw values:
+    # powers[k] = the cell of s^k for k = 0 .. 2n-2, from raw values:
     # s^(k+1) = s * s^k with s^n = -c_0 - c_1 s - ... - c_(n-1) s^(n-1)
     add, mul = base._add, base._mul
     low = [base._neg(c.value) for c in coeffs[:n]]
-    zero = base.zero().value
+    zero, one = base.zero().value, base.one().value
     powers = []
-    cur = [base.one().value] + [zero] * (n - 1)
+    cur = [one] + [zero] * (n - 1)
     for k in range(2 * n - 1):
-        powers.append(tuple(FieldElement(base, v) for v in cur))
+        powers.append(tuple((i, None if v == one else FieldElement(base, v))
+                            for i, v in enumerate(cur) if v != zero))
         top = cur[n - 1]
         cur = [zero] + cur[:n - 1]
         if top != zero:
             cur = [add(v, mul(c, top)) for v, c in zip(cur, low)]
-    structure = tuple(tuple(powers[i + j] for j in range(n)) for i in range(n))
+    table = tuple(tuple(powers[i:i + n]) for i in range(n))
     names = tuple("1" if k == 0 else (symbol if k == 1 else "%s^%d" % (symbol, k))
                   for k in range(n))
-    unit = powers[0]
-    return FreeExtension(base, names, structure, unit, validate=False,
+    unit = (base.one(),) + (base.zero(),) * (n - 1)
+    return FreeExtension(base, names, table, unit, validate=False,
                          minimal_polynomial=m, symbol=symbol)
 
 
 def tensor_product(b1, b2):
-    """Tensor product over the common base, basis e_i (x) f_j in lex order."""
+    """Tensor product over the common base, basis e_i (x) f_j in lex order:
+    (e_i f_j)(e_k f_l) has the constant c_ikm c'_jlr at e_m f_r."""
     if b1.base != b2.base:
         raise IncompatibleFieldError("tensor factors over different bases")
-    base = b1.base
-    n1, n2 = b1.rank, b2.rank
+    n2 = b2.rank
     names = tuple("(%s*%s)" % (a, b) for a in b1.basis_names for b in b2.basis_names)
-    zero = base.zero()
-    size = n1 * n2
 
-    def idx(i, j):
-        return i * n2 + j
+    def times(c1, c2):
+        # nonzero constants have a nonzero product, which may be 1 (2*2 in F_3)
+        if c1 is None or c2 is None:
+            return c2 if c1 is None else c1
+        c = c1 * c2
+        return None if c.is_one() else c
 
-    structure = [[[zero] * size for _ in range(size)] for _ in range(size)]
-    for i in range(n1):
-        for k in range(n1):
-            row1 = b1.structure[i][k]
-            for j in range(n2):
-                for l in range(n2):
-                    row2 = b2.structure[j][l]
-                    cell = structure[idx(i, j)][idx(k, l)]
-                    for m in range(n1):
-                        c1 = row1[m]
-                        if c1.is_zero():
-                            continue
-                        for r in range(n2):
-                            c2 = row2[r]
-                            if c2.is_zero():
-                                continue
-                            cell[idx(m, r)] = cell[idx(m, r)] + c1 * c2
+    table = tuple(
+        tuple(tuple((m * n2 + r, times(c1, c2)) for m, c1 in cell1 for r, c2 in cell2)
+              for cell1 in row1 for cell2 in row2)
+        for row1 in b1.sparse_structure for row2 in b2.sparse_structure)
     unit = tuple(u1 * u2 for u1 in b1.unit for u2 in b2.unit)
-    return FreeExtension(base, names, structure, unit, validate=False)
+    return FreeExtension(b1.base, names, table, unit, validate=False)
 
 
 def extend_scalars(ext, target):
     """Base change of the extension along the canonical embedding into target."""
     emb = canonical_embedding(ext.base, target)
-    structure = tuple(tuple(tuple(emb(c) for c in cell) for cell in row)
-                      for row in ext.structure)
+    table = tuple(tuple(tuple((k, c if c is None else emb(c)) for k, c in cell)
+                        for cell in row) for row in ext.sparse_structure)
     unit = tuple(emb(c) for c in ext.unit)
     mp = None
     if ext.minimal_polynomial is not None:
         mp = ext.minimal_polynomial.map_coefficients(target, emb)
-    return FreeExtension(target, ext.basis_names, structure, unit, validate=False,
+    return FreeExtension(target, ext.basis_names, table, unit, validate=False,
                          minimal_polynomial=mp, symbol=ext.symbol)
 
 

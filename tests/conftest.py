@@ -195,14 +195,64 @@ def quotient_building_ugcd(a, b, p):
     return a
 
 
+def dense_structure(ext):
+    """The n*n*n array of the structure constants c_ijk of ext, zeros
+    included, read off its sparse table."""
+    n, base = ext.rank, ext.base
+    out = [[[base.zero()] * n for _ in range(n)] for _ in range(n)]
+    for i, row in enumerate(ext.sparse_structure):
+        for j, cell in enumerate(row):
+            for k, c in cell:
+                out[i][j][k] = base.one() if c is None else c
+    return out
+
+
+def dense_power_table(base, m):
+    """Reference for the table of from_minimal_polynomial(base, m): the
+    dense array whose cell (i, j) is s^(i+j) reduced mod the monic m, each
+    power s times the last with FieldElement arithmetic."""
+    coeffs = m.dense_coefficients()
+    n = len(coeffs) - 1
+    zero = base.zero()
+    powers, cur = [], [base.one()] + [zero] * (n - 1)
+    for _ in range(2 * n - 1):
+        powers.append(cur)
+        top = cur[-1]
+        cur = [v - c * top for v, c in zip([zero] + cur[:-1], coeffs)]
+    return [[powers[i + j] for j in range(n)] for i in range(n)]
+
+
+def dense_tensor_structure(b1, b2):
+    """Reference for the table of tensor_product(b1, b2): the dense loop
+    over every index of both factors' arrays, zeros skipped, summing
+    c_ikm c'_jlr into cell ((i, j), (k, l)) at (m, r)."""
+    s1, s2 = dense_structure(b1), dense_structure(b2)
+    n1, n2 = b1.rank, b2.rank
+    size = n1 * n2
+    structure = [[[b1.base.zero()] * size for _ in range(size)] for _ in range(size)]
+    for i in range(n1):
+        for k in range(n1):
+            for j in range(n2):
+                for l in range(n2):
+                    cell = structure[i * n2 + j][k * n2 + l]
+                    for m in range(n1):
+                        if s1[i][k][m].is_zero():
+                            continue
+                        for r in range(n2):
+                            if not s2[j][l][r].is_zero():
+                                cell[m * n2 + r] += s1[i][k][m] * s2[j][l][r]
+    return structure
+
+
 def reference_validate(ext):
     """Reference for FreeExtension._validate: the same checks in the same
     order by AlgebraElement products of basis elements, with FieldElement
     arithmetic throughout; raises ValueError with the same messages."""
     n = ext.rank
+    structure = dense_structure(ext)
     for i in range(n):
         for j in range(i):
-            if ext.structure[i][j] != ext.structure[j][i]:
+            if structure[i][j] != structure[j][i]:
                 raise ValueError("structure constants are not commutative at (%d, %d)"
                                  % (i, j))
     for j in range(n):

@@ -709,3 +709,97 @@ def test_parser_is_built_once(tmp_path, capsys, monkeypatch):
         code, _, _ = run(capsys, [command, "t", "--input", path])
         assert code == 0
     assert len(built) <= 1
+
+
+def _with_base_presentation():
+    data = _raw_extension_doc()
+    data["presentations"]["P"] = {"variables": ["u"], "generators": ["u^2 + 1"]}
+    return data
+
+
+def _set(path, value):
+    """An edit of a document: the value at the key path set to value."""
+    def edit(data):
+        record = data
+        for key in path[:-1]:
+            record = record[key]
+        record[path[-1]] = value
+    return edit
+
+
+BASIS = "extension: extension.basis"
+
+
+@pytest.mark.parametrize("make, edit, message", [
+    # raw basis labels
+    (_with_base_presentation, _set(["extension", "basis"], [1, 2]),
+     BASIS + "[0] must be an identifier"),
+    (_with_base_presentation, _set(["extension", "basis"], ["a", "a"]),
+     BASIS + "[1] repeats the name a"),
+    (_with_base_presentation, _set(["extension", "basis"], ["a b", "c"]),
+     BASIS + "[0] must be an identifier"),
+    (_with_base_presentation, _set(["extension", "basis"], ["a", "b+"]),
+     BASIS + "[1] must be an identifier"),
+    (_with_base_presentation, _set(["extension", "basis"], ["1", "b"]),
+     BASIS + "[0] must be an identifier"),
+    # presentation variables
+    (_with_base_presentation, _set(["presentations", "P", "variables"], [1]),
+     "presentations.P: presentations.P.variables[0] must be an identifier"),
+    (_with_base_presentation, _set(["presentations", "P", "variables"], [None]),
+     "presentations.P: presentations.P.variables[0] must be an identifier"),
+    (_with_base_presentation, _set(["presentations", "P", "variables"], ["u", "u"]),
+     "presentations.P: presentations.P.variables[1] repeats the name u"),
+    # the extension's symbol and the field symbols
+    (padic_doc, _set(["extension", "symbol"], 5),
+     "extension: extension.symbol must be an identifier"),
+    (padic_doc, _set(["extension", "symbol"], "t^2"),
+     "extension: extension.symbol must be an identifier"),
+    (function_doc, _set(["field", "symbol"], "x y"),
+     "field: field.symbol must be an identifier"),
+    (lambda: dict(padic_doc(), field={"kind": "galois", "p": 3,
+                                      "modulus": [1, 0, 1], "symbol": 7}),
+     lambda d: d.pop("extension"), "field: field.symbol must be an identifier"),
+    (golden_doc, _set(["options", "test_fields", 1, "symbol"], ""),
+     "options.test_fields[1]: options.test_fields[1].symbol must be an identifier"),
+])
+def test_names_are_distinct_identifiers(tmp_path, capsys, make, edit, message):
+    data = make()
+    edit(data)
+    path = write_doc(tmp_path, data)
+    for argv in (["charpoly", "2"], ["points", "P", "--field", "extension"]):
+        code, out, err = run(capsys, argv + ["--input", path])
+        assert (code, out, err) == (2, "", "input error: %s\n" % message)
+
+
+def _rank_one_doc():
+    return {"version": "weilres/1", "field": {"kind": "prime", "p": 3},
+            "extension": {"rank": 1, "structure_constants": [[["1"]]],
+                          "unit": ["1"]}}
+
+
+@pytest.mark.parametrize("make, edit, argv, message", [
+    (_rank_one_doc, _set(["extension", "structure_constants"], [[[True]]]),
+     ["charpoly", "2"], "extension: scalar must be an integer or string"),
+    (_rank_one_doc, _set(["extension", "unit"], [True]),
+     ["charpoly", "2"], "extension: scalar must be an integer or string"),
+    (golden_doc, _set(["action", "matrices", 0, 0], [True, 0]),
+     ["fixed-points", "conic"], "action: scalar must be an integer or string"),
+    (golden_doc, _set(["options", "test_fields", 1, "modulus"], [1, False, True]),
+     ["points", "conic"], "options.test_fields[1]: options.test_fields[1].modulus "
+     "must be a string or an array of integers"),
+])
+def test_booleans_are_not_scalars(tmp_path, capsys, make, edit, argv, message):
+    data = make()
+    path = write_doc(tmp_path, data, "good.json")
+    assert run(capsys, argv + ["--input", path])[0] == 0
+    edit(data)
+    path = write_doc(tmp_path, data)
+    code, out, err = run(capsys, argv + ["--input", path])
+    assert (code, out, err) == (2, "", "input error: %s\n" % message)
+
+
+def test_raw_basis_int_labels_guard_document(capsys):
+    path = str(pathlib.Path(__file__).parent / "raw_basis_int_labels.json")
+    code, out, err = run(capsys, ["charpoly", "2", "--input", path])
+    assert (code, out, err) == (
+        2, "", "input error: " + BASIS + "[0] must be an identifier\n")

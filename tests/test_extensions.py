@@ -6,7 +6,7 @@ import pytest
 from weilres import (FreeExtension, IncompatibleFieldError, Poly,
                      UnsupportedOperationError, charpoly, extend_scalars,
                      from_minimal_polynomial, is_integral, is_nilpotent,
-                     mult_matrix, parse_poly, tensor_product)
+                     mult_matrix, parse_poly, structure_table, tensor_product)
 from weilres.linalg import mat_is_zero, mat_mul
 
 from conftest import (charpoly_matrix_value, naive_charpoly_coeffs,
@@ -45,18 +45,19 @@ def test_structure_constant_validation(f3):
     # a deliberately non-associative table gets rejected
     bad = [[[f3(1), f3(0)], [f3(0), f3(1)]],
            [[f3(0), f3(1)], [f3(1), f3(1)]]]
-    FreeExtension(f3, ("1", "t"), bad, (f3(1), f3(0)))  # t^2 = 1 + t: fine
+    FreeExtension(f3, ("1", "t"), structure_table(f3, bad), (f3(1), f3(0)))  # t^2 = 1 + t: fine
     worse = [[[f3(1), f3(0)], [f3(0), f3(1)]],
              [[f3(0), f3(1)], [f3(2), f3(2)]]]
     # x^2 = 2 + 2t over F_3 with x*1 = x is still associative; break the unit
     with pytest.raises(ValueError):
-        FreeExtension(f3, ("1", "t"), worse, (f3(0), f3(1)))
+        FreeExtension(f3, ("1", "t"), structure_table(f3, worse), (f3(0), f3(1)))
 
 
 def _refused(field, table, unit, message):
     """The table is refused with message, on construction and by the
     AlgebraElement-product reference."""
     names = tuple("e%d" % (i + 1) for i in range(len(unit)))
+    table = structure_table(field, table)
     with pytest.raises(ValueError, match=message):
         FreeExtension(field, names, table, unit)
     ext = FreeExtension(field, names, table, unit, validate=False)
@@ -88,9 +89,9 @@ def test_commutative_non_associative_table_rejected(f3):
 
 
 def test_raw_basis_labels_resolve(f3, k2):
-    ext = FreeExtension(f3, ("a", "b"),
-                        [[[f3(1), f3(0)], [f3(0), f3(1)]],
-                         [[f3(0), f3(1)], [f3(2), f3(0)]]], (f3(1), f3(0)))
+    ext = FreeExtension(f3, ("a", "b"), structure_table(
+        f3, [[[f3(1), f3(0)], [f3(0), f3(1)]],
+             [[f3(0), f3(1)], [f3(2), f3(0)]]]), (f3(1), f3(0)))
     assert (parse_poly("u - b", ext, ("u",))
             == Poly.variable(ext, "u") - Poly.constant(ext, ext.basis_element(1)))
     assert parse_poly("a*b + b^2", ext).constant_value() == ext.element([2, 1])
@@ -98,8 +99,8 @@ def test_raw_basis_labels_resolve(f3, k2):
     # over F_2(x), with e_2^2 = x
     x = k2.symbol_constant("x")
     zero, one = k2.zero(), k2.one()
-    sq = FreeExtension(k2, ("1", "x"), [[[one, zero], [zero, one]],
-                                        [[zero, one], [x, zero]]], (one, zero))
+    sq = FreeExtension(k2, ("1", "x"), structure_table(
+        k2, [[[one, zero], [zero, one]], [[zero, one], [x, zero]]]), (one, zero))
     assert parse_poly("x", sq).constant_value() == sq.basis_element(1)
     assert parse_poly("x^2", sq).constant_value() == sq.scalar(x)
 
@@ -107,7 +108,7 @@ def test_raw_basis_labels_resolve(f3, k2):
 def test_rank_cap(f2):
     with pytest.raises(ValueError):
         FreeExtension(f2, tuple("e%d" % i for i in range(17)),
-                      [[[f2(0)] * 17] * 17] * 17, [f2(0)] * 17)
+                      structure_table(f2, [[[f2(0)] * 17] * 17] * 17), [f2(0)] * 17)
 
 
 # -- multiplication matrices and characteristic polynomials -------------------

@@ -56,7 +56,8 @@ from weilres import (FunctionField, GaloisField, IncompatibleFieldError, Poly,
                      PolyRing, PrimeField, RationalField,
                      from_minimal_polynomial, parse_poly)
 from weilres.extensions import (AlgebraElement, FreeExtension, charpoly,
-                                generic_charpoly, mult_matrix, tensor_product)
+                                generic_charpoly, mult_matrix, structure_table,
+                                tensor_product)
 from weilres.fields import (_RatFunc, _uadd, _udivmod, _ugcd, _umul, _ustr,
                             _utrim, power)
 from weilres.linalg import berkowitz_charpoly, mat_identity, mat_mul
@@ -66,7 +67,7 @@ from weilres.restriction import (Presentation, _assignments, _homogeneous_value,
 from weilres.spectral import spectral_radius
 
 from conftest import (GenericPolyRing, dense_mat_mul, dense_points,
-                      generic_algebra_product, generic_sum_of_products,
+                      dense_structure, generic_algebra_product, generic_sum_of_products,
                       naive_charpoly_coeffs, quotient_building_ugcd,
                       reference_validate)
 
@@ -137,7 +138,7 @@ def element_pairs(draw):
 
 def dense_product(ext, a, b):
     """sum over all i, j, k of a_i b_j c_ijk e_k, zeros included."""
-    n = ext.rank
+    n, structure = ext.rank, dense_structure(ext)
     if any(isinstance(c, Poly) for c in a + b):
         a = ext.element(a).coords
         b = ext.element(b).coords
@@ -147,7 +148,7 @@ def dense_product(ext, a, b):
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                out[k] = out[k] + a[i] * b[j] * ext.structure[i][j][k]
+                out[k] = out[k] + a[i] * b[j] * structure[i][j][k]
     return tuple(out)
 
 
@@ -353,9 +354,9 @@ def test_cleared_over_q_takes_the_lcm(padic, values):
 def _reversed_basis(ext):
     """ext on its basis in reverse order, so its unit is the last vector."""
     structure = [[list(reversed(cell)) for cell in reversed(row)]
-                 for row in reversed(ext.structure)]
-    return FreeExtension(ext.base, tuple(reversed(ext.basis_names)), structure,
-                         tuple(reversed(ext.unit)))
+                 for row in reversed(dense_structure(ext))]
+    return FreeExtension(ext.base, tuple(reversed(ext.basis_names)),
+                         structure_table(ext.base, structure), tuple(reversed(ext.unit)))
 
 
 # the raw extension's unit is not e_1, so evaluating chi at the unit's
@@ -409,7 +410,7 @@ def _sheared_basis(ext):
         ext.basis_element(i) for i in range(1, ext.rank)]
     structure = [[coordinates((a * b).coords) for b in basis] for a in basis]
     return FreeExtension(ext.base, tuple("f_%d" % (i + 1) for i in range(ext.rank)),
-                         structure, coordinates(ext.unit))
+                         structure_table(ext.base, structure), coordinates(ext.unit))
 
 
 # units e_1, e_n and one that is no basis vector
@@ -1040,7 +1041,8 @@ def structure_tables(draw):
     terms[(n,)] = field.one()
     ext = from_minimal_polynomial(field, Poly(field, ("t",), terms), "t")
     perm = draw(st.permutations(range(n)))
-    table = [[[ext.structure[perm[i]][perm[j]][perm[k]] for k in range(n)]
+    structure = dense_structure(ext)
+    table = [[[structure[perm[i]][perm[j]][perm[k]] for k in range(n)]
               for j in range(n)] for i in range(n)]
     unit = [ext.unit[perm[k]] for k in range(n)]
     change = draw(st.sampled_from(["none", "pair", "one", "unit"]))
@@ -1072,7 +1074,8 @@ def _refusal(check):
 def test_raw_validation_matches_reference(case):
     field, table, unit = case
     names = tuple("e%d" % (i + 1) for i in range(len(unit)))
-    ext = FreeExtension(field, names, table, unit, validate=False)
+    ext = FreeExtension(field, names, structure_table(field, table), unit,
+                        validate=False)
     assert _refusal(ext._validate) == _refusal(lambda: reference_validate(ext))
 
 
