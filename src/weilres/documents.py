@@ -146,7 +146,12 @@ def parse_field(record, path="field"):
             return RationalField(padic=record["p"])
         if kind == "function":
             _check_keys(record, ["kind", "p"], ["r", "symbol"], path)
-            r = Fraction(record.get("r", "1/2"))
+            r = record.get("r", "1/2")
+            # exact input only: a JSON float would load as its binary value
+            if not isinstance(r, str) and type(r) is not int:
+                raise DocumentError("%s: %s.r must be a string or an integer"
+                                    % (path, path))
+            r = Fraction(r)
             symbol = _name(record.get("symbol", "x"), path, "%s.symbol" % path)
             return FunctionField(record["p"], r, symbol)
     raise DocumentError("%s: unknown field kind %r" % (path, kind))

@@ -377,12 +377,15 @@ def points_over(p, domain):
     POINT_VARIABLE_CAP variables, POINT_FIELD_CAP elements and
     POINT_ASSIGNMENT_BUDGET assignments) raises EnumerationBoundError before
     any enumeration rather than truncating; the budget counts all q^d
-    assignments.  Each generator is compiled once per call
-    (_CompiledGenerator) and evaluated incrementally along an enumeration of
-    the first d - 1 variables.  Per prefix that passes the generators in
-    those variables, the values of the last variable come from the residue
-    index of every generator that can be solved there, and each of them is
-    tested on the other generators.
+    assignments.  Points are tuples of indices into the domain's
+    _DomainTable, built once per domain and shared by equal domains, whose
+    elements are in sort-key order, so the index tuples sort as the points
+    do.  Each generator is compiled once per call from that table by index
+    arithmetic (_CompiledGenerator) and evaluated incrementally along an
+    enumeration of the first d - 1 variables.  Per prefix that passes the
+    generators in those variables, the values of the last variable come
+    from the residue index of every generator that can be solved there, and
+    each of them is tested on the other generators.
     """
     if len(p.variables) > POINT_VARIABLE_CAP:
         raise EnumerationBoundError(
@@ -406,10 +409,10 @@ def points_over(p, domain):
             "presentation over an extension enumerates over that extension")
     else:
         pres = base_change(p, domain)
-    elems = domain.elements()
+    table = _domain_table(domain)
     # generators in few leading variables first: once one of them is nonzero
     # it rules out every prefix until one of its variables changes
-    oracle = sorted((_CompiledGenerator(g, elems) for g in pres.generators),
+    oracle = sorted((_CompiledGenerator(g, table) for g in pres.generators),
                     key=lambda c: c.depth)
     if not pres.variables:  # the one empty point; no last variable to solve
         return [()] if all(gen.vanishes(()) for gen in oracle) else []
@@ -421,6 +424,7 @@ def points_over(p, domain):
     solved = [gen for gen in oracle if gen.index is not None]
     more = solved[1:]
     tested = [gen for gen in oracle if gen.depth == last and gen.index is None]
+    elems = table.elements
     everything = range(len(elems))
     found = []
     for prefix in _assignments(pres.variables[:-1], everything):
@@ -438,8 +442,7 @@ def points_over(p, domain):
                         break
                 else:
                     found.append(idx)
-    keys = [x.sort_key() for x in elems]
-    found.sort(key=lambda idx: tuple(keys[i] for i in idx))
+    found.sort()
     return [tuple(elems[i] for i in idx) for idx in found]
 
 
@@ -448,59 +451,198 @@ def _assignments(variables, elems):
     return itertools.product(elems, repeat=len(variables))
 
 
-def _packing(domain, terms):
-    """(pack, zero, residue, negated) for a generator of `terms` terms.
+# The tables of the domains points_over has met, by domain equality.  Once
+# _TABLE_CAP domains are held, a further domain gets a table per call and
+# none is dropped, so a run over at most that many domains builds each once.
+_TABLE_CAP = 64
+_TABLES = {}
 
-    pack(x) puts the F_p coordinates of x (one for F_p, the trimmed tuple
-    for F_{p^m}, those of each coordinate for an algebra) in slots of w
-    bits, the first lowest, and zero(s) tests a sum of packed values slot by
-    slot mod p.  A slot sums at most `terms` coordinates below p: w bits
-    hold it, no carry.  So zero(a + b) holds exactly when residue(b) ==
+
+def _domain_table(domain):
+    """The _DomainTable of a finite domain, shared by equal domains."""
+    table = _TABLES.get(domain)
+    if table is None:
+        table = _DomainTable(domain)
+        if len(_TABLES) < _TABLE_CAP:
+            _TABLES[domain] = table
+    return table
+
+
+class _DomainTable:
+    """A finite domain of q elements as the point oracle reads it.
+
+    elements lists them in sort-key order, so index tuples sort as the
+    points they stand for, and zero, whose coordinates are the least, is
+    index 0; index maps a sort key to its index.  coordinates[i] holds the
+    F_p coordinates of element i in slot order (one for F_p, the padded
+    value for F_{p^m}, those of each coordinate for an algebra), and
+    packings the _packing of each slot width w met so far.
+
+    term() turns c * x_1^e_1 ... x_r^e_r into index arithmetic: each factor
+    x^e is a token read off a row, None where x^e is zero, and values[start
+    + the tokens] is the index of the term's value.  In a field the unit
+    group is cyclic, and a primitive element g gives log (k with g^k = x,
+    None at zero) and antilog: a token is e * log x mod q - 1, and values
+    repeats antilog so that a sum of up to POINT_VARIABLE_CAP tokens and a
+    start needs no reduction.  A domain with zero divisors has no primitive
+    element (log is None); there a token is the index of x^e as one base-q
+    digit per factor, and values computes each product it is asked for once
+    from the elements (_Products).
+    """
+
+    __slots__ = ("antilog", "coordinates", "elements", "index", "log",
+                 "packings", "p", "values", "_rows")
+
+    def __init__(self, domain):
+        elems = sorted(domain.elements(), key=lambda x: x.sort_key())
+        self.elements = elems
+        self.index = {x.sort_key(): i for i, x in enumerate(elems)}
+        self.coordinates = [_coordinates(x) for x in elems]
+        self.antilog = _antilog(elems, self.index,
+                                self.index[domain.one().sort_key()])
+        while isinstance(domain, FreeExtension):
+            domain = domain.base
+        self.p = domain.characteristic
+        if self.antilog is None:
+            self.log, self.values = None, _Products(elems, self.index)
+        else:
+            self.log = [None] * len(elems)
+            for k, i in enumerate(self.antilog):
+                self.log[i] = k
+            self.values = self.antilog * (POINT_VARIABLE_CAP + 1)
+        self.packings, self._rows = {}, {}
+
+    def term(self, c, exponents):
+        """(start, rows) for c * x_1^e_1 ... x_r^e_r, c nonzero and every e
+        positive: rows[j][i] is the token of element i to the power
+        exponents[j]."""
+        start = self.index[c.sort_key()]
+        if self.log is not None:
+            return self.log[start], [self._row(e) for e in exponents]
+        q = len(self.elements)
+        return start, [[None if i == 0 else i * q ** j for i in self._row(e)]
+                       for j, e in enumerate(exponents, 1)]
+
+    def _row(self, e):
+        """The log of x^e for every element x (None at zero) in a field, the
+        index of x^e otherwise; once per exponent."""
+        row = self._rows.get(e)
+        if row is None:
+            if self.log is not None:
+                n = len(self.antilog)
+                row = [None if k is None else k * e % n for k in self.log]
+            else:
+                row = [self.index[(x ** e).sort_key()] for x in self.elements]
+            self._rows[e] = row
+        return row
+
+
+def _coordinates(x):
+    """The F_p coordinates of an element of F_p, F_{p^m} or a free extension
+    of a finite domain, in slot order."""
+    if isinstance(x, AlgebraElement):
+        return tuple(c for y in x.coords for c in _coordinates(y))
+    if isinstance(x.field, GaloisField):
+        return x.value + (0,) * (x.field.degree - len(x.value))
+    return (x.value,)
+
+
+def _antilog(elements, index, one):
+    """The indices of g^0, ..., g^(q-2) for the first primitive element g of
+    a finite domain listed in sort-key order (one the index of 1), or None
+    when the domain has zero divisors.  Each nonzero candidate's powers are
+    walked until they return to 1.  In a field they do within q - 1 steps,
+    and the first candidate that takes all q - 1 is primitive; a candidate
+    that reaches zero, or has not returned by then, is no unit, so the
+    domain is no field."""
+    n = len(elements) - 1
+    for g in elements[1:]:
+        antilog, x = [one], g
+        for _ in range(n - 1):  # x = g^k for k = 1 .. q - 2
+            i = index[x.sort_key()]
+            if i == one:
+                break
+            if i == 0:
+                return None
+            antilog.append(i)
+            x = x * g
+        else:  # x = g^(q-1)
+            return antilog if index[x.sort_key()] == one else None
+    return None
+
+
+class _Products(dict):
+    """values of a domain with zero divisors: the key's base-q digits are
+    element indices, none of them zero, and the value is the index of their
+    product, computed from the elements once per key."""
+
+    def __init__(self, elements, index):
+        super().__init__()
+        self.elements, self.index = elements, index
+
+    def __missing__(self, key):
+        elements, x = self.elements, None
+        rest = key
+        while rest:
+            rest, digit = divmod(rest, len(elements))
+            x = elements[digit] if x is None else x * elements[digit]
+        i = self[key] = self.index[x.sort_key()]
+        return i
+
+
+def _packing(table, terms):
+    """(packed, zero, residue, negated) for a generator of `terms` terms,
+    built once per table and slot width.
+
+    packed[i] holds the F_p coordinates of element i of the table in slots
+    of w bits, the first lowest, and zero(s) tests a sum of packed values
+    slot by slot mod p.  A slot sums at most `terms` coordinates below p: w
+    bits hold it, no carry.  So zero(a + b) holds exactly when residue(b) ==
     negated(a): residue(s) reduces every slot mod p and negated(s) is the
     residue of -s."""
-    def slots(d):  # (pack, number of slots, p); pack reads w when it runs
-        if isinstance(d, FreeExtension):
-            inner, k, p = slots(d.base)
-            return (lambda x: sum(inner(c) << (w * k * i)
-                                  for i, c in enumerate(x.coords))), k * d.rank, p
-        if isinstance(d, GaloisField):
-            return (lambda x: sum(c << (w * i)
-                                  for i, c in enumerate(x.value))), d.degree, d.p
-        return (lambda x: x.value), 1, d.p
-
-    pack, m, p = slots(domain)
+    p, m = table.p, len(table.coordinates[0])
     w = ((terms + 1) * (p - 1)).bit_length()
+    if w in table.packings:
+        return table.packings[w]
+    packed = [sum(c << (w * i) for i, c in enumerate(x)) for x in table.coordinates]
     mask, low = (1 << w) - 1, sum(1 << (w * i) for i in range(m))
     if m == 1:
-        return pack, lambda s: s % p == 0, lambda s: s % p, lambda s: -s % p
-    if p == 2:  # each slot's low bit is its parity, its own negative
+        packing = (packed, lambda s: s % p == 0, lambda s: s % p,
+                   lambda s: -s % p)
+    elif p == 2:  # each slot's low bit is its parity, its own negative
         def parities(s):
             return s & low
-        return pack, lambda s: not s & low, parities, parities
-    return (pack, lambda s: not any((s >> (w * i) & mask) % p for i in range(m)),
-            lambda s: tuple((s >> (w * i) & mask) % p for i in range(m)),
-            lambda s: tuple(-(s >> (w * i) & mask) % p for i in range(m)))
+        packing = packed, lambda s: not s & low, parities, parities
+    else:
+        packing = (packed,
+                   lambda s: not any((s >> (w * i) & mask) % p for i in range(m)),
+                   lambda s: tuple((s >> (w * i) & mask) % p for i in range(m)),
+                   lambda s: tuple(-(s >> (w * i) & mask) % p for i in range(m)))
+    table.packings[w] = packing
+    return packing
 
 
 _NO_HITS = frozenset()
 
 
 class _CompiledGenerator:
-    """One generator of points_over, compiled for a list of domain elements.
+    """One generator of points_over, compiled from a _DomainTable.
 
     Points are tuples of element indices.  A term's depth is the last
     position it uses; partial[t] is the constant term plus every term of
     depth < t at the last point evaluated, kept for the first `valid`
     depths, so a new point recomputes only the depths from the first
     position where it differs from that point, and a point that agrees with
-    it up to the generator's own depth reuses its verdict.  Powers are
-    tabulated once per exponent, and the terms in a single variable are
-    summed into one table per depth.
+    it up to the generator's own depth reuses its verdict.
 
     Values are packed (_packing): a sum is one int addition, tested at the
-    generator's depth.  Mixed terms multiply elements, the first factor's
-    products with the coefficient read from a table, and add the packed
-    product.
+    generator's depth.  Every term is index arithmetic on the table
+    (_DomainTable.term).  The terms in a single variable are tabulated over
+    every element and summed into one table per depth.  A mixed term adds
+    the tokens of its factors at the point, is zero as soon as one factor
+    is, and otherwise adds the packed value of the table's values at that
+    sum.  Over a field no element is multiplied; over a domain with zero
+    divisors each product is computed once per domain.
 
     When the generator's depth is the last variable and only a table sits
     there, `index` maps each residue to the indices of the last variable
@@ -508,36 +650,30 @@ class _CompiledGenerator:
     """
 
     __slots__ = ("depth", "index", "levels", "negated", "packed", "partial",
-                 "seen", "valid", "verdict", "zero")
+                 "seen", "valid", "values", "verdict", "zero")
 
-    def __init__(self, g, elems):
-        pack, self.zero, residue, self.negated = _packing(g.domain, len(g.terms))
-        powers = {1: elems}
-
-        def power_table(e):
-            if e not in powers:
-                powers[e] = [x ** e for x in elems]
-            return powers[e]
-
+    def __init__(self, g, table):
+        packed, self.zero, residue, self.negated = _packing(table, len(g.terms))
+        values = table.values
         const = 0
         tables, mixed = {}, {}
         for exps, c in g.terms.items():
             used = [(k, e) for k, e in enumerate(exps) if e]
             if not used:
-                const = pack(c)
+                const = packed[table.index[c.sort_key()]]
                 continue
             depth = used[-1][0]
+            start, rows = table.term(c, [e for _, e in used])
             if len(used) == 1:
-                row = [pack(c * x) for x in power_table(used[0][1])]
+                row = [0 if t is None else packed[values[start + t]]
+                       for t in rows[0]]
                 old = tables.get(depth)
                 tables[depth] = row if old is None else [
                     a + b for a, b in zip(old, row)]
             else:
-                (k, e), rest = used[0], used[1:]
                 mixed.setdefault(depth, []).append(
-                    (k, [c * x for x in power_table(e)],
-                     [(j, power_table(f)) for j, f in rest]))
-        self.packed = {x.sort_key(): pack(x) for x in elems} if mixed else None
+                    (start, [(k, r) for (k, _), r in zip(used, rows)]))
+        self.packed, self.values = packed, values
         self.depth = max([-1, *tables, *mixed])
         self.levels = [(tables.get(t), mixed.get(t, ()))
                        for t in range(self.depth + 1)]
@@ -562,17 +698,20 @@ class _CompiledGenerator:
             t += 1
         if t == stop:
             return False
-        partial, packed = self.partial, self.packed
+        partial, packed, values = self.partial, self.packed, self.values
         for t in range(t, stop):
             table, mixed = self.levels[t]
             s = partial[t]
             if table is not None:
                 s += table[idx[t]]
-            for k, first, factors in mixed:
-                c = first[idx[k]]
-                for k, powers in factors:
-                    c = c * powers[idx[k]]
-                s += packed[c.sort_key()]
+            for token, factors in mixed:
+                for k, row in factors:
+                    x = row[idx[k]]
+                    if x is None:
+                        break
+                    token += x
+                else:
+                    s += packed[values[token]]
             partial[t + 1] = s
         self.seen, self.valid = idx, stop
         return True

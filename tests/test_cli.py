@@ -114,6 +114,16 @@ def test_disc_command(tmp_path, capsys):
     assert record["radius_metadata"]["y1_1"]["integral_lognorm"] == "0"
 
 
+@pytest.mark.parametrize("r", [0.1, 0.5, True])
+def test_disc_refuses_an_inexact_r(tmp_path, capsys, r):
+    data = function_doc()
+    data["field"]["r"] = r
+    path = write_doc(tmp_path, data)
+    code, out, err = run(capsys, ["disc", "--input", path])
+    assert (code, out, err) == (
+        2, "", "input error: field: field.r must be a string or an integer\n")
+
+
 def test_charpoly_and_integrality_and_spectral(tmp_path, capsys):
     path = write_doc(tmp_path, padic_doc())
     code, out, _ = run(capsys, ["charpoly", "t + 1", "--input", path])
@@ -293,6 +303,21 @@ def test_sphere_counts_on_the_packed_zero_tests(capsys, name, count):
     record = json.loads(out)
     assert record["count"] == count
     assert len(set(map(tuple, record["points"]))) == count
+
+
+# SHA-256 of the points of the dual numbers F_3[t]/(t^2), a domain with zero
+# divisors that the oracle reads by element products (no primitive element),
+# recorded when every generator was compiled by element arithmetic
+DUAL_POINTS = "2aea2cd589962056611d23164150623d8494c0c5e23c18f0c023e97c26d70768"
+
+
+def test_points_over_dual_numbers_digest(capsys):
+    path = pathlib.Path(__file__).parent / "points_dual_f3.json"
+    code, out, _ = run(capsys, ["points", "dual", "--field", "extension",
+                                "--input", str(path)])
+    assert code == 0
+    assert json.loads(out)["count"] == 126
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DUAL_POINTS
 
 
 def test_rank_cap_is_checked_before_the_power_table(capsys, monkeypatch):

@@ -175,6 +175,31 @@ def test_boolean_rank_is_document_error(shape):
         load_document_text(json.dumps(data))
 
 
+def _function_field(r):
+    return {"version": "weilres/1",
+            "field": {"kind": "function", "p": 2, "r": r, "symbol": "x"}}
+
+
+@pytest.mark.parametrize("r, want", [("1/3", "1/3"), ("0.1", "1/10"), ("2/4", "1/2")])
+def test_function_field_r_is_read_exactly(r, want):
+    doc = load_document_text(json.dumps(_function_field(r)))
+    assert field_record(doc.field)["r"] == want
+
+
+@pytest.mark.parametrize("r", [0.1, 0.5, True, False, None, [1, 3], {"n": 1}])
+def test_function_field_r_must_be_a_string_or_an_integer(r):
+    # a JSON float would load as its binary value, 0.1 as
+    # 3602879701896397/36028797018963968; a boolean is no integer
+    with pytest.raises(DocumentError,
+                       match=r"^field: field\.r must be a string or an integer$"):
+        load_document_text(json.dumps(_function_field(r)))
+
+
+def test_function_field_integer_r_is_range_checked():
+    with pytest.raises(DocumentError, match="0 < r < 1"):
+        load_document_text(json.dumps(_function_field(1)))
+
+
 def test_invalid_json_reported():
     with pytest.raises(DocumentError):
         load_document_text("{not json")

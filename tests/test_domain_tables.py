@@ -1,0 +1,174 @@
+"""The point oracle's per-domain tables against element arithmetic.
+
+points_over compiles every generator from the _DomainTable of its domain,
+by index arithmetic: over a field by discrete logs (a primitive element's
+powers), over a domain with zero divisors by element products memoized per
+domain.  Here the table is checked on its own: the elements in sort-key
+order, log and antilog inverse to each other, and every term value
+c * x_1^e_1 ... x_r^e_r it gives equal to the product of the elements, over
+every field of the oracle's property test, F_97, F_81 as a GaloisField and
+F_81 as a FreeExtension.  The zero-divisor domains F_2[t]/(t^2) and
+F_3[t]/(t^4) take the product path and their points agree with the plain
+enumeration.  The cache is shared by equal domains, bounded, and once warm
+lets points_over run without a single element product.  Runs are
+derandomized so every run tries the same examples.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from weilres import GaloisField, PrimeField, parse_poly
+from weilres import restriction
+from weilres.extensions import AlgebraElement
+from weilres.fields import FieldElement
+from weilres.restriction import (POINT_VARIABLE_CAP, Presentation,
+                                 _domain_table, points_over)
+
+from conftest import dense_points
+from test_kernel_properties import POINT_DOMAINS, _monogenic, point_generators
+
+SETTINGS = settings(derandomize=True, database=None, deadline=None,
+                    max_examples=60)
+
+F3 = PrimeField(3)
+NON_FIELDS = {"F_2[t]/(t^2)": _monogenic(PrimeField(2), "t^2"),
+              "F_3[t]/(t^4)": _monogenic(F3, "t^4")}
+FIELDS = {repr(domain): domain for _, domain in POINT_DOMAINS
+          if domain != NON_FIELDS["F_2[t]/(t^2)"]}
+FIELDS.update({"F_97": PrimeField(97),
+               "F_81 (GaloisField)": GaloisField(3, (2, 1, 0, 0, 1), "s"),
+               "F_81 (FreeExtension)": _monogenic(F3, "t^4 + t + 2")})
+
+
+@pytest.fixture
+def fresh_cache(monkeypatch):
+    """An empty table cache for the test, the module's own left alone."""
+    tables = {}
+    monkeypatch.setattr(restriction, "_TABLES", tables)
+    return tables
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_antilog_inverts_log(name):
+    table = _domain_table(FIELDS[name])
+    q = len(table.elements)
+    keys = [x.sort_key() for x in table.elements]
+    assert keys == sorted(keys) and table.elements[0].is_zero()
+    assert table.index == {k: i for i, k in enumerate(keys)}
+    assert sorted(table.antilog) == list(range(1, q))
+    assert table.log[0] is None
+    assert all(table.antilog[table.log[i]] == i for i in range(1, q))
+    # antilog lists the powers of one element, which therefore is primitive
+    g = table.elements[table.antilog[1 % (q - 1)]]
+    x = table.elements[table.antilog[0]]
+    for i in table.antilog:
+        assert table.elements[i] == x
+        x = x * g
+
+
+def _term_value(table, c, factors):
+    """The element table.term gives for c times the product of the x^e over
+    the (index of x, e) in factors."""
+    start, rows = table.term(c, [e for _, e in factors])
+    tokens = [row[i] for row, (i, _) in zip(rows, factors)]
+    if None in tokens:
+        return table.elements[0]
+    return table.elements[table.values[start + sum(tokens)]]
+
+
+@SETTINGS
+@given(st.sampled_from(sorted(FIELDS) + sorted(NON_FIELDS)), st.data())
+def test_term_values_match_element_arithmetic(name, data):
+    domain = FIELDS.get(name) or NON_FIELDS[name]
+    table = _domain_table(domain)
+    q = len(table.elements)
+    nonzero = st.integers(1, q - 1).map(lambda i: table.elements[i])
+    c = data.draw(nonzero)
+    e = data.draw(st.integers(1, q))
+    # one variable: every element x
+    for i, x in enumerate(table.elements):
+        assert _term_value(table, c, [(i, e)]) == c * x ** e
+    # a mixed term: up to POINT_VARIABLE_CAP factors, zero among them
+    factors = data.draw(st.lists(st.tuples(st.integers(0, q - 1), st.integers(1, q)),
+                                 min_size=2, max_size=POINT_VARIABLE_CAP))
+    want = c
+    for i, f in factors:
+        want = want * table.elements[i] ** f
+    assert _term_value(table, c, factors) == want
+
+
+@pytest.mark.parametrize("name", sorted(NON_FIELDS))
+def test_zero_divisor_domains_take_the_product_path(name):
+    table = _domain_table(NON_FIELDS[name])
+    assert table.log is None and table.antilog is None
+
+
+@settings(SETTINGS, max_examples=40)
+@given(st.sampled_from(sorted(NON_FIELDS)), st.integers(0, 2), st.data())
+def test_points_over_zero_divisor_domains_match_dense_enumeration(name, d, data):
+    domain = NON_FIELDS[name]
+    variables = ("a", "b")[:d]
+    pres = Presentation(domain, variables,
+                        data.draw(point_generators(domain, variables)))
+    assert points_over(pres, domain) == dense_points(pres, domain)
+
+
+def test_equal_domains_share_one_table(fresh_cache):
+    f9 = GaloisField(3, (1, 0, 1), "t")
+    table = _domain_table(f9)
+    assert _domain_table(GaloisField(3, (1, 0, 1), "t")) is table
+    ext = _monogenic(F3, "t^2 + 1")
+    assert _domain_table(_monogenic(F3, "t^2 + 1")) is _domain_table(ext)
+    # F_9 by another modulus has the same size and sort keys, not the same
+    # elements
+    other = _domain_table(GaloisField(3, (2, 2, 1), "t"))
+    assert other is not table and other.elements != table.elements
+    assert len(fresh_cache) == 3
+
+
+def test_cache_stays_within_its_bound(fresh_cache):
+    cap = restriction._TABLE_CAP
+    domains = [GaloisField(2, (1, 1, 1), "w%d" % i) for i in range(cap + 5)]
+    tables = [_domain_table(d) for d in domains]
+    assert len(fresh_cache) == cap
+    # the first tables stay; a domain met after the cache is full gets a
+    # table per call, with the same contents
+    assert all(_domain_table(d) is t for d, t in zip(domains[:cap], tables))
+    late = domains[-1]
+    again = _domain_table(late)
+    assert again is not tables[-1] and again.elements == tables[-1].elements
+    assert len(fresh_cache) == cap
+
+
+# F_9 and F_97 as fields, and F_9 as a rank-2 algebra over F_3; each
+# generator has a mixed term, and both vanish at (1, 1)
+WARM_DOMAINS = {"F_9": GaloisField(3, (1, 0, 1), "t"), "F_97": PrimeField(97),
+                "F_3[t]/(t^2 + 1)": _monogenic(F3, "t^2 + 1")}
+
+
+@pytest.mark.parametrize("name", sorted(WARM_DOMAINS))
+def test_no_element_products_with_a_warm_table(name, fresh_cache, monkeypatch):
+    domain = WARM_DOMAINS[name]
+    variables = ("a", "b")
+    pres = Presentation(domain, variables, [
+        parse_poly(text, domain, variables)
+        for text in ("a^2*b - a*b^3 + b^2 - 1", "a*b^2 + a^3 - 2")])
+    first = points_over(pres, domain)
+    calls = []
+
+    def counted(op):
+        def wrapper(*args):
+            calls.append(op.__qualname__)
+            return op(*args)
+        return wrapper
+
+    for cls in (FieldElement, AlgebraElement):
+        for name_ in ("__mul__", "__pow__"):
+            monkeypatch.setattr(cls, name_, counted(getattr(cls, name_)))
+    again = points_over(pres, domain)
+    monkeypatch.undo()
+    assert calls == []
+    assert again == first == dense_points(pres, domain)
+    assert first
+
