@@ -216,21 +216,13 @@ def _select_field(doc, selector):
 def cmd_points(doc, args):
     pres = _get_presentation(doc, args.presentation)
     domain = _select_field(doc, args.field)
-    pts = points_over(pres, domain)
-    names = {}  # str of each domain element, by sort key
-
-    def name(c):
-        key = c.sort_key()
-        if key not in names:
-            names[key] = str(c)
-        return names[key]
-
+    pts = points_over(pres, domain, text=True)
     return EXIT_PASS, {
         "field": repr(domain) if isinstance(domain, FreeExtension)
         else field_record(domain),
         "variables": list(pres.variables),
         "count": len(pts),
-        "points": [[name(c) for c in pt] for pt in pts],
+        "points": pts,
     }
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 from contextlib import contextmanager
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import DocumentError, EnumerationBoundError
 from .extensions import (RANK_CAP, FreeExtension, check_rank,
@@ -29,8 +30,61 @@ VERSION = "weilres/1"
 
 
 def canonical_json(obj):
-    """Deterministic serialisation: sorted keys, two-space indent, newline."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Deterministic serialisation, the bytes of json.dumps(obj, indent=2,
+    sort_keys=True) plus a newline: str keys in sorted order, two-space
+    indent, items separated by "," and a newline, ": " after each key, ASCII
+    with \\uXXXX escapes.  Laid out by hand (json's indent runs its
+    pure-Python encoder); objects are dicts, lists and tuples over str, int,
+    bool and None, and anything else, a float or a non-str key among them,
+    raises TypeError."""
+    out = []
+    _lay(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _lay(obj, pad, out):
+    """Append the layout of obj to out; pad is a newline and the indent of
+    the line obj starts on."""
+    if isinstance(obj, str):
+        out.append(_quote(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        try:  # a list of strings, such as a point, in one join
+            text = ("," + inner).join(map(_quote, obj))
+        except TypeError:
+            sep = "[" + inner
+            for item in obj:
+                out.append(sep)
+                _lay(item, inner, out)
+                sep = "," + inner
+            out.append(pad + "]")
+        else:
+            out.append("[" + inner + text + pad + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep = "{" + inner  # _quote refuses a key that is not a str
+        for key in sorted(obj):
+            out.append(sep + _quote(key) + ": ")
+            _lay(obj[key], inner, out)
+            sep = "," + inner
+        out.append(pad + "}")
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    else:
+        raise TypeError("%s is not canonical JSON" % type(obj).__name__)
 
 
 def _object(record, path):

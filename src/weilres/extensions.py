@@ -48,7 +48,7 @@ class FreeExtension:
         self.unit = tuple(map(base.coerce, unit))
         self.minimal_polynomial = minimal_polynomial
         self.symbol = symbol
-        self._hash = None
+        self._hash = self._denominator = None
         if len(table) != self.rank or any(len(row) != self.rank for row in table):
             raise ValueError("structure constants must form an n*n*n array")
         if len(self.unit) != self.rank:
@@ -205,6 +205,15 @@ class FreeExtension:
             self._hash = hash(("ext", self.base, self.basis_names,
                                self.sparse_structure, self.unit))
         return self._hash
+
+    def structure_denominator(self):
+        """base.cleared's common denominator of the structure constants, in
+        the ring base.numerators() describes; computed once, like the hash."""
+        if self._denominator is None:
+            self._denominator = self.base.cleared(
+                [c for row in self.sparse_structure for cell in row
+                 for _, c in cell if c is not None])[0]
+        return self._denominator
 
     def __repr__(self):
         if self.minimal_polynomial is not None:
@@ -565,8 +574,7 @@ def _cleared(b):
     ext = b.extension
     base = ext.base
     _, one, _, mul, over = base.numerators()
-    e = base.cleared([c for row in ext.sparse_structure for cell in row
-                      for _, c in cell if c is not None])[0]
+    e = ext.structure_denominator()
     d, scaled = base.cleared([c for x in b.coords for c in (
         x.terms.values() if isinstance(x, Poly) else (x,))])
     d = over(mul(d, e), one)

@@ -368,24 +368,27 @@ def base_change(p, target):
                         provenance=p.provenance)
 
 
-def points_over(p, domain):
+def points_over(p, domain, text=False):
     """All solutions of the generators with coordinates in a finite domain.
 
     domain is a finite field (reached from the base by the canonical
     embedding) or a finite free extension; enumeration is exhaustive and the
-    output is sorted canonically.  Exceeding the configured bounds (at most
-    POINT_VARIABLE_CAP variables, POINT_FIELD_CAP elements and
-    POINT_ASSIGNMENT_BUDGET assignments) raises EnumerationBoundError before
-    any enumeration rather than truncating; the budget counts all q^d
-    assignments.  Points are tuples of indices into the domain's
-    _DomainTable, built once per domain and shared by equal domains, whose
-    elements are in sort-key order, so the index tuples sort as the points
-    do.  Each generator is compiled once per call from that table by index
-    arithmetic (_CompiledGenerator) and evaluated incrementally along an
-    enumeration of the first d - 1 variables.  Per prefix that passes the
-    generators in those variables, the values of the last variable come
-    from the residue index of every generator that can be solved there, and
-    each of them is tested on the other generators.
+    output is sorted canonically.  A point is a tuple of domain elements,
+    or with text=True of their strings, read off the table's names, so that
+    each element is named once per domain rather than once per coordinate.
+    Exceeding the configured bounds (at most POINT_VARIABLE_CAP variables,
+    POINT_FIELD_CAP elements and POINT_ASSIGNMENT_BUDGET assignments) raises
+    EnumerationBoundError before any enumeration rather than truncating; the
+    budget counts all q^d assignments.  Inside, points are tuples of indices
+    into the domain's _DomainTable, built once per domain and shared by
+    equal domains, whose elements are in sort-key order, so the index tuples
+    sort as the points do; each sorted tuple is read through the table's
+    elements or names at the end.  Each generator is compiled once per call
+    from that table by index arithmetic (_CompiledGenerator) and evaluated
+    incrementally along an enumeration of the first d - 1 variables.  Per
+    prefix that passes the generators in those variables, the values of the
+    last variable come from the residue index of every generator that can
+    be solved there, and each of them is tested on the other generators.
     """
     if len(p.variables) > POINT_VARIABLE_CAP:
         raise EnumerationBoundError(
@@ -443,7 +446,8 @@ def points_over(p, domain):
                 else:
                     found.append(idx)
     found.sort()
-    return [tuple(elems[i] for i in idx) for idx in found]
+    read = (table.names if text else elems).__getitem__
+    return [tuple(map(read, idx)) for idx in found]
 
 
 def _assignments(variables, elems):
@@ -473,8 +477,9 @@ class _DomainTable:
 
     elements lists them in sort-key order, so index tuples sort as the
     points they stand for, and zero, whose coordinates are the least, is
-    index 0; index maps a sort key to its index.  coordinates[i] holds the
-    F_p coordinates of element i in slot order (one for F_p, the padded
+    index 0; index maps a sort key to its index, and names, built on first
+    use, holds str of each element in the same order.  coordinates[i] holds
+    the F_p coordinates of element i in slot order (one for F_p, the padded
     value for F_{p^m}, those of each coordinate for an algebra), and
     packings the _packing of each slot width w met so far.
 
@@ -491,7 +496,7 @@ class _DomainTable:
     """
 
     __slots__ = ("antilog", "coordinates", "elements", "index", "log",
-                 "packings", "p", "values", "_rows")
+                 "packings", "p", "values", "_names", "_rows")
 
     def __init__(self, domain):
         elems = sorted(domain.elements(), key=lambda x: x.sort_key())
@@ -510,7 +515,13 @@ class _DomainTable:
             for k, i in enumerate(self.antilog):
                 self.log[i] = k
             self.values = self.antilog * (POINT_VARIABLE_CAP + 1)
-        self.packings, self._rows = {}, {}
+        self.packings, self._rows, self._names = {}, {}, None
+
+    @property
+    def names(self):
+        if self._names is None:
+            self._names = list(map(str, self.elements))
+        return self._names
 
     def term(self, c, exponents):
         """(start, rows) for c * x_1^e_1 ... x_r^e_r, c nonzero and every e

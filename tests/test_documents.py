@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weilres import DocumentError, FreeExtension, GaloisField, LogNorm
 from weilres.errors import EnumerationBoundError
@@ -223,6 +225,33 @@ def test_canonical_json_is_stable():
     doc = golden_doc()
     assert canonical_json(doc) == canonical_json(json.loads(json.dumps(doc)))
     assert canonical_json(doc).endswith("\n")
+
+
+# strings that need escaping: quotes, backslashes, control characters, lone
+# surrogates and non-ASCII, among any other code points
+_TEXT = st.text(st.sampled_from(['"', "\\", "\x00", "\n", "\x1f", "\x7f", "\ud800",
+                                 "\udfff", "\u00e9", "\u2028", "\U0001f600", "a"])
+                | st.characters(blacklist_categories=()), max_size=6)
+_LEAVES = (st.none() | st.booleans() | st.integers()
+           | st.integers(-2 ** 200, 2 ** 200) | _TEXT)
+_TREES = st.recursive(
+    _LEAVES, lambda kids: (st.lists(kids, max_size=4)
+                           | st.lists(kids, max_size=4).map(tuple)
+                           | st.dictionaries(_TEXT, kids, max_size=4)),
+    max_leaves=40)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_TREES)
+def test_canonical_json_is_json_dumps_with_indent(tree):
+    assert canonical_json(tree) == json.dumps(tree, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("tree", [0.5, [1, 2.0], {"a": {"b": [float("nan")]}},
+                                  {1: "a"}, {"a": {None: 1}}, ["a", b"b"]])
+def test_canonical_json_refuses_floats_and_non_str_keys(tree):
+    with pytest.raises(TypeError):
+        canonical_json(tree)
 
 
 def test_extension_from_raw_structure_constants():

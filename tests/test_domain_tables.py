@@ -9,9 +9,10 @@ c * x_1^e_1 ... x_r^e_r it gives equal to the product of the elements, over
 every field of the oracle's property test, F_97, F_81 as a GaloisField and
 F_81 as a FreeExtension.  The zero-divisor domains F_2[t]/(t^2) and
 F_3[t]/(t^4) take the product path and their points agree with the plain
-enumeration.  The cache is shared by equal domains, bounded, and once warm
-lets points_over run without a single element product.  Runs are
-derandomized so every run tries the same examples.
+enumeration.  The points read through the table's names (text=True) are
+the strings of the element points.  The cache is shared by equal domains,
+bounded, and once warm lets points_over run without a single element
+product.  Runs are derandomized so every run tries the same examples.
 """
 
 import pytest
@@ -112,6 +113,33 @@ def test_points_over_zero_divisor_domains_match_dense_enumeration(name, d, data)
     pres = Presentation(domain, variables,
                         data.draw(point_generators(domain, variables)))
     assert points_over(pres, domain) == dense_points(pres, domain)
+
+
+# every domain of the oracle's property test, and F_3[t]/(t^2), a ring
+# with zero divisors
+TEXT_DOMAINS = POINT_DOMAINS + [(_monogenic(F3, "t^2"),) * 2]
+
+
+@settings(SETTINGS, max_examples=80)
+@given(st.sampled_from(TEXT_DOMAINS), st.integers(0, 3), st.data())
+def test_text_points_are_the_names_of_the_points(domains, d, data):
+    base, domain = domains
+    variables = ("a", "b", "c")[:d]
+    pres = Presentation(base, variables,
+                        data.draw(point_generators(base, variables)))
+    assert (points_over(pres, domain, text=True)
+            == [tuple(map(str, pt)) for pt in points_over(pres, domain)])
+
+
+@pytest.mark.parametrize("domains", TEXT_DOMAINS, ids=repr)
+def test_names_are_built_once_per_table(domains, fresh_cache):
+    base, domain = domains
+    names = _domain_table(domain).names
+    assert _domain_table(domain).names is names
+    assert names == [str(x) for x in _domain_table(domain).elements]
+    # the zero-variable presentation has one point, the empty one
+    pres = Presentation(base, (), [])
+    assert points_over(pres, domain, text=True) == points_over(pres, domain) == [()]
 
 
 def test_equal_domains_share_one_table(fresh_cache):
