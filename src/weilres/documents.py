@@ -149,6 +149,14 @@ def _scalars(record, key, field, path, depth=1, label=None):
             for i in range(len(value))]
 
 
+def _exact(value, path, label):
+    """value, which must be a string or a JSON integer: a float would load as
+    its binary value, and a boolean is no integer."""
+    if isinstance(value, str) or type(value) is int:
+        return value
+    raise DocumentError("%s: %s must be a string or an integer" % (path, label))
+
+
 @contextmanager
 def _reported(path):
     """Turn any failure inside the block into a DocumentError naming path;
@@ -200,12 +208,7 @@ def parse_field(record, path="field"):
             return RationalField(padic=record["p"])
         if kind == "function":
             _check_keys(record, ["kind", "p"], ["r", "symbol"], path)
-            r = record.get("r", "1/2")
-            # exact input only: a JSON float would load as its binary value
-            if not isinstance(r, str) and type(r) is not int:
-                raise DocumentError("%s: %s.r must be a string or an integer"
-                                    % (path, path))
-            r = Fraction(r)
+            r = Fraction(_exact(record.get("r", "1/2"), path, "%s.r" % path))
             symbol = _name(record.get("symbol", "x"), path, "%s.symbol" % path)
             return FunctionField(record["p"], r, symbol)
     raise DocumentError("%s: unknown field kind %r" % (path, kind))
@@ -281,12 +284,16 @@ def parse_presentation(record, field, extension, path):
     variables = tuple(_names(record, "variables", path))
     texts = _array(record, "generators", path)
     radii = _array(record, "radii", path) if "radii" in record else None
+    provenance = record.get("provenance", path)
+    if not isinstance(provenance, str):
+        raise DocumentError("%s: %s.provenance must be a string" % (path, path))
     with _reported(path):
         gens = [parse_poly(text, domain, variables) for text in texts]
         if radii is not None:
-            radii = [LogNorm.parse(r) for r in radii]
+            radii = [LogNorm.parse(str(_exact(r, path, "%s.radii[%d]" % (path, i))))
+                     for i, r in enumerate(radii)]
         return Presentation(domain, variables, gens, radii=radii,
-                            provenance=record.get("provenance", path))
+                            provenance=provenance)
 
 
 def presentation_record(pres, render=str):

@@ -19,7 +19,7 @@ from operator import mul
 from .errors import EnumerationBoundError, IncompatibleFieldError
 from .extensions import (AlgebraElement, FreeExtension, MonicPoly, charpoly,
                          extend_scalars, generic_charpoly, mult_matrix)
-from .fields import Field, GaloisField, canonical_embedding, power
+from .fields import Field, canonical_embedding, power
 from .linalg import _algebra_product
 from .lognorm import LogNorm
 from .poly import Poly
@@ -384,11 +384,11 @@ def points_over(p, domain, text=False):
     equal domains, whose elements are in sort-key order, so the index tuples
     sort as the points do; each sorted tuple is read through the table's
     elements or names at the end.  Each generator is compiled once per call
-    from that table by index arithmetic (_CompiledGenerator) and evaluated
+    from that table into index sums (_CompiledGenerator) and evaluated
     incrementally along an enumeration of the first d - 1 variables.  Per
     prefix that passes the generators in those variables, the values of the
-    last variable come from the residue index of every generator that can
-    be solved there, and each of them is tested on the other generators.
+    last variable come from the value index of every generator that can be
+    solved there, and each of them is tested on the other generators.
     """
     if len(p.variables) > POINT_VARIABLE_CAP:
         raise EnumerationBoundError(
@@ -421,9 +421,8 @@ def points_over(p, domain, text=False):
         return [()] if all(gen.vanishes(()) for gen in oracle) else []
     last = len(pres.variables) - 1
     early = [gen for gen in oracle if gen.depth < last]
-    # the last variable is read off the residue index of each generator
-    # that can be solved there; the other generators of that depth test
-    # what is left
+    # the last variable is read off the value index of each generator that
+    # can be solved there; the other generators of that depth test the rest
     solved = [gen for gen in oracle if gen.index is not None]
     more = solved[1:]
     tested = [gen for gen in oracle if gen.depth == last and gen.index is None]
@@ -478,10 +477,12 @@ class _DomainTable:
     elements lists them in sort-key order, so index tuples sort as the
     points they stand for, and zero, whose coordinates are the least, is
     index 0; index maps a sort key to its index, and names, built on first
-    use, holds str of each element in the same order.  coordinates[i] holds
-    the F_p coordinates of element i in slot order (one for F_p, the padded
-    value for F_{p^m}, those of each coordinate for an algebra), and
-    packings the _packing of each slot width w met so far.
+    use, holds str of each element in the same order.  add[i][j] is the
+    index of elements[i] + elements[j] and neg[i] that of -elements[i]: the
+    base-p digits of index i, most significant first, are the F_p
+    coordinates of element i (in turn those of each coordinate of an
+    algebra; an F_{p^m} value, a trimmed tuple, sorts as its padded one),
+    and add adds them mod p.
 
     term() turns c * x_1^e_1 ... x_r^e_r into index arithmetic: each factor
     x^e is a token read off a row, None where x^e is zero, and values[start
@@ -495,19 +496,26 @@ class _DomainTable:
     from the elements (_Products).
     """
 
-    __slots__ = ("antilog", "coordinates", "elements", "index", "log",
-                 "packings", "p", "values", "_names", "_rows")
+    __slots__ = ("add", "antilog", "elements", "index", "log", "neg", "values",
+                 "_names", "_rows")
 
     def __init__(self, domain):
         elems = sorted(domain.elements(), key=lambda x: x.sort_key())
         self.elements = elems
         self.index = {x.sort_key(): i for i, x in enumerate(elems)}
-        self.coordinates = [_coordinates(x) for x in elems]
         self.antilog = _antilog(elems, self.index,
                                 self.index[domain.one().sort_key()])
         while isinstance(domain, FreeExtension):
             domain = domain.base
-        self.p = domain.characteristic
+        p = domain.characteristic
+        # F_p first; each pass appends a low digit a to every index I: the
+        # row of I * p + a is that of I, each entry times p followed by a + c
+        shifted = [list(range(a, p)) + list(range(a)) for a in range(p)]
+        add = shifted
+        while len(add) < len(elems):
+            add = [[s * p + t for s in row for t in shifted[a]]
+                   for row in add for a in range(p)]
+        self.add, self.neg = add, [row.index(0) for row in add]
         if self.antilog is None:
             self.log, self.values = None, _Products(elems, self.index)
         else:
@@ -515,7 +523,7 @@ class _DomainTable:
             for k, i in enumerate(self.antilog):
                 self.log[i] = k
             self.values = self.antilog * (POINT_VARIABLE_CAP + 1)
-        self.packings, self._rows, self._names = {}, {}, None
+        self._rows, self._names = {}, None
 
     @property
     def names(self):
@@ -546,16 +554,6 @@ class _DomainTable:
                 row = [self.index[(x ** e).sort_key()] for x in self.elements]
             self._rows[e] = row
         return row
-
-
-def _coordinates(x):
-    """The F_p coordinates of an element of F_p, F_{p^m} or a free extension
-    of a finite domain, in slot order."""
-    if isinstance(x, AlgebraElement):
-        return tuple(c for y in x.coords for c in _coordinates(y))
-    if isinstance(x.field, GaloisField):
-        return x.value + (0,) * (x.field.degree - len(x.value))
-    return (x.value,)
 
 
 def _antilog(elements, index, one):
@@ -601,41 +599,6 @@ class _Products(dict):
         return i
 
 
-def _packing(table, terms):
-    """(packed, zero, residue, negated) for a generator of `terms` terms,
-    built once per table and slot width.
-
-    packed[i] holds the F_p coordinates of element i of the table in slots
-    of w bits, the first lowest, and zero(s) tests a sum of packed values
-    slot by slot mod p.  A slot sums at most `terms` coordinates below p: w
-    bits hold it, no carry.  So zero(a + b) holds exactly when residue(b) ==
-    negated(a): residue(s) reduces every slot mod p and negated(s) is the
-    residue of -s."""
-    p, m = table.p, len(table.coordinates[0])
-    w = ((terms + 1) * (p - 1)).bit_length()
-    if w in table.packings:
-        return table.packings[w]
-    packed = [sum(c << (w * i) for i, c in enumerate(x)) for x in table.coordinates]
-    mask, low = (1 << w) - 1, sum(1 << (w * i) for i in range(m))
-    if m == 1:
-        packing = (packed, lambda s: s % p == 0, lambda s: s % p,
-                   lambda s: -s % p)
-    elif p == 2:  # each slot's low bit is its parity, its own negative
-        def parities(s):
-            return s & low
-        packing = packed, lambda s: not s & low, parities, parities
-    else:
-        packing = (packed,
-                   lambda s: not any((s >> (w * i) & mask) % p for i in range(m)),
-                   lambda s: tuple((s >> (w * i) & mask) % p for i in range(m)),
-                   lambda s: tuple(-(s >> (w * i) & mask) % p for i in range(m)))
-    table.packings[w] = packing
-    return packing
-
-
-_NO_HITS = frozenset()
-
-
 class _CompiledGenerator:
     """One generator of points_over, compiled from a _DomainTable.
 
@@ -646,59 +609,57 @@ class _CompiledGenerator:
     position where it differs from that point, and a point that agrees with
     it up to the generator's own depth reuses its verdict.
 
-    Values are packed (_packing): a sum is one int addition, tested at the
-    generator's depth.  Every term is index arithmetic on the table
+    Every value and partial sum is an element index: a sum is add[s][v],
+    zero is 0.  Every term is index arithmetic on the table
     (_DomainTable.term).  The terms in a single variable are tabulated over
     every element and summed into one table per depth.  A mixed term adds
     the tokens of its factors at the point, is zero as soon as one factor
-    is, and otherwise adds the packed value of the table's values at that
-    sum.  Over a field no element is multiplied; over a domain with zero
-    divisors each product is computed once per domain.
+    is, and otherwise adds the table's values at that sum.  Over a field no
+    element is multiplied; over a domain with zero divisors each product is
+    computed once per domain.
 
     When the generator's depth is the last variable and only a table sits
-    there, `index` maps each residue to the indices of the last variable
-    whose table value has it, and solutions() reads the zeros off it.
+    there, index[v] holds the indices at which that table is v, and
+    solutions() reads it at the negated partial sum.
     """
 
-    __slots__ = ("depth", "index", "levels", "negated", "packed", "partial",
-                 "seen", "valid", "values", "verdict", "zero")
+    __slots__ = ("add", "depth", "index", "levels", "neg", "partial", "seen",
+                 "valid", "values", "verdict")
 
     def __init__(self, g, table):
-        packed, self.zero, residue, self.negated = _packing(table, len(g.terms))
-        values = table.values
+        add, values = table.add, table.values
         const = 0
         tables, mixed = {}, {}
         for exps, c in g.terms.items():
             used = [(k, e) for k, e in enumerate(exps) if e]
             if not used:
-                const = packed[table.index[c.sort_key()]]
+                const = table.index[c.sort_key()]
                 continue
             depth = used[-1][0]
             start, rows = table.term(c, [e for _, e in used])
             if len(used) == 1:
-                row = [0 if t is None else packed[values[start + t]]
-                       for t in rows[0]]
+                row = [0 if t is None else values[start + t] for t in rows[0]]
                 old = tables.get(depth)
                 tables[depth] = row if old is None else [
-                    a + b for a, b in zip(old, row)]
+                    add[a][b] for a, b in zip(old, row)]
             else:
                 mixed.setdefault(depth, []).append(
                     (start, [(k, r) for (k, _), r in zip(used, rows)]))
-        self.packed, self.values = packed, values
+        self.add, self.neg, self.values = add, table.neg, values
         self.depth = max([-1, *tables, *mixed])
         self.levels = [(tables.get(t), mixed.get(t, ()))
                        for t in range(self.depth + 1)]
         self.partial = [const] * (self.depth + 2)
         self.seen, self.valid = (), 0
-        self.verdict = self.zero(const)
+        self.verdict = const == 0
         self.index = None
         top = tables.get(self.depth)
         if self.depth == len(g.variables) - 1 and top is not None \
                 and self.depth not in mixed:
-            index = {}
+            index = [[] for _ in top]  # one list per element
             for i, s in enumerate(top):
-                index.setdefault(residue(s), []).append(i)
-            self.index = {r: frozenset(ids) for r, ids in index.items()}
+                index[s].append(i)
+            self.index = list(map(frozenset, index))
 
     def _advance(self, idx, stop):
         """Bring partial[1 .. stop] up to the point idx; False when they
@@ -709,12 +670,12 @@ class _CompiledGenerator:
             t += 1
         if t == stop:
             return False
-        partial, packed, values = self.partial, self.packed, self.values
+        partial, add, values = self.partial, self.add, self.values
         for t in range(t, stop):
             table, mixed = self.levels[t]
             s = partial[t]
             if table is not None:
-                s += table[idx[t]]
+                s = add[s][table[idx[t]]]
             for token, factors in mixed:
                 for k, row in factors:
                     x = row[idx[k]]
@@ -722,7 +683,7 @@ class _CompiledGenerator:
                         break
                     token += x
                 else:
-                    s += packed[values[token]]
+                    s = add[s][values[token]]
             partial[t + 1] = s
         self.seen, self.valid = idx, stop
         return True
@@ -730,14 +691,14 @@ class _CompiledGenerator:
     def vanishes(self, idx):
         """Whether the generator is zero at the point with these indices."""
         if self._advance(idx, self.depth + 1):
-            self.verdict = self.zero(self.partial[self.depth + 1])
+            self.verdict = self.partial[self.depth + 1] == 0
         return self.verdict
 
     def solutions(self, prefix):
         """The indices i of the last variable at which the generator is zero
         at prefix + (i,); needs `index`."""
         self._advance(prefix, self.depth)
-        return self.index.get(self.negated(self.partial[self.depth]), _NO_HITS)
+        return self.index[self.neg[self.partial[self.depth]]]
 
 
 def psi_apply(result, point):

@@ -124,6 +124,51 @@ def test_disc_refuses_an_inexact_r(tmp_path, capsys, r):
         2, "", "input error: field: field.r must be a string or an integer\n")
 
 
+@pytest.mark.parametrize("provenance", [{"b": [1.5, True]}, 3, None, ["x"]])
+def test_restrict_refuses_a_provenance_that_is_no_string(tmp_path, capsys, provenance):
+    # the provenance is written into the canonical output; a Python repr of
+    # a JSON object there would not be canonical text
+    data = golden_doc()
+    data["presentations"]["conic_ext"]["provenance"] = provenance
+    path = write_doc(tmp_path, data)
+    code, out, err = run(capsys, ["restrict", "conic_ext", "--input", path])
+    assert (code, out, err) == (
+        2, "", "input error: presentations.conic_ext: "
+               "presentations.conic_ext.provenance must be a string\n")
+
+
+def test_restrict_writes_a_string_provenance(tmp_path, capsys):
+    data = golden_doc()
+    data["presentations"]["conic_ext"]["provenance"] = "a conic"
+    path = write_doc(tmp_path, data)
+    code, out, _ = run(capsys, ["restrict", "conic_ext", "--input", path])
+    assert code == 0
+    assert json.loads(out)["presentation"]["provenance"] == "restriction of a conic"
+
+
+@pytest.mark.parametrize("radii,bad", [([1.5], 0), ([True], 0), (["1", 0.5], 1),
+                                       ([None], 0), (["0", ["1"]], 1)])
+def test_restrict_names_a_radius_that_is_no_string_or_integer(tmp_path, capsys,
+                                                              radii, bad):
+    data = golden_doc()
+    data["presentations"]["conic_ext"]["radii"] = radii
+    path = write_doc(tmp_path, data)
+    code, out, err = run(capsys, ["restrict", "conic_ext", "--input", path])
+    assert (code, out, err) == (
+        2, "", "input error: presentations.conic_ext: presentations.conic_ext"
+               ".radii[%d] must be a string or an integer\n" % bad)
+
+
+@pytest.mark.parametrize("radius", [1, "1", " 1 "])
+def test_restrict_reads_an_integer_radius_as_its_string(tmp_path, capsys, radius):
+    data = golden_doc()
+    data["presentations"]["conic_ext"]["radii"] = [radius]
+    path = write_doc(tmp_path, data)
+    code, out, _ = run(capsys, ["restrict", "conic_ext", "--input", path])
+    assert code == 0
+    assert json.loads(out)["metadata"]["original_radii"] == ["1"]
+
+
 def test_charpoly_and_integrality_and_spectral(tmp_path, capsys):
     path = write_doc(tmp_path, padic_doc())
     code, out, _ = run(capsys, ["charpoly", "t + 1", "--input", path])
@@ -287,12 +332,12 @@ def test_sphere_document_point_count(capsys):
 
 @pytest.mark.parametrize("name,count", [
     # 3 variables over F_27: 27^2 + 27 * eta(-1) by the same theorem, and
-    # -1 is not a square since 27 = 3 mod 4; odd p with m = 3 takes the
-    # slot-by-slot zero test: 27^2 - 27
+    # -1 is not a square since 27 = 3 mod 4; odd p with m = 3 sums three
+    # base-3 digits: 27^2 - 27
     ("sphere_f27.json", 702),
     # 4 variables over F_16: in characteristic 2 the sum of the squares is
     # the square of the sum, so the sphere is the plane a + b + c + d = 1;
-    # p = 2 takes the zero test on the low bit of every slot: 16^3
+    # p = 2 sums four base-2 digits, each its own negative: 16^3
     ("sphere_f16.json", 4096),
 ])
 def test_sphere_counts_on_the_packed_zero_tests(capsys, name, count):
@@ -318,6 +363,23 @@ def test_points_over_dual_numbers_digest(capsys):
     assert code == 0
     assert json.loads(out)["count"] == 126
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DUAL_POINTS
+
+
+# SHA-256 of the points of a rank-2 extension of the GaloisField F_4,
+# F_4[s]/(s^2 + s + w), 16 elements whose indices carry the F_2 digits of
+# the F_2 coordinates of each F_4 coordinate; recorded when the oracle
+# summed values as packed F_p coordinates.  The 262 points are also those
+# of conftest.dense_points on the document.
+EXT_F4_POINTS = "ec808874e830f4b45ee108f2c6b82e7218e2be7661c6024db6a07aa8dc385dff"
+
+
+def test_points_over_an_extension_of_a_galois_field_digest(capsys):
+    path = pathlib.Path(__file__).parent / "points_ext_f4.json"
+    code, out, _ = run(capsys, ["points", "quartic", "--field", "extension",
+                                "--input", str(path)])
+    assert code == 0
+    assert json.loads(out)["count"] == 262
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == EXT_F4_POINTS
 
 
 def test_rank_cap_is_checked_before_the_power_table(capsys, monkeypatch):

@@ -7,7 +7,10 @@ domain.  Here the table is checked on its own: the elements in sort-key
 order, log and antilog inverse to each other, and every term value
 c * x_1^e_1 ... x_r^e_r it gives equal to the product of the elements, over
 every field of the oracle's property test, F_97, F_81 as a GaloisField and
-F_81 as a FreeExtension.  The zero-divisor domains F_2[t]/(t^2) and
+F_81 as a FreeExtension.  The addition and negation tables, built from
+the base-p digits of the indices, are checked against element addition and
+negation over fields, rings with zero divisors and an algebra over a
+GaloisField.  The zero-divisor domains F_2[t]/(t^2) and
 F_3[t]/(t^4) take the product path and their points agree with the plain
 enumeration.  The points read through the table's names (text=True) are
 the strings of the element points.  The cache is shared by equal domains,
@@ -97,6 +100,36 @@ def test_term_values_match_element_arithmetic(name, data):
     for i, f in factors:
         want = want * table.elements[i] ** f
     assert _term_value(table, c, factors) == want
+
+
+F4 = GaloisField(2, (1, 1, 1), "w")
+# F_p (p = 2 and 97), F_{p^m} over p = 2, 7 and 3, rings with zero divisors
+# of rank 2 and 4, and a rank-3 algebra over F_4, q = 64, whose index
+# digits are the F_2 coordinates of each F_4 coordinate in turn
+ADDITIVE_DOMAINS = {
+    "F_2": PrimeField(2), "F_97": PrimeField(97),
+    "F_8": GaloisField(2, (1, 1, 0, 1), "t"), "F_49": GaloisField(7, (1, 0, 1), "t"),
+    "F_81": GaloisField(3, (2, 1, 0, 0, 1), "s"),
+    "F_3[t]/(t^2)": _monogenic(F3, "t^2"), "F_3[t]/(t^4)": NON_FIELDS["F_3[t]/(t^4)"],
+    "F_4[s]/(s^3 + s + 1)": _monogenic(F4, "s^3 + s + 1", "s")}
+
+
+@pytest.mark.parametrize("name", sorted(ADDITIVE_DOMAINS))
+@settings(SETTINGS, max_examples=20)
+@given(st.data())
+def test_add_and_neg_match_element_arithmetic(name, data):
+    """add[i] and neg[i] for a drawn index i, over every j, are the sort-key
+    indices of the element sums and of the negation."""
+    domain = ADDITIVE_DOMAINS[name]
+    table = _domain_table(domain)
+    elems = table.elements
+    q = domain.size()
+    assert len(elems) == len(table.add) == len(table.neg) == q
+    i = data.draw(st.integers(0, q - 1))
+    x = elems[i]
+    assert table.add[i] == [table.index[(x + y).sort_key()] for y in elems]
+    assert table.neg[i] == table.index[(-x).sort_key()]
+    assert table.add[i][table.neg[i]] == 0
 
 
 @pytest.mark.parametrize("name", sorted(NON_FIELDS))

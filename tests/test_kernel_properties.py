@@ -9,9 +9,9 @@ Berkowitz on the unscaled matrix and the cofactor oracle, the one
 square-and-multiply loop against repeated products, univariate division
 against its defining identity, the remainder-only gcd against Euclid by full
 divisions, and the matrix product that skips zero operands against the dense
-loop.  The compiled point oracle, on packed F_p coordinates, is checked
-against the plain enumeration over every packing and zero test, with slot
-sums at the width's bound.  The packed F_p and F_p(x) kernel behind
+loop.  The compiled point oracle, on element indices summed by the
+domain's addition table, is checked against the plain enumeration over F_p,
+F_{p^m} and algebras over both, with sums of many terms.  The packed F_p and F_p(x) kernel behind
 PolyRing.charpoly is checked against the generic Berkowitz iteration on Poly
 arithmetic, term by term over the same variable lists, and against the
 cofactor oracle: over F_2(x) in slots of one byte (read with one mask) and
@@ -589,7 +589,7 @@ def test_assignments_enumerate_every_point_once(field, d):
 # and 4 over odd and even p, a field extension as a FreeExtension, one of
 # rank 2 over F_4 (coordinates of coordinates), a ring with zero divisors,
 # and a base presentation lifted to F_9 by base_change; between them they
-# take every packing and zero test of the compiled oracle
+# take addition tables of one base-p digit and of several, over p = 2, 3, 5
 POINT_DOMAINS = [(f, f) for f in (
     PrimeField(2), PrimeField(3), PrimeField(5), GaloisField(2, (1, 1, 1), "w"),
     GaloisField(3, (1, 0, 1), "t"), GaloisField(5, (2, 0, 1), "t"),
@@ -642,10 +642,10 @@ SLOT_FIELDS = {"F_8": GaloisField(2, (1, 1, 0, 1), "t"),
 @pytest.mark.parametrize("name,k", [("F_8", 1), ("F_8", 2), ("F_8", 29), ("F_8", 30),
                                     ("F_49", 3), ("F_49", 30), ("F_97", 1), ("F_97", 30)])
 def test_point_oracle_slots_hold_every_sum(name, k):
-    """sum_{e=1}^k (p-1)*u^e + (p-1)*u*v puts k + 1 terms of coordinates up
-    to p - 1 on one slot at u = 1.  At k = 29 over F_8 and k = 30 over F_49
-    such sums reach 2^(w-1) for the slot width w of k + 1 terms, so slots one
-    bit narrower would carry into the next one and give wrong points."""
+    """sum_{e=1}^k (p-1)*u^e + (p-1)*u*v sums k + 1 terms whose coordinates
+    are all p - 1 at u = 1: up to 31 values, each coordinate far past p when
+    added as integers, so any sum that lost its reduction mod p, digit by
+    digit, would give wrong points."""
     field = SLOT_FIELDS[name]
     top = field.coerce(field.characteristic - 1)
     terms = {(e, 0): top for e in range(1, k + 1)}
@@ -659,7 +659,8 @@ def test_point_oracle_slots_hold_every_sum(name, k):
 
 
 # F_97 (m = 1), F_16 (p = 2), F_27 and F_49 (odd p, m = 3 and 2) and F_25
-# as a rank-2 algebra over F_5: each of the three residues of _packing
+# as a rank-2 algebra over F_5: negation tables of one digit and of several,
+# the identity among them (p = 2)
 SOLVE_DOMAINS = {"F_97": PrimeField(97), "F_16": GaloisField(2, (1, 1, 0, 0, 1), "t"),
                  "F_27": GaloisField(3, (1, 2, 0, 1), "t"),
                  "F_49": GaloisField(7, (1, 0, 1), "t"),
@@ -679,8 +680,9 @@ SOLVE_CASES = {
 @pytest.mark.parametrize("case", sorted(SOLVE_CASES))
 @pytest.mark.parametrize("name", sorted(SOLVE_DOMAINS))
 def test_point_oracle_solves_the_last_variable(name, case):
-    """The last variable read off the residue index (and the rest tested
-    point by point) gives the points of the plain enumeration."""
+    """The last variable read off the value index at the negated partial
+    sum (and the rest tested point by point) gives the points of the plain
+    enumeration."""
     domain = SOLVE_DOMAINS[name]
     texts = [t.replace("Q", str(domain.size())) for t in SOLVE_CASES[case]]
     pres = Presentation(domain, ("a", "b"),
