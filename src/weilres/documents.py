@@ -149,6 +149,14 @@ def _scalars(record, key, field, path, depth=1, label=None):
             for i in range(len(value))]
 
 
+def _text(value, path, label):
+    """value, which must be a JSON string: polynomials and the provenance
+    are text, and a number or an array is not read as its str()."""
+    if isinstance(value, str):
+        return value
+    raise DocumentError("%s: %s must be a string" % (path, label))
+
+
 def _exact(value, path, label):
     """value, which must be a string or a JSON integer: a float would load as
     its binary value, and a boolean is no integer."""
@@ -236,7 +244,8 @@ def parse_extension(record, field, path="extension"):
         _check_keys(record, ["minimal_polynomial"], ["symbol"], path)
         symbol = _name(record.get("symbol", "t"), path, "%s.symbol" % path)
         with _reported(path):
-            m = parse_poly(record["minimal_polynomial"], field, (symbol,))
+            m = parse_poly(_text(record["minimal_polynomial"], path,
+                                 "%s.minimal_polynomial" % path), field, (symbol,))
             return from_minimal_polynomial(field, m, symbol)
     _check_keys(record, ["structure_constants", "unit"], ["rank", "basis"], path)
     with _reported(path):
@@ -282,11 +291,11 @@ def parse_presentation(record, field, extension, path):
     else:
         raise DocumentError("%s: 'over' must be 'base' or 'extension'" % path)
     variables = tuple(_names(record, "variables", path))
-    texts = _array(record, "generators", path)
+    texts = [_text(text, path, "%s.generators[%d]" % (path, i))
+             for i, text in enumerate(_array(record, "generators", path))]
     radii = _array(record, "radii", path) if "radii" in record else None
-    provenance = record.get("provenance", path)
-    if not isinstance(provenance, str):
-        raise DocumentError("%s: %s.provenance must be a string" % (path, path))
+    provenance = _text(record.get("provenance", path), path,
+                       "%s.provenance" % path)
     with _reported(path):
         gens = [parse_poly(text, domain, variables) for text in texts]
         if radii is not None:

@@ -384,11 +384,13 @@ def points_over(p, domain, text=False):
     equal domains, whose elements are in sort-key order, so the index tuples
     sort as the points do; each sorted tuple is read through the table's
     elements or names at the end.  Each generator is compiled once per call
-    from that table into index sums (_CompiledGenerator) and evaluated
-    incrementally along an enumeration of the first d - 1 variables.  Per
-    prefix that passes the generators in those variables, the values of the
-    last variable come from the value index of every generator that can be
-    solved there, and each of them is tested on the other generators.
+    into lookups in that table's addition and product tables
+    (_CompiledGenerator), the same over a field and a domain with zero
+    divisors, and evaluated incrementally along an enumeration of the first
+    d - 1 variables.  Per prefix that passes the generators in those
+    variables, the values of the last variable come from the value index of
+    every generator that can be solved there, and each of them is tested on
+    the other generators.
     """
     if len(p.variables) > POINT_VARIABLE_CAP:
         raise EnumerationBoundError(
@@ -484,27 +486,21 @@ class _DomainTable:
     algebra; an F_{p^m} value, a trimmed tuple, sorts as its padded one),
     and add adds them mod p.
 
-    term() turns c * x_1^e_1 ... x_r^e_r into index arithmetic: each factor
-    x^e is a token read off a row, None where x^e is zero, and values[start
-    + the tokens] is the index of the term's value.  In a field the unit
-    group is cyclic, and a primitive element g gives log (k with g^k = x,
-    None at zero) and antilog: a token is e * log x mod q - 1, and values
-    repeats antilog so that a sum of up to POINT_VARIABLE_CAP tokens and a
-    start needs no reduction.  A domain with zero divisors has no primitive
-    element (log is None); there a token is the index of x^e as one base-q
-    digit per factor, and values computes each product it is asked for once
-    from the elements (_Products).
+    mul[i][j] is the index of elements[i] * elements[j], over a field and a
+    domain with zero divisors alike.  Multiplying by x is F_p-linear, so the
+    row of x is the F_p-span of x * u over the F_p basis u = elements[q/p],
+    ..., elements[1] (coordinates a single 1, one per digit): it is built
+    digit by digit through add, as add itself is, from q * m element
+    products.  row(e) holds the index of x^e for every x, by
+    square-and-multiply over mul, once per exponent.
     """
 
-    __slots__ = ("add", "antilog", "elements", "index", "log", "neg", "values",
-                 "_names", "_rows")
+    __slots__ = ("add", "elements", "index", "mul", "neg", "_names", "_rows")
 
     def __init__(self, domain):
         elems = sorted(domain.elements(), key=lambda x: x.sort_key())
         self.elements = elems
-        self.index = {x.sort_key(): i for i, x in enumerate(elems)}
-        self.antilog = _antilog(elems, self.index,
-                                self.index[domain.one().sort_key()])
+        self.index = index = {x.sort_key(): i for i, x in enumerate(elems)}
         while isinstance(domain, FreeExtension):
             domain = domain.base
         p = domain.characteristic
@@ -516,13 +512,20 @@ class _DomainTable:
             add = [[s * p + t for s in row for t in shifted[a]]
                    for row in add for a in range(p)]
         self.add, self.neg = add, [row.index(0) for row in add]
-        if self.antilog is None:
-            self.log, self.values = None, _Products(elems, self.index)
-        else:
-            self.log = [None] * len(elems)
-            for k, i in enumerate(self.antilog):
-                self.log[i] = k
-            self.values = self.antilog * (POINT_VARIABLE_CAP + 1)
+        basis, u = [], len(elems) // p
+        while u:
+            basis.append(elems[u])
+            u //= p
+        self.mul = []
+        for x in elems:
+            row = [0]
+            for u in basis:  # row[I * p + a] = row[I] + a * (x * u)
+                v = index[(x * u).sort_key()]
+                multiples = [0]
+                for _ in range(p - 1):
+                    multiples.append(add[multiples[-1]][v])
+                row = [add[s][t] for s in row for t in multiples]
+            self.mul.append(row)
         self._rows, self._names = {}, None
 
     @property
@@ -531,72 +534,15 @@ class _DomainTable:
             self._names = list(map(str, self.elements))
         return self._names
 
-    def term(self, c, exponents):
-        """(start, rows) for c * x_1^e_1 ... x_r^e_r, c nonzero and every e
-        positive: rows[j][i] is the token of element i to the power
-        exponents[j]."""
-        start = self.index[c.sort_key()]
-        if self.log is not None:
-            return self.log[start], [self._row(e) for e in exponents]
-        q = len(self.elements)
-        return start, [[None if i == 0 else i * q ** j for i in self._row(e)]
-                       for j, e in enumerate(exponents, 1)]
-
-    def _row(self, e):
-        """The log of x^e for every element x (None at zero) in a field, the
-        index of x^e otherwise; once per exponent."""
+    def row(self, e):
+        """The index of x^e for every element x, e >= 1; once per exponent."""
         row = self._rows.get(e)
         if row is None:
-            if self.log is not None:
-                n = len(self.antilog)
-                row = [None if k is None else k * e % n for k in self.log]
-            else:
-                row = [self.index[(x ** e).sort_key()] for x in self.elements]
-            self._rows[e] = row
+            mul = self.mul
+            row = self._rows[e] = power(
+                list(range(len(mul))), e, None,
+                lambda r, s: [mul[a][b] for a, b in zip(r, s)])
         return row
-
-
-def _antilog(elements, index, one):
-    """The indices of g^0, ..., g^(q-2) for the first primitive element g of
-    a finite domain listed in sort-key order (one the index of 1), or None
-    when the domain has zero divisors.  Each nonzero candidate's powers are
-    walked until they return to 1.  In a field they do within q - 1 steps,
-    and the first candidate that takes all q - 1 is primitive; a candidate
-    that reaches zero, or has not returned by then, is no unit, so the
-    domain is no field."""
-    n = len(elements) - 1
-    for g in elements[1:]:
-        antilog, x = [one], g
-        for _ in range(n - 1):  # x = g^k for k = 1 .. q - 2
-            i = index[x.sort_key()]
-            if i == one:
-                break
-            if i == 0:
-                return None
-            antilog.append(i)
-            x = x * g
-        else:  # x = g^(q-1)
-            return antilog if index[x.sort_key()] == one else None
-    return None
-
-
-class _Products(dict):
-    """values of a domain with zero divisors: the key's base-q digits are
-    element indices, none of them zero, and the value is the index of their
-    product, computed from the elements once per key."""
-
-    def __init__(self, elements, index):
-        super().__init__()
-        self.elements, self.index = elements, index
-
-    def __missing__(self, key):
-        elements, x = self.elements, None
-        rest = key
-        while rest:
-            rest, digit = divmod(rest, len(elements))
-            x = elements[digit] if x is None else x * elements[digit]
-        i = self[key] = self.index[x.sort_key()]
-        return i
 
 
 class _CompiledGenerator:
@@ -609,43 +555,41 @@ class _CompiledGenerator:
     position where it differs from that point, and a point that agrees with
     it up to the generator's own depth reuses its verdict.
 
-    Every value and partial sum is an element index: a sum is add[s][v],
-    zero is 0.  Every term is index arithmetic on the table
-    (_DomainTable.term).  The terms in a single variable are tabulated over
-    every element and summed into one table per depth.  A mixed term adds
-    the tokens of its factors at the point, is zero as soon as one factor
-    is, and otherwise adds the table's values at that sum.  Over a field no
-    element is multiplied; over a domain with zero divisors each product is
-    computed once per domain.
+    Every coefficient, value and partial sum is an element index: a sum is
+    add[s][v], a product mul[s][v], zero is 0.  The terms c * x^e in a
+    single variable are tabulated over every element as mul[c][row(e)[i]]
+    and summed into one table per depth.  A mixed term starts from c and
+    multiplies in mul[...][row(e_k)[idx[k]]] for each of its factors at the
+    point.  No element is multiplied once the table is built.
 
     When the generator's depth is the last variable and only a table sits
     there, index[v] holds the indices at which that table is v, and
     solutions() reads it at the negated partial sum.
     """
 
-    __slots__ = ("add", "depth", "index", "levels", "neg", "partial", "seen",
-                 "valid", "values", "verdict")
+    __slots__ = ("add", "depth", "index", "levels", "mul", "neg", "partial",
+                 "seen", "valid", "verdict")
 
     def __init__(self, g, table):
-        add, values = table.add, table.values
+        add, mul = table.add, table.mul
         const = 0
         tables, mixed = {}, {}
         for exps, c in g.terms.items():
             used = [(k, e) for k, e in enumerate(exps) if e]
+            c = table.index[c.sort_key()]
             if not used:
-                const = table.index[c.sort_key()]
+                const = c
                 continue
             depth = used[-1][0]
-            start, rows = table.term(c, [e for _, e in used])
             if len(used) == 1:
-                row = [0 if t is None else values[start + t] for t in rows[0]]
+                row = list(map(mul[c].__getitem__, table.row(used[0][1])))
                 old = tables.get(depth)
                 tables[depth] = row if old is None else [
                     add[a][b] for a, b in zip(old, row)]
             else:
                 mixed.setdefault(depth, []).append(
-                    (start, [(k, r) for (k, _), r in zip(used, rows)]))
-        self.add, self.neg, self.values = add, table.neg, values
+                    (c, [(k, table.row(e)) for k, e in used]))
+        self.add, self.mul, self.neg = add, mul, table.neg
         self.depth = max([-1, *tables, *mixed])
         self.levels = [(tables.get(t), mixed.get(t, ()))
                        for t in range(self.depth + 1)]
@@ -670,20 +614,16 @@ class _CompiledGenerator:
             t += 1
         if t == stop:
             return False
-        partial, add, values = self.partial, self.add, self.values
+        partial, add, mul = self.partial, self.add, self.mul
         for t in range(t, stop):
             table, mixed = self.levels[t]
             s = partial[t]
             if table is not None:
                 s = add[s][table[idx[t]]]
-            for token, factors in mixed:
+            for v, factors in mixed:
                 for k, row in factors:
-                    x = row[idx[k]]
-                    if x is None:
-                        break
-                    token += x
-                else:
-                    s = add[s][values[token]]
+                    v = mul[v][row[idx[k]]]
+                s = add[s][v]
             partial[t + 1] = s
         self.seen, self.valid = idx, stop
         return True

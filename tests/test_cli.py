@@ -159,6 +159,31 @@ def test_restrict_names_a_radius_that_is_no_string_or_integer(tmp_path, capsys,
                ".radii[%d] must be a string or an integer\n" % bad)
 
 
+@pytest.mark.parametrize("generators,bad", [([1, True], 0), (["u^2 - 2", ["u"]], 1),
+                                            ([None], 0), (["u", 2.5], 1)])
+def test_restrict_names_a_generator_that_is_no_string(tmp_path, capsys,
+                                                      generators, bad):
+    data = golden_doc()
+    data["presentations"]["conic_ext"]["generators"] = generators
+    path = write_doc(tmp_path, data)
+    code, out, err = run(capsys, ["restrict", "conic_ext", "--input", path])
+    assert (code, out, err) == (
+        2, "", "input error: presentations.conic_ext: presentations.conic_ext"
+               ".generators[%d] must be a string\n" % bad)
+
+
+@pytest.mark.parametrize("minimal", [5, True, None, ["t^2 + 1"]])
+def test_restrict_names_a_minimal_polynomial_that_is_no_string(tmp_path, capsys,
+                                                               minimal):
+    data = golden_doc()
+    data["extension"]["minimal_polynomial"] = minimal
+    path = write_doc(tmp_path, data)
+    code, out, err = run(capsys, ["restrict", "conic_ext", "--input", path])
+    assert (code, out, err) == (
+        2, "", "input error: extension: extension.minimal_polynomial must be "
+               "a string\n")
+
+
 @pytest.mark.parametrize("radius", [1, "1", " 1 "])
 def test_restrict_reads_an_integer_radius_as_its_string(tmp_path, capsys, radius):
     data = golden_doc()
@@ -351,8 +376,8 @@ def test_sphere_counts_on_the_packed_zero_tests(capsys, name, count):
 
 
 # SHA-256 of the points of the dual numbers F_3[t]/(t^2), a domain with zero
-# divisors that the oracle reads by element products (no primitive element),
-# recorded when every generator was compiled by element arithmetic
+# divisors (no primitive element), recorded when every generator was
+# compiled by element arithmetic
 DUAL_POINTS = "2aea2cd589962056611d23164150623d8494c0c5e23c18f0c023e97c26d70768"
 
 
@@ -380,6 +405,32 @@ def test_points_over_an_extension_of_a_galois_field_digest(capsys):
     assert code == 0
     assert json.loads(out)["count"] == 262
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == EXT_F4_POINTS
+
+
+# SHA-256 and count of the points of one generator with mixed terms, a^3*b^2
+# and the like, over a field and over F_3[t]/(t^4), a ring with zero
+# divisors; recorded when the oracle multiplied by discrete logs over the
+# field and by element products over the ring.  The counts are also those of
+# conftest.dense_points on each document.
+MIXED_POINTS = {
+    "points_mixed_f97.json": (
+        "base", 98,
+        "f30485adb2f34c28a5d847be20b18dd59d75894b4dd74a2085750e1083fb71fe"),
+    "points_mixed_f3_t4.json": (
+        "extension", 54,
+        "fac74a69b710d44e6796989adccbb9eecf9fa21d6b4337644c4eaab6cd55af2a"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MIXED_POINTS))
+def test_points_over_mixed_terms_digest(capsys, name):
+    field, count, digest = MIXED_POINTS[name]
+    path = pathlib.Path(__file__).parent / name
+    code, out, _ = run(capsys, ["points", "mixed", "--field", field,
+                                "--input", str(path)])
+    assert code == 0
+    assert json.loads(out)["count"] == count
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_rank_cap_is_checked_before_the_power_table(capsys, monkeypatch):

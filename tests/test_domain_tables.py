@@ -1,21 +1,18 @@
 """The point oracle's per-domain tables against element arithmetic.
 
-points_over compiles every generator from the _DomainTable of its domain,
-by index arithmetic: over a field by discrete logs (a primitive element's
-powers), over a domain with zero divisors by element products memoized per
-domain.  Here the table is checked on its own: the elements in sort-key
-order, log and antilog inverse to each other, and every term value
-c * x_1^e_1 ... x_r^e_r it gives equal to the product of the elements, over
-every field of the oracle's property test, F_97, F_81 as a GaloisField and
-F_81 as a FreeExtension.  The addition and negation tables, built from
-the base-p digits of the indices, are checked against element addition and
-negation over fields, rings with zero divisors and an algebra over a
-GaloisField.  The zero-divisor domains F_2[t]/(t^2) and
-F_3[t]/(t^4) take the product path and their points agree with the plain
-enumeration.  The points read through the table's names (text=True) are
-the strings of the element points.  The cache is shared by equal domains,
-bounded, and once warm lets points_over run without a single element
-product.  Runs are derandomized so every run tries the same examples.
+points_over compiles every generator from the _DomainTable of its domain
+into lookups in its addition and product tables, over a field and a domain
+with zero divisors alike.  Here the table is checked on its own: the
+elements in sort-key order, and add, neg, mul and the power rows row(e)
+equal to element addition, negation, multiplication and powers by sort-key
+index, over every field of the oracle's property test, F_97, F_81 as a
+GaloisField and as a FreeExtension, rings with zero divisors and an algebra
+over a GaloisField.  The points over the zero-divisor domains F_2[t]/(t^2)
+and F_3[t]/(t^4) agree with the plain enumeration.  The points read through
+the table's names (text=True) are the strings of the element points.  The
+cache is shared by equal domains, bounded, and once warm lets points_over
+compile and run new generators without a single element product.  Runs are
+derandomized so every run tries the same examples.
 """
 
 import pytest
@@ -26,8 +23,7 @@ from weilres import GaloisField, PrimeField, parse_poly
 from weilres import restriction
 from weilres.extensions import AlgebraElement
 from weilres.fields import FieldElement
-from weilres.restriction import (POINT_VARIABLE_CAP, Presentation,
-                                 _domain_table, points_over)
+from weilres.restriction import Presentation, _domain_table, points_over
 
 from conftest import dense_points
 from test_kernel_properties import POINT_DOMAINS, _monogenic, point_generators
@@ -51,55 +47,6 @@ def fresh_cache(monkeypatch):
     tables = {}
     monkeypatch.setattr(restriction, "_TABLES", tables)
     return tables
-
-
-@pytest.mark.parametrize("name", sorted(FIELDS))
-def test_antilog_inverts_log(name):
-    table = _domain_table(FIELDS[name])
-    q = len(table.elements)
-    keys = [x.sort_key() for x in table.elements]
-    assert keys == sorted(keys) and table.elements[0].is_zero()
-    assert table.index == {k: i for i, k in enumerate(keys)}
-    assert sorted(table.antilog) == list(range(1, q))
-    assert table.log[0] is None
-    assert all(table.antilog[table.log[i]] == i for i in range(1, q))
-    # antilog lists the powers of one element, which therefore is primitive
-    g = table.elements[table.antilog[1 % (q - 1)]]
-    x = table.elements[table.antilog[0]]
-    for i in table.antilog:
-        assert table.elements[i] == x
-        x = x * g
-
-
-def _term_value(table, c, factors):
-    """The element table.term gives for c times the product of the x^e over
-    the (index of x, e) in factors."""
-    start, rows = table.term(c, [e for _, e in factors])
-    tokens = [row[i] for row, (i, _) in zip(rows, factors)]
-    if None in tokens:
-        return table.elements[0]
-    return table.elements[table.values[start + sum(tokens)]]
-
-
-@SETTINGS
-@given(st.sampled_from(sorted(FIELDS) + sorted(NON_FIELDS)), st.data())
-def test_term_values_match_element_arithmetic(name, data):
-    domain = FIELDS.get(name) or NON_FIELDS[name]
-    table = _domain_table(domain)
-    q = len(table.elements)
-    nonzero = st.integers(1, q - 1).map(lambda i: table.elements[i])
-    c = data.draw(nonzero)
-    e = data.draw(st.integers(1, q))
-    # one variable: every element x
-    for i, x in enumerate(table.elements):
-        assert _term_value(table, c, [(i, e)]) == c * x ** e
-    # a mixed term: up to POINT_VARIABLE_CAP factors, zero among them
-    factors = data.draw(st.lists(st.tuples(st.integers(0, q - 1), st.integers(1, q)),
-                                 min_size=2, max_size=POINT_VARIABLE_CAP))
-    want = c
-    for i, f in factors:
-        want = want * table.elements[i] ** f
-    assert _term_value(table, c, factors) == want
 
 
 F4 = GaloisField(2, (1, 1, 1), "w")
@@ -132,10 +79,29 @@ def test_add_and_neg_match_element_arithmetic(name, data):
     assert table.add[i][table.neg[i]] == 0
 
 
-@pytest.mark.parametrize("name", sorted(NON_FIELDS))
-def test_zero_divisor_domains_take_the_product_path(name):
-    table = _domain_table(NON_FIELDS[name])
-    assert table.log is None and table.antilog is None
+# every domain above: the fields, the rings with zero divisors and the
+# additive domains
+MUL_DOMAINS = {**FIELDS, **NON_FIELDS, **ADDITIVE_DOMAINS}
+
+
+@pytest.mark.parametrize("name", sorted(MUL_DOMAINS))
+@settings(SETTINGS, max_examples=20)
+@given(st.data())
+def test_mul_and_row_match_element_arithmetic(name, data):
+    """mul[i] for a drawn index i, over every j, is the sort-key indices of
+    the element products, and row(e) for a drawn e those of the powers."""
+    table = _domain_table(MUL_DOMAINS[name])
+    elems, index = table.elements, table.index
+    keys = [x.sort_key() for x in elems]
+    assert keys == sorted(keys) and elems[0].is_zero()
+    assert index == {k: i for i, k in enumerate(keys)}
+    q = len(elems)
+    assert len(table.mul) == q
+    i = data.draw(st.integers(0, q - 1))
+    x = elems[i]
+    assert table.mul[i] == [index[(x * y).sort_key()] for y in elems]
+    e = data.draw(st.integers(1, 2 * q))
+    assert table.row(e) == [index[(y ** e).sort_key()] for y in elems]
 
 
 @settings(SETTINGS, max_examples=40)
@@ -202,10 +168,12 @@ def test_cache_stays_within_its_bound(fresh_cache):
     assert len(fresh_cache) == cap
 
 
-# F_9 and F_97 as fields, and F_9 as a rank-2 algebra over F_3; each
-# generator has a mixed term, and both vanish at (1, 1)
+# F_9 and F_97 as fields, F_9 as a rank-2 algebra over F_3 and F_3[t]/(t^4),
+# a ring with zero divisors; each generator has a mixed term, and all vanish
+# at (1, 1)
 WARM_DOMAINS = {"F_9": GaloisField(3, (1, 0, 1), "t"), "F_97": PrimeField(97),
-                "F_3[t]/(t^2 + 1)": _monogenic(F3, "t^2 + 1")}
+                "F_3[t]/(t^2 + 1)": _monogenic(F3, "t^2 + 1"),
+                "F_3[t]/(t^4)": NON_FIELDS["F_3[t]/(t^4)"]}
 
 
 @pytest.mark.parametrize("name", sorted(WARM_DOMAINS))
@@ -215,6 +183,9 @@ def test_no_element_products_with_a_warm_table(name, fresh_cache, monkeypatch):
     pres = Presentation(domain, variables, [
         parse_poly(text, domain, variables)
         for text in ("a^2*b - a*b^3 + b^2 - 1", "a*b^2 + a^3 - 2")])
+    # a new exponent and a new mixed product: their rows come from the table
+    more = Presentation(domain, variables,
+                        [parse_poly("a^5*b^4 + 2*a^4 - 3", domain, variables)])
     first = points_over(pres, domain)
     calls = []
 
@@ -228,8 +199,9 @@ def test_no_element_products_with_a_warm_table(name, fresh_cache, monkeypatch):
         for name_ in ("__mul__", "__pow__"):
             monkeypatch.setattr(cls, name_, counted(getattr(cls, name_)))
     again = points_over(pres, domain)
+    later = points_over(more, domain)
     monkeypatch.undo()
     assert calls == []
     assert again == first == dense_points(pres, domain)
-    assert first
-
+    assert later == dense_points(more, domain)
+    assert first and later
