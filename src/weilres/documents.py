@@ -388,8 +388,10 @@ def _parse_options(record, field, extension):
             raise DocumentError("options.radius_elements need an extension")
         elems = []
         for i, text in enumerate(_array(record, "radius_elements", "options")):
-            with _reported("options.radius_elements[%d]" % i):
-                elems.append(parse_poly(str(text), extension).constant_value())
+            label = "options.radius_elements[%d]" % i
+            text = _text(text, "options", label)
+            with _reported(label):
+                elems.append(parse_poly(text, extension).constant_value())
         options["radius_elements"] = elems
     return options
 

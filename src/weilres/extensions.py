@@ -273,11 +273,8 @@ class AlgebraElement:
         a, b = self._check(other)
         ext = self.extension
         # _check lifts both operands to polynomials when either has one
-        if isinstance(a[0], Poly):
-            coords = PolyRing(ext.base).algebra_product(a, b, ext.sparse_structure)
-        else:
-            coords = _algebra_product(a, b, ext.sparse_structure, ext.base.zero())
-        return AlgebraElement(ext, coords)
+        zero = Poly.zero(ext.base) if isinstance(a[0], Poly) else ext.base.zero()
+        return AlgebraElement(ext, _algebra_product(a, b, ext.sparse_structure, zero))
 
     __rmul__ = __mul__
 

@@ -6,8 +6,9 @@ polynomial uses the Berkowitz iteration, which is division-free and therefore
 valid when the entries are polynomials.  The iteration is written once, in
 berkowitz, over a unit, a negation and a dot product: berkowitz_charpoly runs
 it on ring elements, and PolyRing.charpoly (over F_p and F_p(x)) on entries
-keyed into its packed kernel with the kernel's keyed dot.  The generic
-algebra product here serves every ring and product that kernel declines.
+keyed into its packed kernel with the kernel's keyed dot.  The algebra
+product here serves every algebra element, with scalar or polynomial
+coordinates.
 """
 
 from __future__ import annotations

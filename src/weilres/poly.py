@@ -21,13 +21,13 @@ from __future__ import annotations
 
 from itertools import repeat
 from math import comb
-from operator import add, and_, is_, lshift, mul, rshift
+from operator import add, and_, lshift, mul, rshift
 
 from .errors import (EnumerationBoundError, IncompatibleFieldError,
                      UnsupportedOperationError)
 from .fields import (Field, FieldElement, FunctionField, PrimeField,
                      RationalField, _RatFunc, _join_signed, _term_string, power)
-from .linalg import _algebra_product, berkowitz
+from .linalg import berkowitz
 from .lognorm import lognorm_max
 
 
@@ -294,11 +294,10 @@ def _first_seen(lists):
 #
 # Polynomials whose coefficients all lie in one F_p, or are all polynomials
 # in x (denominator 1) over one F_p(x): the form of every entry Berkowitz
-# meets once charpoly has cleared denominators, and of the coordinates of an
-# algebra product over such a base.  An exponent vector is packed into one
-# int with a field of `width` bits per variable (Monagan and Pearce, CASC
-# 2007), so a monomial product is one int addition.  A numerator
-# c_0 + c_1 x + ... with 0 <= c_i < p is packed into the int
+# meets once charpoly has cleared denominators.  An exponent vector is
+# packed into one int with a field of `width` bits per variable (Monagan and
+# Pearce, CASC 2007), so a monomial product is one int addition.  A
+# numerator c_0 + c_1 x + ... with 0 <= c_i < p is packed into the int
 # sum c_i 256^(i*size), a slot of `size` bytes per coefficient (Kronecker
 # substitution; Harvey, J. Symb. Comput. 2009), so a coefficient product is
 # one int multiplication; an F_p value c is the numerator (c,).  A
@@ -311,21 +310,14 @@ def _first_seen(lists):
 # exponent of a product exceeds the total degrees of its factors added,
 # below 2^width, and a product a * b puts at most min(|a|, |b|) term
 # products on one monomial, each adding at most (shorter numerator length)
-# * (p - 1)^2 to a slot, times the coefficient sum of the structure constant
-# that weights it in an algebra product, so a sum stays below 256^size.
+# * (p - 1)^2 to a slot, so a sum stays below 256^size.
 #
-# charpoly and the algebra product share one setup (_setup) and one exit
-# (_to_polys).  charpoly runs linalg's Berkowitz loop on keyed entries with
-# its keyed dot, a sum of products reduced once; the algebra product reduces
-# each coordinate once.
+# charpoly keys its entries (_setup, _key), runs linalg's Berkowitz loop on
+# them with its keyed dot, a sum of products reduced once (_accumulate,
+# _reduced), and lets only its results leave the kernel (_to_polys).
 
 _POLYNOMIAL = (1,)
 _KERNEL_FIELDS = (PrimeField, FunctionField)
-# Keying costs an algebra product about as much as the generic loop spends on
-# 32 term products (ranks 2 to 8 over F_3, timed with timeit on a 2-vCPU VM
-# under Python 3.11): below that bound on sum |a_i| * sum |b_j| the generic
-# loop is faster.
-_PACKED_PRODUCTS = 32
 
 
 class _Keyed:
@@ -359,82 +351,6 @@ class _Keyed:
                     terms.append((key, int.from_bytes(spread, "little")))
             self.strided[wider] = terms
         return terms
-
-
-def _packed_algebra_product(a, b, table):
-    """The coordinates sum_(i,j) c_ijk a_i b_j of the product of the
-    coordinate vectors a and b of a free algebra by the packed kernel, each
-    over the variables the generic loop gives it; table[i][j] holds the
-    nonzero structure constants of e_i e_j as (k, c_ijk) pairs, c_ijk None
-    where it is 1.  None unless every coefficient lies in one F_p or is a
-    polynomial in x over one F_p(x), and when a structure constant has a
-    denominator.  The products a_i b_j of equal structure constants are
-    summed together once and added into every coordinate k with the packed
-    c_ijk as its weight; each coordinate is reduced mod p once."""
-    domain = a[0].domain
-    # a square keys its coordinates once
-    square = all(map(is_, a, b))
-    live = [f for f in (a if square else a + b) if f.terms]
-    # no exponent of a product exceeds twice the largest total degree
-    setup = _setup(live, domain, 2)
-    if setup is None:
-        return None
-    width, union, position, unit = setup
-    p = domain.p
-    ka = [_key(f, position, unit) if f.terms else None for f in a]
-    kb = ka if square else [_key(f, position, unit) if f.terms else None for f in b]
-    n = len(table)
-    # per coordinate: its slot bound and the variable lists of the products
-    # reaching it, which are all `union` when the operands share one list
-    shared = all(f.variables == union for f in live)
-    bounds, reach, groups = [0] * n, [[] for _ in range(n)], {}
-    for i, row in enumerate(table):
-        x = ka[i]
-        if x is None:
-            continue
-        for j, cell in enumerate(row):
-            y = kb[j]
-            if y is None or not cell:
-                continue
-            bound = min(len(x.terms), len(y.terms)) * min(x.length, y.length)
-            weights = []
-            for k, c in cell:
-                w = _POLYNOMIAL if c is None else _numerator(c.value)
-                if w is None:
-                    return None
-                bounds[k] += bound * sum(w)
-                weights.append((k, w))
-                if not shared:
-                    reach[k] += (a[i].variables, b[j].variables)
-            # e_i e_j depends on i + j alone in a monogenic algebra
-            groups.setdefault(tuple(weights), []).append((x, y))
-    size = _bytes(max(bounds) * (p - 1) ** 2)
-    sums = [{} for _ in range(n)]
-    for weights, group in groups.items():
-        product = _accumulate([(x.at(size), y.at(size)) for x, y in group]).items()
-        for k, w in weights:
-            total = sums[k]
-            get = total.get
-            w = w[0] if len(w) == 1 else _pack(w, 8 * size)
-            for key, s in product:
-                total[key] = get(key, 0) + w * s
-    # a coordinate no product reaches is the zero polynomial over no variables
-    return tuple(_to_polys(
-        ((_reduced(total, p, size)[0], union if shared else _first_seen(names))
-         if bound else ((), ()) for total, bound, names in zip(sums, bounds, reach)),
-        domain, union, width))
-
-
-def _terms(coords):
-    return sum(len(f.terms) for f in coords)
-
-
-def _numerator(value):
-    """The coefficients c_0, c_1, ... of an F_p or F_p(x) value, None when
-    it has a denominator; an F_p value c is (c,)."""
-    if type(value) is int:
-        return (value,)
-    return value.num if value.den == _POLYNOMIAL else None
 
 
 def _setup(polys, domain, factor):
@@ -588,8 +504,8 @@ class PolyRing:
     """Coefficient-domain handle for matrices, algebra coordinates and
     monic polynomials whose entries are polynomials.
 
-    Its charpoly and algebra_product run the packed kernel when it applies;
-    linalg's loops serve otherwise, on Poly arithmetic."""
+    Its charpoly runs the packed kernel when it applies; linalg's loops
+    serve otherwise, and for every algebra product, on Poly arithmetic."""
 
     def __init__(self, domain):
         self.domain = domain
@@ -648,12 +564,6 @@ class PolyRing:
 
     def numerators(self):
         return self.zero(), self.one(), add, mul, lambda n, d: n
-
-    def algebra_product(self, a, b, table):
-        out = None
-        if _terms(a) * _terms(b) >= _PACKED_PRODUCTS:
-            out = _packed_algebra_product(a, b, table)
-        return _algebra_product(a, b, table, self.zero()) if out is None else out
 
     def __eq__(self, other):
         return isinstance(other, PolyRing) and other.domain == self.domain

@@ -12,15 +12,12 @@ original presentation over the extension.
 from __future__ import annotations
 
 import itertools
-from functools import partial, reduce
 from math import comb
-from operator import mul
 
 from .errors import EnumerationBoundError, IncompatibleFieldError
 from .extensions import (AlgebraElement, FreeExtension, MonicPoly, charpoly,
-                         extend_scalars, generic_charpoly, mult_matrix)
-from .fields import Field, canonical_embedding, power
-from .linalg import _algebra_product
+                         extend_scalars, generic_charpoly)
+from .fields import Field, FieldElement, canonical_embedding, power
 from .lognorm import LogNorm
 from .poly import Poly
 from .spectral import spectral_value
@@ -110,11 +107,12 @@ def expand_element(f, ext, variables=None):
     Returns a vector of rank-many polynomials over the base in the block
     variables of every variable in `variables` (default: the variables of f).
     G^e, for G = u_1 e_1 + ... + u_n e_n, is the sum of the u^alpha times
-    multinomial(e; alpha) * e^alpha over the alpha of _multinomial_terms.  A
-    term multiplies the powers of its variables by the algebra product, the
-    one with the fewest terms first taken times its coefficient by the
-    coefficient's multiplication matrix.  Distinct terms of f have distinct
-    degrees in the blocks, so their monomials are never summed.
+    multinomial(e; alpha) * e^alpha over the alpha of _multinomial_terms, so
+    a term c * u^a * v^b of f is the sum of the u^alpha v^beta times both
+    multinomials times c * e^(alpha + beta).  Distinct choices, and distinct
+    terms of f, give distinct monomials, so each output term is written
+    once; the scalar work runs on the raw values of the base with its own
+    _add and _mul.
     """
     if f.domain != ext:
         raise IncompatibleFieldError("polynomial is not defined over the extension")
@@ -123,49 +121,67 @@ def expand_element(f, ext, variables=None):
     all_blocks = tuple(name for v in variables for name in block_names(v, n))
     if len(set(all_blocks)) != len(all_blocks):
         raise ValueError("coordinate block names collide; rename the variables")
-    offset = {v: i * n for i, v in enumerate(variables)}
-    table, basis, monomials, powers = ext.sparse_structure, {}, {}, {}
-    # a product of scalar coordinates; it skips the zeros of its first factor
-    times = partial(_algebra_product, table=table, zero=base.zero())
+    position = {v: i for i, v in enumerate(variables)}
+    add, mul = base._add, base._mul
+    zero, one = base._zero.value, base._one.value
+    # table[i][j]: the nonzero constants of e_i e_j as raw (k, c) pairs, c
+    # None where it is 1
+    table = [[[(k, c if c is None else c.value) for k, c in cell] for cell in row]
+             for row in ext.sparse_structure]
 
-    def monomial(alpha, c):  # the coordinates of c * e^alpha
-        x = None
-        for i, a in enumerate(alpha):
-            if a:
-                if (i, a) not in basis:
-                    basis[i, a] = power(ext.basis_element(i).coords, a, None, times)
-                x = basis[i, a] if x is None else times(basis[i, a], x)
-        return x if c == 1 else tuple(v * c for v in x)
+    def times(a, b):  # the raw coordinates of a * b; it skips the zeros of a
+        out = [zero] * n
+        live = [(j, y) for j, y in enumerate(b) if y != zero]
+        for x, row in zip(a, table):
+            if x != zero:
+                for j, y in live:
+                    xy = mul(x, y)
+                    for k, c in row[j]:
+                        out[k] = add(out[k], xy if c is None else mul(xy, c))
+        return out
 
-    def generic_power(v, e):  # the coordinates of G_v^e
-        if e not in monomials:
-            monomials[e] = [(alpha, monomial(alpha, c)) for alpha, c
-                            in _multinomial_terms(e, n, base.characteristic)]
-        if (v, e) not in powers:
-            pad = (0,) * offset[v], (0,) * (len(all_blocks) - offset[v] - n)
-            powers[v, e] = tuple(Poly(base, all_blocks, {
-                pad[0] + alpha + pad[1]: x[k] for alpha, x in monomials[e]
-                if not x[k].is_zero()}, clean=True) for k in range(n))
-        return powers[v, e]
+    basis, powers = {}, {}
+
+    def power_terms(e):  # (alpha, multinomial(e; alpha), e^alpha) for G^e
+        if e not in powers:
+            powers[e] = listed = []
+            for alpha, m in _multinomial_terms(e, n, base.characteristic):
+                x = None
+                for i, a in enumerate(alpha):
+                    if a:
+                        if (i, a) not in basis:
+                            basis[i, a] = power([one if k == i else zero for k in range(n)],
+                                                a, None, times)
+                        x = basis[i, a] if x is None else times(basis[i, a], x)
+                listed.append((alpha, base.coerce(m).value, x))
+        return powers[e]
 
     out = [{} for _ in range(n)]
+    zeros = (0,) * n
     for exps, coeff in f.terms.items():
-        factors = sorted((generic_power(v, e) for v, e in zip(f.variables, exps) if e),
-                         key=lambda x: sum(len(c.terms) for c in x))
-        if not factors:
-            factors = [[Poly.constant(base, c, all_blocks) for c in coeff.coords]]
-        elif coeff.coords != ext.unit:
-            scaled = []  # coordinate k: the sum of m_kj * coordinate j
-            for row in mult_matrix(coeff):
-                acc = {}
-                for c, x in zip(row, factors[0]):
-                    for key, v in x.terms.items() if not c.is_zero() else ():
-                        acc[key] = acc[key] + v * c if key in acc else v * c
-                scaled.append(Poly(base, all_blocks, acc))
-            factors[0] = tuple(scaled)
-        term = reduce(mul, [AlgebraElement(ext, x) for x in factors])
-        for terms, x in zip(out, term.coords):
-            terms.update(x.terms)
+        degrees = [0] * len(variables)
+        for v, e in zip(f.variables, exps):
+            if e:
+                degrees[position[v]] = e
+        # (key, gamma, m, c * e^gamma) so far, c * e^gamma once per gamma
+        c = [x.value for x in coeff.coords]
+        states, seen = [((), zeros, one, c)], {zeros: c}
+        for e in degrees:
+            if not e:
+                states = [(key + zeros, gamma, m, x) for key, gamma, m, x in states]
+                continue
+            folded = []
+            for key, gamma, m, x in states:
+                for alpha, ma, y in power_terms(e):
+                    g = tuple(map(int.__add__, gamma, alpha))
+                    if g not in seen:
+                        seen[g] = times(x, y)
+                    folded.append((key + alpha, g, mul(m, ma), seen[g]))
+            states = folded
+        for key, _, m, x in states:
+            for terms, v in zip(out, x):
+                if v != zero:
+                    terms[key] = FieldElement(base, v if m == one else mul(v, m))
     return tuple(Poly(base, all_blocks, terms, clean=True) for terms in out)
 
 

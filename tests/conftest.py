@@ -122,10 +122,10 @@ class GenericPolyRing:
 
 
 def generic_algebra_product(a, b, table, zero):
-    """Reference for the packed algebra product: the generic loop that
-    AlgebraElement.__mul__ ran on its own, one Poly product per pair of
-    nonzero coordinates, scaled by each c_ijk of table[i][j] (None where it
-    is 1) and summed per coordinate k; zero where no product lands."""
+    """Reference for AlgebraElement products with polynomial coordinates:
+    one Poly product per pair of nonzero coordinates, scaled by each c_ijk
+    of table[i][j] (None where it is 1) with Poly.scale and summed per
+    coordinate k; zero where no product lands."""
     out = [None] * len(table)
     for x, row in zip(a, table):
         if x.is_zero():

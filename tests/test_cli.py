@@ -509,7 +509,9 @@ def test_disc_guard_document_digest(capsys, name):
 
 # SHA-256 of the restrict output of documents whose powers have many base-p
 # digits, over F_3 and F_4 and over Q where every multinomial coefficient
-# counts, recorded with the square-and-multiply expansion.
+# counts, recorded with the square-and-multiply expansion, and of mixed terms
+# in three variables over a written-out rank-6 tensor table over F_3,
+# recorded with the expansion through algebra products.
 RESTRICT_GUARDS = {
     "restrict_lucas_f3.json":
         "45c0c8902ea82082d965c753d411939a3aa919209ce1e1329fe26a2044c21684",
@@ -517,6 +519,8 @@ RESTRICT_GUARDS = {
         "bdb87099c387733c0a101c219d88eef90c1f0ddfb3cb776d1f3f03e4b9216aaa",
     "restrict_lucas_f4.json":
         "e5fc1aac5b939a2842a7fe5345e805143c87615f702542292a2758843d60b574",
+    "restrict_tensor_mixed_f3.json":
+        "55bb75b3d275050da3fe02e26104616b4f2de20cf983224b076b655d55ed9ae0",
 }
 
 
@@ -744,6 +748,18 @@ def test_strings_are_not_arrays(tmp_path, capsys, make, section, key, value, arg
     code, out, err = run(capsys, argv + ["--input", path])
     assert code == 2 and out == ""
     assert err == "input error: %s: %s.%s must be an array\n" % (section, section, key)
+
+
+@pytest.mark.parametrize("entry", [True, 1.5, 1])
+def test_disc_names_a_radius_element_that_is_no_string(tmp_path, capsys, entry):
+    # read through str(), true parsed as the identifier True, 1.5 failed on
+    # its '.', and 1 passed as "1"
+    data = _raw_extension_doc()
+    data["options"]["radius_elements"] = ["2", entry]
+    path = write_doc(tmp_path, data)
+    code, out, err = run(capsys, ["disc", "--input", path])
+    assert (code, out, err) == (
+        2, "", "input error: options: options.radius_elements[1] must be a string\n")
 
 
 @pytest.mark.parametrize("make, argv, edit, message", [

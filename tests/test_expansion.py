@@ -9,7 +9,11 @@ naive_expand_element) over F_2, F_3, F_5, F_4 as a Galois field, Q, Q_2,
 F_2(x) and F_3(x), on monogenic bases of rank 1 to 4 and one written-out
 tensor product, with 1 to 3 variables, exponents up to 2p^2 + p, constant
 terms, the zero polynomial and coefficients with zero coordinates: the
-variable lists, the term maps and the text must agree.  The enumerator of
+variable lists, the term maps and the text must agree.  It is checked
+against the same reference over dense written-out tensor tables of rank 4 to
+6 on a permuted basis over F_2, F_3 and Q, with terms in 2 or 3 variables,
+and one two-variable term is expanded with no Poly sum or product and no
+AlgebraElement product.  The enumerator of
 those exponent vectors is checked against every composition with its
 multinomial coefficient reduced mod p.  disc_generators is checked against
 y - c_j by Poly subtraction, with zero c_j among them.  Runs are
@@ -25,13 +29,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weilres import (FunctionField, GaloisField, Poly, PrimeField,
-                     RationalField, expand_element, from_minimal_polynomial,
-                     parse_poly)
-from weilres.extensions import generic_charpoly, tensor_product
+from weilres import (AlgebraElement, FreeExtension, FunctionField, GaloisField,
+                     Poly, PrimeField, RationalField, expand_element,
+                     from_minimal_polynomial, parse_poly)
+from weilres.extensions import generic_charpoly, structure_table, tensor_product
 from weilres.restriction import _multinomial_terms, disc_generators
 
-from conftest import naive_expand_element
+from conftest import dense_structure, naive_expand_element
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None,
                     max_examples=30)
@@ -121,6 +125,79 @@ def test_expansion_of_a_dense_fourth_power_over_f2():
     assert all(sum(1 for e in exps if e) == 1
                for c in coords for exps in c.terms)
     assert coords == naive_expand_element(parse_poly("u^4", ext, ("u",)), ext)
+
+
+def tensor_case(base, rng):
+    """(f, ext): a tensor product of two monogenic algebras of rank 4 to 6,
+    written out as a dense table on a permuted basis (so the unit moves),
+    and 1 to 3 terms in 2 or 3 variables, one exponent of each up to
+    p^2 + p (up to 5 over Q) and the others at most 2; coefficients with
+    zero coordinates now and then."""
+    n1, n2 = rng.choice([(2, 2), (2, 3), (3, 2), (1, 5)])
+    ext = tensor_product(*[
+        _monogenic(base, [_random_scalar(base, rng, structure=True)
+                          for _ in range(k)], s) for k, s in ((n1, "t"), (n2, "s"))])
+    n = ext.rank
+    perm = list(range(n))
+    rng.shuffle(perm)
+    dense = dense_structure(ext)
+    table = [[[dense[perm[i]][perm[j]][perm[k]] for k in range(n)]
+              for j in range(n)] for i in range(n)]
+    ext = FreeExtension(base, ["e%d" % (i + 1) for i in range(n)],
+                        structure_table(base, table), [ext.unit[k] for k in perm])
+    p = base.characteristic
+    variables = ("u", "v", "z")[:rng.randint(2, 3)]
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        top = rng.randrange(len(variables))
+        exps = tuple(rng.randint(0, p * p + p if p else 5) if k == top
+                     else rng.randint(0, 2) for k in range(len(variables)))
+        terms[exps] = ext.element([_random_scalar(base, rng) if rng.randrange(4)
+                                   else base.zero() for _ in range(n)])
+    return Poly(ext, variables, terms), ext
+
+
+def _check_tensor_case(base, seed):
+    f, ext = tensor_case(base, random.Random(seed))
+    got = expand_element(f, ext)
+    want = naive_expand_element(f, ext)
+    assert [c.variables for c in got] == [c.variables for c in want]
+    assert [c.terms for c in got] == [c.terms for c in want]
+
+
+@pytest.mark.parametrize("base", [PrimeField(2), PrimeField(3)], ids=str)
+@SETTINGS
+@given(st.integers(0, 2 ** 32))
+def test_expansion_over_written_out_tensor_tables(base, seed):
+    _check_tensor_case(base, seed)
+
+
+# over Q every multinomial counts, so the reference expansion is the
+# slowest; fewer examples keep the test to seconds
+@settings(SETTINGS, max_examples=8)
+@given(st.integers(0, 2 ** 32))
+def test_expansion_over_written_out_tensor_tables_over_q(seed):
+    _check_tensor_case(RationalField(), seed)
+
+
+def test_expansion_takes_no_polynomial_or_algebra_product(monkeypatch):
+    """A two-variable term over a written-out table is written term by term
+    on raw values: no Poly sum or product and no AlgebraElement product."""
+    f3 = PrimeField(3)
+    ext = tensor_product(_monogenic(f3, [f3.one(), f3.zero()], "s"),
+                         _monogenic(f3, [f3.one(), f3.coerce(2), f3.zero()]))
+    f = Poly(ext, ("u", "v"), {(5, 4): ext.element([0, 1, 0, 0, 0, 2])})
+    want = naive_expand_element(f, ext)
+
+    def refused(*args):
+        raise AssertionError("expand_element took a polynomial or algebra product")
+
+    for cls, name in ((Poly, "__mul__"), (Poly, "__add__"), (AlgebraElement, "__mul__")):
+        monkeypatch.setattr(cls, name, refused)
+    got = expand_element(f, ext)
+    monkeypatch.undo()
+    assert [c.terms for c in got] == [c.terms for c in want]
+    assert sum(len(c.terms) for c in got) > 100
 
 
 def brute_force_terms(e, n, p):

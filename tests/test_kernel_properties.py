@@ -18,9 +18,10 @@ cofactor oracle: over F_2(x) in slots of one byte (read with one mask) and
 two, over F_3(x), F_7(x) and F_13(x) in slots whose bytes are read with
 residue tables, over F_1009(x) in canonical slots of two bytes, on zero
 matrices and rows, with a coefficient with a denominator against its
-fallback and with mixed domains against the domain check; behind
-PolyRing.algebra_product it is checked against the generic loop of algebra
-products on monogenic and written-out tables.  The unscaling c / d^j by a
+fallback and with mixed domains against the domain check.  The
+AlgebraElement product of polynomial coordinates, over F_p and F_p(x), on
+monogenic and written-out tables, with constants and coordinates with
+denominators, is checked against the generic loop.  The unscaling c / d^j by a
 coprime factor base of d is checked against the gcd path, the columns of
 mult_matrix against the products b*e_j, chi(r) read off chi(r * generic)
 by selecting terms against Poly.evaluate at the unit, and chi(r * generic)
@@ -61,7 +62,6 @@ from weilres.extensions import (AlgebraElement, FreeExtension, charpoly,
 from weilres.fields import (_RatFunc, _uadd, _udivmod, _ugcd, _umul, _ustr,
                             _utrim, power)
 from weilres.linalg import berkowitz_charpoly, mat_identity, mat_mul
-from weilres.poly import _packed_algebra_product
 from weilres.restriction import (Presentation, _assignments, _homogeneous_value,
                                  disc_generators, points_over)
 from weilres.spectral import spectral_radius
@@ -995,30 +995,22 @@ def algebra_product_cases(draw):
 
 @settings(SETTINGS, max_examples=200)
 @given(algebra_product_cases())
-def test_packed_algebra_product_matches_generic_loop(case):
+def test_algebra_element_product_matches_generic_loop(case):
     ext, a, b = case
     table, zero = ext.sparse_structure, Poly.zero(ext.base)
     for x, y in ((a, b), (a, a)):
         want = generic_algebra_product(x, y, table, zero)
-        got = _packed_algebra_product(x, y, table)
-        assert got is not None
-        for g, w in zip(got, want, strict=True):
-            assert _same(g, w)
-        # the element product takes the kernel or, below its size gate, the
-        # generic loop, with the same coordinates either way
         product = ext.element(x) * ext.element(y)
         for g, w in zip(product.coords, want, strict=True):
             assert _same(g, w)
 
 
-def test_algebra_product_with_denominators_takes_the_generic_loop():
+def test_algebra_element_product_with_denominators_matches_generic_loop():
     k = FunctionField(2)
     over_x = _monogenic(k, "t^2 + t/x + 1")
     u = (Poly.variable(k, "u"), Poly.variable(k, "v"))
-    assert _packed_algebra_product(u, u, over_x.sparse_structure) is None
     ext = _monogenic(k, "t^2 + x*t + 1")
     v = (Poly(k, ("u",), {(1,): k._make((1,), (0, 1))}), u[1])
-    assert _packed_algebra_product(v, u, ext.sparse_structure) is None
     for e, x in ((over_x, u), (ext, v)):
         want = generic_algebra_product(x, u, e.sparse_structure, Poly.zero(k))
         got = (e.element(x) * e.element(u)).coords
