@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import repeat
 from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import DocumentError, EnumerationBoundError
@@ -23,7 +24,7 @@ from .fields import (FunctionField, GaloisField, PrimeField, RationalField,
                      _ustr)
 from .galois import GroupAction
 from .lognorm import LogNorm
-from .poly import _Tokens, parse_poly
+from .poly import _tokens, parse_poly
 from .restriction import Presentation
 
 VERSION = "weilres/1"
@@ -52,9 +53,14 @@ def _lay(obj, pad, out):
         if not obj:
             out.append("[]")
             return
-        inner = pad + "  "
-        try:  # a list of strings, such as a point, in one join
-            text = ("," + inner).join(map(_quote, obj))
+        inner, deeper = pad + "  ", pad + "    "
+        try:  # nonempty lists of strings, such as the points, one join a row
+            if set(map(type, obj)) <= {list, tuple} and all(obj):
+                rows = map(("," + deeper).join, map(map, repeat(_quote), obj))
+                sep = inner + "]," + inner + "[" + deeper
+                text = "[" + deeper + sep.join(rows) + inner + "]"
+            else:  # a list of strings, such as a point, in one join
+                text = ("," + inner).join(map(_quote, obj))
         except TypeError:
             sep = "[" + inner
             for item in obj:
@@ -119,7 +125,7 @@ def _name(value, path, label):
     identifier: basis labels, variables and field symbols are written into
     and read back from polynomial text."""
     try:
-        if type(value) is str and _Tokens(value).toks == [("name", value)]:
+        if type(value) is str and _tokens(value) == [value] and value not in "+-*/^()":
             return value
     except ValueError:
         pass
@@ -377,8 +383,9 @@ def _parse_options(record, field, extension):
             raise DocumentError("options.seed must be an integer")
         options["seed"] = record["seed"]
     if "threshold" in record:
+        text = str(_exact(record["threshold"], "options", "options.threshold"))
         with _reported("options.threshold"):
-            options["threshold"] = LogNorm.parse(str(record["threshold"]))
+            options["threshold"] = LogNorm.parse(text)
     if "test_fields" in record:
         options["test_fields"] = [
             parse_field(f, "options.test_fields[%d]" % i)

@@ -140,6 +140,16 @@ class FreeExtension:
             raise UnsupportedOperationError("extension is not monogenic")
         return self.basis_element(1)
 
+    def generator_power(self, k):
+        """s^k for the generator s: a cell of the table for k <= 2n - 2."""
+        n = self.rank
+        if k > 2 * n - 2:
+            return power(self.generator(), k, None)
+        coords = [self.base.zero()] * n
+        for j, c in self.sparse_structure[min(k, n - 1)][max(k - n + 1, 0)]:
+            coords[j] = self.base.one() if c is None else c
+        return AlgebraElement(self, coords)
+
     # -- domain protocol (extensions serve as Poly coefficient domains) ------
 
     def zero(self):

@@ -19,7 +19,8 @@ by parse_poly.
 
 from __future__ import annotations
 
-from itertools import repeat
+import re
+from itertools import repeat, takewhile
 from math import comb
 from operator import add, and_, lshift, mul, rshift
 
@@ -521,8 +522,8 @@ class PolyRing:
         on keyed entries with the keyed dot, each over the variables it gives
         them; None unless every entry is a polynomial over this F_p, or in x
         over this F_p(x).  Each entry is keyed once, and once more negated
-        where the iteration negates it; only the n + 1 results leave the
-        kernel."""
+        where the iteration negates it, but the last row, read only negated,
+        is keyed negated only; only the n + 1 results leave the kernel."""
         entries = [f for row in matrix for f in row]
         # no exponent of a Krylov or Toeplitz product exceeds n times the
         # largest entry degree
@@ -550,11 +551,13 @@ class PolyRing:
                 [(x.at(size), y.at(size)) for x, y in pairs]), p, size)
             return _Keyed(terms, length, order, unit)
 
-        keyed = [[_key(f, position, unit) for f in row] for row in matrix]
-        # every entry the iteration negates (on or below the diagonal), keyed
-        # once more, negated
-        negated = {x: _key(f, position, unit, p) for r, (row, line) in
-                   enumerate(zip(matrix, keyed)) for f, x in zip(row[:r + 1], line)}
+        last = len(matrix) - 1
+        # each entry the iteration negates (on or below the diagonal) keyed
+        # negated too; the last row, which it only negates, keyed negated only
+        keyed = [[_key(f, position, unit, p if r == last else 0) for f in row]
+                 for r, row in enumerate(matrix)]
+        negated = {x: x if r == last else _key(f, position, unit, p) for r, (row, line)
+                   in enumerate(zip(matrix, keyed)) for f, x in zip(row[:r + 1], line)}
         vec = berkowitz(keyed, _Keyed([(0, 1)], 1, (), unit), negated.__getitem__, dot)
         return _to_polys(((f.terms, f.order) for f in vec), self.domain, union, width)
 
@@ -609,130 +612,176 @@ def gauss_norm(p, radii):
 #   expr   := ['-'] term (('+'|'-') term)*
 #   term   := factor (('*'|'/') factor)*
 #   factor := atom ['^' integer]
-#   atom   := integer | identifier | '(' expr ')'
+#   atom   := integer | identifier | '(' expr ')' | '-' atom
 #
 # Identifiers are presentation variables when declared, otherwise they are
-# resolved by the coefficient domain (field symbols such as x or t, basis
-# labels of an extension).  Division requires a constant, invertible divisor.
-# A power whose estimated degree, term count or coefficient bit length (see
-# _check_power) exceeds its bound raises EnumerationBoundError before any
-# multiplication.  Parentheses and unary minus signs nest at most
-# PARSE_DEPTH_BOUND deep, far under Python's recursion limit; deeper input
-# raises ValueError.
+# resolved by the coefficient domain (field symbols, basis labels).  A term
+# accumulates an exponent list, a base scalar and an extension element, and
+# multiplies polynomials only for parenthesised sums; the symbol of a
+# monogenic extension is raised by FreeExtension.generator_power.  Division
+# needs a constant, invertible divisor.  A power whose estimated degree, term
+# count or coefficient bit length (see _check_power) exceeds its bound raises
+# EnumerationBoundError before any multiplication.  Parentheses and unary
+# minus signs nest at most PARSE_DEPTH_BOUND deep; deeper input raises.
 
 POWER_DEGREE_BOUND = 1000
 POWER_TERM_BOUND = 10 ** 4
 POWER_BIT_BOUND = 10 ** 4
 PARSE_DEPTH_BOUND = 100
 
+# a token: an operator or ASCII name, an ASCII integer not run into a word, or
+# another word or character (\w is isalnum() or _; \s, matched by none, is
+# isspace())
+_TOKEN = re.compile(r"([-+*/^()]|[A-Za-z_][\w']*)|([0-9]+)(?![\w'])|(\w[\w']*|\S)")
+_VAR, _SCALAR, _ELEMENT, _SUM = range(4)  # the kinds of a factor
 
-class _Tokens:
-    def __init__(self, text):
-        self.text = text
-        self.toks = []
-        i, n = 0, len(text)
-        while i < n:
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-                continue
-            if ch.isdigit():
-                j = i
-                while j < n and text[j].isdigit():
-                    j += 1
-                self.toks.append(("int", int(text[i:j])))
-                i = j
-                continue
-            if ch.isalpha() or ch == "_":
-                j = i
-                while j < n and (text[j].isalnum() or text[j] in "_'"):
-                    j += 1
-                self.toks.append(("name", text[i:j]))
-                i = j
-                continue
-            if ch in "+-*/^()":
-                self.toks.append((ch, ch))
-                i += 1
-                continue
-            raise ValueError("unexpected character %r in polynomial %r" % (ch, text))
-        self.pos = 0
-        self.depth = 0
 
-    def peek(self):
-        return self.toks[self.pos][0] if self.pos < len(self.toks) else None
-
-    def next(self):
-        if self.pos >= len(self.toks):
-            raise ValueError("polynomial %r ends early at position %d"
-                             % (self.text, len(self.text)))
-        tok = self.toks[self.pos]
-        self.pos += 1
-        return tok
+def _tokens(text):
+    """The ints, identifiers and operator characters of text."""
+    toks = []
+    for name, num, word in _TOKEN.findall(text):
+        if name or num:
+            toks.append(name or int(num))
+        elif word.isdigit():
+            toks.append(int(word))
+        else:  # a word's leading isdigit() characters are an int, as in 2x
+            digits = "".join(takewhile(str.isdigit, word))
+            toks += [int(digits)] if digits else []
+            c = word[len(digits)]
+            if not (c.isalpha() or c == "_"):
+                raise ValueError("unexpected character %r in polynomial %r" % (c, text))
+            toks.append(word[len(digits):])
+    return toks
 
 
 def parse_poly(text, domain, variables=()):
     """Parse the canonical polynomial grammar into a Poly over `domain`."""
     variables = tuple(variables)
-    toks = _Tokens(text)
-    poly = _parse_expr(toks, domain, variables)
-    if toks.peek() is not None:
-        raise ValueError("trailing input in polynomial %r" % text)
-    if variables:
-        extra = tuple(v for v in poly.variables if v not in variables)
-        poly = poly.with_variables(variables + extra)
-    return poly
+    toks = _tokens(text) + [None]
+    index = dict(zip(variables, range(len(variables))))
+    zero, one = (0,) * len(variables), domain.one()
+    base = domain if isinstance(domain, Field) else domain.base
+    monogenic = base is not domain and domain.minimal_polynomial is not None
+    generator = domain.generator() if monogenic and domain.rank > 1 else None
+    pos = depth = 0
 
+    def early():
+        return ValueError("polynomial %r ends early at position %d" % (text, len(text)))
 
-def _parse_expr(toks, domain, variables):
-    negate = False
-    if toks.peek() == "-":
-        toks.next()
-        negate = True
-    acc = _parse_term(toks, domain, variables)
-    if negate:
-        acc = -acc
-    while toks.peek() in ("+", "-"):
-        op, _ = toks.next()
-        term = _parse_term(toks, domain, variables)
-        acc = acc + term if op == "+" else acc - term
-    return acc
+    def as_poly(kind, value):  # the factor as the power bounds and a sign see it
+        if kind is _VAR:
+            value = {zero[:value] + (1,) + zero[value + 1:]: one}
+        elif kind is not _SUM:
+            value = {zero: domain.coerce(value)}
+        return Poly(domain, variables, value, clean=kind is _VAR or kind is _SUM)
 
+    def inverse(kind, value):  # the base scalar 1/value of a constant divisor
+        if kind is _SUM and not any(map(any, value)):
+            kind, value = _ELEMENT, next(iter(value.values()), None)
+        if kind is _VAR or kind is _SUM:
+            raise ValueError("division by a non-constant polynomial")
+        if value is None or value.is_zero():
+            raise ValueError("division by zero in polynomial %r" % text)
+        value = value if type(value) is FieldElement else value.scalar_part()
+        if value is None:
+            raise UnsupportedOperationError(
+                "division is only defined by invertible constants")
+        return value.inverse()
 
-def _parse_term(toks, domain, variables):
-    acc = _parse_factor(toks, domain, variables)
-    while toks.peek() in ("*", "/"):
-        op, _ = toks.next()
-        rhs = _parse_factor(toks, domain, variables)
-        if op == "*":
-            acc = acc * rhs
-        else:
-            if not rhs.is_constant():
-                raise ValueError("division by a non-constant polynomial")
-            if rhs.is_zero():
-                raise ValueError("division by zero in polynomial %r" % toks.text)
-            c = rhs.constant_value()
-            if hasattr(c, "inverse"):
-                acc = acc.scale(c.inverse())
-            elif getattr(c, "scalar_part", lambda: None)() is not None:
-                # algebra elements divide by their base-scalar multiples of 1
-                inv = c.extension.scalar(c.scalar_part().inverse())
-                acc = acc.scale(inv)
+    def atom():
+        nonlocal pos, depth
+        tok = toks[pos]
+        pos += 1
+        if type(tok) is int:
+            return _SCALAR, base.coerce(tok)
+        if tok == "(" or tok == "-":
+            depth += 1
+            if depth > PARSE_DEPTH_BOUND:
+                raise ValueError("polynomial nests parentheses and signs deeper than %d"
+                                 % PARSE_DEPTH_BOUND)
+            inner = (-as_poly(*atom())).terms if tok == "-" else expr()
+            if tok == "(" and toks[pos] != ")":
+                raise early() if toks[pos] is None else ValueError("unbalanced parentheses")
+            pos += tok == "("  # past the closing parenthesis
+            depth -= 1
+            return _SUM, inner
+        if tok is None:
+            raise early()
+        if tok in "+*/^)":
+            raise ValueError("unexpected token %r" % (tok,))
+        if tok in index:
+            return _VAR, index[tok]
+        value = generator if generator is not None and tok == domain.symbol else (
+            domain.symbol_constant(tok))
+        if value is None:
+            raise ValueError("unknown identifier %r" % tok)
+        return (_SCALAR if type(value) is FieldElement else _ELEMENT), value
+
+    def term(acc, negate):  # adds the term, negated when asked, to acc
+        nonlocal pos
+        exps = s = c = prod = None
+        op = "*"
+        while op in ("*", "/"):
+            kind, value = atom()
+            k = 1
+            if toks[pos] == "^":
+                k = toks[pos + 1]
+                if type(k) is not int:
+                    raise early() if k is None else ValueError(
+                        "exponent must be a non-negative integer")
+                pos += 2
+                _check_power(as_poly(kind, value), k)
+                if value is generator:
+                    value = domain.generator_power(k)
+                elif kind is _SUM:
+                    value = (as_poly(kind, value) ** k).terms
+                elif kind is not _VAR:
+                    value = value ** k
+            if op == "/" and (kind is not _VAR or k):  # u^0 is 1
+                kind, value = _SCALAR, inverse(kind, value)
+            if kind is _VAR:
+                exps = exps or list(zero)
+                exps[value] += k
+            elif kind is _SCALAR:
+                s = value if s is None else s * value
+            elif kind is _SUM:
+                prod = value if prod is None else (
+                    as_poly(_SUM, prod) * as_poly(_SUM, value)).terms
             else:
-                raise UnsupportedOperationError(
-                    "division is only defined by invertible constants")
-    return acc
+                c = value if c is None else c * value
+            op = toks[pos]
+            pos += 1
+        pos -= 1  # back to the token that ended the term
+        if s is not None:  # over a field, s is the coefficient and c is None
+            c = s if base is domain else (domain.coerce(s) if c is None else c.scale(s))
+        key = zero if exps is None else tuple(exps)
+        if prod is None:
+            prod, key, c = {key: one if c is None else c}, zero, None
+        for e, v in prod.items():
+            v = v if c is None else v * c
+            v = -v if negate else v
+            e = e if key is zero else tuple(map(add, e, key))
+            total = acc[e] + v if e in acc else v
+            if not total.is_zero():
+                acc[e] = total
+            elif e in acc:
+                del acc[e]
 
+    def expr():
+        nonlocal pos
+        acc, negate = {}, toks[pos] == "-"
+        pos += negate
+        term(acc, negate)
+        while toks[pos] == "+" or toks[pos] == "-":
+            pos += 1
+            term(acc, toks[pos - 1] == "-")
+        return acc
 
-def _parse_factor(toks, domain, variables):
-    base = _parse_atom(toks, domain, variables)
-    if toks.peek() == "^":
-        toks.next()
-        kind, val = toks.next()
-        if kind != "int":
-            raise ValueError("exponent must be a non-negative integer")
-        _check_power(base, val)
-        return base ** val
-    return base
+    terms = expr()
+    atom = term = expr = None  # frees the closures without the cycle collector
+    if toks[pos] is not None:
+        raise ValueError("trailing input in polynomial %r" % text)
+    return Poly(domain, variables, terms, clean=True)
 
 
 def _check_power(base, k):
@@ -751,9 +800,11 @@ def _check_power(base, k):
     x_degree = _coefficient_size(base, FunctionField,
                                  lambda v: max(len(v.num) - 1, 0) + len(v.den) - 1)
     _bound_power(k, "degree", k * (degree + x_degree), POWER_DEGREE_BOUND)
-    m, n = max(len(base.terms), 1), len(base.support())
-    terms = min(comb(k + m - 1, m - 1), comb(n + k * degree, n))
-    _bound_power(k, "term count", terms, POWER_TERM_BOUND)
+    m = len(base.terms)
+    if m > 1:  # a power of one term is one term
+        n = len(base.support())
+        terms = min(comb(k + m - 1, m - 1), comb(n + k * degree, n))
+        _bound_power(k, "term count", terms, POWER_TERM_BOUND)
     bits = _coefficient_size(
         base, RationalField,
         lambda v: v.numerator.bit_length() + v.denominator.bit_length())
@@ -780,31 +831,3 @@ def _coefficient_size(base, kind, size):
                      for cell in row for _, c in cell if c is not None), default=0)
     return max(size(x.value) for c in base.terms.values()
                for x in c.coords) + structure
-
-
-def _parse_atom(toks, domain, variables):
-    kind, val = toks.next()
-    if kind == "int":
-        return Poly.constant(domain, val, variables)
-    if kind == "name":
-        if val in variables:
-            return Poly.variable(domain, val).with_variables(variables)
-        sym = domain.symbol_constant(val)
-        if sym is None:
-            raise ValueError("unknown identifier %r" % val)
-        return Poly.constant(domain, sym, variables)
-    if kind not in ("(", "-"):
-        raise ValueError("unexpected token %r" % (val,))
-    toks.depth += 1
-    if toks.depth > PARSE_DEPTH_BOUND:
-        raise ValueError("polynomial nests parentheses and signs deeper than %d"
-                         % PARSE_DEPTH_BOUND)
-    if kind == "(":
-        inner = _parse_expr(toks, domain, variables)
-        closing = toks.next()
-        if closing[0] != ")":
-            raise ValueError("unbalanced parentheses")
-    else:
-        inner = -_parse_atom(toks, domain, variables)
-    toks.depth -= 1
-    return inner

@@ -8,7 +8,9 @@ from weilres import (FunctionField, Poly, PrimeField, RationalField,
                      parse_poly)
 from weilres.extensions import AlgebraElement, MonicPoly, mult_matrix
 from weilres.fields import _udivmod, power
+from weilres.errors import UnsupportedOperationError
 from weilres.linalg import mat_identity, mat_is_zero, mat_mul
+from weilres.poly import PARSE_DEPTH_BOUND, _check_power
 from weilres.restriction import block_names
 
 
@@ -350,3 +352,144 @@ def dense_points(pres, domain):
             points.append(values)
     points.sort(key=lambda pt: tuple(x.sort_key() for x in pt))
     return points
+
+
+# ---------------------------------------------------------------------------
+# Reference for poly.parse_poly: the recursive-descent parser that builds
+# every atom as a Poly and every term by Poly products and powers, over a
+# per-character scan.
+
+
+class ReferenceTokens:
+    def __init__(self, text):
+        self.text = text
+        self.toks = []
+        i, n = 0, len(text)
+        while i < n:
+            ch = text[i]
+            if ch.isspace():
+                i += 1
+                continue
+            if ch.isdigit():
+                j = i
+                while j < n and text[j].isdigit():
+                    j += 1
+                self.toks.append(("int", int(text[i:j])))
+                i = j
+                continue
+            if ch.isalpha() or ch == "_":
+                j = i
+                while j < n and (text[j].isalnum() or text[j] in "_'"):
+                    j += 1
+                self.toks.append(("name", text[i:j]))
+                i = j
+                continue
+            if ch in "+-*/^()":
+                self.toks.append((ch, ch))
+                i += 1
+                continue
+            raise ValueError("unexpected character %r in polynomial %r" % (ch, text))
+        self.pos = 0
+        self.depth = 0
+
+    def peek(self):
+        return self.toks[self.pos][0] if self.pos < len(self.toks) else None
+
+    def next(self):
+        if self.pos >= len(self.toks):
+            raise ValueError("polynomial %r ends early at position %d"
+                             % (self.text, len(self.text)))
+        tok = self.toks[self.pos]
+        self.pos += 1
+        return tok
+
+
+def reference_parse_poly(text, domain, variables=()):
+    variables = tuple(variables)
+    toks = ReferenceTokens(text)
+    poly = _reference_expr(toks, domain, variables)
+    if toks.peek() is not None:
+        raise ValueError("trailing input in polynomial %r" % text)
+    if variables:
+        extra = tuple(v for v in poly.variables if v not in variables)
+        poly = poly.with_variables(variables + extra)
+    return poly
+
+
+def _reference_expr(toks, domain, variables):
+    negate = False
+    if toks.peek() == "-":
+        toks.next()
+        negate = True
+    acc = _reference_term(toks, domain, variables)
+    if negate:
+        acc = -acc
+    while toks.peek() in ("+", "-"):
+        op, _ = toks.next()
+        term = _reference_term(toks, domain, variables)
+        acc = acc + term if op == "+" else acc - term
+    return acc
+
+
+def _reference_term(toks, domain, variables):
+    acc = _reference_factor(toks, domain, variables)
+    while toks.peek() in ("*", "/"):
+        op, _ = toks.next()
+        rhs = _reference_factor(toks, domain, variables)
+        if op == "*":
+            acc = acc * rhs
+        else:
+            if not rhs.is_constant():
+                raise ValueError("division by a non-constant polynomial")
+            if rhs.is_zero():
+                raise ValueError("division by zero in polynomial %r" % toks.text)
+            c = rhs.constant_value()
+            if hasattr(c, "inverse"):
+                acc = acc.scale(c.inverse())
+            elif getattr(c, "scalar_part", lambda: None)() is not None:
+                inv = c.extension.scalar(c.scalar_part().inverse())
+                acc = acc.scale(inv)
+            else:
+                raise UnsupportedOperationError(
+                    "division is only defined by invertible constants")
+    return acc
+
+
+def _reference_factor(toks, domain, variables):
+    base = _reference_atom(toks, domain, variables)
+    if toks.peek() == "^":
+        toks.next()
+        kind, val = toks.next()
+        if kind != "int":
+            raise ValueError("exponent must be a non-negative integer")
+        _check_power(base, val)
+        return base ** val
+    return base
+
+
+def _reference_atom(toks, domain, variables):
+    kind, val = toks.next()
+    if kind == "int":
+        return Poly.constant(domain, val, variables)
+    if kind == "name":
+        if val in variables:
+            return Poly.variable(domain, val).with_variables(variables)
+        sym = domain.symbol_constant(val)
+        if sym is None:
+            raise ValueError("unknown identifier %r" % val)
+        return Poly.constant(domain, sym, variables)
+    if kind not in ("(", "-"):
+        raise ValueError("unexpected token %r" % (val,))
+    toks.depth += 1
+    if toks.depth > PARSE_DEPTH_BOUND:
+        raise ValueError("polynomial nests parentheses and signs deeper than %d"
+                         % PARSE_DEPTH_BOUND)
+    if kind == "(":
+        inner = _reference_expr(toks, domain, variables)
+        closing = toks.next()
+        if closing[0] != ")":
+            raise ValueError("unbalanced parentheses")
+    else:
+        inner = -_reference_atom(toks, domain, variables)
+    toks.depth -= 1
+    return inner

@@ -481,6 +481,33 @@ def test_example26_threshold_beyond_the_degree_bound(capsys, threshold):
                    "the bound 1000\n"), err
 
 
+@pytest.mark.parametrize("threshold", [1.5, True, [3], None],
+                         ids=["float", "true", "array", "null"])
+def test_example26_refuses_a_threshold_that_is_not_exact(tmp_path, capsys, threshold):
+    """Read through str(), 1.5 was accepted as 3/2, and true and [3] failed
+    in Fraction with a message that named no expected type."""
+    path = pathlib.Path(__file__).parent / "verify_threshold_float.json"
+    data = json.loads(path.read_text())
+    if threshold != 1.5:
+        data["options"]["threshold"] = threshold
+        path = write_doc(tmp_path, data)
+    code, out, err = run(capsys, ["verify", "--suite", "example26", "--input", str(path)])
+    assert (code, out, err) == (2, "", "input error: options: options.threshold "
+                                       "must be a string or an integer\n")
+
+
+@pytest.mark.parametrize("threshold", [3, "3"], ids=["integer", "string"])
+def test_example26_reads_an_integer_or_string_threshold(tmp_path, capsys, threshold):
+    path = pathlib.Path(__file__).parent / "verify_threshold_float.json"
+    data = json.loads(path.read_text())
+    data["options"]["threshold"] = threshold
+    code, out, _ = run(capsys, ["verify", "--suite", "example26",
+                                "--input", write_doc(tmp_path, data)])
+    rows = json.loads(out)["rows"]
+    assert code == 0 and rows[0]["data"]["k"] == 4
+    assert {row["status"] for row in rows} == {"pass"}
+
+
 # SHA-256 of the disc output of documents past the benchmark's ranks or
 # primes, so that the packed kernel's output stays byte-identical there too.
 # The two over F_2(x) were recorded with the generic F_p(x) products, before
