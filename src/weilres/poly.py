@@ -711,8 +711,10 @@ def parse_poly(text, domain, variables=()):
             raise ValueError("unexpected token %r" % (tok,))
         if tok in index:
             return _VAR, index[tok]
+        # a base symbol, x over F_p(x), stays a base scalar over an extension
         value = generator if generator is not None and tok == domain.symbol else (
-            domain.symbol_constant(tok))
+            domain.symbol_constant(tok) if base is domain or tok in domain.basis_names
+            else base.symbol_constant(tok))
         if value is None:
             raise ValueError("unknown identifier %r" % tok)
         return (_SCALAR if type(value) is FieldElement else _ELEMENT), value

@@ -489,6 +489,18 @@ def _domain_table(domain):
     return table
 
 
+def _span(add, vectors, p):
+    """The index of sum_k d_k * vectors[k] at each I = d_0 d_1 ... in base p."""
+    span = None
+    for v in vectors:  # span[I * p + a] = span[I] + a * v
+        multiples = [0]
+        for _ in range(p - 1):
+            multiples.append(add[multiples[-1]][v])
+        span = multiples if span is None else [
+            add[s][t] for s in span for t in multiples]
+    return span
+
+
 class _DomainTable:
     """A finite domain of q elements as the point oracle reads it.
 
@@ -503,12 +515,12 @@ class _DomainTable:
     and add adds them mod p.
 
     mul[i][j] is the index of elements[i] * elements[j], over a field and a
-    domain with zero divisors alike.  Multiplying by x is F_p-linear, so the
-    row of x is the F_p-span of x * u over the F_p basis u = elements[q/p],
-    ..., elements[1] (coordinates a single 1, one per digit): it is built
-    digit by digit through add, as add itself is, from q * m element
-    products.  row(e) holds the index of x^e for every x, by
-    square-and-multiply over mul, once per exponent.
+    domain with zero divisors alike.  It is F_p-bilinear, so it follows from
+    the m^2 products u_i u_j of the F_p basis u = elements[q/p], ...,
+    elements[1] (q = p^m): the column of u_j, x u_j for every x, is the
+    _span of the u_i u_j, and the row of x the _span of the columns read at
+    x.  row(e) holds the index of x^e for every x, by square-and-multiply
+    over mul, once per exponent.
     """
 
     __slots__ = ("add", "elements", "index", "mul", "neg", "_names", "_rows")
@@ -517,31 +529,19 @@ class _DomainTable:
         elems = sorted(domain.elements(), key=lambda x: x.sort_key())
         self.elements = elems
         self.index = index = {x.sort_key(): i for i, x in enumerate(elems)}
-        while isinstance(domain, FreeExtension):
-            domain = domain.base
-        p = domain.characteristic
+        q = len(elems)
+        p = next(k for k in range(2, q + 1) if q % k == 0)  # q = p^m
         # F_p first; each pass appends a low digit a to every index I: the
         # row of I * p + a is that of I, each entry times p followed by a + c
-        shifted = [list(range(a, p)) + list(range(a)) for a in range(p)]
-        add = shifted
-        while len(add) < len(elems):
+        add = shifted = [list(range(a, p)) + list(range(a)) for a in range(p)]
+        while len(add) < q:
             add = [[s * p + t for s in row for t in shifted[a]]
                    for row in add for a in range(p)]
         self.add, self.neg = add, [row.index(0) for row in add]
-        basis, u = [], len(elems) // p
-        while u:
-            basis.append(elems[u])
-            u //= p
-        self.mul = []
-        for x in elems:
-            row = [0]
-            for u in basis:  # row[I * p + a] = row[I] + a * (x * u)
-                v = index[(x * u).sort_key()]
-                multiples = [0]
-                for _ in range(p - 1):
-                    multiples.append(add[multiples[-1]][v])
-                row = [add[s][t] for s in row for t in multiples]
-            self.mul.append(row)
+        basis = [elems[u] for u in range(q // p, 0, -1) if q % u == 0]
+        columns = [_span(add, [index[(u * v).sort_key()] for u in basis], p)
+                   for v in basis]
+        self.mul = [_span(add, row, p) for row in zip(*columns)]
         self._rows, self._names = {}, None
 
     @property

@@ -984,3 +984,43 @@ def test_raw_basis_int_labels_guard_document(capsys):
     code, out, err = run(capsys, ["charpoly", "2", "--input", path])
     assert (code, out, err) == (
         2, "", "input error: " + BASIS + "[0] must be an identifier\n")
+
+
+def _edited(edit):
+    """The golden document with edit applied to it."""
+    def make():
+        data = golden_doc()
+        edit(data)
+        return data
+    return make
+
+
+@pytest.mark.parametrize("make, argv, message", [
+    (lambda: {"version": "weilres/1", "field": {"kind": "prime", "p": 3}},
+     ["charpoly", "1"], "this command needs an extension in the document"),
+    (_edited(lambda d: d["options"].pop("radius_elements")), ["disc"],
+     "options.radius_elements must list the radius elements"),
+    (_edited(lambda d: d.pop("action")), ["fixed-points", "conic"],
+     "this command needs an action in the document"),
+    (golden_doc, ["points", "conic", "--field", "junk"],
+     "--field must be 'base', 'extension' or a size"),
+], ids=["charpoly without extension", "disc without radius elements",
+        "fixed-points without action", "points --field junk"])
+def test_commands_refuse_what_the_document_lacks(tmp_path, capsys, make, argv, message):
+    path = write_doc(tmp_path, make())
+    assert run(capsys, argv + ["--input", path]) == (2, "", "input error: %s\n" % message)
+
+
+def test_galois_modulus_array_reads_as_its_string(capsys):
+    # [2, 1, 1] is t^2 + t + 2: coefficients in ascending degree, the leading
+    # 1 last.  u^2 + v^2 + w^2 = t has 9^2 + 9 * eta(-t) points over F_9
+    # (Lidl and Niederreiter, Finite Fields, Thm. 6.27), 72 as the norm 2 of
+    # -t is no square in F_3
+    outs = []
+    for name in ("points_galois_array_f9.json", "points_galois_string_f9.json"):
+        path = pathlib.Path(__file__).parent / name
+        code, out, _ = run(capsys, ["points", "sphere", "--input", str(path)])
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["count"] == 72

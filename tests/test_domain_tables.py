@@ -11,8 +11,9 @@ over a GaloisField.  The points over the zero-divisor domains F_2[t]/(t^2)
 and F_3[t]/(t^4) agree with the plain enumeration.  The points read through
 the table's names (text=True) are the strings of the element points.  The
 cache is shared by equal domains, bounded, and once warm lets points_over
-compile and run new generators without a single element product.  Runs are
-derandomized so every run tries the same examples.
+compile and run new generators without a single element product; a cold
+table of q = p^m elements takes at most m^2.  Runs are derandomized so
+every run tries the same examples.
 """
 
 import pytest
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 from weilres import GaloisField, PrimeField, parse_poly
 from weilres import restriction
 from weilres.extensions import AlgebraElement
-from weilres.fields import FieldElement
+from weilres.fields import Field, FieldElement
 from weilres.restriction import Presentation, _domain_table, points_over
 
 from conftest import dense_points
@@ -205,3 +206,29 @@ def test_no_element_products_with_a_warm_table(name, fresh_cache, monkeypatch):
     assert again == first == dense_points(pres, domain)
     assert later == dense_points(more, domain)
     assert first and later
+
+
+@pytest.mark.parametrize("name", sorted(MUL_DOMAINS))
+def test_cold_table_takes_at_most_m_squared_products(name, monkeypatch):
+    # mul follows from the products u_i * u_j of the m basis elements, q =
+    # p^m: at most m^2 products of domain elements, whatever q
+    domain = MUL_DOMAINS[name]
+    base = domain
+    while not isinstance(base, Field):
+        base = base.base
+    q, p, m = domain.size(), base.characteristic, 1
+    while p ** m < q:
+        m += 1
+    calls = []
+    cls = type(domain.one())
+    mul = cls.__mul__
+
+    def counted(x, y):
+        calls.append(None)
+        return mul(x, y)
+
+    monkeypatch.setattr(cls, "__mul__", counted)
+    table = restriction._DomainTable(domain)
+    monkeypatch.undo()
+    assert p ** m == q and len(table.mul) == q
+    assert 0 < len(calls) <= m * m

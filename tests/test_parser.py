@@ -7,9 +7,10 @@ monogenic extension's symbol from its table.  The reference builds every
 atom as a Poly and every term by Poly products and powers over a
 per-character scan.  On grammar strings and arbitrary Unicode text, over
 F_p, F_{p^m}, Q, Q_p, F_p(x), monogenic extensions (one with zero divisors)
-and a written-out table, both return equal polynomials over the same
-variables or raise the same exception with the same message.  Runs are
-derandomized so every run tries the same examples.
+and written-out tables over F_3 and F_2(x), where the base symbol x is read
+as a base scalar, both return equal polynomials over the same variables or
+raise the same exception with the same message.  Runs are derandomized so
+every run tries the same examples.
 """
 
 import pytest
@@ -32,6 +33,7 @@ SETTINGS = settings(derandomize=True, database=None, deadline=None,
 F2, F3 = PrimeField(2), PrimeField(3)
 K2 = FunctionField(2, symbol="x")
 _TENSOR = tensor_product(_monogenic(F3, "s^2 + 1", "s"), _monogenic(F3, "r^2 + r + 2", "r"))
+_K2_TABLE = _monogenic(K2, "t^2 + x*t + 1/x")
 # each domain with the identifiers its grammar strings draw on
 DOMAINS = {
     "F_2": (F2, ["x"]),
@@ -50,6 +52,10 @@ DOMAINS = {
     "written-out rank 4 over F_3": (FreeExtension(
         F3, ["e1", "e2", "e3", "e4"], structure_table(F3, dense_structure(_TENSOR)),
         _TENSOR.unit), ["e1", "e2", "e4"]),
+    # no generator: its labels and the base symbol x are read as names
+    "written-out rank 2 over F_2(x)": (FreeExtension(
+        K2, ["f1", "f2"], structure_table(K2, dense_structure(_K2_TABLE)),
+        _K2_TABLE.unit), ["f1", "f2", "x"]),
 }
 VARIABLES = [(), ("u",), ("u", "v"), ("u", "v", "w"), ("v", "u", "v")]
 
