@@ -13,19 +13,27 @@ recheck).
 Elements carry coordinate vectors whose entries are either base scalars or
 polynomials over the base, so the same multiplication code serves both
 concrete elements and symbolic ones like x_1 e_1 + ... + x_n e_n.
+
+Characteristic polynomials run the Berkowitz iteration on the matrix of b
+with its coordinates and the structure constants cleared.  When the minimal
+polynomial is m(t) = g(t^q), q = p^k > 1 in characteristic p, the extension
+A is the tower B[t]/(t^q - s) over B = base[s]/(g), and by the transitivity
+of the norm chi_{A/K}(b)(z) = chi_{B/K}(b^q)(z^q), with b^q = sum_l b_l^q s^l
+by Frobenius: the iteration runs at rank n/q over B.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 from .errors import IncompatibleFieldError, UnsupportedOperationError
 from .fields import (FieldElement, _join_signed, _needs_parens, _term_string,
                      canonical_embedding, power)
 from .lognorm import LogNorm
-from .linalg import (_algebra_product, berkowitz_charpoly, mat_identity,
-                     mat_is_zero, mat_mul)
-from .poly import Poly, PolyRing
+from .linalg import (_algebra_product, berkowitz, berkowitz_charpoly,
+                     mat_identity, mat_is_zero, mat_mul)
+from .poly import Poly, PolyRing, _first_seen
 
 RANK_CAP = 16
 
@@ -48,7 +56,7 @@ class FreeExtension:
         self.unit = tuple(map(base.coerce, unit))
         self.minimal_polynomial = minimal_polynomial
         self.symbol = symbol
-        self._hash = self._denominator = None
+        self._hash = self._cleared_table = self._tower = None
         if len(table) != self.rank or any(len(row) != self.rank for row in table):
             raise ValueError("structure constants must form an n*n*n array")
         if len(self.unit) != self.rank:
@@ -216,14 +224,46 @@ class FreeExtension:
                                self.sparse_structure, self.unit))
         return self._hash
 
-    def structure_denominator(self):
-        """base.cleared's common denominator of the structure constants, in
-        the ring base.numerators() describes; computed once, like the hash."""
-        if self._denominator is None:
-            self._denominator = self.base.cleared(
-                [c for row in self.sparse_structure for cell in row
-                 for _, c in cell if c is not None])[0]
-        return self._denominator
+    def cleared_structure(self):
+        """(e, table): base.cleared's common denominator e of the structure
+        constants, as a base scalar, and sparse_structure with every constant
+        c as the numerator e*c (None where that is 1), so the matrix of e*b
+        is built with no gcd; computed once, like the hash."""
+        if self._cleared_table is None:
+            base, table = self.base, self.sparse_structure
+            _, one, _, _, over = base.numerators()
+            e, scaled = base.cleared([base.one() if c is None else c
+                                      for row in table for cell in row for _, c in cell])
+            e = over(e, one)
+            if not e.is_one():
+                # e*c for every constant c, in the order cleared took them
+                scaled = iter([None if v.is_one() else v
+                               for v in (over(n, one) for n in scaled)])
+                table = tuple(tuple(tuple((k, next(scaled)) for k, _ in cell)
+                                    for cell in row) for row in table)
+            self._cleared_table = e, table
+        return self._cleared_table
+
+    def tower(self):
+        """(q, B, powers) for the largest q = p^k, p the characteristic of
+        the base, with m(t) = g(t^q) for the minimal polynomial m: then
+        B = base[s]/(g), A = B[t]/(t^q - s), and powers[l] is the cell of
+        s^l in B for l < n.  q = 1, with no B, in characteristic 0, for
+        written-out tables and tensor products, and where p does not divide
+        every exponent of m.  Computed once, like the hash."""
+        if self._tower is None:
+            self._tower = 1, None, None
+            p, m = self.base.characteristic, self.minimal_polynomial
+            if p and m is not None:
+                q, exponents = 1, math.gcd(*(e for (e,) in m.terms))
+                while exponents % (q * p) == 0:
+                    q *= p
+                if q > 1:
+                    g = Poly(self.base, m.variables,
+                             {(e // q,): c for (e,), c in m.terms.items()}, clean=True)
+                    self._tower = q, from_minimal_polynomial(self.base, g), \
+                        _reduced_powers(self.base, g.dense_coefficients(), self.rank)
+        return self._tower
 
     def __repr__(self):
         if self.minimal_polynomial is not None:
@@ -391,26 +431,33 @@ def from_minimal_polynomial(base, m, symbol=None):
     if not coeffs[n].is_one():
         raise ValueError("minimal polynomial must be monic")
     check_rank(n)
-    # powers[k] = the cell of s^k for k = 0 .. 2n-2, from raw values:
-    # s^(k+1) = s * s^k with s^n = -c_0 - c_1 s - ... - c_(n-1) s^(n-1)
-    add, mul = base._add, base._mul
-    low = [base._neg(c.value) for c in coeffs[:n]]
-    zero, one = base.zero().value, base.one().value
-    powers = []
-    cur = [one] + [zero] * (n - 1)
-    for k in range(2 * n - 1):
-        powers.append(tuple((i, None if v == one else FieldElement(base, v))
-                            for i, v in enumerate(cur) if v != zero))
-        top = cur[n - 1]
-        cur = [zero] + cur[:n - 1]
-        if top != zero:
-            cur = [add(v, mul(c, top)) for v, c in zip(cur, low)]
+    powers = _reduced_powers(base, coeffs, 2 * n - 1)
     table = tuple(tuple(powers[i:i + n]) for i in range(n))
     names = tuple("1" if k == 0 else (symbol if k == 1 else "%s^%d" % (symbol, k))
                   for k in range(n))
     unit = (base.one(),) + (base.zero(),) * (n - 1)
     return FreeExtension(base, names, table, unit, validate=False,
                          minimal_polynomial=m, symbol=symbol)
+
+
+def _reduced_powers(base, coeffs, count):
+    """The cells of s^k for k < count modulo the monic m with dense
+    coefficients coeffs, from raw values: s^(k+1) = s * s^k with
+    s^n = -c_0 - c_1 s - ... - c_(n-1) s^(n-1)."""
+    n = len(coeffs) - 1
+    add, mul = base._add, base._mul
+    low = [base._neg(c.value) for c in coeffs[:n]]
+    zero, one = base.zero().value, base.one().value
+    powers = []
+    cur = [one] + [zero] * (n - 1)
+    for k in range(count):
+        powers.append(tuple((i, None if v == one else FieldElement(base, v))
+                            for i, v in enumerate(cur) if v != zero))
+        top = cur[n - 1]
+        cur = [zero] + cur[:n - 1]
+        if top != zero:
+            cur = [add(v, mul(c, top)) for v, c in zip(cur, low)]
+    return powers
 
 
 def tensor_product(b1, b2):
@@ -453,15 +500,18 @@ def extend_scalars(ext, target):
 # multiplication operators and characteristic polynomials
 
 
-def mult_matrix(b):
+def mult_matrix(b, table=None):
     """Matrix of multiplication by b: column j holds the coordinates of b*e_j,
     whose k-th is the sum of the b_i c_ijk, taken in the order of i, so
-    scalings and sums are all it needs."""
+    scalings and sums are all it needs.  Given the table of
+    cleared_structure, whose constants are e*c_ijk, it is the matrix of e*b,
+    and over numerator coordinates its entries are numerators, built with
+    no gcd."""
     ext = b.extension
     n = ext.rank
     b = ext.element(b.coords)
     rows = [[None] * n for _ in range(n)]
-    for x, table_row in zip(b.coords, ext.sparse_structure):
+    for x, table_row in zip(b.coords, table or ext.sparse_structure):
         if x.is_zero():
             continue
         for j, cell in enumerate(table_row):
@@ -549,46 +599,104 @@ def charpoly(b):
 
 def generic_charpoly(r, variables):
     """charpoly(r * (x_1 e_1 + ... + x_n e_n)) for r with scalar coordinates
-    and x_1, ..., x_n named by `variables`.  Coordinate i of that product is
-    sum_l m_il x_l on row i of m = mult_matrix(d*r), d clearing r and the
-    structure constants, so no gcd runs before c_j is unscaled by d^j."""
+    and x_1, ..., x_n named by `variables`.  Coordinate i of e*d*r times that
+    sum is sum_l m_il x_l on row i of m = mult_matrix(d*r, table), d clearing
+    r and (e, table) the cleared structure, so its coefficients are
+    numerators and no gcd runs before c_j is unscaled by (d*e)^j."""
     ext = r.extension
     d, r = _cleared(r)
+    e, table = ext.cleared_structure()
     units = [tuple(int(k == l) for k in range(ext.rank)) for l in range(ext.rank)]
     forms = AlgebraElement(ext, tuple(Poly(ext.base, variables, dict(zip(units, row)))
-                                      for row in mult_matrix(r)))
-    e, forms = _cleared(forms)
+                                      for row in mult_matrix(r, table)))
     return _unscaled_charpoly(d * e, forms)
 
 
 def _unscaled_charpoly(d, b):
-    """The characteristic polynomial of b / d: c_j(b / d) = c_j(b) / d^j."""
-    ring = b.ring
-    vec = berkowitz_charpoly(mult_matrix(b), ring)[1:]
+    """The characteristic polynomial of b / d for b with numerator
+    coordinates: c_j(b / d) = c_j(e*b) / (d*e)^j, e clearing the structure
+    constants, with c_j(e*b) from Berkowitz on the matrix of e*b, or from the
+    tower when the extension has one."""
+    ring, ext = b.ring, b.extension
+    e, table = ext.cleared_structure()
+    q, inner, powers = ext.tower()
+    if q == 1:
+        vec = berkowitz_charpoly(mult_matrix(b, table), ring)[1:]
+    else:
+        vec = _tower_charpoly(b if e.is_one() else b.scale(e), q, inner, powers)
+    d = d * e
     if d.is_one():
         return MonicPoly(ring, vec)
-    unscale = b.extension.base.unscaler(d)
+    unscale = ext.base.unscaler(d)
     return MonicPoly(ring, [_map_values(c, lambda v: unscale(v, j))
                             for j, c in enumerate(vec, start=1)])
 
 
+def _tower_charpoly(b, q, inner, powers):
+    """[c_1, ..., c_n] of b in A = B[t]/(t^q - s), B = inner, through the
+    transitivity of the norm (Lang, Algebra, VI 5; Bourbaki, Algebra, III 9):
+    over B every b has characteristic polynomial (z - b)^q = z^q - b^q, so
+    chi_A(b)(z) = chi_B(b^q)(z^q), c_(qi)(b) = c_i(b^q) and every other c_j
+    is 0.  Frobenius gives b^q = sum_l b_l^q s^l, with s^l the cells of
+    powers, so Berkowitz runs at rank n/q.  Polynomial coefficients are
+    laid over the variable lists plain Berkowitz gives them."""
+    ext = b.extension
+    b = ext.element(b.coords)
+    zero = b.ring.zero()
+    coords = [None] * inner.rank
+    for x, cell in zip(b.coords, powers):
+        if x.is_zero():
+            continue
+        # x^q: a scalar's power, or a Poly's with its exponents times q
+        y = Poly(x.domain, x.variables, {tuple(e * q for e in exps): c ** q
+                                         for exps, c in x.terms.items()}, clean=True) \
+            if isinstance(x, Poly) else x ** q
+        for k, c in cell:
+            term = y if c is None else y * c
+            coords[k] = term if coords[k] is None else coords[k] + term
+    vec = [zero] * ext.rank
+    vec[q - 1::q] = charpoly(AlgebraElement(
+        inner, tuple(zero if c is None else c for c in coords))).coefficients
+    if isinstance(zero, Poly):
+        vec = [c.with_variables(v) for c, v in zip(vec, _variable_lists(b))]
+    return vec
+
+
+def _variable_lists(b):
+    """The variable list of each c_j of berkowitz_charpoly(mult_matrix(b)),
+    b with Poly coordinates: its iteration run on the entries' lists alone,
+    a sum or product over its operands' lists merged in order of first
+    occurrence, as Poly arithmetic and the packed kernel merge them."""
+    ext = b.extension
+    n = ext.rank
+    rows = [[()] * n for _ in range(n)]
+    for x, table_row in zip(b.coords, ext.sparse_structure):
+        if not x.is_zero():
+            for j, cell in enumerate(table_row):
+                for k, _ in cell:
+                    rows[k][j] = _first_seen((rows[k][j], x.variables))
+    lists = {names for row in rows for names in row}
+    if len(lists) == 1:
+        # every sum and product is over the one list
+        return [lists.pop()] * n
+    return berkowitz(rows, (), lambda names: names, lambda xs, ys: _first_seen(
+        dict.fromkeys(itertools.chain.from_iterable(zip(xs, ys)))))[1:]
+
+
 def _cleared(b):
-    """(d, d*b) with d a base scalar such that the multiplication matrix of
-    d*b has only numerators as entries (integers over Q, polynomials in x
-    over F_p(x)), so no gcd runs while it is iterated: base.cleared's d for
-    the coordinates of b times that for the structure constants.  Over
-    finite fields d is 1 and b is returned as it is."""
+    """(d, d*b) with d a base scalar clearing the coordinates of b, base.cleared's
+    d, so those of d*b are numerators (integers over Q, polynomials in x over
+    F_p(x)).  Over finite fields d is 1 and b is returned as it is."""
     ext = b.extension
     base = ext.base
-    _, one, _, mul, over = base.numerators()
-    e = ext.structure_denominator()
+    _, one, _, _, over = base.numerators()
     d, scaled = base.cleared([c for x in b.coords for c in (
         x.terms.values() if isinstance(x, Poly) else (x,))])
-    d = over(mul(d, e), one)
+    d = over(d, one)
     if d.is_one():
         return d, b
     # the scaled values, in the order cleared took them
-    scaled = iter([over(mul(n, e), one) for n in scaled])
+    scaled = iter([over(n, one) for n in scaled])
     return d, AlgebraElement(ext, tuple(_map_values(x, lambda _: next(scaled))
                                         for x in b.coords))
 
@@ -617,9 +725,10 @@ def is_nilpotent(b):
     """Whether M_b^n = 0 (equivalently the characteristic polynomial is z^n).
 
     M_b is nilpotent exactly when d*M_b is for a nonzero d, so the power is
-    taken of the cleared matrix, with no gcd over F_p(x)."""
+    taken of the matrix of e*d*b, d and e clearing the coordinates and the
+    structure constants, with no gcd over F_p(x)."""
     if any(isinstance(c, Poly) for c in b.coords):
         raise UnsupportedOperationError("nilpotency is decided for scalar coordinates")
-    m = mult_matrix(_cleared(b)[1])
+    m = mult_matrix(_cleared(b)[1], b.extension.cleared_structure()[1])
     n = b.extension.rank
     return mat_is_zero(power(m, n, lambda: mat_identity(n, b.ring), mat_mul))

@@ -134,7 +134,10 @@ def non_quasicompact_witness(ext, threshold):
     if ext.rank != p:
         raise UnsupportedOperationError(
             "extension degree %d differs from the characteristic %d" % (ext.rank, p))
-    if not _is_pure_inseparable(mp, p, base):
+    # t^p - a: the tower t^p = s over base[s]/(s - a), a topologically
+    # nilpotent (lognorm < 0)
+    a = -mp.dense_coefficients()[0]
+    if ext.tower()[0] != p or a.is_zero() or base.lognorm(a) >= LogNorm(0):
         raise UnsupportedOperationError(
             "extension is separable: the restriction of a disc along a separable "
             "extension is quasi-compact, so no unbounded witness exists")
@@ -172,19 +175,6 @@ def non_quasicompact_witness(ext, threshold):
     scale_lognorm = base.lognorm(scale)
     assert scale_lognorm == LogNorm(k)
     return WitnessCertificate(k, b, order, scale_lognorm, threshold)
-
-
-def _is_pure_inseparable(mp, p, base):
-    # t^p - a shape: every exponent with nonzero coefficient is 0 or p,
-    # and the derivative vanishes (all exponents divisible by p)
-    coeffs = mp.dense_coefficients()
-    if any(e % p and not c.is_zero() for e, c in enumerate(coeffs)):
-        return False
-    constant = coeffs[0]
-    if constant.is_zero():
-        return False
-    # the constant is -a; require a topologically nilpotent (lognorm < 0)
-    return base.lognorm(constant) < LogNorm(0)
 
 
 def _nilpotency_order(b):

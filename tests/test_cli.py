@@ -513,7 +513,11 @@ def test_example26_reads_an_integer_or_string_threshold(tmp_path, capsys, thresh
 # The two over F_2(x) were recorded with the generic F_p(x) products, before
 # the kernel; they reduce slots by the F_2 mask.  The F_3(x) and F_1009(x)
 # ones were recorded with the generic reduction of the kernel's sums of
-# products; they reduce slots by residue tables and slot by slot.
+# products; they reduce slots by residue tables and slot by slot.  The
+# radical towers t^12 - x and t^16 - x take the inseparable tower: rank 12
+# was recorded with plain Berkowitz at rank 12 (about 30 s), and rank 16,
+# which that does not finish, after its generic charpoly matched plain
+# Berkowitz at a point (tests/test_tower.py).
 DISC_GUARDS = {
     "disc_t_over_x_rank10.json":
         "accde375d158438485ad8044b82fc769083b65c5875fadd191d90741c0142a86",
@@ -523,6 +527,10 @@ DISC_GUARDS = {
         "81a5700c48aee4eebd6dd335d0e8997d98173231c98fe4586ad55dfdaa018d42",
     "disc_tx_f1009_rank6.json":
         "2a8a92630b4b7a9d05ecdf6ad08133991eb1bfff5993cff97248b1ca5dafcf0c",
+    "disc_radical_rank12.json":
+        "7198b978e6ffa240158b86de881d1361f895687e3788f44e0d3f8b7acab87dd4",
+    "disc_radical_rank16.json":
+        "3977ee9f4e2169ff2f9ea07a070422afbf36246af78ae3c687f628832f975bbb",
 }
 
 
