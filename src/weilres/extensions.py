@@ -175,10 +175,6 @@ class FreeExtension:
             return self.scalar(v)
         if isinstance(v, int):
             return self.scalar(self.base.coerce(v))
-        if isinstance(v, Poly):
-            if v.domain != self.base:
-                raise IncompatibleFieldError("polynomial over a different base")
-            return self.unit_element().scale(v)
         raise TypeError("cannot coerce %r into %s" % (v, self))
 
     def symbol_constant(self, name):
@@ -332,20 +328,14 @@ class AlgebraElement:
         return power(self, k, self.extension.unit_element)
 
     def scale(self, c):
-        c = self.extension.base.coerce(c) if not isinstance(c, Poly) else c
-        if isinstance(c, Poly):
-            lifted = self.extension.element(self.coords)
-            return AlgebraElement(self.extension,
-                                  tuple(x * c for x in lifted.coords))
-        # a Poly times a base scalar is its scaling
+        # a Poly coordinate times a base scalar is its scaling
+        c = self.extension.base.coerce(c)
         return AlgebraElement(self.extension, tuple(x * c for x in self.coords))
 
     def is_zero(self):
         return all(c.is_zero() for c in self.coords)
 
     def scalar_part(self):
-        if any(isinstance(c, Poly) for c in self.coords):
-            return None
         unit = self.extension.unit
         pivot = None
         for i, u in enumerate(unit):
@@ -362,8 +352,6 @@ class AlgebraElement:
         return tuple(c.sort_key() for c in self.coords)
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = self.extension.coerce(other)
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         if other.extension != self.extension:
@@ -603,6 +591,8 @@ def generic_charpoly(r, variables):
     sum is sum_l m_il x_l on row i of m = mult_matrix(d*r, table), d clearing
     r and (e, table) the cleared structure, so its coefficients are
     numerators and no gcd runs before c_j is unscaled by (d*e)^j."""
+    if any(isinstance(c, Poly) for c in r.coords):
+        raise UnsupportedOperationError("radius elements need scalar coordinates")
     ext = r.extension
     d, r = _cleared(r)
     e, table = ext.cleared_structure()

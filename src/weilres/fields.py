@@ -344,9 +344,6 @@ class FieldElement:
     def is_one(self):
         return self.value == self.field._one.value
 
-    def lognorm(self):
-        return self.field.lognorm(self)
-
     def sort_key(self):
         return self.field._sort_key(self.value)
 
@@ -466,10 +463,6 @@ class PrimeField(Field):
             if v.field != self:
                 raise IncompatibleFieldError("cannot coerce from %s" % v.field)
             return v
-        if isinstance(v, Fraction):
-            if v.denominator % self.p == 0:
-                raise ZeroDivisionError("denominator divisible by %d" % self.p)
-            return self.coerce(v.numerator) / self.coerce(v.denominator)
         raise TypeError("cannot coerce %r into %s" % (v, self))
 
     def _add(self, a, b):
@@ -623,8 +616,6 @@ class RationalField(Field):
             return v
         if isinstance(v, (int, Fraction)):
             return FieldElement(self, Fraction(v))
-        if isinstance(v, str):
-            return FieldElement(self, Fraction(v))
         raise TypeError("cannot coerce %r into %s" % (v, self))
 
     def _add(self, a, b):
@@ -744,8 +735,6 @@ class FunctionField(Field):
             return v
         if isinstance(v, int):
             return self._make((v % self.p,), (1,))
-        if isinstance(v, _RatFunc):
-            return FieldElement(self, v)
         raise TypeError("cannot coerce %r into %s" % (v, self))
 
     def variable(self):

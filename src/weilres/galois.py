@@ -123,7 +123,7 @@ def validate_action(action, ext):
     return not diagnostics, diagnostics
 
 
-def cyclic_frobenius_action(ext, names=None):
+def cyclic_frobenius_action(ext):
     """The cyclic action generated by the q-power map on a monogenic extension
     of a finite base field with q elements."""
     base = ext.base
@@ -147,9 +147,8 @@ def cyclic_frobenius_action(ext, names=None):
         cur = mat_mul(cur, frob)
     if cur != mat_identity(n, base):
         raise UnsupportedOperationError("q-power map does not have order %d" % n)
-    if names is None:
-        names = tuple("frob^%d" % i if i > 1 else ("frob" if i == 1 else "id")
-                      for i in range(n))
+    names = tuple("frob^%d" % i if i > 1 else ("frob" if i == 1 else "id")
+                  for i in range(n))
     table = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
     return GroupAction(names, table, matrices, base)
 

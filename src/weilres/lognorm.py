@@ -21,13 +21,9 @@ class LogNorm:
     __slots__ = ("value",)
 
     def __init__(self, value):
-        # value: Fraction/int/str for a finite log-norm, or None for -inf
-        if value is None:
-            self.value = None
-        elif isinstance(value, LogNorm):
-            self.value = value.value
-        else:
-            self.value = Fraction(value)
+        # value: a Fraction or int for a finite log-norm, or None for -inf;
+        # operands of the comparisons and sums below are LogNorms
+        self.value = None if value is None else Fraction(value)
 
     @property
     def is_minus_inf(self):
@@ -42,7 +38,6 @@ class LogNorm:
         return hash(("LogNorm", self.value))
 
     def __lt__(self, other):
-        other = _as_lognorm(other)
         if self.value is None:
             return other.value is not None
         if other.value is None:
@@ -50,30 +45,20 @@ class LogNorm:
         return self.value < other.value
 
     def __le__(self, other):
-        other = _as_lognorm(other)
         return self == other or self < other
 
     def __gt__(self, other):
-        return _as_lognorm(other) < self
+        return other < self
 
     def __ge__(self, other):
-        return _as_lognorm(other) <= self
+        return other <= self
 
     def __add__(self, other):
-        other = _as_lognorm(other)
         if self.value is None or other.value is None:
             return MINUS_INF
         return LogNorm(self.value + other.value)
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        if self.value is None:
-            raise ValueError("cannot negate -inf")
-        return LogNorm(-self.value)
-
     def __sub__(self, other):
-        other = _as_lognorm(other)
         if other.value is None:
             raise ValueError("cannot subtract -inf")
         if self.value is None:
@@ -112,12 +97,6 @@ class LogNorm:
         if text == "-inf":
             return MINUS_INF
         return LogNorm(Fraction(text))
-
-
-def _as_lognorm(x):
-    if isinstance(x, LogNorm):
-        return x
-    return LogNorm(x)
 
 
 MINUS_INF = LogNorm(None)

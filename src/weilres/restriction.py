@@ -15,7 +15,7 @@ import itertools
 from math import comb
 
 from .errors import EnumerationBoundError, IncompatibleFieldError
-from .extensions import (AlgebraElement, FreeExtension, MonicPoly, charpoly,
+from .extensions import (AlgebraElement, FreeExtension, MonicPoly,
                          extend_scalars, generic_charpoly)
 from .fields import Field, FieldElement, canonical_embedding, power
 from .lognorm import LogNorm
@@ -257,15 +257,11 @@ def disc_generators(ext, radius_elements, var_block, y_prefix="y"):
     gens = []
     radius_meta = {}
     for i, r in enumerate(radius_elements, start=1):
-        if not isinstance(r, AlgebraElement):
-            r = ext.coerce(r)
         if r.extension != ext:
             raise IncompatibleFieldError("radius element outside the extension")
-        scalar = not any(isinstance(c, Poly) for c in r.coords)
-        chi = generic_charpoly(r, var_block) if scalar else charpoly(r * AlgebraElement(
-            ext, tuple(Poly.variable(base, v).with_variables(var_block) for v in var_block)))
+        chi = generic_charpoly(r, var_block)
         rho = None
-        if ext.has_valuation and scalar:
+        if ext.has_valuation:
             # chi(r) is chi at the unit's coordinates: substituting them is a
             # ring map sending r * generic to r
             rho = spectral_value(MonicPoly(base, [

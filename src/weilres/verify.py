@@ -64,19 +64,17 @@ class Report:
 # seeded random generators shared by suites and tests
 
 
-def random_monic(rng, field, max_degree=4):
-    degree = rng.randint(1, max_degree)
+def random_monic(rng, field):
     return MonicPoly(field, tuple(field.random_element(rng)
-                                  for _ in range(degree)))
+                                  for _ in range(rng.randint(1, 4))))
 
 
-def random_poly(rng, domain, variables, max_degree=3, max_terms=4):
+def random_poly(rng, domain, variables):
     variables = tuple(variables)
     terms = {}
-    for _ in range(rng.randint(1, max_terms)):
+    for _ in range(rng.randint(1, 4)):
         exps = [0] * len(variables)
-        budget = rng.randint(0, max_degree)
-        for _ in range(budget):
+        for _ in range(rng.randint(0, 3)):
             exps[rng.randrange(len(variables))] += 1 if variables else 0
         coeff = domain.random_element(rng)
         key = tuple(exps)
@@ -91,12 +89,12 @@ def random_irreducible_coeffs(rng, p, degree):
             return coeffs
 
 
-def random_field_extension(rng, q, n, symbol="t"):
+def random_field_extension(rng, q, n):
     base = PrimeField(q)
     coeffs = random_irreducible_coeffs(rng, q, n)
-    m = Poly(base, (symbol,), {(i,): base.coerce(c)
-                               for i, c in enumerate(coeffs) if c != 0})
-    return base, from_minimal_polynomial(base, m, symbol)
+    m = Poly(base, ("t",), {(i,): base.coerce(c)
+                            for i, c in enumerate(coeffs) if c != 0})
+    return base, from_minimal_polynomial(base, m, "t")
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +134,7 @@ def suite_adjunction(seed=1):
             base, ext = random_field_extension(rng, q, n)
             d = rng.randint(1, 2)
             variables = ("u", "v")[:d]
-            gens = [random_poly(rng, ext, variables, max_degree=3)
+            gens = [random_poly(rng, ext, variables)
                     for _ in range(rng.randint(1, 2))]
             gens = [g for g in gens if not g.is_zero()] or \
                 [Poly.zero(ext, variables)]
@@ -276,7 +274,7 @@ def suite_descent(seed=1, doc=None):
     for q, n in triples:
         tbase, text_ = random_field_extension(rng, q, n)
         tact = cyclic_frobenius_action(text_)
-        gen = random_poly(rng, tbase, ("u",), max_degree=3)
+        gen = random_poly(rng, tbase, ("u",))
         if gen.is_zero():
             gen = parse_poly("u^3 - u", tbase, ("u",))
         tx = Presentation(tbase, ("u",), [gen])
@@ -453,12 +451,10 @@ def suite_rho(seed=1):
 
 
 SUITES = {
-    "adjunction": lambda doc: suite_adjunction(doc.seed if doc else 1),
-    "products": lambda doc: suite_products(doc.seed if doc else 1),
-    "descent": lambda doc: suite_descent(doc.seed if doc else 1, doc),
-    "example26": lambda doc: suite_example26(
-        doc.threshold if doc else None,
-        doc.field if doc else None),
-    "sigma": lambda doc: suite_sigma(doc.seed if doc else 1),
-    "rho": lambda doc: suite_rho(doc.seed if doc else 1),
+    "adjunction": lambda doc: suite_adjunction(doc.seed),
+    "products": lambda doc: suite_products(doc.seed),
+    "descent": lambda doc: suite_descent(doc.seed, doc),
+    "example26": lambda doc: suite_example26(doc.threshold, doc.field),
+    "sigma": lambda doc: suite_sigma(doc.seed),
+    "rho": lambda doc: suite_rho(doc.seed),
 }

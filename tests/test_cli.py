@@ -1032,3 +1032,74 @@ def test_galois_modulus_array_reads_as_its_string(capsys):
         outs.append(out)
     assert outs[0] == outs[1]
     assert json.loads(outs[0])["count"] == 72
+
+
+@pytest.mark.parametrize("make, edit, message", [
+    (golden_doc, lambda d: d["action"].pop("table"),
+     "action: missing keys ['table']"),
+    (golden_doc, _set(["extension", "symbol"], "a$b"),
+     "extension: extension.symbol must be an identifier"),
+    (golden_doc, _set(["field"], {"kind": "quaternion"}),
+     "field: unknown field kind 'quaternion'"),
+    (_raw_extension_doc, lambda d: d["extension"].pop("basis"),
+     "extension: need either basis or rank"),
+    (_raw_extension_doc, _set(["extension", "rank"], 3),
+     "extension: rank disagrees with the basis length"),
+    (_raw_extension_doc,
+     _set(["extension", "structure_constants"], [[["1", "0"], ["0", "1"]]]),
+     "extension: structure_constants must be 2^3"),
+    (golden_doc, _set(["presentations", "conic", "over"], "field"),
+     "presentations.conic: 'over' must be 'base' or 'extension'"),
+    (_raw_extension_doc, lambda d: d["extension"].update(
+        basis=[], structure_constants=[], unit=[]),
+     "extension: rank must be positive"),
+    (golden_doc, lambda d: d.update(field={"kind": "galois", "p": 3,
+                                           "modulus": [1, 0, 2], "symbol": "s"}),
+     "field: modulus must be monic"),
+    (golden_doc, _set(["field"], {"kind": "padic", "p": 4}),
+     "field: p-adic valuation needs a prime, got 4"),
+], ids=["missing keys", "symbol a$b", "unknown field kind", "neither basis nor rank",
+        "rank disagrees", "structure constants shape", "bad over", "empty basis",
+        "modulus not monic", "padic p = 4"])
+def test_malformed_documents_are_refused(tmp_path, capsys, make, edit, message):
+    data = make()
+    edit(data)
+    path = write_doc(tmp_path, data)
+    assert run(capsys, ["charpoly", "2", "--input", path]) == (
+        2, "", "input error: %s\n" % message)
+
+
+@pytest.mark.parametrize("edit, first", [
+    (_set(["action", "matrices"], [[[1, 0, 0], [0, 1, 0], [0, 0, 1]]] * 2),
+     "matrix size does not match the rank"),
+    (_set(["action", "matrices"], [[[1, 0], [0, -1]], [[1, 0], [0, 1]]]),
+     "identity element does not act as the identity matrix"),
+    (_set(["action", "matrices"], [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]),
+     "element frob does not fix the unit"),
+    (_set(["action", "table"], [[0, 1], [1, 1]]),
+     "matrices of frob and frob do not compose per the table"),
+], ids=["matrix size", "first matrix not identity", "unit not fixed",
+        "table not followed"])
+def test_fixed_points_names_the_first_failed_action_check(tmp_path, capsys, edit,
+                                                          first):
+    data = golden_doc()
+    edit(data)
+    path = write_doc(tmp_path, data)
+    code, out, err = run(capsys, ["fixed-points", "conic", "--input", path])
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: invalid action: %s" % first), err
+    assert err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("name, argv, message", [
+    ("field_kind_unknown.json", ["charpoly", "2"],
+     "field: unknown field kind 'quaternion'"),
+    ("extension_rank_disagrees.json", ["charpoly", "2"],
+     "extension: rank disagrees with the basis length"),
+    ("action_table_not_followed.json", ["fixed-points", "conic"],
+     "invalid action: matrices of frob and frob do not compose per the table"),
+])
+def test_refused_guard_documents(capsys, name, argv, message):
+    path = str(pathlib.Path(__file__).parent / name)
+    assert run(capsys, argv + ["--input", path]) == (
+        2, "", "input error: %s\n" % message)

@@ -5,9 +5,10 @@ from fractions import Fraction
 import pytest
 
 from weilres import (FunctionField, GaloisField, IncompatibleFieldError,
-                     LogNorm, MINUS_INF, PrimeField, RationalField,
-                     UnsupportedOperationError, canonical_embedding)
-from weilres.fields import PRIME_BOUND, _is_irreducible, _is_prime, _umul
+                     LogNorm, MINUS_INF, Poly, PrimeField, RationalField,
+                     UnsupportedOperationError, canonical_embedding,
+                     from_minimal_polynomial, parse_poly)
+from weilres.fields import PRIME_BOUND, _RatFunc, _is_irreducible, _is_prime, _umul
 
 
 def test_prime_field_arithmetic(f3):
@@ -165,3 +166,27 @@ def test_element_hash_and_sort_keys(k2, q2):
     x = k2.variable()
     assert hash(x) == hash(k2.variable())
     assert sorted([q2(3), q2(1)], key=lambda e: e.sort_key()) == [q2(1), q2(3)]
+
+
+def _quadratic_over_q():
+    q = RationalField()
+    return from_minimal_polynomial(q, parse_poly("t^2 + 1", q, ("t",)), "t")
+
+
+@pytest.mark.parametrize("domain, value", [
+    (lambda: PrimeField(3), Fraction(1, 2)),
+    (RationalField, "1/2"),
+    (lambda: FunctionField(2), _RatFunc((1, 1), (1, 1))),
+    (_quadratic_over_q, Poly.variable(RationalField(), "u")),
+], ids=["Fraction into F_p", "str into Q", "raw value into F_p(x)",
+        "Poly into an extension"])
+def test_coerce_takes_integers_and_elements_only(domain, value):
+    # a raw F_p(x) value would be stored unreduced: (x + 1)/(x + 1) != 1
+    with pytest.raises(TypeError):
+        domain().coerce(value)
+
+
+def test_algebra_elements_scale_by_base_scalars_only():
+    ext = _quadratic_over_q()
+    with pytest.raises(TypeError):
+        ext.unit_element().scale(Poly.variable(ext.base, "u"))

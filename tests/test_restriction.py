@@ -4,10 +4,12 @@ from fractions import Fraction
 import pytest
 
 from weilres import (EnumerationBoundError, GaloisField, IncompatibleFieldError,
-                     LogNorm, Poly, Presentation, PrimeField, base_change,
-                     disc_generators, expand_element, from_minimal_polynomial,
-                     parse_poly, points_over, product, product_presentation,
-                     psi_apply, restrict)
+                     LogNorm, Poly, Presentation, PrimeField,
+                     UnsupportedOperationError, base_change, disc_generators,
+                     expand_element, from_minimal_polynomial, parse_poly,
+                     points_over, product, product_presentation, psi_apply,
+                     restrict)
+from weilres.extensions import generic_charpoly
 from weilres.restriction import block_names
 
 
@@ -122,6 +124,16 @@ def test_disc_generator_scaling_corollary(q2):
 def test_disc_generators_reject_foreign_radius(qi, f4_ext):
     with pytest.raises((IncompatibleFieldError, TypeError)):
         disc_generators(qi, [f4_ext.unit_element()], ("x_1", "x_2"))
+
+
+def test_radius_elements_need_scalar_coordinates(qi, rationals):
+    # the generic forms are linear in x_1, ..., x_n over the base; a
+    # polynomial coordinate would be read as one of their coefficients
+    r = qi.element((Poly.variable(rationals, "u"), rationals(1)))
+    with pytest.raises(UnsupportedOperationError, match="scalar coordinates"):
+        generic_charpoly(r, ("x_1", "x_2"))
+    with pytest.raises(UnsupportedOperationError, match="scalar coordinates"):
+        disc_generators(qi, [r], ("x_1", "x_2"))
 
 
 def test_disc_generators_scaled_radius_metadata(k2):
