@@ -121,25 +121,6 @@ def _uord(a):
     raise ValueError("zero polynomial has no vanishing order")
 
 
-def _usquarefree(a, p):
-    """Pairwise coprime monic squarefree f with multiplicities e such that the
-    monic a is the product of the f^e: Yun's algorithm, with the part whose
-    multiplicities p divides, a polynomial in x^p, taken by its p-th root
-    (over F_p, c_0 + c_1 x^p + ... is (c_0 + c_1 x + ...)^p)."""
-    out, i = [], 1
-    c = _ugcd(a, _utrim([k * ak % p for k, ak in enumerate(a)][1:]), p)
-    w = _udivmod(a, c, p)[0]
-    while len(w) > 1:
-        y = _ugcd(w, c, p)
-        f = _udivmod(w, y, p)[0]
-        if len(f) > 1:
-            out.append((f, i))
-        w, c, i = y, _udivmod(c, y, p)[0], i + 1
-    if len(c) > 1:
-        out += [(f, e * p) for f, e in _usquarefree(c[::p], p)]
-    return out
-
-
 def _needs_parens(s):
     depth = 0
     for i, ch in enumerate(s):
@@ -428,9 +409,14 @@ class Field:
                 lambda n, d: FieldElement(self, n))
 
     def unscaler(self, d):
-        """(c, j) -> c / d^j for a nonzero d."""
-        inverse = d.inverse()
-        return lambda c, j: c * inverse ** j
+        """(c, j) -> c / d^j for a nonzero d, each d^-j taken once."""
+        inverse, powers = d.inverse(), {}
+
+        def unscale(c, j):
+            if j not in powers:
+                powers[j] = inverse ** j
+            return c * powers[j]
+        return unscale
 
     def _format(self, value):
         raise NotImplementedError
@@ -780,41 +766,20 @@ class FunctionField(Field):
     def unscaler(self, d):
         """(c, j) -> c / d^j for a monic polynomial d and polynomials c.
 
-        d is split once into a coprime base: x^v and the squarefree factors
-        f^e of d / x^v.  Each base factor is divided out of the numerator
-        while it divides it, at most j*v or j*e times; for x that is a
-        shift.  What remains of a factor of degree 1 is coprime to the
-        numerator, since the factor is irreducible, so only the remains of
-        factors of degree 2 and more need the gcd that _make runs on d^j.
+        For d = x^v that is a shift: k = min(ord c, j*v) factors x leave the
+        numerator and x^(j*v - k), coprime to what is left, is the
+        denominator, so no gcd runs.  Any other d takes Field.unscaler.
         """
-        p, num = self.p, d.value.num
-        v = _uord(num)
-        base = _usquarefree(num[v:], p)
-
-        def mul(a, b):
-            return _umul(a, b, p)
+        v = _uord(d.value.num)
+        if d.value.num[v:] != (1,):
+            return super().unscaler(d)
 
         def unscale(c, j):
             num = c.value.num
             if not num:
                 return c
             k = min(_uord(num), j * v)
-            num, den, wide = num[k:], (0,) * (j * v - k) + (1,), (1,)
-            for f, e in base:
-                cap = j * e
-                while cap:
-                    q, r = _udivmod(num, f, p)
-                    if r:
-                        break
-                    num, cap = q, cap - 1
-                if len(f) == 2:
-                    den = mul(den, power(f, cap, lambda: (1,), mul))
-                else:
-                    wide = mul(wide, power(f, cap, lambda: (1,), mul))
-            if len(wide) > 1:
-                g = _ugcd(num, wide, p)
-                num, wide = _udivmod(num, g, p)[0], _udivmod(wide, g, p)[0]
-            return FieldElement(self, _RatFunc(num, mul(den, wide)))
+            return FieldElement(self, _RatFunc(num[k:], (0,) * (j * v - k) + (1,)))
         return unscale
 
     def _inv(self, a):
@@ -837,8 +802,6 @@ class FunctionField(Field):
         return None
 
     def _format(self, value):
-        if not value.num:
-            return "0"
         num = _ustr(value.num, self.symbol)
         if value.den == (1,):
             return num

@@ -100,7 +100,6 @@ class LogNorm:
 
 
 MINUS_INF = LogNorm(None)
-ZERO = LogNorm(0)
 
 
 def lognorm_max(values):

@@ -10,6 +10,7 @@ convergence check in the test suite.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import EnumerationBoundError, UnsupportedOperationError
@@ -146,10 +147,7 @@ def non_quasicompact_witness(ext, threshold):
         k = 1
     else:
         # least integer k >= 1 with k > threshold
-        k = max(1, int(threshold.value) + 1 if threshold.value >= 0
-                else 1)
-        if Fraction(k) <= threshold.value:
-            k += 1
+        k = max(1, math.floor(threshold.value) + 1)
     if k > POWER_DEGREE_BOUND:
         # k is the degree of x^-k, the quantity that bound caps for powers
         raise EnumerationBoundError(

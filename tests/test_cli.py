@@ -517,7 +517,11 @@ def test_example26_reads_an_integer_or_string_threshold(tmp_path, capsys, thresh
 # radical towers t^12 - x and t^16 - x take the inseparable tower: rank 12
 # was recorded with plain Berkowitz at rank 12 (about 30 s), and rank 16,
 # which that does not finish, after its generic charpoly matched plain
-# Berkowitz at a point (tests/test_tower.py).
+# Berkowitz at a point (tests/test_tower.py).  The last two have radius
+# denominators other than a power of x, (x + 1)^3*(x^2 + x + 1) at rank 6 over
+# F_2(x) and x^2 + 1 and (x + 1)*(x^2 + 1) on the F_3(x) tower t^9 - x; they
+# were recorded with the unscaling that stripped a squarefree factor base of
+# the denominator from each numerator.
 DISC_GUARDS = {
     "disc_t_over_x_rank10.json":
         "accde375d158438485ad8044b82fc769083b65c5875fadd191d90741c0142a86",
@@ -531,6 +535,10 @@ DISC_GUARDS = {
         "7198b978e6ffa240158b86de881d1361f895687e3788f44e0d3f8b7acab87dd4",
     "disc_radical_rank16.json":
         "3977ee9f4e2169ff2f9ea07a070422afbf36246af78ae3c687f628832f975bbb",
+    "disc_factored_den_f2_rank6.json":
+        "bcb17a7769aa98fc00eb77ff150bc75b7dbdd30831af3e87858228f5011d5265",
+    "disc_radical_f3_rank9.json":
+        "5d060df0f7c3621097de80d3460f583c04127616abe4bde3a897864635036188",
 }
 
 

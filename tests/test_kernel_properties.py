@@ -21,8 +21,10 @@ matrices and rows, with a coefficient with a denominator against its
 fallback and with mixed domains against the domain check.  The
 AlgebraElement product of polynomial coordinates, over F_p and F_p(x), on
 monogenic and written-out tables, with constants and coordinates with
-denominators, is checked against the generic loop.  The unscaling c / d^j by a
-coprime factor base of d is checked against the gcd path, the columns of
+denominators, is checked against the generic loop.  The unscaling c / d^j, a
+shift for d = x^v and one cached d^-j otherwise, is checked against the gcd
+path, the shift to run no gcd and the default to take one power of d^-1 per
+exponent j, the columns of
 mult_matrix against the products b*e_j, chi(r) read off chi(r * generic)
 by selecting terms against Poly.evaluate at the unit, and chi(r * generic)
 built from the cleared rows of mult_matrix(r) against charpoly of the
@@ -56,11 +58,12 @@ from hypothesis import strategies as st
 from weilres import (FunctionField, GaloisField, IncompatibleFieldError, Poly,
                      PolyRing, PrimeField, RationalField,
                      from_minimal_polynomial, parse_poly)
+from weilres import fields
 from weilres.extensions import (AlgebraElement, FreeExtension, charpoly,
                                 generic_charpoly, mult_matrix, structure_table,
                                 tensor_product)
-from weilres.fields import (_RatFunc, _uadd, _udivmod, _ugcd, _umul, _ustr,
-                            _utrim, power)
+from weilres.fields import (FieldElement, _RatFunc, _uadd, _udivmod, _ugcd,
+                            _umul, _ustr, _utrim, power)
 from weilres.linalg import berkowitz_charpoly, mat_identity, mat_mul
 from weilres.restriction import (Presentation, _assignments, _homogeneous_value,
                                  disc_generators, points_over)
@@ -381,11 +384,11 @@ def test_disc_lognorms_are_spectral_radii(ext, data):
 @SETTINGS
 @given(st.sampled_from([2, 3]), st.data())
 def test_unscale_matches_make(p, data):
-    """c / d^j by stripping a coprime factor base of d is _make(c, d^j).  d
-    is a product of powers of x, of the other linear factors and of an
-    irreducible quadratic; the numerator carries powers of the same factors,
-    so the strip meets its exponent cap and, where factors of equal
-    multiplicity share one squarefree factor of d, the final gcd."""
+    """c / d^j, a shift when d is a power of x and the product by the cached
+    d^-j otherwise, is _make(c, d^j).  d is a product of powers of x, of the
+    other linear factors and of an irreducible quadratic; the numerator
+    carries powers of the same factors, so the shift meets orders below and
+    above j*v and the product cancels common factors."""
     k = FunctionField(p, Fraction(1, 2))
     quadratic = (1, 1, 1) if p == 2 else (1, 0, 1)
     pieces = [(0, 1)] + [(a, 1) for a in range(1, p)] + [quadratic]
@@ -398,6 +401,43 @@ def test_unscale_matches_make(p, data):
     j = data.draw(st.integers(1, 3))
     unscale = k.unscaler(k._make(d, (1,)))
     assert unscale(k._make(num, (1,)), j) == k._make(num, power(d, j, None, mul))
+
+
+def test_unscale_by_a_power_of_x_runs_no_gcd(monkeypatch):
+    """d = x^v unscales by a shift of the numerator: no gcd, and the same
+    value as _make, for numerator orders below, at and above j*v."""
+    k, calls = FunctionField(3, Fraction(1, 2)), []
+    monkeypatch.setattr(fields, "_ugcd", lambda *a: calls.append(a) or _ugcd(*a))
+    unscale = k.unscaler(k._make((0, 0, 1), (1,)))
+    numerators = [(0,) * n + (2, 1) for n in range(8)]
+    got = {(num, j): unscale(k._make(num, (1,)), j)
+           for num in numerators for j in (1, 2, 3)}
+    assert calls == []
+    for (num, j), value in got.items():
+        assert value == k._make(num, (0,) * (2 * j) + (1,))
+    assert unscale(k.zero(), 2) == k.zero()
+
+
+@pytest.mark.parametrize("base, d", [
+    (FunctionField(2, Fraction(1, 2)), ((1, 1, 0, 1, 1, 0, 1), (1,))),
+    (FunctionField(3, Fraction(1, 2)), ((0, 1, 0, 1), (1,))),
+    (RationalField(), Fraction(12))], ids=["f2x", "f3x", "q"])
+def test_default_unscale_takes_one_power_per_exponent(monkeypatch, base, d):
+    """Any other d is unscaled by d^-j, taken once per exponent j however
+    many coefficients share it: (x + 1)^3*(x^2 + x + 1) over F_2(x),
+    x*(x^2 + 1) over F_3(x) and 12 over Q."""
+    d = base._make(*d) if isinstance(base, FunctionField) else base.coerce(d)
+    exponents = []
+    pow_ = FieldElement.__pow__
+    monkeypatch.setattr(FieldElement, "__pow__",
+                        lambda a, j: exponents.append(j) or pow_(a, j))
+    unscale = base.unscaler(d)
+    rng = random.Random(0)
+    coefficients = [base.random_element(rng) for _ in range(20)]
+    got = [(c, j, unscale(c, j)) for j in (1, 2, 3, 2, 1) for c in coefficients]
+    assert sorted(exponents) == [1, 2, 3]
+    for c, j, value in got:
+        assert value == c / pow_(d, j)
 
 
 def _sheared_basis(ext):

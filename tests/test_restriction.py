@@ -166,6 +166,16 @@ def test_product_renames_collisions(f4_ext):
             == direct.presentation.canonical_generator_set())
 
 
+def test_product_presentation_concatenates_radii(f4_ext):
+    p1 = Presentation(f4_ext, ("u",), [], radii=[LogNorm(1)])
+    p2 = Presentation(f4_ext, ("u", "v"), [], radii=[LogNorm(-2), LogNorm(3)])
+    both = product_presentation(p1, p2)
+    assert both.variables == ("u", "u'", "v")
+    assert both.radii == (LogNorm(1), LogNorm(-2), LogNorm(3))
+    # one factor without radii leaves the product without them
+    assert product_presentation(p1, Presentation(f4_ext, ("v",), [])).radii is None
+
+
 def test_base_change_identity(f3):
     p = Presentation(f3, ("u",), [parse_poly("u^2 - 2", f3, ("u",))])
     q = base_change(p, f3)

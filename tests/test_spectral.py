@@ -123,6 +123,13 @@ def test_witness_fractional_threshold(k2):
     assert non_quasicompact_witness(ext, LogNorm(4)).k == 5
 
 
+@pytest.mark.parametrize("threshold", [0, Fraction(1, 2), Fraction(-1, 2), -3])
+def test_witness_scale_at_least_one(k2, threshold):
+    """The least k >= 1 above a threshold below 1 is k = 1."""
+    ext = from_minimal_polynomial(k2, parse_poly("t^2 - x", k2, ("t",)), "t")
+    assert non_quasicompact_witness(ext, LogNorm(threshold)).k == 1
+
+
 def test_witness_scale_is_bounded_before_it_is_built(k2):
     ext = from_minimal_polynomial(k2, parse_poly("t^2 - x", k2, ("t",)), "t")
     with pytest.raises(EnumerationBoundError):
