@@ -431,15 +431,6 @@ def restriction_record(result):
                            for v, block in result.coordinate_map.items()},
         "coefficient_index": [[render(p) for p in row]
                               for row in result.coefficient_index],
-        "metadata": _plain(result.metadata),
+        # restrict records tuples of strings only
+        "metadata": {key: list(values) for key, values in result.metadata.items()},
     }
-
-
-def _plain(obj):
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
-    return str(obj)

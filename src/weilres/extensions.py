@@ -11,8 +11,9 @@ constructions such as tensor products inherit associativity and skip the
 recheck).
 
 Elements carry coordinate vectors whose entries are either base scalars or
-polynomials over the base, so the same multiplication code serves both
-concrete elements and symbolic ones like x_1 e_1 + ... + x_n e_n.
+polynomials over the base.  One product, table_product, serves both: Poly
+operators for symbolic elements like x_1 e_1 + ... + x_n e_n, raw values
+over raw_structure for scalars and for restriction's expansion.
 
 Characteristic polynomials run the Berkowitz iteration on the matrix of b
 with its coordinates and the structure constants cleared.  When the minimal
@@ -31,8 +32,8 @@ from .errors import IncompatibleFieldError, UnsupportedOperationError
 from .fields import (FieldElement, _join_signed, _needs_parens, _term_string,
                      canonical_embedding, power)
 from .lognorm import LogNorm
-from .linalg import (_algebra_product, berkowitz, berkowitz_charpoly,
-                     mat_identity, mat_is_zero, mat_mul)
+from .linalg import (berkowitz, berkowitz_charpoly, mat_identity, mat_is_zero,
+                     mat_mul)
 from .poly import Poly, PolyRing, _first_seen
 
 RANK_CAP = 16
@@ -56,7 +57,7 @@ class FreeExtension:
         self.unit = tuple(map(base.coerce, unit))
         self.minimal_polynomial = minimal_polynomial
         self.symbol = symbol
-        self._hash = self._cleared_table = self._tower = None
+        self._hash = self._raw_table = self._cleared_table = self._tower = None
         if len(table) != self.rank or any(len(row) != self.rank for row in table):
             raise ValueError("structure constants must form an n*n*n array")
         if len(self.unit) != self.rank:
@@ -68,14 +69,12 @@ class FreeExtension:
 
     def _validate(self):
         """Commutativity, the unit law and associativity on every basis
-        triple (i >= j, all k), on the raw values of the structure constants
-        with the base field's own _add and _mul."""
+        triple (i >= j, all k), on raw_structure with the base field's own
+        _add and _mul."""
         n, field = self.rank, self.base
         add, mul = field._add, field._mul
         zero, one = field._zero.value, field._one.value
-        # table[i][j]: the nonzero constants of e_i e_j as raw (k, c) pairs
-        table = [[[(k, one if c is None else c.value) for k, c in cell]
-                  for cell in row] for row in self.sparse_structure]
+        table = self.raw_structure()
         for i in range(n):
             for j in range(i):
                 if table[i][j] != table[j][i]:
@@ -83,11 +82,12 @@ class FreeExtension:
                                      % (i, j))
 
         def times(x, j):
-            # x e_j = sum_i x_i e_i e_j for x as raw (i, x_i) pairs
+            # x e_j = sum_i x_i e_i e_j for raw (i, x_i) pairs, None as 1
             out = [zero] * n
             for i, xi in x:
+                xi = one if xi is None else xi
                 for k, c in table[j][i]:
-                    out[k] = add(out[k], mul(xi, c))
+                    out[k] = add(out[k], xi if c is None else mul(xi, c))
             return out
 
         unit = [(i, c.value) for i, c in enumerate(self.unit) if not c.is_zero()]
@@ -220,6 +220,14 @@ class FreeExtension:
                                self.sparse_structure, self.unit))
         return self._hash
 
+    def raw_structure(self):
+        """sparse_structure with each constant c as c.value, None where it is
+        1, for table_product on raw values; computed once, like the hash."""
+        if self._raw_table is None:
+            self._raw_table = [[[(k, c if c is None else c.value) for k, c in cell]
+                                for cell in row] for row in self.sparse_structure]
+        return self._raw_table
+
     def cleared_structure(self):
         """(e, table): base.cleared's common denominator e of the structure
         constants, as a base scalar, and sparse_structure with every constant
@@ -317,10 +325,14 @@ class AlgebraElement:
 
     def __mul__(self, other):
         a, b = self._check(other)
-        ext = self.extension
+        ext, base = self.extension, self.extension.base
         # _check lifts both operands to polynomials when either has one
-        zero = Poly.zero(ext.base) if isinstance(a[0], Poly) else ext.base.zero()
-        return AlgebraElement(ext, _algebra_product(a, b, ext.sparse_structure, zero))
+        if isinstance(a[0], Poly):
+            return AlgebraElement(ext, table_product(
+                ext.sparse_structure, Poly.zero(base), Poly.__add__, Poly.__mul__, a, b))
+        raw = table_product(ext.raw_structure(), base._zero.value, base._add, base._mul,
+                            [x.value for x in a], [y.value for y in b])
+        return AlgebraElement(ext, [FieldElement(base, v) for v in raw])
 
     __rmul__ = __mul__
 
@@ -337,11 +349,7 @@ class AlgebraElement:
 
     def scalar_part(self):
         unit = self.extension.unit
-        pivot = None
-        for i, u in enumerate(unit):
-            if not u.is_zero():
-                pivot = i
-                break
+        pivot = next(i for i, u in enumerate(unit) if not u.is_zero())
         c = self.coords[pivot] * unit[pivot].inverse()
         for x, u in zip(self.coords, unit):
             if x != u * c:
@@ -381,6 +389,23 @@ class AlgebraElement:
 
     def __repr__(self):
         return "<%s in %s>" % (self, self.extension)
+
+
+def table_product(table, zero, add, mul, a, b):
+    """The coordinates of a * b for coordinate vectors a and b over a ring
+    given by its zero, add and mul, table[i][j] holding the nonzero
+    structure constants of e_i e_j as (k, c), c None where it is 1; zeros of
+    a and b are skipped, and zero fills what no product reaches."""
+    out = [None] * len(table)
+    live = [(j, y) for j, y in enumerate(b) if y != zero]
+    for x, row in zip(a, table):
+        if x != zero:
+            for j, y in live:
+                xy = mul(x, y)
+                for k, c in row[j]:
+                    term = xy if c is None else mul(xy, c)
+                    out[k] = term if out[k] is None else add(out[k], term)
+    return [zero if v is None else v for v in out]
 
 
 # ---------------------------------------------------------------------------
@@ -670,7 +695,7 @@ def _variable_lists(b):
         # every sum and product is over the one list
         return [lists.pop()] * n
     return berkowitz(rows, (), lambda names: names, lambda xs, ys: _first_seen(
-        dict.fromkeys(itertools.chain.from_iterable(zip(xs, ys)))))[1:]
+        itertools.chain.from_iterable(zip(xs, ys))))[1:]
 
 
 def _cleared(b):

@@ -100,19 +100,6 @@ def _ugcd(a, b, p):
     return a
 
 
-def _uinv(a, m, p):
-    """The inverse of a modulo m over F_p by the extended Euclidean algorithm;
-    a must be nonzero and coprime to m.  Each step keeps s*a = r mod m."""
-    r0, r1, s0, s1 = m, a, (), (1,)
-    while r1:
-        q, r = _udivmod(r0, r1, p)
-        r0, r1, s0, s1 = r1, r, s1, _uadd(s0, _uneg(_umul(q, s1, p), p), p)
-    if len(r0) != 1:
-        raise ZeroDivisionError("polynomial is not invertible modulo the modulus")
-    inv = pow(r0[0], p - 2, p)
-    return tuple((c * inv) % p for c in s0)
-
-
 def _uord(a):
     """Order of vanishing at 0 (index of the lowest nonzero coefficient)."""
     for i, c in enumerate(a):
@@ -549,7 +536,8 @@ class GaloisField(Field):
         return _udivmod(_umul(a, b, self.p), self.modulus, self.p, quotient=False)
 
     def _inv(self, a):
-        return _uinv(a, self.modulus, self.p)
+        # a^(q-2) = a^-1 in the multiplicative group of order q - 1
+        return power(a, self.p ** self.degree - 2, None, self._mul)
 
     def is_finite(self):
         return True

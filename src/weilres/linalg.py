@@ -6,9 +6,8 @@ polynomial uses the Berkowitz iteration, which is division-free and therefore
 valid when the entries are polynomials.  The iteration is written once, in
 berkowitz, over a unit, a negation and a dot product: berkowitz_charpoly runs
 it on ring elements, and PolyRing.charpoly (over F_p and F_p(x)) on entries
-keyed into its packed kernel with the kernel's keyed dot.  The algebra
-product here serves every algebra element, with scalar or polynomial
-coordinates.
+keyed into its packed kernel with the kernel's keyed dot.  The module holds
+matrices only: the product of algebra elements is extensions.table_product.
 """
 
 from __future__ import annotations
@@ -86,24 +85,6 @@ def berkowitz(matrix, one, negate, dot):
                           for j in range(max(0, i - r - 1), min(i, r) + 1)]))
                for i in range(r + 2)]
     return vec
-
-
-def _algebra_product(a, b, table, zero):
-    """The coordinates of the product of the coordinate vectors a and b of a
-    free algebra whose table[i][j] holds the nonzero structure constants of
-    e_i e_j as (k, c_ijk) pairs, c_ijk None where it is 1; zero fills the
-    coordinates no product reaches."""
-    out = [None] * len(table)
-    live = [(j, y) for j, y in enumerate(b) if not y.is_zero()]
-    for x, row in zip(a, table):
-        if x.is_zero():
-            continue
-        for j, y in live:
-            prod = x * y
-            for k, c in row[j]:
-                term = prod if c is None else prod * c
-                out[k] = term if out[k] is None else out[k] + term
-    return tuple(zero if c is None else c for c in out)
 
 
 def eliminate_linear(rows, nvars, field):

@@ -15,8 +15,10 @@ real arithmetic ever enters.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import total_ordering
 
 
+@total_ordering
 class LogNorm:
     __slots__ = ("value",)
 
@@ -43,15 +45,6 @@ class LogNorm:
         if other.value is None:
             return False
         return self.value < other.value
-
-    def __le__(self, other):
-        return self == other or self < other
-
-    def __gt__(self, other):
-        return other < self
-
-    def __ge__(self, other):
-        return other <= self
 
     def __add__(self, other):
         if self.value is None or other.value is None:

@@ -20,7 +20,7 @@ by parse_poly.
 from __future__ import annotations
 
 import re
-from itertools import repeat, takewhile
+from itertools import chain, repeat, takewhile
 from math import comb
 from operator import add, and_, lshift, mul, rshift
 
@@ -247,6 +247,8 @@ class Poly:
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
+        if not (self.terms and other.terms):  # a zero equals the zeros alone
+            return not (self.terms or other.terms) and self.domain == other.domain
         return self.canonical_key() == other.canonical_key()
 
     def __hash__(self):
@@ -281,13 +283,7 @@ def _check_domains(d1, d2):
 
 def _first_seen(lists):
     """The names of the lists in order of first occurrence."""
-    names, seen = [], set()
-    for names_in in lists:
-        for name in names_in:
-            if name not in seen:
-                seen.add(name)
-                names.append(name)
-    return tuple(names)
+    return tuple(dict.fromkeys(chain.from_iterable(lists)))
 
 
 # ---------------------------------------------------------------------------
@@ -621,7 +617,8 @@ def gauss_norm(p, radii):
 # monogenic extension is raised by FreeExtension.generator_power.  Division
 # needs a constant, invertible divisor.  A power whose estimated degree, term
 # count or coefficient bit length (see _check_power) exceeds its bound raises
-# EnumerationBoundError before any multiplication.  Parentheses and unary
+# EnumerationBoundError before any multiplication; a base scalar's power is
+# estimated over the base, where it is taken.  Parentheses and unary
 # minus signs nest at most PARSE_DEPTH_BOUND deep; deeper input raises.
 
 POWER_DEGREE_BOUND = 1000
@@ -732,7 +729,8 @@ def parse_poly(text, domain, variables=()):
                     raise early() if k is None else ValueError(
                         "exponent must be a non-negative integer")
                 pos += 2
-                _check_power(as_poly(kind, value), k)
+                _check_power(Poly.constant(base, value) if kind is _SCALAR
+                             else as_poly(kind, value), k)
                 if value is generator:
                     value = domain.generator_power(k)
                 elif kind is _SUM:

@@ -11,12 +11,13 @@ original presentation over the extension.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from math import comb
 
 from .errors import EnumerationBoundError, IncompatibleFieldError
 from .extensions import (AlgebraElement, FreeExtension, MonicPoly,
-                         extend_scalars, generic_charpoly)
+                         extend_scalars, generic_charpoly, table_product)
 from .fields import Field, FieldElement, canonical_embedding, power
 from .lognorm import LogNorm
 from .poly import Poly
@@ -111,8 +112,8 @@ def expand_element(f, ext, variables=None):
     a term c * u^a * v^b of f is the sum of the u^alpha v^beta times both
     multinomials times c * e^(alpha + beta).  Distinct choices, and distinct
     terms of f, give distinct monomials, so each output term is written
-    once; the scalar work runs on the raw values of the base with its own
-    _add and _mul.
+    once; the scalar work runs on the raw values of the base, its algebra
+    products through table_product on the extension's raw_structure.
     """
     if f.domain != ext:
         raise IncompatibleFieldError("polynomial is not defined over the extension")
@@ -124,21 +125,7 @@ def expand_element(f, ext, variables=None):
     position = {v: i for i, v in enumerate(variables)}
     add, mul = base._add, base._mul
     zero, one = base._zero.value, base._one.value
-    # table[i][j]: the nonzero constants of e_i e_j as raw (k, c) pairs, c
-    # None where it is 1
-    table = [[[(k, c if c is None else c.value) for k, c in cell] for cell in row]
-             for row in ext.sparse_structure]
-
-    def times(a, b):  # the raw coordinates of a * b; it skips the zeros of a
-        out = [zero] * n
-        live = [(j, y) for j, y in enumerate(b) if y != zero]
-        for x, row in zip(a, table):
-            if x != zero:
-                for j, y in live:
-                    xy = mul(x, y)
-                    for k, c in row[j]:
-                        out[k] = add(out[k], xy if c is None else mul(xy, c))
-        return out
+    times = functools.partial(table_product, ext.raw_structure(), zero, add, mul)
 
     basis, powers = {}, {}
 
@@ -218,16 +205,17 @@ def restrict(p, ext):
         raise TypeError("restriction needs a free extension")
     if p.base != ext:
         raise IncompatibleFieldError("presentation is not defined over the extension")
+    return _restriction(p, ext, [expand_element(f, ext, p.variables)
+                                 for f in p.generators])
+
+
+def _restriction(p, ext, coefficient_index):
+    """The restriction of p along ext whose generators have the coordinate
+    rows of coefficient_index, polynomials over the blocks of p's variables:
+    its nonzero coordinates present it."""
     n = ext.rank
-    variables = []
-    for v in p.variables:
-        variables.extend(block_names(v, n))
-    coefficient_index = []
-    generators = []
-    for f in p.generators:
-        row = expand_element(f, ext, p.variables)
-        coefficient_index.append(row)
-        generators.extend(poly for poly in row if not poly.is_zero())
+    variables = [name for v in p.variables for name in block_names(v, n)]
+    generators = [poly for row in coefficient_index for poly in row if not poly.is_zero()]
     result_pres = Presentation(ext.base, variables, generators,
                                provenance="restriction of %s" % (p.provenance or "input"))
     metadata = {}
@@ -304,14 +292,25 @@ def product(r1, r2):
     """Product of two restrictions: disjoint union of blocks and generators.
 
     Colliding original variables of the second factor are renamed by priming,
-    and their coordinate blocks follow the renaming, so the result coincides
-    with the restriction of the product presentation.
+    as product_presentation renames them, and their coordinate blocks follow
+    the renaming, so the result coincides with the restriction of the
+    product presentation; no generator is expanded again.
     """
     if r1.presentation.base != r2.presentation.base:
         raise IncompatibleFieldError("restrictions over different bases")
     if r1.extension != r2.extension:
         raise IncompatibleFieldError("restrictions along different extensions")
-    return restrict(product_presentation(r1.original, r2.original), r1.extension)
+    ext, n = r1.extension, r1.extension.rank
+    original = product_presentation(r1.original, r2.original)
+    variables = [name for v in original.variables for name in block_names(v, n)]
+    renamed = original.variables[len(r1.original.variables):]
+    rename = {old: new for v, w in zip(r2.original.variables, renamed)
+              for old, new in zip(block_names(v, n), block_names(w, n))}
+    rows = r1.coefficient_index + tuple(
+        [Poly(poly.domain, [rename[v] for v in poly.variables], poly.terms, clean=True)
+         for poly in row] for row in r2.coefficient_index)
+    return _restriction(original, ext, [[poly.with_variables(variables) for poly in row]
+                                        for row in rows])
 
 
 def product_presentation(p1, p2):

@@ -75,7 +75,8 @@ def random_poly(rng, domain, variables):
     for _ in range(rng.randint(1, 4)):
         exps = [0] * len(variables)
         for _ in range(rng.randint(0, 3)):
-            exps[rng.randrange(len(variables))] += 1 if variables else 0
+            if variables:
+                exps[rng.randrange(len(variables))] += 1
         coeff = domain.random_element(rng)
         key = tuple(exps)
         terms[key] = terms[key] + coeff if key in terms else coeff

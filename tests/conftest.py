@@ -7,7 +7,7 @@ from weilres import (FunctionField, Poly, PrimeField, RationalField,
                      base_change, from_minimal_polynomial, lognorm_max,
                      parse_poly)
 from weilres.extensions import AlgebraElement, MonicPoly, mult_matrix
-from weilres.fields import _udivmod, power
+from weilres.fields import Field, _udivmod, power
 from weilres.errors import UnsupportedOperationError
 from weilres.linalg import mat_identity, mat_is_zero, mat_mul
 from weilres.poly import PARSE_DEPTH_BOUND, _check_power
@@ -124,10 +124,11 @@ class GenericPolyRing:
 
 
 def generic_algebra_product(a, b, table, zero):
-    """Reference for AlgebraElement products with polynomial coordinates:
-    one Poly product per pair of nonzero coordinates, scaled by each c_ijk
-    of table[i][j] (None where it is 1) with Poly.scale and summed per
-    coordinate k; zero where no product lands."""
+    """Reference for AlgebraElement products with polynomial or scalar
+    coordinates: one Poly or FieldElement product per pair of nonzero
+    coordinates, times each c_ijk of table[i][j] (None where it is 1) and
+    summed per coordinate k by the operators of the coordinates; zero where
+    no product lands."""
     out = [None] * len(table)
     for x, row in zip(a, table):
         if x.is_zero():
@@ -137,7 +138,7 @@ def generic_algebra_product(a, b, table, zero):
                 continue
             prod = x * y
             for k, c in cell:
-                term = prod if c is None else prod.scale(c)
+                term = prod if c is None else prod * c
                 out[k] = term if out[k] is None else out[k] + term
     return tuple(zero if c is None else c for c in out)
 
@@ -248,8 +249,9 @@ def dense_tensor_structure(b1, b2):
 
 def reference_validate(ext):
     """Reference for FreeExtension._validate: the same checks in the same
-    order by AlgebraElement products of basis elements, with FieldElement
-    arithmetic throughout; raises ValueError with the same messages."""
+    order by generic_algebra_product of basis coordinate vectors, with
+    FieldElement arithmetic throughout; raises ValueError with the same
+    messages."""
     n = ext.rank
     structure = dense_structure(ext)
     for i in range(n):
@@ -257,17 +259,19 @@ def reference_validate(ext):
             if structure[i][j] != structure[j][i]:
                 raise ValueError("structure constants are not commutative at (%d, %d)"
                                  % (i, j))
+
+    def times(a, b):
+        return generic_algebra_product(a, b, ext.sparse_structure, ext.base.zero())
+
+    basis = [ext.basis_element(j).coords for j in range(n)]
     for j in range(n):
-        e_j = ext.basis_element(j)
-        if (ext.unit_element() * e_j).coords != e_j.coords:
+        if times(ext.unit, basis[j]) != basis[j]:
             raise ValueError("unit law fails on basis vector %d" % j)
     for i in range(n):
-        e_i = ext.basis_element(i)
         for j in range(i + 1):
-            e_ij = e_i * ext.basis_element(j)
+            e_ij = times(basis[i], basis[j])
             for k in range(n):
-                e_k = ext.basis_element(k)
-                if (e_ij * e_k).coords != (e_i * (ext.basis_element(j) * e_k)).coords:
+                if times(e_ij, basis[k]) != times(basis[i], times(basis[j], basis[k])):
                     raise ValueError(
                         "associativity fails on basis triple (%d, %d, %d)" % (i, j, k))
 
@@ -456,15 +460,31 @@ def _reference_term(toks, domain, variables):
 
 
 def _reference_factor(toks, domain, variables):
+    first = toks.toks[toks.pos] if toks.pos < len(toks.toks) else None
     base = _reference_atom(toks, domain, variables)
     if toks.peek() == "^":
         toks.next()
         kind, val = toks.next()
         if kind != "int":
             raise ValueError("exponent must be a non-negative integer")
-        _check_power(base, val)
+        scalar = _reference_base_scalar(first, domain, variables)
+        _check_power(base if scalar is None else Poly.constant(domain.base, scalar), val)
         return base ** val
     return base
+
+
+def _reference_base_scalar(tok, domain, variables):
+    """The base scalar an integer or base-field symbol token stands for over
+    an extension, whose power is bounded over the base; None otherwise."""
+    if isinstance(domain, Field) or tok is None:
+        return None
+    kind, val = tok
+    if kind == "int":
+        return domain.base.coerce(val)
+    if kind == "name" and val not in variables and val not in domain.basis_names \
+            and val != domain.symbol:
+        return domain.base.symbol_constant(val)
+    return None
 
 
 def _reference_atom(toks, domain, variables):

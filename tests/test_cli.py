@@ -552,10 +552,14 @@ def test_disc_guard_document_digest(capsys, name):
 
 # SHA-256 of the restrict output of documents whose powers have many base-p
 # digits, over F_3 and F_4 and over Q where every multinomial coefficient
-# counts, recorded with the square-and-multiply expansion, and of mixed terms
+# counts, recorded with the square-and-multiply expansion, of mixed terms
 # in three variables over a written-out rank-6 tensor table over F_3,
-# recorded with the expansion through algebra products.
+# recorded with the expansion through algebra products, and of u - x^600*t
+# along t^10 - x over F_2(x), recorded from the form u - x^300*x^300*t when
+# the power of a base scalar was still bounded over the extension.
 RESTRICT_GUARDS = {
+    "restrict_base_scalar_power_f2.json":
+        "ffba3060d5bbebda804a6cfe9e2243e8e249a478287ff59fe96290a6faa5ca0b",
     "restrict_lucas_f3.json":
         "45c0c8902ea82082d965c753d411939a3aa919209ce1e1329fe26a2044c21684",
     "restrict_multinomial_q.json":
@@ -573,6 +577,18 @@ def test_restrict_guard_document_digest(capsys, name):
     code, out, _ = run(capsys, ["restrict", "X", "--input", str(path)])
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == RESTRICT_GUARDS[name]
+
+
+def test_base_scalar_power_is_bounded_over_the_base(tmp_path, capsys):
+    # x^1001 has degree 1001 over F_2(x), over the base and the extension alike
+    data = function_doc()
+    for over, generator in (("extension", "u - x^1001*t"), ("base", "u - x^1001")):
+        data["presentations"] = {"X": {"over": over, "variables": ["u"],
+                                       "generators": [generator]}}
+        path = write_doc(tmp_path, data, over + ".json")
+        code, out, err = run(capsys, ["restrict", "X", "--input", path])
+        assert code == 3, over
+        assert out == "" and "^1001 has estimated degree 1001" in err, err
 
 
 def test_schema_error_exit_code(tmp_path, capsys):

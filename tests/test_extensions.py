@@ -55,7 +55,7 @@ def test_structure_constant_validation(f3):
 
 def _refused(field, table, unit, message):
     """The table is refused with message, on construction and by the
-    AlgebraElement-product reference."""
+    generic-product reference."""
     names = tuple("e%d" % (i + 1) for i in range(len(unit)))
     table = structure_table(field, table)
     with pytest.raises(ValueError, match=message):

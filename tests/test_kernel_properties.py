@@ -21,7 +21,9 @@ matrices and rows, with a coefficient with a denominator against its
 fallback and with mixed domains against the domain check.  The
 AlgebraElement product of polynomial coordinates, over F_p and F_p(x), on
 monogenic and written-out tables, with constants and coordinates with
-denominators, is checked against the generic loop.  The unscaling c / d^j, a
+denominators, is checked against the generic loop, and that of scalar
+coordinates, taken on raw values over the extension's cached raw table,
+against the same loop on FieldElements over F_p, F_{p^m}, Q, Q_p and F_p(x).  The unscaling c / d^j, a
 shift for d = x^v and one cached d^-j otherwise, is checked against the gcd
 path, the shift to run no gcd and the default to take one power of d^-1 per
 exponent j, the columns of
@@ -32,11 +34,11 @@ algebra product.  Over Q and Q_2 the cleared characteristic polynomial is
 checked against the cofactor oracle on the uncleared matrix, and `cleared`
 against the lcm of the denominators over Q and the least monic clearing
 polynomial over F_p(x).
-The validation of structure tables on raw values is checked against the
-AlgebraElement-product reference on random valid and altered tables.  The
+The validation of structure tables on raw values is checked against a
+reference on the generic loop over random valid and altered tables.  The
 disc log-radii read off the symbolic characteristic polynomial are checked
-against spectral_radius.  The F_{p^m} inverse by extended Euclid is checked
-against a^(q-2).  Canonical polynomial text parses back to the same
+against spectral_radius.  The F_{p^m} inverse, a^(q-2), is checked to
+invert every unit.  Canonical polynomial text parses back to the same
 polynomial over every field kind.  F_{p^m} values stay trimmed tuples whose
 order is that of their zero-padded coordinate vectors, the shared term
 printer writes F_p polynomials as the former dedicated printer did, dense
@@ -1055,6 +1057,51 @@ def test_algebra_element_product_with_denominators_matches_generic_loop():
         want = generic_algebra_product(x, u, e.sparse_structure, Poly.zero(k))
         got = (e.element(x) * e.element(u)).coords
         assert all(_same(g, w) for g, w in zip(got, want, strict=True))
+
+
+def _scalar_tables():
+    f5, f9 = PrimeField(5), GaloisField(3, (1, 0, 1), "w")
+    q, q3, k3 = RationalField(), RationalField(padic=3), FunctionField(3)
+    cubic5 = _monogenic(f5, "t^3 + 2*t + 3")
+    over_f9 = _monogenic(f9, "s^2 + w*s + 1", "s")
+    over_q = _monogenic(q, "t^3 - 2*t + 1/2")
+    over_q3 = _monogenic(q3, "t^2 + 3*t - 6/5")
+    over_k3 = _monogenic(k3, "t^2 + x*t + 1/x")
+    return [
+        # monogenic tables
+        cubic5, over_f9, over_q, over_q3, over_k3,
+        # written-out tables, with products of constants, a unit moved to
+        # the last vector and a unit of two nonzero coordinates
+        tensor_product(cubic5, _monogenic(f5, "s^2 + 4*s + 2", "s")),
+        tensor_product(over_q, _monogenic(q, "s^2 - 1/3", "s")),
+        _reversed_basis(over_f9), _sheared_basis(over_q3), _sheared_basis(over_k3),
+    ]
+
+
+SCALAR_TABLES = _scalar_tables()
+
+
+@SETTINGS
+@given(st.sampled_from(SCALAR_TABLES), st.data())
+def test_scalar_algebra_product_matches_generic_loop(ext, data):
+    """Scalar coordinates multiply on raw values through table_product; the
+    reference runs FieldElement operators over the table."""
+    coord = st.one_of(random_elements(ext.base), st.just(ext.base.zero()))
+    a, b = (tuple(data.draw(coord) for _ in range(ext.rank)) for _ in range(2))
+    zero = ext.base.zero()
+    for x, y in ((a, b), (a, a), (b, (zero,) * ext.rank)):
+        want = generic_algebra_product(x, y, ext.sparse_structure, zero)
+        got = (ext.element(x) * ext.element(y)).coords
+        assert all(type(g) is FieldElement and g.field == ext.base and g == w
+                   for g, w in zip(got, want, strict=True))
+
+
+def test_raw_table_is_converted_once():
+    for ext in SCALAR_TABLES:
+        raw = ext.raw_structure()
+        assert ext.raw_structure() is raw
+        assert raw == [[[(k, c if c is None else c.value) for k, c in cell]
+                        for cell in row] for row in ext.sparse_structure]
 
 
 VALIDATION_FIELDS = [PrimeField(2), PrimeField(3), GaloisField(2, (1, 1, 1), "w"),

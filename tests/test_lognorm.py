@@ -13,6 +13,31 @@ def test_total_order():
     assert LogNorm(3) >= LogNorm(3)
 
 
+def test_comparisons_keep_their_former_definitions():
+    """The six comparisons against their definitions from the values alone:
+    -inf below every finite value, <= as == or <, > and >= as the swapped
+    < and <=, != as not ==."""
+    values = [MINUS_INF, LogNorm(-3), LogNorm(Fraction(-1, 2)), LogNorm(0),
+              LogNorm(Fraction(1, 3)), LogNorm(Fraction(2, 6)), LogNorm(7)]
+
+    def less(a, b):
+        if a.value is None:
+            return b.value is not None
+        return b.value is not None and a.value < b.value
+
+    def less_equal(a, b):
+        return a.value == b.value or less(a, b)
+
+    for a in values:
+        for b in values:
+            assert (a == b) is (a.value == b.value)
+            assert (a != b) is (a.value != b.value)
+            assert (a < b) is less(a, b)
+            assert (a <= b) is less_equal(a, b)
+            assert (a > b) is less(b, a)
+            assert (a >= b) is less_equal(b, a)
+
+
 def test_addition_absorbs_minus_inf():
     assert (MINUS_INF + LogNorm(5)) == MINUS_INF
     assert (LogNorm(5) + MINUS_INF) == MINUS_INF

@@ -9,7 +9,8 @@ per-character scan.  On grammar strings and arbitrary Unicode text, over
 F_p, F_{p^m}, Q, Q_p, F_p(x), monogenic extensions (one with zero divisors)
 and written-out tables over F_3 and F_2(x), where the base symbol x is read
 as a base scalar, both return equal polynomials over the same variables or
-raise the same exception with the same message.  Runs are derandomized so
+raise the same exception with the same message; both bound the power of a
+base scalar over the base field.  Runs are derandomized so
 every run tries the same examples.
 """
 
@@ -122,6 +123,9 @@ def outcome(parse, text, domain, variables):
 @example(("(t^5 + 2*t)*u^2 + t^3*v", DOMAINS["F_3[t]/(t^3 + 2t + 1)"][0], ("u", "v")))
 @example(("((x + 1)*t^3 + (x + 1))/x^2", DOMAINS["F_2(x)[t]/(t^2 - x)"][0], ()))
 @example(("t^1001", DOMAINS["F_3[t]/(t^3 + 2t + 1)"][0], ()))
+@example(("x^600*t + 2^700", DOMAINS["F_2(x)[t]/(t^2 - x)"][0], ()))
+@example(("(x)^600*t", DOMAINS["F_2(x)[t]/(t^2 - x)"][0], ()))
+@example(("x^1001", DOMAINS["F_2(x)[t]/(t^2 - x)"][0], ()))
 def test_parser_matches_the_reference(case):
     text, domain, variables = case
     assert outcome(parse_poly, text, domain, variables) == outcome(
@@ -172,6 +176,20 @@ def test_refusals_keep_their_messages(text, error, message):
         with pytest.raises(error) as raised:
             parse(text, domain, ("u", "v"))
         assert str(raised.value) == message
+
+
+def test_base_scalar_power_is_bounded_over_the_base():
+    # the power of x is taken in F_2(x): its degree is 600 whatever the
+    # extension's structure constants add to the powers of its elements
+    ext = _monogenic(K2, "t^10 - x")
+    split = parse_poly("u - x^300*x^300*t", ext, ("u",))
+    assert parse_poly("u - x^600*t", ext, ("u",)) == split
+    for domain in (K2, ext):
+        with pytest.raises(EnumerationBoundError, match="estimated degree 1001,"):
+            parse_poly("x^1001", domain)
+    # a parenthesised scalar is an element, bounded with the constants
+    with pytest.raises(EnumerationBoundError, match="estimated degree 1200,"):
+        parse_poly("(x)^600*t", ext)
 
 
 def test_generator_powers_are_read_from_the_table():

@@ -9,8 +9,11 @@ from weilres import (EnumerationBoundError, GaloisField, IncompatibleFieldError,
                      expand_element, from_minimal_polynomial, parse_poly,
                      points_over, product, product_presentation, psi_apply,
                      restrict)
-from weilres.extensions import generic_charpoly
+from weilres import restriction
+from weilres.documents import canonical_json, restriction_record
+from weilres.extensions import generic_charpoly, tensor_product
 from weilres.restriction import block_names
+from weilres.verify import random_poly
 
 
 @pytest.fixture
@@ -164,6 +167,49 @@ def test_product_renames_collisions(f4_ext):
     direct = restrict(product_presentation(p1, p2), f4_ext)
     assert (combined.presentation.canonical_generator_set()
             == direct.presentation.canonical_generator_set())
+
+
+def _random_presentation(rng, ext):
+    """A presentation over ext on a few variables drawn from a small pool
+    (primed names included, so renamings collide again), perhaps none, with
+    random generators and, in some cases, radii."""
+    pool = ["u", "v", "u'", "w"]
+    variables = rng.sample(pool, rng.randint(0, 3))
+    gens = [random_poly(rng, ext, variables) for _ in range(rng.randint(0, 2))]
+    radii = [LogNorm(Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+             for _ in variables] if rng.random() < 0.5 else None
+    return Presentation(ext, variables, gens, radii=radii, provenance=rng.choice(["", "p"]))
+
+
+def test_product_is_the_restriction_of_the_product(f4_ext, qi, monkeypatch):
+    """product joins the two restrictions, expanding nothing again, into
+    the record restrict gives the product presentation."""
+    f3 = PrimeField(3)
+    cubic = from_minimal_polynomial(f3, parse_poly("t^3 + 2*t + 1", f3, ("t",)), "t")
+    tensor = tensor_product(f4_ext, f4_ext)
+    rng = random.Random(5)
+    cases = []
+    for trial in range(80):
+        ext = (f4_ext, qi, cubic, tensor)[trial % 4]
+        p1, p2, p3 = (_random_presentation(rng, ext) for _ in range(3))
+        r1, r2, r3 = (restrict(p, ext) for p in (p1, p2, p3))
+        both = product_presentation(p1, p2)
+        cases.append((r1, r2, r3, restrict(both, ext),
+                       restrict(product_presentation(both, p3), ext)))
+
+    def refused(*args, **kwargs):
+        raise AssertionError("product expanded a generator")
+
+    monkeypatch.setattr(restriction, "expand_element", refused)
+    for r1, r2, r3, want, want3 in cases:
+        got = product(r1, r2)
+        assert canonical_json(restriction_record(got)) == canonical_json(
+            restriction_record(want))
+        assert got.original.provenance == "product"
+        assert got.original.radii == want.original.radii
+        got3 = product(got, r3)
+        assert canonical_json(restriction_record(got3)) == canonical_json(
+            restriction_record(want3))
 
 
 def test_product_presentation_concatenates_radii(f4_ext):
