@@ -229,23 +229,25 @@ class FreeExtension:
         return self._raw_table
 
     def cleared_structure(self):
-        """(e, table): base.cleared's common denominator e of the structure
-        constants, as a base scalar, and sparse_structure with every constant
-        c as the numerator e*c (None where that is 1), so the matrix of e*b
-        is built with no gcd; computed once, like the hash."""
+        """(e, table, raw): base.cleared's common denominator e of the
+        structure constants, as a base scalar, and sparse_structure with
+        every constant c as the numerator e*c (None where that is 1), as a
+        base scalar in table and raw in raw, so the matrix of e*b is built
+        with no gcd; computed once, like the hash."""
         if self._cleared_table is None:
             base, table = self.base, self.sparse_structure
-            _, one, _, _, over = base.numerators()
+            _, one, _, _, _, over = base.numerators()
+            # each distinct cell once: a monogenic table repeats the cell of s^k
+            cells = list({id(cell): cell for row in table for cell in row}.values())
             e, scaled = base.cleared([base.one() if c is None else c
-                                      for row in table for cell in row for _, c in cell])
-            e = over(e, one)
+                                      for cell in cells for _, c in cell])
+            # e*c for every constant c, in the order cleared took them
+            scaled = [None if n == one else n for n in scaled]
+            raw, e = _refilled(table, cells, scaled), over(e, one)
             if not e.is_one():
-                # e*c for every constant c, in the order cleared took them
-                scaled = iter([None if v.is_one() else v
-                               for v in (over(n, one) for n in scaled)])
-                table = tuple(tuple(tuple((k, next(scaled)) for k, _ in cell)
-                                    for cell in row) for row in table)
-            self._cleared_table = e, table
+                table = _refilled(table, cells, [n if n is None else over(n, one)
+                                                 for n in scaled])
+            self._cleared_table = e, table, raw
         return self._cleared_table
 
     def tower(self):
@@ -274,6 +276,13 @@ class FreeExtension:
             return "%s[%s]/(%s)" % (self.base, self.symbol,
                                     self.minimal_polynomial.to_string())
         return "free rank-%d algebra over %s" % (self.rank, self.base)
+
+
+def _refilled(table, cells, constants):
+    """table with the constants of its distinct cells, in order, replaced."""
+    constants = iter(constants)
+    new = {id(cell): tuple([(k, next(constants)) for k, _ in cell]) for cell in cells}
+    return tuple([tuple(map(new.__getitem__, map(id, row))) for row in table])
 
 
 def check_rank(n):
@@ -561,13 +570,19 @@ class MonicPoly:
     def __mul__(self, other):
         if not isinstance(other, MonicPoly):
             return NotImplemented
+        d, numerators = self.cleared_product(other)
+        *_, over = self.ring.numerators()
+        return MonicPoly(self.ring, [over(c, d) for c in numerators])
+
+    def cleared_product(self, other):
+        """(d, [C_1, ..., C_(n+m)]), raw values of the ring numerators()
+        describes, with C_k / d the c_k of self * other: each side is cleared
+        by a common denominator of its coefficients, and the numerators
+        convolve with no gcd.  Zero numerators, 0 or (), are skipped; a Poly
+        is always true, so over a PolyRing every product is taken."""
         if other.ring != self.ring:
             raise IncompatibleFieldError("monic polynomials over different rings")
-        # each side cleared by a common denominator of its coefficients: the
-        # numerators convolve with no gcd and each sum is divided by d_a * d_b
-        # once.  Zero numerators, 0 or (), are skipped; a Poly is always true,
-        # so over a PolyRing every product is taken, as term by term.
-        zero, _, add, mul, over = self.ring.numerators()
+        zero, _, add, mul, _, _ = self.ring.numerators()
         da, a = self.ring.cleared(self.coefficients)
         db, b = self.ring.cleared(other.coefficients)
         b = [db] + b
@@ -577,8 +592,7 @@ class MonicPoly:
                 for j, y in enumerate(b):
                     if y:
                         out[i + j] = add(out[i + j], mul(x, y))
-        d = mul(da, db)
-        return MonicPoly(self.ring, [over(c, d) for c in out[1:]])
+        return mul(da, db), out[1:]
 
     def __eq__(self, other):
         if not isinstance(other, MonicPoly):
@@ -607,7 +621,8 @@ def charpoly(b):
     Computed with a division-free iteration so polynomial coordinates are
     allowed; Cayley-Hamilton holds exactly for the result.
     """
-    return _unscaled_charpoly(*_cleared(b))
+    d, b, numerators = _cleared(b)
+    return _unscaled_charpoly(d, b, numerators)
 
 
 def generic_charpoly(r, variables):
@@ -619,26 +634,42 @@ def generic_charpoly(r, variables):
     if any(isinstance(c, Poly) for c in r.coords):
         raise UnsupportedOperationError("radius elements need scalar coordinates")
     ext = r.extension
-    d, r = _cleared(r)
-    e, table = ext.cleared_structure()
+    d, r, _ = _cleared(r)
+    e, table, _ = ext.cleared_structure()
     units = [tuple(int(k == l) for k in range(ext.rank)) for l in range(ext.rank)]
     forms = AlgebraElement(ext, tuple(Poly(ext.base, variables, dict(zip(units, row)))
                                       for row in mult_matrix(r, table)))
-    return _unscaled_charpoly(d * e, forms)
+    return _unscaled_charpoly(d * e, forms, None)
 
 
-def _unscaled_charpoly(d, b):
+def _unscaled_charpoly(d, b, numerators):
     """The characteristic polynomial of b / d for b with numerator
     coordinates: c_j(b / d) = c_j(e*b) / (d*e)^j, e clearing the structure
     constants, with c_j(e*b) from Berkowitz on the matrix of e*b, or from the
-    tower when the extension has one."""
+    tower when the extension has one.  Scalar coordinates, whose raw values
+    are numerators, take Berkowitz on raw numerators in the ring
+    numerators() describes, and each c_j is wrapped once."""
     ring, ext = b.ring, b.extension
-    e, table = ext.cleared_structure()
+    e, table, raw = ext.cleared_structure()
     q, inner, powers = ext.tower()
-    if q == 1:
-        vec = berkowitz_charpoly(mult_matrix(b, table), ring)[1:]
-    else:
+    if q > 1:
         vec = _tower_charpoly(b if e.is_one() else b.scale(e), q, inner, powers)
+    elif ring is ext.base:
+        zero, one, add, mul, neg, over = ring.numerators()
+
+        def dot(xs, ys):
+            acc = zero
+            for x, y in zip(xs, ys):
+                if x and y:
+                    acc = add(acc, mul(x, y)) if acc else mul(x, y)
+            return acc
+
+        # column j is e*b times e_j, its trailing zeros left to table_product
+        columns = [table_product(raw, zero, add, mul, numerators, [zero] * j + [one])
+                   for j in range(ext.rank)]
+        vec = [over(c, one) for c in berkowitz(tuple(zip(*columns)), one, neg, dot)[1:]]
+    else:
+        vec = berkowitz_charpoly(mult_matrix(b, table), ring)[1:]
     d = d * e
     if d.is_one():
         return MonicPoly(ring, vec)
@@ -681,39 +712,61 @@ def _variable_lists(b):
     """The variable list of each c_j of berkowitz_charpoly(mult_matrix(b)),
     b with Poly coordinates: its iteration run on the entries' lists alone,
     a sum or product over its operands' lists merged in order of first
-    occurrence, as Poly arithmetic and the packed kernel merge them."""
+    occurrence, as Poly arithmetic and the packed kernel merge them.  Each
+    distinct list is interned as its index in `lists`, () as 0, each merge
+    of a sequence of indices is taken once, and a dot product is looked up
+    by its operands before it merges their distinct indices."""
     ext = b.extension
     n = ext.rank
-    rows = [[()] * n for _ in range(n)]
+    lists, index, merged, dots = [()], {(): 0}, {}, {}
+
+    def intern(names):
+        if names not in index:
+            index[names] = len(lists)
+            lists.append(names)
+        return index[names]
+
+    def merge(ids):
+        if ids not in merged:
+            merged[ids] = intern(_first_seen(map(lists.__getitem__, ids)))
+        return merged[ids]
+
+    def dot(xs, ys):
+        key = tuple(xs), tuple(ys)
+        if key not in dots:
+            dots[key] = merge(_first_seen(zip(xs, ys)))
+        return dots[key]
+
+    rows = [[0] * n for _ in range(n)]
     for x, table_row in zip(b.coords, ext.sparse_structure):
         if not x.is_zero():
+            names = intern(x.variables)
             for j, cell in enumerate(table_row):
                 for k, _ in cell:
-                    rows[k][j] = _first_seen((rows[k][j], x.variables))
-    lists = {names for row in rows for names in row}
-    if len(lists) == 1:
+                    rows[k][j] = merge((rows[k][j], names))
+    if len({names for row in rows for names in row}) == 1:
         # every sum and product is over the one list
-        return [lists.pop()] * n
-    return berkowitz(rows, (), lambda names: names, lambda xs, ys: _first_seen(
-        itertools.chain.from_iterable(zip(xs, ys))))[1:]
+        return [lists[rows[0][0]]] * n
+    return [lists[names] for names in berkowitz(rows, 0, lambda names: names, dot)[1:]]
 
 
 def _cleared(b):
-    """(d, d*b) with d a base scalar clearing the coordinates of b, base.cleared's
-    d, so those of d*b are numerators (integers over Q, polynomials in x over
-    F_p(x)).  Over finite fields d is 1 and b is returned as it is."""
+    """(d, d*b, numerators) with d a base scalar clearing the coordinates of
+    b, base.cleared's d, so those of d*b are numerators (integers over Q,
+    polynomials in x over F_p(x)), the raw values of their coordinates or
+    terms in order.  Over finite fields d is 1 and b is returned as it is."""
     ext = b.extension
     base = ext.base
-    _, one, _, _, over = base.numerators()
+    _, one, _, _, _, over = base.numerators()
     d, scaled = base.cleared([c for x in b.coords for c in (
         x.terms.values() if isinstance(x, Poly) else (x,))])
     d = over(d, one)
     if d.is_one():
-        return d, b
+        return d, b, scaled
     # the scaled values, in the order cleared took them
-    scaled = iter([over(n, one) for n in scaled])
-    return d, AlgebraElement(ext, tuple(_map_values(x, lambda _: next(scaled))
-                                        for x in b.coords))
+    values = iter([over(n, one) for n in scaled])
+    return d, AlgebraElement(ext, tuple(_map_values(x, lambda _: next(values))
+                                        for x in b.coords)), scaled
 
 
 def _map_values(c, f):

@@ -389,10 +389,11 @@ class Field:
         return self._one.value, [a.value for a in elements]
 
     def numerators(self):
-        """(zero, one, add, mul, over) of the ring cleared() clears into:
-        its zero and one, its sum and product, and over(n, d), the element
-        n / d for a product d of the denominators cleared() returns."""
-        return (self._zero.value, self._one.value, self._add, self._mul,
+        """(zero, one, add, mul, neg, over) of the ring cleared() clears
+        into: its zero and one, its sum, product and negation, and
+        over(n, d), the element n / d for a product d of the denominators
+        cleared() returns."""
+        return (self._zero.value, self._one.value, self._add, self._mul, self._neg,
                 lambda n, d: FieldElement(self, n))
 
     def unscaler(self, d):
@@ -624,8 +625,11 @@ class RationalField(Field):
         return d, [a.value.numerator * (d // a.value.denominator) for a in elements]
 
     def numerators(self):
-        return (0, 1, operator.add, operator.mul,
+        return (0, 1, operator.add, operator.mul, operator.neg,
                 lambda n, d: FieldElement(self, Fraction(n, d)))
+
+    # the numerators are ints, whose -v_p _order reads as it reads a Fraction
+    _numerator_order = _order
 
     def random_element(self, rng):
         return FieldElement(self, Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
@@ -749,7 +753,11 @@ class FunctionField(Field):
     def numerators(self):
         p = self.p
         return ((), (1,), lambda a, b: _uadd(a, b, p), lambda a, b: _umul(a, b, p),
-                self._make)
+                lambda a: _uneg(a, p), self._make)
+
+    def _numerator_order(self, a):
+        """lognorm of a numerator a, an F_p[x] tuple, -ord_x(a); None for zero."""
+        return -_uord(a) if a else None
 
     def unscaler(self, d):
         """(c, j) -> c / d^j for a monic polynomial d and polynomials c.

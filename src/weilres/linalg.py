@@ -4,10 +4,15 @@ Matrices are tuples of row tuples; the ring is any handle providing zero()
 and one() (a Field, a FreeExtension or a PolyRing).  The characteristic
 polynomial uses the Berkowitz iteration, which is division-free and therefore
 valid when the entries are polynomials.  The iteration is written once, in
-berkowitz, over a unit, a negation and a dot product: berkowitz_charpoly runs
-it on ring elements, and PolyRing.charpoly (over F_p and F_p(x)) on entries
-keyed into its packed kernel with the kernel's keyed dot.  The module holds
-matrices only: the product of algebra elements is extensions.table_product.
+berkowitz, over a unit, a negation and a dot product, and runs on three kinds
+of entry: extensions.charpoly runs it for scalar coordinates on the raw
+numerators of the cleared matrix (ints over Q and Q_p, F_p[x] coefficient
+tuples over F_p(x), raw values over finite fields) with the operations of
+the base's numerators(); PolyRing.charpoly (over F_p and F_p(x)) on
+polynomial entries keyed into its packed kernel with the kernel's keyed dot;
+and berkowitz_charpoly on the remaining polynomial entries as ring elements,
+with _dot.  The module holds matrices only: the product of algebra elements
+is extensions.table_product.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from itertools import chain, repeat, takewhile
 from math import comb
-from operator import add, and_, lshift, mul, rshift
+from operator import add, and_, lshift, mul, neg, rshift
 
 from .errors import (EnumerationBoundError, IncompatibleFieldError,
                      UnsupportedOperationError)
@@ -562,7 +562,7 @@ class PolyRing:
         return self.one(), list(elements)
 
     def numerators(self):
-        return self.zero(), self.one(), add, mul, lambda n, d: n
+        return self.zero(), self.one(), add, mul, neg, lambda n, d: n
 
     def __eq__(self, other):
         return isinstance(other, PolyRing) and other.domain == self.domain

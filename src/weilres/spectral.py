@@ -21,27 +21,36 @@ from .poly import POWER_DEGREE_BOUND, Poly
 
 
 def spectral_value(p):
-    """max over i of lognorm(c_i) / i; -inf exactly when all c_i vanish.
-
-    The integer orders v_i of the coefficients are compared as the
-    fractions v_i / i by cross-multiplication, and one LogNorm is built."""
+    """max over i of lognorm(c_i) / i; -inf exactly when all c_i vanish."""
     ring = p.ring
     if not getattr(ring, "has_valuation", False):
         raise UnsupportedOperationError("spectral values need a valued coefficient field")
     order = ring._order
+    return _max_ratio(order(c.value) for c in p.coefficients)
+
+
+def _max_ratio(orders):
+    """The LogNorm max over i of v_i / i for the integer orders v_1, v_2,
+    ..., None for a zero coefficient: the fractions are compared by
+    cross-multiplication and one LogNorm is built; -inf when all are None."""
     best, at = None, 1
-    for i, c in enumerate(p.coefficients, start=1):
-        v = order(c.value)
+    for i, v in enumerate(orders, start=1):
         if v is not None and (best is None or v * at > best * i):
             best, at = v, i
     return MINUS_INF if best is None else LogNorm(Fraction(best, at))
 
 
 def spectral_value_product_check(p, q):
-    """Whether sigma(p*q) = max(sigma(p), sigma(q)); contractually always true."""
-    lhs = spectral_value(p * q)
+    """Whether sigma(p*q) = max(sigma(p), sigma(q)); contractually always true.
+
+    sigma(p*q) is read off the cleared product (d, C_k) with no product
+    coefficient normalised: lognorm(C_k / d) = order(C_k) - order(d)."""
+    # different rings are refused before a ring without a valuation
+    d, numerators = p.cleared_product(q)
     rhs = max(spectral_value(p), spectral_value(q))
-    return lhs == rhs
+    order = p.ring._numerator_order
+    shift = order(d)
+    return _max_ratio(v if v is None else v - shift for v in map(order, numerators)) == rhs
 
 
 def spectral_radius(b):

@@ -9,7 +9,7 @@ from weilres import (FunctionField, Poly, PrimeField, RationalField,
 from weilres.extensions import AlgebraElement, MonicPoly, mult_matrix
 from weilres.fields import Field, _udivmod, power
 from weilres.errors import UnsupportedOperationError
-from weilres.linalg import mat_identity, mat_is_zero, mat_mul
+from weilres.linalg import berkowitz_charpoly, mat_identity, mat_is_zero, mat_mul
 from weilres.poly import PARSE_DEPTH_BOUND, _check_power
 from weilres.restriction import block_names
 
@@ -160,6 +160,13 @@ def reference_spectral_value(p):
     """Reference for spectral_value: the LogNorm maximum of lognorm(c_i) / i."""
     return lognorm_max(p.ring.lognorm(c) / i
                        for i, c in enumerate(p.coefficients, start=1))
+
+
+def field_element_charpoly(b):
+    """Reference for charpoly of b with scalar coordinates: [c_1, ..., c_n]
+    by berkowitz_charpoly on the FieldElement matrix of b itself, nothing
+    cleared, so the iteration takes linalg's generic dot on FieldElements."""
+    return berkowitz_charpoly(mult_matrix(b), b.extension.base)[1:]
 
 
 def uncleared_is_nilpotent(b):

@@ -579,6 +579,62 @@ def test_restrict_guard_document_digest(capsys, name):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == RESTRICT_GUARDS[name]
 
 
+# SHA-256 of the charpoly and spectral output over Q_3, t^4 + t^2/3 - 9*t/2 + 6
+# (denominators in the structure constants), and over the written-out rank-9
+# self-tensor of t^3 - x over F_3(x), the shape of example26's witness,
+# recorded with Berkowitz on FieldElement entries.
+SPECTRAL_GUARDS = {
+    ("charpoly", "spectral_tensor_f3x_rank9.json", "(e2 - e4)/x^2 + e5/(x + 1) + x*e9 + 1"):
+        "f792a5de390b0cf0e6d67d9de75080616af2ef9396dba2193870dee624552ccd",
+    ("spectral", "spectral_tensor_f3x_rank9.json", "(e2 - e4)/x^2 + e5/(x + 1) + x*e9 + 1"):
+        "532a04482d92363d6c445911f7bc58fe2a7a55ae95f59bfe2ede1080cd7ec917",
+    ("spectral", "spectral_tensor_f3x_rank9.json", "(e2 - e4)/x^2"):
+        "85cded1bf55f55bcb9a13f49e15532510022af7425f3e166c1dd0223bbff4d80",
+    ("charpoly", "spectral_q3_rank4.json", "t^3/9 + 2*t/5 - 1"):
+        "70f85beb2a9b9ffd287ddb91778d93ecbfc2c8185f196466d2bacb3eb4ac2acf",
+    ("spectral", "spectral_q3_rank4.json", "t^3/9 + 2*t/5 - 1"):
+        "0a0aaa0de4d1a72fc5c86994b287caeca8f937d93e9c8662a69bce01a3de6c77",
+}
+
+
+@pytest.mark.parametrize("command, name, element", sorted(SPECTRAL_GUARDS))
+def test_spectral_guard_document_digest(capsys, command, name, element):
+    path = pathlib.Path(__file__).parent / name
+    code, out, _ = run(capsys, [command, element, "--input", str(path)])
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
+        SPECTRAL_GUARDS[command, name, element]
+
+
+# SHA-256 of the verify records of sigma and rho at seeds 1 and 2 and of
+# example26 (which takes no seed) at thresholds 3 and 1/2, over the
+# function_doc field F_2(x), recorded with MonicPoly products normalised
+# coefficient by coefficient and scalar charpolys on FieldElement entries.
+VERIFY_GUARDS = {
+    ("sigma", "--seed", "1"):
+        "0b4bf115de6cbd3d5d5f492b05dae4cb3fd7ad9667260128696d0f68807928b8",
+    ("sigma", "--seed", "2"):
+        "a60ee88aa901b08949d541ead8b51e62eb55f5980eadf04e66148612e3a4dc7b",
+    ("rho", "--seed", "1"):
+        "64ede1aa1f6c3e08a70cbed4126e15e9678fa7e6c60c605ce3a67107dbbe6b7d",
+    ("rho", "--seed", "2"):
+        "13291f263a36674548d876ac26cdd234f589fb618b8e89bdadb3b782e039176c",
+    ("example26", "--threshold", "3"):
+        "f9ef46e3ef0dfe870f3de749ad0de6526fc2849a97f9560a93729b5144f36e3e",
+    ("example26", "--threshold", "1/2"):
+        "59a3699f39c48fc9cb95e0aae57b0e59f454384a69a1487fbc2cca0668d2e2ea",
+}
+
+
+@pytest.mark.parametrize("suite, flag, value", sorted(VERIFY_GUARDS))
+def test_verify_record_digest(tmp_path, capsys, suite, flag, value):
+    path = write_doc(tmp_path, function_doc())
+    code, out, _ = run(capsys, ["verify", "--suite", suite, "--input", path, flag, value])
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
+        VERIFY_GUARDS[suite, flag, value]
+
+
 def test_base_scalar_power_is_bounded_over_the_base(tmp_path, capsys):
     # x^1001 has degree 1001 over F_2(x), over the base and the extension alike
     data = function_doc()
@@ -877,16 +933,21 @@ def test_raw_basis_labels_are_identifiers(tmp_path, capsys):
 
 
 def test_one_characteristic_polynomial_per_command(tmp_path, capsys, monkeypatch):
+    """One Berkowitz run a command: linalg.berkowitz on raw numerators for
+    scalar coordinates, berkowitz_charpoly for polynomial ones."""
     import weilres.extensions
 
     calls = []
-    real = weilres.extensions.berkowitz_charpoly
 
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
+    def counted(real):
+        def run_counted(*args):
+            calls.append(args)
+            return real(*args)
+        return run_counted
 
-    monkeypatch.setattr(weilres.extensions, "berkowitz_charpoly", counted)
+    for name in ("berkowitz", "berkowitz_charpoly"):
+        monkeypatch.setattr(weilres.extensions, name,
+                            counted(getattr(weilres.extensions, name)))
     path = write_doc(tmp_path, padic_doc())
     for command in ("charpoly", "integrality", "spectral"):
         del calls[:]

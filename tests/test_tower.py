@@ -176,34 +176,35 @@ def test_rank16_generic_charpoly_at_a_point_matches_plain_berkowitz():
 
 
 def test_cleared_matrix_takes_no_gcd(monkeypatch):
-    """With the coordinates and the structure constants cleared,
-    mult_matrix builds the matrix of charpoly with no gcd, whether the
-    constants have denominators or not (6 gcds for t^4 + t/x + 1 before
-    the constants were cleared once per extension); charpoly is plain
-    Berkowitz's."""
+    """With the coordinates and the structure constants cleared, the matrix
+    of charpoly, its columns built by table_product on raw numerators, takes
+    no gcd, whether the constants have denominators or not (6 gcds for
+    t^4 + t/x + 1 before the constants were cleared once per extension);
+    charpoly is plain Berkowitz's."""
     x, one = F2X.variable(), F2X.one()
     for text in ("t^4 + t/x + 1", "t^4 + x*t + 1"):
         ext = from_minimal_polynomial(F2X, parse_poly(text, F2X, ("t",)), "t")
         b = ext.element([one / x, one / (x + one), x, x * x])
         want = berkowitz_charpoly(mult_matrix(b), F2X)[1:]
-        inside, calls = [False], [0]
-        real_ugcd, real_matrix = weilres.fields._ugcd, weilres.extensions.mult_matrix
+        inside, calls, built = [False], [0], [0]
+        real_ugcd, real_product = weilres.fields._ugcd, weilres.extensions.table_product
 
         def counted_ugcd(*args):
             calls[0] += inside[0]
             return real_ugcd(*args)
 
-        def flagged_matrix(*args, **kwargs):
+        def flagged_product(*args, **kwargs):
             inside[0] = True
+            built[0] += 1
             try:
-                return real_matrix(*args, **kwargs)
+                return real_product(*args, **kwargs)
             finally:
                 inside[0] = False
 
         monkeypatch.setattr(weilres.fields, "_ugcd", counted_ugcd)
-        monkeypatch.setattr(weilres.extensions, "mult_matrix", flagged_matrix)
+        monkeypatch.setattr(weilres.extensions, "table_product", flagged_product)
         chi = charpoly(b)
         monkeypatch.undo()
+        assert built[0] == ext.rank
         assert calls[0] == 0
         assert list(chi.coefficients) == want
-
