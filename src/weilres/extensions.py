@@ -230,10 +230,9 @@ class FreeExtension:
 
     def cleared_structure(self):
         """(e, table, raw): base.cleared's common denominator e of the
-        structure constants, as a base scalar, and sparse_structure with
-        every constant c as the numerator e*c (None where that is 1), as a
-        base scalar in table and raw in raw, so the matrix of e*b is built
-        with no gcd; computed once, like the hash."""
+        structure constants, as a base scalar, and sparse_structure with each
+        constant c as the numerator e*c (None where that is 1), a base scalar
+        in table and raw in raw, so the matrix of e*b takes no gcd."""
         if self._cleared_table is None:
             base, table = self.base, self.sparse_structure
             _, one, _, _, _, over = base.numerators()
@@ -575,11 +574,10 @@ class MonicPoly:
         return MonicPoly(self.ring, [over(c, d) for c in numerators])
 
     def cleared_product(self, other):
-        """(d, [C_1, ..., C_(n+m)]), raw values of the ring numerators()
-        describes, with C_k / d the c_k of self * other: each side is cleared
-        by a common denominator of its coefficients, and the numerators
-        convolve with no gcd.  Zero numerators, 0 or (), are skipped; a Poly
-        is always true, so over a PolyRing every product is taken."""
+        """(d, [C_1, ..., C_(n+m)]) in the ring numerators() describes, C_k / d
+        the c_k of self * other: each side cleared by a common denominator,
+        the numerators convolve with no gcd.  Zero numerators, 0 or (), are
+        skipped; a Poly is always true, so over a PolyRing none is."""
         if other.ring != self.ring:
             raise IncompatibleFieldError("monic polynomials over different rings")
         zero, _, add, mul, _, _ = self.ring.numerators()
@@ -621,8 +619,26 @@ def charpoly(b):
     Computed with a division-free iteration so polynomial coordinates are
     allowed; Cayley-Hamilton holds exactly for the result.
     """
-    d, b, numerators = _cleared(b)
-    return _unscaled_charpoly(d, b, numerators)
+    ext, base = b.extension, b.extension.base
+    if b.ring is not base or ext.tower()[0] > 1:
+        return _unscaled_charpoly(*_cleared(b))
+    # scalar coordinates: Berkowitz on raw numerators, each c_j wrapped once
+    zero, one, add, mul, neg, over = base.numerators()
+    d, numerators = base.cleared(b.coords)
+    e, _, raw = ext.cleared_structure()
+
+    def dot(xs, ys):
+        acc = zero
+        for x, y in zip(xs, ys):
+            if x and y:
+                acc = add(acc, mul(x, y)) if acc else mul(x, y)
+        return acc
+
+    # column j of the matrix of e*d*b is d*b times e_j
+    columns = [table_product(raw, zero, add, mul, numerators, [zero] * j + [one])
+               for j in range(ext.rank)]
+    vec = berkowitz(tuple(zip(*columns)), one, neg, dot)[1:]
+    return _unscaled(over(d, one) * e, base, [over(c, one) for c in vec])
 
 
 def generic_charpoly(r, variables):
@@ -634,46 +650,34 @@ def generic_charpoly(r, variables):
     if any(isinstance(c, Poly) for c in r.coords):
         raise UnsupportedOperationError("radius elements need scalar coordinates")
     ext = r.extension
-    d, r, _ = _cleared(r)
+    d, r = _cleared(r)
     e, table, _ = ext.cleared_structure()
     units = [tuple(int(k == l) for k in range(ext.rank)) for l in range(ext.rank)]
     forms = AlgebraElement(ext, tuple(Poly(ext.base, variables, dict(zip(units, row)))
                                       for row in mult_matrix(r, table)))
-    return _unscaled_charpoly(d * e, forms, None)
+    return _unscaled_charpoly(d * e, forms)
 
 
-def _unscaled_charpoly(d, b, numerators):
+def _unscaled_charpoly(d, b):
     """The characteristic polynomial of b / d for b with numerator
     coordinates: c_j(b / d) = c_j(e*b) / (d*e)^j, e clearing the structure
     constants, with c_j(e*b) from Berkowitz on the matrix of e*b, or from the
-    tower when the extension has one.  Scalar coordinates, whose raw values
-    are numerators, take Berkowitz on raw numerators in the ring
-    numerators() describes, and each c_j is wrapped once."""
+    tower when the extension has one."""
     ring, ext = b.ring, b.extension
-    e, table, raw = ext.cleared_structure()
+    e, table, _ = ext.cleared_structure()
     q, inner, powers = ext.tower()
-    if q > 1:
-        vec = _tower_charpoly(b if e.is_one() else b.scale(e), q, inner, powers)
-    elif ring is ext.base:
-        zero, one, add, mul, neg, over = ring.numerators()
-
-        def dot(xs, ys):
-            acc = zero
-            for x, y in zip(xs, ys):
-                if x and y:
-                    acc = add(acc, mul(x, y)) if acc else mul(x, y)
-            return acc
-
-        # column j is e*b times e_j, its trailing zeros left to table_product
-        columns = [table_product(raw, zero, add, mul, numerators, [zero] * j + [one])
-                   for j in range(ext.rank)]
-        vec = [over(c, one) for c in berkowitz(tuple(zip(*columns)), one, neg, dot)[1:]]
-    else:
+    if q == 1:
         vec = berkowitz_charpoly(mult_matrix(b, table), ring)[1:]
-    d = d * e
+    else:
+        vec = _tower_charpoly(b if e.is_one() else b.scale(e), q, inner, powers)
+    return _unscaled(d * e, ring, vec)
+
+
+def _unscaled(d, ring, vec):
+    """The MonicPoly over ring with coefficients c_j / d^j for vec = [c_j]."""
     if d.is_one():
         return MonicPoly(ring, vec)
-    unscale = ext.base.unscaler(d)
+    unscale = d.field.unscaler(d)
     return MonicPoly(ring, [_map_values(c, lambda v: unscale(v, j))
                             for j, c in enumerate(vec, start=1)])
 
@@ -712,49 +716,27 @@ def _variable_lists(b):
     """The variable list of each c_j of berkowitz_charpoly(mult_matrix(b)),
     b with Poly coordinates: its iteration run on the entries' lists alone,
     a sum or product over its operands' lists merged in order of first
-    occurrence, as Poly arithmetic and the packed kernel merge them.  Each
-    distinct list is interned as its index in `lists`, () as 0, each merge
-    of a sequence of indices is taken once, and a dot product is looked up
-    by its operands before it merges their distinct indices."""
+    occurrence, as Poly arithmetic and the packed kernel merge them."""
     ext = b.extension
     n = ext.rank
-    lists, index, merged, dots = [()], {(): 0}, {}, {}
-
-    def intern(names):
-        if names not in index:
-            index[names] = len(lists)
-            lists.append(names)
-        return index[names]
-
-    def merge(ids):
-        if ids not in merged:
-            merged[ids] = intern(_first_seen(map(lists.__getitem__, ids)))
-        return merged[ids]
-
-    def dot(xs, ys):
-        key = tuple(xs), tuple(ys)
-        if key not in dots:
-            dots[key] = merge(_first_seen(zip(xs, ys)))
-        return dots[key]
-
-    rows = [[0] * n for _ in range(n)]
+    rows = [[()] * n for _ in range(n)]
     for x, table_row in zip(b.coords, ext.sparse_structure):
         if not x.is_zero():
-            names = intern(x.variables)
             for j, cell in enumerate(table_row):
                 for k, _ in cell:
-                    rows[k][j] = merge((rows[k][j], names))
-    if len({names for row in rows for names in row}) == 1:
+                    rows[k][j] = _first_seen((rows[k][j], x.variables))
+    lists = {names for row in rows for names in row}
+    if len(lists) == 1:
         # every sum and product is over the one list
-        return [lists[rows[0][0]]] * n
-    return [lists[names] for names in berkowitz(rows, 0, lambda names: names, dot)[1:]]
+        return [lists.pop()] * n
+    return berkowitz(rows, (), lambda names: names, lambda xs, ys: _first_seen(
+        itertools.chain.from_iterable(zip(xs, ys))))[1:]
 
 
 def _cleared(b):
-    """(d, d*b, numerators) with d a base scalar clearing the coordinates of
-    b, base.cleared's d, so those of d*b are numerators (integers over Q,
-    polynomials in x over F_p(x)), the raw values of their coordinates or
-    terms in order.  Over finite fields d is 1 and b is returned as it is."""
+    """(d, d*b) with d a base scalar clearing the coordinates of b, base.cleared's
+    d, so those of d*b are numerators (integers over Q, polynomials in x over
+    F_p(x)).  Over finite fields d is 1 and b is returned as it is."""
     ext = b.extension
     base = ext.base
     _, one, _, _, _, over = base.numerators()
@@ -762,11 +744,11 @@ def _cleared(b):
         x.terms.values() if isinstance(x, Poly) else (x,))])
     d = over(d, one)
     if d.is_one():
-        return d, b, scaled
+        return d, b
     # the scaled values, in the order cleared took them
-    values = iter([over(n, one) for n in scaled])
-    return d, AlgebraElement(ext, tuple(_map_values(x, lambda _: next(values))
-                                        for x in b.coords)), scaled
+    scaled = iter([over(n, one) for n in scaled])
+    return d, AlgebraElement(ext, tuple(_map_values(x, lambda _: next(scaled))
+                                        for x in b.coords))
 
 
 def _map_values(c, f):

@@ -25,14 +25,12 @@ def spectral_value(p):
     ring = p.ring
     if not getattr(ring, "has_valuation", False):
         raise UnsupportedOperationError("spectral values need a valued coefficient field")
-    order = ring._order
-    return _max_ratio(order(c.value) for c in p.coefficients)
+    return _max_ratio(ring._order(c.value) for c in p.coefficients)
 
 
 def _max_ratio(orders):
-    """The LogNorm max over i of v_i / i for the integer orders v_1, v_2,
-    ..., None for a zero coefficient: the fractions are compared by
-    cross-multiplication and one LogNorm is built; -inf when all are None."""
+    """The LogNorm max over i of v_i / i for integer orders v_i (None for
+    zero), compared by cross-multiplication; -inf when all are None."""
     best, at = None, 1
     for i, v in enumerate(orders, start=1):
         if v is not None and (best is None or v * at > best * i):
@@ -41,10 +39,9 @@ def _max_ratio(orders):
 
 
 def spectral_value_product_check(p, q):
-    """Whether sigma(p*q) = max(sigma(p), sigma(q)); contractually always true.
-
-    sigma(p*q) is read off the cleared product (d, C_k) with no product
-    coefficient normalised: lognorm(C_k / d) = order(C_k) - order(d)."""
+    """Whether sigma(p*q) = max(sigma(p), sigma(q)); contractually always
+    true.  sigma(p*q) is read off the cleared product (d, C_k), nothing
+    normalised: lognorm(C_k / d) = order(C_k) - order(d)."""
     # different rings are refused before a ring without a valuation
     d, numerators = p.cleared_product(q)
     rhs = max(spectral_value(p), spectral_value(q))

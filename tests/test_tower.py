@@ -175,36 +175,60 @@ def test_rank16_generic_charpoly_at_a_point_matches_plain_berkowitz():
     assert [c.evaluate(values) for c in chi.coefficients] == want
 
 
+def _gcds_inside(monkeypatch, names, compute):
+    """(value of compute(), calls of each extensions function in names, gcds
+    run inside any of them)."""
+    inside, calls, built = [False], [0], dict.fromkeys(names, 0)
+    real_ugcd = weilres.fields._ugcd
+
+    def counted_ugcd(*args):
+        calls[0] += inside[0]
+        return real_ugcd(*args)
+
+    def flagged(name, real):
+        def run(*args, **kwargs):
+            inside[0] = True
+            built[name] += 1
+            try:
+                return real(*args, **kwargs)
+            finally:
+                inside[0] = False
+        return run
+
+    monkeypatch.setattr(weilres.fields, "_ugcd", counted_ugcd)
+    for name in names:
+        monkeypatch.setattr(weilres.extensions, name,
+                            flagged(name, getattr(weilres.extensions, name)))
+    value = compute()
+    monkeypatch.undo()
+    return value, built, calls[0]
+
+
 def test_cleared_matrix_takes_no_gcd(monkeypatch):
     """With the coordinates and the structure constants cleared, the matrix
-    of charpoly, its columns built by table_product on raw numerators, takes
-    no gcd, whether the constants have denominators or not (6 gcds for
-    t^4 + t/x + 1 before the constants were cleared once per extension);
-    charpoly is plain Berkowitz's."""
+    of charpoly, its columns built by table_product on raw numerators, and
+    Berkowitz on it take no gcd, whether the constants have denominators or
+    not (6 gcds for t^4 + t/x + 1 before the constants were cleared once per
+    extension); charpoly is plain Berkowitz's.  So does mult_matrix on the
+    cleared FieldElement table, for the scalar r and for the linear forms of
+    generic_charpoly."""
     x, one = F2X.variable(), F2X.one()
+    block = tuple("x_%d" % (j + 1) for j in range(4))
     for text in ("t^4 + t/x + 1", "t^4 + x*t + 1"):
         ext = from_minimal_polynomial(F2X, parse_poly(text, F2X, ("t",)), "t")
         b = ext.element([one / x, one / (x + one), x, x * x])
         want = berkowitz_charpoly(mult_matrix(b), F2X)[1:]
-        inside, calls, built = [False], [0], [0]
-        real_ugcd, real_product = weilres.fields._ugcd, weilres.extensions.table_product
-
-        def counted_ugcd(*args):
-            calls[0] += inside[0]
-            return real_ugcd(*args)
-
-        def flagged_product(*args, **kwargs):
-            inside[0] = True
-            built[0] += 1
-            try:
-                return real_product(*args, **kwargs)
-            finally:
-                inside[0] = False
-
-        monkeypatch.setattr(weilres.fields, "_ugcd", counted_ugcd)
-        monkeypatch.setattr(weilres.extensions, "table_product", flagged_product)
-        chi = charpoly(b)
-        monkeypatch.undo()
-        assert built[0] == ext.rank
-        assert calls[0] == 0
+        chi, built, gcds = _gcds_inside(monkeypatch, ("table_product", "berkowitz"),
+                                        lambda: charpoly(b))
+        assert built == {"table_product": ext.rank, "berkowitz": 1}
+        assert gcds == 0
         assert list(chi.coefficients) == want
+        generic = AlgebraElement(ext, tuple(
+            Poly.variable(F2X, v).with_variables(block) for v in block))
+        product = b * generic
+        want = berkowitz_charpoly(mult_matrix(product), product.ring)[1:]
+        chi, built, gcds = _gcds_inside(monkeypatch, ("mult_matrix",),
+                                        lambda: generic_charpoly(b, block))
+        assert built == {"mult_matrix": 2}
+        assert gcds == 0
+        assert all(_same(g, w) for g, w in zip(chi.coefficients, want, strict=True))
