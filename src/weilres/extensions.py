@@ -13,7 +13,9 @@ recheck).
 Elements carry coordinate vectors whose entries are either base scalars or
 polynomials over the base.  One product, table_product, serves both: Poly
 operators for symbolic elements like x_1 e_1 + ... + x_n e_n, raw values
-over raw_structure for scalars and for restriction's expansion.
+over raw_structure for scalars and for restriction's expansion over a
+written-out table; over a minimal polynomial that expansion multiplies by
+the generator alone, by generator_step.
 
 Characteristic polynomials run the Berkowitz iteration on the matrix of b
 with its coordinates and the structure constants cleared.  When the minimal
@@ -58,6 +60,7 @@ class FreeExtension:
         self.minimal_polynomial = minimal_polynomial
         self.symbol = symbol
         self._hash = self._raw_table = self._cleared_table = self._tower = None
+        self._cleared_numerators = self._cleared_raw = None
         if len(table) != self.rank or any(len(row) != self.rank for row in table):
             raise ValueError("structure constants must form an n*n*n array")
         if len(self.unit) != self.rank:
@@ -229,10 +232,10 @@ class FreeExtension:
         return self._raw_table
 
     def cleared_structure(self):
-        """(e, table, raw): base.cleared's common denominator e of the
-        structure constants, as a base scalar, and sparse_structure with each
-        constant c as the numerator e*c (None where that is 1), a base scalar
-        in table and raw in raw, so the matrix of e*b takes no gcd."""
+        """(e, table): base.cleared's common denominator e of the structure
+        constants, as a base scalar, and sparse_structure with each constant c
+        as the numerator e*c (None where that is 1), so the matrix of e*b
+        takes no gcd."""
         if self._cleared_table is None:
             base, table = self.base, self.sparse_structure
             _, one, _, _, _, over = base.numerators()
@@ -242,12 +245,21 @@ class FreeExtension:
                                       for cell in cells for _, c in cell])
             # e*c for every constant c, in the order cleared took them
             scaled = [None if n == one else n for n in scaled]
-            raw, e = _refilled(table, cells, scaled), over(e, one)
+            self._cleared_numerators, e = (cells, scaled), over(e, one)
             if not e.is_one():
                 table = _refilled(table, cells, [n if n is None else over(n, one)
                                                  for n in scaled])
-            self._cleared_table = e, table, raw
+            self._cleared_table = e, table
         return self._cleared_table
+
+    def cleared_raw_structure(self):
+        """The table of cleared_structure with each numerator raw, in the ring
+        of base.numerators(), for Berkowitz on raw numerators; built on the
+        first scalar charpoly, once."""
+        if self._cleared_raw is None:
+            self.cleared_structure()
+            self._cleared_raw = _refilled(self.sparse_structure, *self._cleared_numerators)
+        return self._cleared_raw
 
     def tower(self):
         """(q, B, powers) for the largest q = p^k, p the characteristic of
@@ -463,22 +475,32 @@ def from_minimal_polynomial(base, m, symbol=None):
 
 def _reduced_powers(base, coeffs, count):
     """The cells of s^k for k < count modulo the monic m with dense
-    coefficients coeffs, from raw values: s^(k+1) = s * s^k with
-    s^n = -c_0 - c_1 s - ... - c_(n-1) s^(n-1)."""
-    n = len(coeffs) - 1
-    add, mul = base._add, base._mul
-    low = [base._neg(c.value) for c in coeffs[:n]]
-    zero, one = base.zero().value, base.one().value
-    powers = []
-    cur = [one] + [zero] * (n - 1)
+    coefficients coeffs, from raw values by generator_step."""
+    zero, one = base._zero.value, base._one.value
+    step, powers = generator_step(base, coeffs), []
+    cur = [one] + [zero] * (len(coeffs) - 2)
     for k in range(count):
         powers.append(tuple((i, None if v == one else FieldElement(base, v))
                             for i, v in enumerate(cur) if v != zero))
-        top = cur[n - 1]
-        cur = [zero] + cur[:n - 1]
-        if top != zero:
-            cur = [add(v, mul(c, top)) for v, c in zip(cur, low)]
+        cur = step(cur)
     return powers
+
+
+def generator_step(base, coeffs):
+    """x -> s*x on the raw coordinates of base[s]/(m), m monic with dense
+    coefficients coeffs: one shift, and when x has a top coordinate one
+    reduction by s^n = -m_0 - m_1 s - ... - m_(n-1) s^(n-1), its zero m_i
+    skipped."""
+    add, mul, zero = base._add, base._mul, base._zero.value
+    low = [(i, base._neg(c.value)) for i, c in enumerate(coeffs[:-1]) if not c.is_zero()]
+
+    def step(x):
+        top, x = x[-1], [zero] + x[:-1]
+        if top != zero:
+            for i, c in low:
+                x[i] = add(x[i], mul(c, top))
+        return x
+    return step
 
 
 def tensor_product(b1, b2):
@@ -625,7 +647,7 @@ def charpoly(b):
     # scalar coordinates: Berkowitz on raw numerators, each c_j wrapped once
     zero, one, add, mul, neg, over = base.numerators()
     d, numerators = base.cleared(b.coords)
-    e, _, raw = ext.cleared_structure()
+    e, raw = ext.cleared_structure()[0], ext.cleared_raw_structure()
 
     def dot(xs, ys):
         acc = zero
@@ -651,7 +673,7 @@ def generic_charpoly(r, variables):
         raise UnsupportedOperationError("radius elements need scalar coordinates")
     ext = r.extension
     d, r = _cleared(r)
-    e, table, _ = ext.cleared_structure()
+    e, table = ext.cleared_structure()
     units = [tuple(int(k == l) for k in range(ext.rank)) for l in range(ext.rank)]
     forms = AlgebraElement(ext, tuple(Poly(ext.base, variables, dict(zip(units, row)))
                                       for row in mult_matrix(r, table)))
@@ -664,7 +686,7 @@ def _unscaled_charpoly(d, b):
     constants, with c_j(e*b) from Berkowitz on the matrix of e*b, or from the
     tower when the extension has one."""
     ring, ext = b.ring, b.extension
-    e, table, _ = ext.cleared_structure()
+    e, table = ext.cleared_structure()
     q, inner, powers = ext.tower()
     if q == 1:
         vec = berkowitz_charpoly(mult_matrix(b, table), ring)[1:]

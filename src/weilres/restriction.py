@@ -17,7 +17,8 @@ from math import comb
 
 from .errors import EnumerationBoundError, IncompatibleFieldError
 from .extensions import (AlgebraElement, FreeExtension, MonicPoly,
-                         extend_scalars, generic_charpoly, table_product)
+                         extend_scalars, generator_step, generic_charpoly,
+                         table_product)
 from .fields import Field, FieldElement, canonical_embedding, power
 from .lognorm import LogNorm
 from .poly import Poly
@@ -112,63 +113,83 @@ def expand_element(f, ext, variables=None):
     a term c * u^a * v^b of f is the sum of the u^alpha v^beta times both
     multinomials times c * e^(alpha + beta).  Distinct choices, and distinct
     terms of f, give distinct monomials, so each output term is written
-    once; the scalar work runs on the raw values of the base, its algebra
-    products through table_product on the extension's raw_structure.
+    once.  The scalar work runs on the raw values of the base.  Over a
+    written-out table c * e^gamma is taken once per gamma, as
+    c * e^(gamma - alpha) times e^alpha by table_product on raw_structure.
+    Over a minimal polynomial e_i = s^i, so e^gamma = s^w for the weighted
+    degree w = sum_i i*gamma_i: c * s^w is read off the term's ladder
+    c, c*s, c*s^2, ..., each rung one generator_step.
     """
     if f.domain != ext:
         raise IncompatibleFieldError("polynomial is not defined over the extension")
     variables = tuple(variables) if variables is not None else f.variables
-    base, n = ext.base, ext.rank
+    base, n, m = ext.base, ext.rank, ext.minimal_polynomial
     all_blocks = tuple(name for v in variables for name in block_names(v, n))
     if len(set(all_blocks)) != len(all_blocks):
         raise ValueError("coordinate block names collide; rename the variables")
     position = {v: i for i, v in enumerate(variables)}
     add, mul = base._add, base._mul
     zero, one = base._zero.value, base._one.value
-    times = functools.partial(table_product, ext.raw_structure(), zero, add, mul)
+    if m is None:
+        times = functools.partial(table_product, ext.raw_structure(), zero, add, mul)
+    else:
+        step = generator_step(base, m.dense_coefficients())
 
     basis, powers = {}, {}
 
-    def power_terms(e):  # (alpha, multinomial(e; alpha), e^alpha) for G^e
+    def power_terms(e):  # (alpha, multinomial(e; alpha), e^alpha or its weight)
         if e not in powers:
             powers[e] = listed = []
-            for alpha, m in _multinomial_terms(e, n, base.characteristic):
-                x = None
-                for i, a in enumerate(alpha):
-                    if a:
-                        if (i, a) not in basis:
-                            basis[i, a] = power([one if k == i else zero for k in range(n)],
-                                                a, None, times)
-                        x = basis[i, a] if x is None else times(basis[i, a], x)
-                listed.append((alpha, base.coerce(m).value, x))
+            for alpha, k in _multinomial_terms(e, n, base.characteristic):
+                if m is not None:
+                    x = sum(map(int.__mul__, range(n), alpha))
+                else:
+                    x = None
+                    for i, a in enumerate(alpha):
+                        if a:
+                            if (i, a) not in basis:
+                                basis[i, a] = power([one if j == i else zero
+                                                     for j in range(n)], a, None, times)
+                            x = basis[i, a] if x is None else times(basis[i, a], x)
+                listed.append((alpha, base.coerce(k).value, x))
         return powers[e]
 
     out = [{} for _ in range(n)]
     zeros = (0,) * n
+    start = zeros if m is None else 0
     for exps, coeff in f.terms.items():
         degrees = [0] * len(variables)
         for v, e in zip(f.variables, exps):
             if e:
                 degrees[position[v]] = e
-        # (key, gamma, m, c * e^gamma) so far, c * e^gamma once per gamma
+        # (key, gamma or its weight, multinomial); values[gamma] = c * e^gamma
         c = [x.value for x in coeff.coords]
-        states, seen = [((), zeros, one, c)], {zeros: c}
+        states, values = [((), start, one)], {start: c}
         for e in degrees:
             if not e:
-                states = [(key + zeros, gamma, m, x) for key, gamma, m, x in states]
+                states = [(key + zeros, g, k) for key, g, k in states]
                 continue
             folded = []
-            for key, gamma, m, x in states:
-                for alpha, ma, y in power_terms(e):
-                    g = tuple(map(int.__add__, gamma, alpha))
-                    if g not in seen:
-                        seen[g] = times(x, y)
-                    folded.append((key + alpha, g, mul(m, ma), seen[g]))
+            for key, g, k in states:
+                for alpha, ka, y in power_terms(e):
+                    if m is None:
+                        h = tuple(map(int.__add__, g, alpha))
+                        if h not in values:
+                            values[h] = times(values[g], y)
+                    else:
+                        h = g + y
+                    folded.append((key + alpha, h, mul(k, ka)))
             states = folded
-        for key, _, m, x in states:
-            for terms, v in zip(out, x):
+        if m is not None:  # every rung taken, the weights reached kept
+            weights, x = {g for _, g, _ in states}, c
+            for w in range(1, max(weights) + 1):
+                x = step(x)
+                if w in weights:
+                    values[w] = x
+        for key, g, k in states:
+            for terms, v in zip(out, values[g]):
                 if v != zero:
-                    terms[key] = FieldElement(base, v if m == one else mul(v, m))
+                    terms[key] = FieldElement(base, v if k == one else mul(v, k))
     return tuple(Poly(base, all_blocks, terms, clean=True) for terms in out)
 
 

@@ -80,7 +80,11 @@ def coordinate_norm_spread(b):
     coordinates of powers obey the characteristic-polynomial recurrence).
     Undefined (raises) for nilpotent b, whose spectral radius is -inf.
     """
-    rho = spectral_radius(b)
+    return _spread(b, spectral_radius(b))
+
+
+def _spread(b, rho):
+    """coordinate_norm_spread(b) for b of known spectral radius rho."""
     if rho.is_minus_inf:
         raise ValueError("spread is undefined for nilpotent elements")
     n = b.extension.rank

@@ -23,9 +23,8 @@ from .poly import Poly, _first_seen, parse_poly
 from .restriction import (Presentation, base_change, disc_generators,
                           points_over, product, product_presentation, psi_apply,
                           restrict)
-from .spectral import (coordinate_norm_spread, non_quasicompact_witness,
-                       power_norm_bound, spectral_radius, spectral_value,
-                       spectral_value_product_check)
+from .spectral import (_spread, non_quasicompact_witness, power_norm_bound,
+                       spectral_radius, spectral_value, spectral_value_product_check)
 
 
 class Report:
@@ -441,7 +440,7 @@ def suite_rho(seed=1):
         if bound < rho:
             all_ok = False
             break
-        spread = coordinate_norm_spread(b)
+        spread = _spread(b, rho)
         if bound - rho > spread / 8:
             all_ok = False
             break

@@ -10,7 +10,8 @@ the log-norms of the product's coefficients.  The spectral value compared
 by integer orders is checked against the LogNorm maximum of lognorm(c_i) / i,
 scalar characteristic polynomials, run on raw numerators, against Berkowitz
 on the FieldElement matrix, and the nilpotency certificate on the cleared
-multiplication matrix against the power of the matrix itself.  Runs are
+multiplication matrix against the power of the matrix itself; the cleared
+table with raw numerators is built on the first scalar charpoly.  Runs are
 derandomized so every run tries the same examples.
 """
 
@@ -25,7 +26,9 @@ from weilres import (FreeExtension, FunctionField, GaloisField, LogNorm, Poly,
                      PolyRing, PrimeField, RationalField, from_minimal_polynomial,
                      parse_poly, structure_table)
 from weilres.errors import IncompatibleFieldError, UnsupportedOperationError
-from weilres.extensions import MonicPoly, charpoly, is_nilpotent, tensor_product
+from weilres import extensions
+from weilres.extensions import (MonicPoly, charpoly, generic_charpoly, is_nilpotent,
+                                tensor_product)
 from weilres.lognorm import MINUS_INF
 from weilres.spectral import (non_quasicompact_witness, spectral_value,
                               spectral_value_product_check)
@@ -332,3 +335,28 @@ def test_scalar_charpoly_matches_field_element_berkowitz(ext, seed, zeros):
         assert list(got) == want
         assert [type(c.value) for c in got] == [type(c.value) for c in want]
         assert [str(c) for c in got] == [str(c) for c in want]
+
+
+def test_raw_cleared_table_waits_for_a_scalar_charpoly(monkeypatch):
+    """generic_charpoly, disc's charpoly, reads the cleared table alone; the
+    cleared table with raw numerators is built on the first scalar charpoly,
+    once, and serves every later one."""
+    k2 = FunctionField(2)
+    ext = from_minimal_polynomial(k2, parse_poly("t^4 + t/x + 1", k2, ("t",)), "t")
+    built = [0]
+    real = extensions._refilled
+
+    def counted(*args):
+        built[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(extensions, "_refilled", counted)
+    generic_charpoly(ext.basis_element(1), ("x_1", "x_2", "x_3", "x_4"))
+    assert built == [1]
+    b = ext.element([k2.one() / k2.variable(), 0, 1, 0])
+    chi = charpoly(b)
+    assert built == [2]
+    raw = ext.cleared_raw_structure()
+    assert charpoly(b) == chi and ext.cleared_raw_structure() is raw
+    assert built == [2]
+    assert list(chi.coefficients) == field_element_charpoly(b)

@@ -556,7 +556,10 @@ def test_disc_guard_document_digest(capsys, name):
 # in three variables over a written-out rank-6 tensor table over F_3,
 # recorded with the expansion through algebra products, and of u - x^600*t
 # along t^10 - x over F_2(x), recorded from the form u - x^300*x^300*t when
-# the power of a base scalar was still bounded over the extension.
+# the power of a base scalar was still bounded over the extension, and of
+# terms of weighted degree up to 49 with denominators along the rank-8
+# t^8 + t^3/x + x*t + 1 over F_3(x), recorded with c * e^gamma by table
+# products.
 RESTRICT_GUARDS = {
     "restrict_base_scalar_power_f2.json":
         "ffba3060d5bbebda804a6cfe9e2243e8e249a478287ff59fe96290a6faa5ca0b",
@@ -568,6 +571,8 @@ RESTRICT_GUARDS = {
         "e5fc1aac5b939a2842a7fe5345e805143c87615f702542292a2758843d60b574",
     "restrict_tensor_mixed_f3.json":
         "55bb75b3d275050da3fe02e26104616b4f2de20cf983224b076b655d55ed9ae0",
+    "restrict_weight_ladder_f3x.json":
+        "0e303fd807e035e3a72304645b1ca26d1355a76e05670a41dd80cf0d458625cb",
 }
 
 

@@ -13,7 +13,11 @@ variable lists, the term maps and the text must agree.  It is checked
 against the same reference over dense written-out tensor tables of rank 4 to
 6 on a permuted basis over F_2, F_3 and Q, with terms in 2 or 3 variables,
 and one two-variable term is expanded with no Poly sum or product and no
-AlgebraElement product.  The enumerator of
+AlgebraElement product.  Over a minimal polynomial, where c * s^w is read
+off a ladder by weighted degree, it is checked against the same table with
+no minimal polynomial, which takes table products, over F_2, F_3, F_4, Q,
+Q_3 and F_3(x) at rank 1, 2 to 5 and 16, with weights above 2n - 2; the
+ladder takes no table product.  The enumerator of
 those exponent vectors is checked against every composition with its
 multinomial coefficient reduced mod p.  disc_generators is checked against
 y - c_j by Poly subtraction, with zero c_j among them.  Runs are
@@ -33,6 +37,7 @@ from weilres import (AlgebraElement, FreeExtension, FunctionField, GaloisField,
                      Poly, PrimeField, RationalField, expand_element,
                      from_minimal_polynomial, parse_poly)
 from weilres.extensions import generic_charpoly, structure_table, tensor_product
+from weilres import restriction
 from weilres.restriction import _multinomial_terms, disc_generators
 
 from conftest import dense_structure, naive_expand_element
@@ -198,6 +203,93 @@ def test_expansion_takes_no_polynomial_or_algebra_product(monkeypatch):
     monkeypatch.undo()
     assert [c.terms for c in got] == [c.terms for c in want]
     assert sum(len(c.terms) for c in got) > 100
+
+
+WEIGHT_FIELDS = [PrimeField(2), PrimeField(3), GaloisField(2, (1, 1, 1), "w"),
+                 RationalField(), RationalField(padic=3), FunctionField(3, Fraction(1, 2))]
+
+
+def _table_copy(ext):
+    """ext built again from its sparse_structure with no minimal polynomial,
+    so expand_element takes the written-out path on it; it equals ext."""
+    copy = FreeExtension(ext.base, ext.basis_names, ext.sparse_structure, ext.unit,
+                         validate=False)
+    assert copy == ext and copy.minimal_polynomial is None
+    return copy
+
+
+def weight_case(base, rng, n):
+    """(f, ext, variables): a monogenic base of rank n, in 1 to 3 variables
+    of which f may use fewer, 1 to 3 terms.  Below rank 16 one variable of
+    each term takes an exponent up to 2p^2 + p (up to 5 over Q), the others
+    at most 2; at rank 16 one variable takes p or p^2 (3 over Q), whose
+    weights pass 2n - 2, the others at most 1 (0 over Q), along a modulus
+    with at most three lower terms, so the written-out path stays quick.
+    Constant terms, terms that leave out a variable and coefficients with
+    zero coordinates now and then; exponents whose base-p digits vanish in
+    some multinomials."""
+    low = [_random_scalar(base, rng, structure=True) for _ in range(n)]
+    if n == 16:
+        low = [c if k in (0, 1, 5) else base.zero() for k, c in enumerate(low)]
+    ext = _monogenic(base, low)
+    p = base.characteristic
+    variables = ("u", "v", "z")[:rng.randint(1, 3)]
+    used = variables[:rng.randint(1, len(variables))]
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        top = rng.randrange(len(used))
+        if n == 16:
+            exps = tuple(rng.choice([p, p * p] if p else [3]) if k == top
+                         else rng.randint(0, 1 if p else 0) for k in range(len(used)))
+        else:
+            large = rng.randint(0, 2 * p * p + p) if p else rng.randint(0, 5)
+            exps = tuple(large if k == top else rng.randint(0, 2)
+                         for k in range(len(used)))
+        if rng.randrange(5) == 0:
+            exps = (0,) * len(used)
+        terms[exps] = ext.element([_random_scalar(base, rng) if rng.randrange(3)
+                                   else base.zero() for _ in range(n)])
+    return Poly(ext, used, terms), ext, rng.choice([None, variables])
+
+
+@pytest.mark.parametrize("ranks", [(1,), (2, 3, 4, 5), (16,)], ids=str)
+@pytest.mark.parametrize("base", WEIGHT_FIELDS, ids=str)
+@settings(SETTINGS, max_examples=8)
+@given(st.integers(0, 2 ** 32))
+def test_weight_ladder_matches_the_written_out_table(base, ranks, seed):
+    """Over a minimal polynomial expand_element reads c * s^w off a ladder
+    by weighted degree; the same table with no minimal polynomial takes
+    c * e^gamma by table products.  The two agree term for term, in order."""
+    rng = random.Random(seed)
+    f, ext, variables = weight_case(base, rng, rng.choice(ranks))
+    got = expand_element(f, ext, variables)
+    want = expand_element(f, _table_copy(ext), variables)
+    assert [c.variables for c in got] == [c.variables for c in want]
+    assert [list(c.terms.items()) for c in got] == [list(c.terms.items()) for c in want]
+    assert [c.to_string() for c in got] == [c.to_string() for c in want]
+
+
+def test_weight_ladder_takes_no_table_product(monkeypatch):
+    """The monogenic path multiplies by the generator only: no table_product,
+    where its written-out copy takes them (rank 8 over F_3(x), weights up to
+    7 * 7 = 49, above 2n - 2 = 14)."""
+    k3 = FunctionField(3, Fraction(1, 2))
+    x = k3.symbol_constant("x")
+    ext = _monogenic(k3, [k3.one(), x, k3.zero(), x.inverse()] + [k3.zero()] * 4)
+    f = parse_poly("(t^7/(x + 1) + t/x)*u^4*v^3 + t^6*v + 1/x", ext, ("u", "v"))
+    calls = [0]
+    real = restriction.table_product
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(restriction, "table_product", counted)
+    got = expand_element(f, ext)
+    assert calls[0] == 0
+    want = expand_element(f, _table_copy(ext))
+    assert calls[0] > 0
+    assert got == want
 
 
 def brute_force_terms(e, n, p):
