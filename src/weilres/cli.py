@@ -17,7 +17,7 @@ from .documents import (canonical_json, field_record, load_document_text,
 from .errors import DocumentError, EnumerationBoundError, WeilresError
 from .extensions import FreeExtension, charpoly
 from .lognorm import LogNorm
-from .poly import parse_poly
+from .poly import parse_poly, render
 from .restriction import base_change, disc_generators, points_over, restrict
 from .galois import fixed_points
 from .spectral import spectral_value
@@ -143,7 +143,7 @@ def cmd_disc(doc, args):
     gens, meta = disc_generators(ext, elements, block)
     return EXIT_PASS, {
         "variable_block": list(block),
-        "generators": [g.to_string() for g in gens],
+        "generators": render(gens),
         "radius_metadata": meta,
     }
 

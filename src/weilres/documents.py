@@ -24,7 +24,7 @@ from .fields import (FunctionField, GaloisField, PrimeField, RationalField,
                      _ustr)
 from .galois import GroupAction
 from .lognorm import LogNorm
-from .poly import _tokens, parse_poly
+from .poly import _tokens, parse_poly, render
 from .restriction import Presentation
 
 VERSION = "weilres/1"
@@ -311,11 +311,13 @@ def parse_presentation(record, field, extension, path):
                             provenance=provenance)
 
 
-def presentation_record(pres, render=str):
+def presentation_record(pres, generators=None):
+    """The record of a presentation; generators, when given, are the texts
+    of its generators, already rendered."""
     record = {
         "over": "extension" if isinstance(pres.base, FreeExtension) else "base",
         "variables": list(pres.variables),
-        "generators": [render(g) for g in pres.generators],
+        "generators": render(pres.generators) if generators is None else generators,
     }
     if pres.radii is not None:
         record["radii"] = [str(r) for r in pres.radii]
@@ -415,22 +417,17 @@ def load_document_text(text):
 
 def restriction_record(result):
     # the generators of a restriction are the nonzero polynomials of its
-    # coefficient index, the same objects, so each is rendered once
-    rendered = {}
-
-    def render(poly):
-        text = rendered.get(id(poly))
-        if text is None:
-            text = rendered[id(poly)] = poly.to_string()
-        return text
-
+    # coefficient index, so one render of the index gives both
+    index = result.coefficient_index
+    texts = iter(render([p for row in index for p in row]))
+    rows = [[next(texts) for _ in row] for row in index]
     return {
         "base_field": field_record(result.presentation.base),
-        "presentation": presentation_record(result.presentation, render),
+        "presentation": presentation_record(
+            result.presentation, [t for row in rows for t in row if t != "0"]),
         "coordinate_map": {v: list(block)
                            for v, block in result.coordinate_map.items()},
-        "coefficient_index": [[render(p) for p in row]
-                              for row in result.coefficient_index],
+        "coefficient_index": rows,
         # restrict records tuples of strings only
         "metadata": {key: list(values) for key, values in result.metadata.items()},
     }

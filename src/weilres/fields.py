@@ -120,30 +120,35 @@ def _needs_parens(s):
     return False
 
 
+def _joined(part):
+    """A term's text as it follows another: ' + ', or its leading '-' folded
+    into ' - '."""
+    return " - " + part[1:] if part.startswith("-") else " + " + part
+
+
 def _join_signed(parts):
     """Terms joined by ' + ', a leading '-' folded into ' - '; "0" if none."""
     if not parts:
         return "0"
-    out = parts[0]
-    for part in parts[1:]:
-        out += " - " + part[1:] if part.startswith("-") else " + " + part
-    return out
+    return parts[0] + "".join(map(_joined, parts[1:]))
+
+
+def _head(c, monomial):
+    """A term's text before its monomial, for a coefficient printed as c:
+    c, parenthesised when compound, and '*' when a monomial follows, where
+    the coefficients 1 and -1 print as '' and '-'."""
+    if not monomial:
+        return "(%s)" % c if _needs_parens(c) else c
+    if c == "1" or c == "-1":
+        return c[:-1]
+    return ("(%s)*" if _needs_parens(c) else "%s*") % c
 
 
 def _term_string(variables, exps, coeff):
     mono = "*".join(
         v if e == 1 else "%s^%d" % (v, e)
         for v, e in zip(variables, exps) if e)
-    c = str(coeff)
-    if not mono:
-        return "(%s)" % c if _needs_parens(c) else c
-    if c == "1":
-        return mono
-    if c == "-1":
-        return "-" + mono
-    if _needs_parens(c):
-        c = "(%s)" % c
-    return c + "*" + mono
+    return _head(str(coeff), mono) + mono
 
 
 def _ustr(a, symbol):

@@ -14,20 +14,23 @@ first, then the exponent vector), largest first, e.g.
     (t + 1)*u^2 + 2*u*v + x
 
 Compound coefficients are parenthesised; the same grammar is accepted back
-by parse_poly.
+by parse_poly.  render is the one renderer: Poly.to_string and
+canonical_string render one polynomial, a record renders all of its
+polynomials in one call, and the memo that formats each distinct
+coefficient once lives for that call only.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import chain, repeat, takewhile
+from itertools import chain, compress, repeat, takewhile
 from math import comb
 from operator import add, and_, lshift, mul, neg, rshift
 
 from .errors import (EnumerationBoundError, IncompatibleFieldError,
                      UnsupportedOperationError)
 from .fields import (Field, FieldElement, FunctionField, PrimeField,
-                     RationalField, _RatFunc, _join_signed, _term_string, power)
+                     RationalField, _RatFunc, _head, _joined, power)
 from .linalg import berkowitz
 from .lognorm import lognorm_max
 
@@ -254,17 +257,8 @@ class Poly:
     def __hash__(self):
         return hash(self.canonical_key())
 
-    def sorted_terms(self, order=None):
-        variables = tuple(order) if order is not None else self.variables
-        aligned = self.with_variables(variables) if variables != self.variables else self
-        keyed = sorted(aligned.terms.items(),
-                       key=lambda item: (sum(item[0]), item[0]), reverse=True)
-        return variables, keyed
-
     def to_string(self, order=None):
-        variables, keyed = self.sorted_terms(order)
-        return _join_signed([_term_string(variables, exps, coeff)
-                             for exps, coeff in keyed])
+        return render([self], order)[0]
 
     def canonical_string(self):
         return self.to_string(order=sorted(self.support()))
@@ -274,6 +268,44 @@ class Poly:
 
     def __repr__(self):
         return "Poly(%s)" % self
+
+
+def render(polys, order=None):
+    """The canonical text of each polynomial, over `order` if given, else
+    over its own variables.  Terms run down (total degree, exponents); each
+    monomial is named from its nonzero exponents, and each distinct
+    coefficient is formatted once per call, as its head joined after
+    another term, sign folded in.  The heads are memoized by domain,
+    constant-term flag and raw value, for this call only; the first term of
+    a polynomial drops its join."""
+    heads, texts = {}, []
+    order = tuple(order) if order is not None else None
+    for f in polys:
+        if order is not None:
+            f = f.with_variables(order)
+        variables, terms = f.variables, f.terms
+        if not terms:
+            texts.append("0")
+            continue
+        memo = heads.setdefault((f.domain, False), {})
+        parts = []
+        for degree, exps in sorted(zip(map(sum, terms), terms), reverse=True):
+            c = terms[exps]
+            # a field element's raw value; an algebra element keys itself
+            key = c.value if c.__class__ is FieldElement else c
+            if not degree:  # the last term
+                memo = heads.setdefault((f.domain, True), {})
+            head = memo.get(key)
+            if head is None:
+                head = memo[key] = _joined(_head(str(c), degree))
+            parts.append(head)
+            if degree:
+                parts.append("*".join([v if e == 1 else "%s^%d" % (v, e) for v, e
+                                       in compress(zip(variables, exps), exps)]))
+        head = parts[0]
+        parts[0] = head[3:] if head[1] == "+" else "-" + head[3:]
+        texts.append("".join(parts))
+    return texts
 
 
 def _check_domains(d1, d2):

@@ -21,7 +21,7 @@ from .extensions import (AlgebraElement, FreeExtension, MonicPoly,
                          table_product)
 from .fields import Field, FieldElement, canonical_embedding, power
 from .lognorm import LogNorm
-from .poly import Poly
+from .poly import Poly, render
 from .spectral import spectral_value
 
 POINT_FIELD_CAP = 100
@@ -64,7 +64,7 @@ class Presentation:
         self.provenance = provenance
 
     def generator_strings(self):
-        return tuple(g.to_string() for g in self.generators)
+        return tuple(render(self.generators))
 
     def canonical_generator_set(self):
         return frozenset(g.canonical_string() for g in self.generators)
@@ -103,7 +103,7 @@ def block_names(variable, rank):
     return tuple("%s_%d" % (variable, j + 1) for j in range(rank))
 
 
-def expand_element(f, ext, variables=None):
+def expand_element(f, ext, variables=None, powers=None):
     """Coordinates of f after substituting u -> u_1 e_1 + ... + u_n e_n.
 
     Returns a vector of rank-many polynomials over the base in the block
@@ -118,7 +118,8 @@ def expand_element(f, ext, variables=None):
     c * e^(gamma - alpha) times e^alpha by table_product on raw_structure.
     Over a minimal polynomial e_i = s^i, so e^gamma = s^w for the weighted
     degree w = sum_i i*gamma_i: c * s^w is read off the term's ladder
-    c, c*s, c*s^2, ..., each rung one generator_step.
+    c, c*s, c*s^2, ..., each rung one generator_step.  powers, when given,
+    memoizes the terms of G^e by e for every call along the same ext.
     """
     if f.domain != ext:
         raise IncompatibleFieldError("polynomial is not defined over the extension")
@@ -135,7 +136,9 @@ def expand_element(f, ext, variables=None):
     else:
         step = generator_step(base, m.dense_coefficients())
 
-    basis, powers = {}, {}
+    basis = {}
+    if powers is None:
+        powers = {}
 
     def power_terms(e):  # (alpha, multinomial(e; alpha), e^alpha or its weight)
         if e not in powers:
@@ -226,7 +229,8 @@ def restrict(p, ext):
         raise TypeError("restriction needs a free extension")
     if p.base != ext:
         raise IncompatibleFieldError("presentation is not defined over the extension")
-    return _restriction(p, ext, [expand_element(f, ext, p.variables)
+    powers = {}
+    return _restriction(p, ext, [expand_element(f, ext, p.variables, powers)
                                  for f in p.generators])
 
 

@@ -7,7 +7,7 @@ from weilres import (FunctionField, Poly, PrimeField, RationalField,
                      base_change, from_minimal_polynomial, lognorm_max,
                      parse_poly)
 from weilres.extensions import AlgebraElement, MonicPoly, mult_matrix
-from weilres.fields import Field, _udivmod, power
+from weilres.fields import Field, _needs_parens, _udivmod, power
 from weilres.errors import UnsupportedOperationError
 from weilres.linalg import berkowitz_charpoly, mat_identity, mat_is_zero, mat_mul
 from weilres.poly import PARSE_DEPTH_BOUND, _check_power
@@ -84,6 +84,40 @@ def naive_expand_element(f, ext, variables=None):
                 term = term * images[v] ** e
         acc = acc + term
     return tuple(c.with_variables(all_blocks) for c in acc.coords)
+
+
+def reference_to_string(poly, order=None):
+    """Reference for poly.render: Poly.to_string before render, the terms
+    sorted by a (total degree, exponents) key, each printed by the former
+    fields._term_string rules and joined by the former += loop of
+    fields._join_signed."""
+    variables = tuple(order) if order is not None else poly.variables
+    aligned = poly.with_variables(variables)
+    keyed = sorted(aligned.terms.items(),
+                   key=lambda item: (sum(item[0]), item[0]), reverse=True)
+    parts = [_reference_term_string(variables, exps, coeff) for exps, coeff in keyed]
+    if not parts:
+        return "0"
+    out = parts[0]
+    for part in parts[1:]:
+        out += " - " + part[1:] if part.startswith("-") else " + " + part
+    return out
+
+
+def _reference_term_string(variables, exps, coeff):
+    mono = "*".join(
+        v if e == 1 else "%s^%d" % (v, e)
+        for v, e in zip(variables, exps) if e)
+    c = str(coeff)
+    if not mono:
+        return "(%s)" % c if _needs_parens(c) else c
+    if c == "1":
+        return mono
+    if c == "-1":
+        return "-" + mono
+    if _needs_parens(c):
+        c = "(%s)" % c
+    return c + "*" + mono
 
 
 def generic_sum_of_products(pairs):

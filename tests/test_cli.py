@@ -521,7 +521,9 @@ def test_example26_reads_an_integer_or_string_threshold(tmp_path, capsys, thresh
 # denominators other than a power of x, (x + 1)^3*(x^2 + x + 1) at rank 6 over
 # F_2(x) and x^2 + 1 and (x + 1)*(x^2 + 1) on the F_3(x) tower t^9 - x; they
 # were recorded with the unscaling that stripped a squarefree factor base of
-# the denominator from each numerator.
+# the denominator from each numerator.  The rank-3 one over Q_3 prints every
+# head form of a term: ' - ' joins, -c/d* heads and the bare 1 and -1; it was
+# recorded with Poly.to_string, before poly.render.
 DISC_GUARDS = {
     "disc_t_over_x_rank10.json":
         "accde375d158438485ad8044b82fc769083b65c5875fadd191d90741c0142a86",
@@ -539,6 +541,8 @@ DISC_GUARDS = {
         "bcb17a7769aa98fc00eb77ff150bc75b7dbdd30831af3e87858228f5011d5265",
     "disc_radical_f3_rank9.json":
         "5d060df0f7c3621097de80d3460f583c04127616abe4bde3a897864635036188",
+    "disc_q3_heads_rank3.json":
+        "899ee09738521ae0691f874c2f86c9623c963aec6835ad1669df524c9a58096d",
 }
 
 
