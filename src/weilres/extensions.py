@@ -31,7 +31,7 @@ import itertools
 import math
 
 from .errors import IncompatibleFieldError, UnsupportedOperationError
-from .fields import (FieldElement, _join_signed, _needs_parens, _term_string,
+from .fields import (FieldElement, _head, _join_signed, _needs_parens,
                      canonical_embedding, power)
 from .lognorm import LogNorm
 from .linalg import (berkowitz, berkowitz_charpoly, mat_identity, mat_is_zero,
@@ -623,10 +623,11 @@ class MonicPoly:
         return hash((self.ring, self.coefficients))
 
     def to_string(self, var="z"):
-        n = self.degree
-        return _join_signed([_term_string((var,), (n,), 1)] + [
-            _term_string((var,), (n - i,), c)
-            for i, c in enumerate(self.coefficients, start=1) if not c.is_zero()])
+        monos = [var if d == 1 else "%s^%d" % (var, d) if d else ""
+                 for d in range(self.degree, -1, -1)]
+        return _join_signed([monos[0]] + [
+            _head(str(c), m) + m
+            for c, m in zip(self.coefficients, monos[1:]) if not c.is_zero()])
 
     def __str__(self):
         return self.to_string()

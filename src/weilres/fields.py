@@ -144,17 +144,13 @@ def _head(c, monomial):
     return ("(%s)*" if _needs_parens(c) else "%s*") % c
 
 
-def _term_string(variables, exps, coeff):
-    mono = "*".join(
-        v if e == 1 else "%s^%d" % (v, e)
-        for v, e in zip(variables, exps) if e)
-    return _head(str(coeff), mono) + mono
-
-
 def _ustr(a, symbol):
-    """Canonical string, descending degree, e.g. 'x^2 + 2*x + 1'."""
-    return _join_signed([_term_string((symbol,), (d,), a[d])
-                         for d in range(len(a) - 1, -1, -1) if a[d]])
+    """Canonical string, descending degree, e.g. 'x^2 + 2*x + 1'.  Every
+    coefficient is a residue in 1..p-1, so no term takes a sign."""
+    return " + ".join(
+        str(c) if d == 0 else
+        ("" if c == 1 else "%d*" % c) + (symbol if d == 1 else "%s^%d" % (symbol, d))
+        for d, c in reversed(list(enumerate(a))) if c) or "0"
 
 
 def _is_irreducible(coeffs, p):

@@ -89,7 +89,10 @@ class LogNorm:
         text = text.strip()
         if text == "-inf":
             return MINUS_INF
-        return LogNorm(Fraction(text))
+        try:
+            return LogNorm(Fraction(text))
+        except ZeroDivisionError:
+            raise ValueError("rational %r has denominator 0" % text) from None
 
 
 MINUS_INF = LogNorm(None)

@@ -1,4 +1,3 @@
-import hashlib
 import json
 import pathlib
 
@@ -342,97 +341,6 @@ def test_unwritable_output_is_input_error(tmp_path, capsys):
     assert err.startswith("input error: cannot write ") and err.count("\n") == 1, err
 
 
-def test_sphere_document_point_count(capsys):
-    # a^2 + ... + e^2 = 1 over F_9: for a nondegenerate quadratic form Q in
-    # an odd number n of variables, Q = c has q^(n-1) + q^((n-1)/2) *
-    # eta((-1)^((n-1)/2) * c * det Q) solutions (Lidl and Niederreiter,
-    # Finite Fields, Thm. 6.27); here eta(1) = 1, so 9^4 + 9^2
-    path = pathlib.Path(__file__).parent / "sphere_f9.json"
-    code, out, _ = run(capsys, ["points", "sphere", "--input", str(path)])
-    assert code == 0
-    record = json.loads(out)
-    assert record["count"] == 9 ** 4 + 9 ** 2 == 6642
-    assert len(set(map(tuple, record["points"]))) == 6642
-
-
-@pytest.mark.parametrize("name,count", [
-    # 3 variables over F_27: 27^2 + 27 * eta(-1) by the same theorem, and
-    # -1 is not a square since 27 = 3 mod 4; odd p with m = 3 sums three
-    # base-3 digits: 27^2 - 27
-    ("sphere_f27.json", 702),
-    # 4 variables over F_16: in characteristic 2 the sum of the squares is
-    # the square of the sum, so the sphere is the plane a + b + c + d = 1;
-    # p = 2 sums four base-2 digits, each its own negative: 16^3
-    ("sphere_f16.json", 4096),
-])
-def test_sphere_counts_on_the_packed_zero_tests(capsys, name, count):
-    # both counts are also those of conftest.dense_points on the documents
-    path = pathlib.Path(__file__).parent / name
-    code, out, _ = run(capsys, ["points", "sphere", "--input", str(path)])
-    assert code == 0
-    record = json.loads(out)
-    assert record["count"] == count
-    assert len(set(map(tuple, record["points"]))) == count
-
-
-# SHA-256 of the points of the dual numbers F_3[t]/(t^2), a domain with zero
-# divisors (no primitive element), recorded when every generator was
-# compiled by element arithmetic
-DUAL_POINTS = "2aea2cd589962056611d23164150623d8494c0c5e23c18f0c023e97c26d70768"
-
-
-def test_points_over_dual_numbers_digest(capsys):
-    path = pathlib.Path(__file__).parent / "points_dual_f3.json"
-    code, out, _ = run(capsys, ["points", "dual", "--field", "extension",
-                                "--input", str(path)])
-    assert code == 0
-    assert json.loads(out)["count"] == 126
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DUAL_POINTS
-
-
-# SHA-256 of the points of a rank-2 extension of the GaloisField F_4,
-# F_4[s]/(s^2 + s + w), 16 elements whose indices carry the F_2 digits of
-# the F_2 coordinates of each F_4 coordinate; recorded when the oracle
-# summed values as packed F_p coordinates.  The 262 points are also those
-# of conftest.dense_points on the document.
-EXT_F4_POINTS = "ec808874e830f4b45ee108f2c6b82e7218e2be7661c6024db6a07aa8dc385dff"
-
-
-def test_points_over_an_extension_of_a_galois_field_digest(capsys):
-    path = pathlib.Path(__file__).parent / "points_ext_f4.json"
-    code, out, _ = run(capsys, ["points", "quartic", "--field", "extension",
-                                "--input", str(path)])
-    assert code == 0
-    assert json.loads(out)["count"] == 262
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == EXT_F4_POINTS
-
-
-# SHA-256 and count of the points of one generator with mixed terms, a^3*b^2
-# and the like, over a field and over F_3[t]/(t^4), a ring with zero
-# divisors; recorded when the oracle multiplied by discrete logs over the
-# field and by element products over the ring.  The counts are also those of
-# conftest.dense_points on each document.
-MIXED_POINTS = {
-    "points_mixed_f97.json": (
-        "base", 98,
-        "f30485adb2f34c28a5d847be20b18dd59d75894b4dd74a2085750e1083fb71fe"),
-    "points_mixed_f3_t4.json": (
-        "extension", 54,
-        "fac74a69b710d44e6796989adccbb9eecf9fa21d6b4337644c4eaab6cd55af2a"),
-}
-
-
-@pytest.mark.parametrize("name", sorted(MIXED_POINTS))
-def test_points_over_mixed_terms_digest(capsys, name):
-    field, count, digest = MIXED_POINTS[name]
-    path = pathlib.Path(__file__).parent / name
-    code, out, _ = run(capsys, ["points", "mixed", "--field", field,
-                                "--input", str(path)])
-    assert code == 0
-    assert json.loads(out)["count"] == count
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
-
-
 def test_rank_cap_is_checked_before_the_power_table(capsys, monkeypatch):
     # t^1000 + t + 1 is refused before from_minimal_polynomial builds any of
     # its 1,999 power vectors (8.5 s of work when the cap came after them):
@@ -508,140 +416,21 @@ def test_example26_reads_an_integer_or_string_threshold(tmp_path, capsys, thresh
     assert {row["status"] for row in rows} == {"pass"}
 
 
-# SHA-256 of the disc output of documents past the benchmark's ranks or
-# primes, so that the packed kernel's output stays byte-identical there too.
-# The two over F_2(x) were recorded with the generic F_p(x) products, before
-# the kernel; they reduce slots by the F_2 mask.  The F_3(x) and F_1009(x)
-# ones were recorded with the generic reduction of the kernel's sums of
-# products; they reduce slots by residue tables and slot by slot.  The
-# radical towers t^12 - x and t^16 - x take the inseparable tower: rank 12
-# was recorded with plain Berkowitz at rank 12 (about 30 s), and rank 16,
-# which that does not finish, after its generic charpoly matched plain
-# Berkowitz at a point (tests/test_tower.py).  The last two have radius
-# denominators other than a power of x, (x + 1)^3*(x^2 + x + 1) at rank 6 over
-# F_2(x) and x^2 + 1 and (x + 1)*(x^2 + 1) on the F_3(x) tower t^9 - x; they
-# were recorded with the unscaling that stripped a squarefree factor base of
-# the denominator from each numerator.  The rank-3 one over Q_3 prints every
-# head form of a term: ' - ' joins, -c/d* heads and the bare 1 and -1; it was
-# recorded with Poly.to_string, before poly.render.
-DISC_GUARDS = {
-    "disc_t_over_x_rank10.json":
-        "accde375d158438485ad8044b82fc769083b65c5875fadd191d90741c0142a86",
-    "disc_one_plus_xt_rank8.json":
-        "f6296be7171d017cd51fa315bf00042654a5e7049e66c2532a3ca37309d9cec5",
-    "disc_xt_f3_rank7.json":
-        "81a5700c48aee4eebd6dd335d0e8997d98173231c98fe4586ad55dfdaa018d42",
-    "disc_tx_f1009_rank6.json":
-        "2a8a92630b4b7a9d05ecdf6ad08133991eb1bfff5993cff97248b1ca5dafcf0c",
-    "disc_radical_rank12.json":
-        "7198b978e6ffa240158b86de881d1361f895687e3788f44e0d3f8b7acab87dd4",
-    "disc_radical_rank16.json":
-        "3977ee9f4e2169ff2f9ea07a070422afbf36246af78ae3c687f628832f975bbb",
-    "disc_factored_den_f2_rank6.json":
-        "bcb17a7769aa98fc00eb77ff150bc75b7dbdd30831af3e87858228f5011d5265",
-    "disc_radical_f3_rank9.json":
-        "5d060df0f7c3621097de80d3460f583c04127616abe4bde3a897864635036188",
-    "disc_q3_heads_rank3.json":
-        "899ee09738521ae0691f874c2f86c9623c963aec6835ad1669df524c9a58096d",
-}
-
-
-@pytest.mark.parametrize("name", sorted(DISC_GUARDS))
-def test_disc_guard_document_digest(capsys, name):
-    path = pathlib.Path(__file__).parent / name
-    code, out, _ = run(capsys, ["disc", "--input", str(path)])
-    assert code == 0
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DISC_GUARDS[name]
-
-
-# SHA-256 of the restrict output of documents whose powers have many base-p
-# digits, over F_3 and F_4 and over Q where every multinomial coefficient
-# counts, recorded with the square-and-multiply expansion, of mixed terms
-# in three variables over a written-out rank-6 tensor table over F_3,
-# recorded with the expansion through algebra products, and of u - x^600*t
-# along t^10 - x over F_2(x), recorded from the form u - x^300*x^300*t when
-# the power of a base scalar was still bounded over the extension, and of
-# terms of weighted degree up to 49 with denominators along the rank-8
-# t^8 + t^3/x + x*t + 1 over F_3(x), recorded with c * e^gamma by table
-# products.
-RESTRICT_GUARDS = {
-    "restrict_base_scalar_power_f2.json":
-        "ffba3060d5bbebda804a6cfe9e2243e8e249a478287ff59fe96290a6faa5ca0b",
-    "restrict_lucas_f3.json":
-        "45c0c8902ea82082d965c753d411939a3aa919209ce1e1329fe26a2044c21684",
-    "restrict_multinomial_q.json":
-        "bdb87099c387733c0a101c219d88eef90c1f0ddfb3cb776d1f3f03e4b9216aaa",
-    "restrict_lucas_f4.json":
-        "e5fc1aac5b939a2842a7fe5345e805143c87615f702542292a2758843d60b574",
-    "restrict_tensor_mixed_f3.json":
-        "55bb75b3d275050da3fe02e26104616b4f2de20cf983224b076b655d55ed9ae0",
-    "restrict_weight_ladder_f3x.json":
-        "0e303fd807e035e3a72304645b1ca26d1355a76e05670a41dd80cf0d458625cb",
-}
-
-
-@pytest.mark.parametrize("name", sorted(RESTRICT_GUARDS))
-def test_restrict_guard_document_digest(capsys, name):
-    path = pathlib.Path(__file__).parent / name
-    code, out, _ = run(capsys, ["restrict", "X", "--input", str(path)])
-    assert code == 0
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == RESTRICT_GUARDS[name]
-
-
-# SHA-256 of the charpoly and spectral output over Q_3, t^4 + t^2/3 - 9*t/2 + 6
-# (denominators in the structure constants), and over the written-out rank-9
-# self-tensor of t^3 - x over F_3(x), the shape of example26's witness,
-# recorded with Berkowitz on FieldElement entries.
-SPECTRAL_GUARDS = {
-    ("charpoly", "spectral_tensor_f3x_rank9.json", "(e2 - e4)/x^2 + e5/(x + 1) + x*e9 + 1"):
-        "f792a5de390b0cf0e6d67d9de75080616af2ef9396dba2193870dee624552ccd",
-    ("spectral", "spectral_tensor_f3x_rank9.json", "(e2 - e4)/x^2 + e5/(x + 1) + x*e9 + 1"):
-        "532a04482d92363d6c445911f7bc58fe2a7a55ae95f59bfe2ede1080cd7ec917",
-    ("spectral", "spectral_tensor_f3x_rank9.json", "(e2 - e4)/x^2"):
-        "85cded1bf55f55bcb9a13f49e15532510022af7425f3e166c1dd0223bbff4d80",
-    ("charpoly", "spectral_q3_rank4.json", "t^3/9 + 2*t/5 - 1"):
-        "70f85beb2a9b9ffd287ddb91778d93ecbfc2c8185f196466d2bacb3eb4ac2acf",
-    ("spectral", "spectral_q3_rank4.json", "t^3/9 + 2*t/5 - 1"):
-        "0a0aaa0de4d1a72fc5c86994b287caeca8f937d93e9c8662a69bce01a3de6c77",
-}
-
-
-@pytest.mark.parametrize("command, name, element", sorted(SPECTRAL_GUARDS))
-def test_spectral_guard_document_digest(capsys, command, name, element):
-    path = pathlib.Path(__file__).parent / name
-    code, out, _ = run(capsys, [command, element, "--input", str(path)])
-    assert code == 0
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
-        SPECTRAL_GUARDS[command, name, element]
-
-
-# SHA-256 of the verify records of sigma and rho at seeds 1 and 2 and of
-# example26 (which takes no seed) at thresholds 3 and 1/2, over the
-# function_doc field F_2(x), recorded with MonicPoly products normalised
-# coefficient by coefficient and scalar charpolys on FieldElement entries.
-VERIFY_GUARDS = {
-    ("sigma", "--seed", "1"):
-        "0b4bf115de6cbd3d5d5f492b05dae4cb3fd7ad9667260128696d0f68807928b8",
-    ("sigma", "--seed", "2"):
-        "a60ee88aa901b08949d541ead8b51e62eb55f5980eadf04e66148612e3a4dc7b",
-    ("rho", "--seed", "1"):
-        "64ede1aa1f6c3e08a70cbed4126e15e9678fa7e6c60c605ce3a67107dbbe6b7d",
-    ("rho", "--seed", "2"):
-        "13291f263a36674548d876ac26cdd234f589fb618b8e89bdadb3b782e039176c",
-    ("example26", "--threshold", "3"):
-        "f9ef46e3ef0dfe870f3de749ad0de6526fc2849a97f9560a93729b5144f36e3e",
-    ("example26", "--threshold", "1/2"):
-        "59a3699f39c48fc9cb95e0aae57b0e59f454384a69a1487fbc2cca0668d2e2ea",
-}
-
-
-@pytest.mark.parametrize("suite, flag, value", sorted(VERIFY_GUARDS))
-def test_verify_record_digest(tmp_path, capsys, suite, flag, value):
-    path = write_doc(tmp_path, function_doc())
-    code, out, _ = run(capsys, ["verify", "--suite", suite, "--input", path, flag, value])
-    assert code == 0
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
-        VERIFY_GUARDS[suite, flag, value]
+@pytest.mark.parametrize("edit, argv, where", [
+    (lambda d: d["options"].update(threshold="1/0"),
+     ["verify", "--suite", "example26"], "options.threshold"),
+    (lambda d: d.update(presentations={"X": {
+        "over": "extension", "variables": ["u"], "generators": ["u - t"],
+        "radii": ["1/0"]}}), ["restrict", "X"], "presentations.X"),
+], ids=["threshold", "radii"])
+def test_a_zero_denominator_is_named(tmp_path, capsys, edit, argv, where):
+    """Fraction raises ZeroDivisionError on '1/0'; the refusal names the
+    text, as the guard entry verify_threshold_zero_denominator pins for the
+    --threshold flag."""
+    data = function_doc()
+    edit(data)
+    assert run(capsys, argv + ["--input", write_doc(tmp_path, data)]) == (
+        2, "", "input error: %s: rational '1/0' has denominator 0\n" % where)
 
 
 def test_base_scalar_power_is_bounded_over_the_base(tmp_path, capsys):
@@ -1081,13 +870,6 @@ def test_booleans_are_not_scalars(tmp_path, capsys, make, edit, argv, message):
     assert (code, out, err) == (2, "", "input error: %s\n" % message)
 
 
-def test_raw_basis_int_labels_guard_document(capsys):
-    path = str(pathlib.Path(__file__).parent / "raw_basis_int_labels.json")
-    code, out, err = run(capsys, ["charpoly", "2", "--input", path])
-    assert (code, out, err) == (
-        2, "", "input error: " + BASIS + "[0] must be an identifier\n")
-
-
 def _edited(edit):
     """The golden document with edit applied to it."""
     def make():
@@ -1111,21 +893,6 @@ def _edited(edit):
 def test_commands_refuse_what_the_document_lacks(tmp_path, capsys, make, argv, message):
     path = write_doc(tmp_path, make())
     assert run(capsys, argv + ["--input", path]) == (2, "", "input error: %s\n" % message)
-
-
-def test_galois_modulus_array_reads_as_its_string(capsys):
-    # [2, 1, 1] is t^2 + t + 2: coefficients in ascending degree, the leading
-    # 1 last.  u^2 + v^2 + w^2 = t has 9^2 + 9 * eta(-t) points over F_9
-    # (Lidl and Niederreiter, Finite Fields, Thm. 6.27), 72 as the norm 2 of
-    # -t is no square in F_3
-    outs = []
-    for name in ("points_galois_array_f9.json", "points_galois_string_f9.json"):
-        path = pathlib.Path(__file__).parent / name
-        code, out, _ = run(capsys, ["points", "sphere", "--input", str(path)])
-        assert code == 0
-        outs.append(out)
-    assert outs[0] == outs[1]
-    assert json.loads(outs[0])["count"] == 72
 
 
 @pytest.mark.parametrize("make, edit, message", [
@@ -1183,17 +950,3 @@ def test_fixed_points_names_the_first_failed_action_check(tmp_path, capsys, edit
     assert (code, out) == (2, "")
     assert err.startswith("input error: invalid action: %s" % first), err
     assert err.count("\n") == 1, err
-
-
-@pytest.mark.parametrize("name, argv, message", [
-    ("field_kind_unknown.json", ["charpoly", "2"],
-     "field: unknown field kind 'quaternion'"),
-    ("extension_rank_disagrees.json", ["charpoly", "2"],
-     "extension: rank disagrees with the basis length"),
-    ("action_table_not_followed.json", ["fixed-points", "conic"],
-     "invalid action: matrices of frob and frob do not compose per the table"),
-])
-def test_refused_guard_documents(capsys, name, argv, message):
-    path = str(pathlib.Path(__file__).parent / name)
-    assert run(capsys, argv + ["--input", path]) == (
-        2, "", "input error: %s\n" % message)

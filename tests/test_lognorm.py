@@ -63,5 +63,7 @@ def test_max_and_parse():
     assert lognorm_max([MINUS_INF, LogNorm(-2), LogNorm(1)]) == LogNorm(1)
     assert LogNorm.parse("-inf") == MINUS_INF
     assert LogNorm.parse("7/2") == LogNorm(Fraction(7, 2))
+    with pytest.raises(ValueError, match="rational '1/0' has denominator 0"):
+        LogNorm.parse(" 1/0 ")
     assert str(MINUS_INF) == "-inf"
     assert str(LogNorm(Fraction(-1, 2))) == "-1/2"

@@ -1,5 +1,6 @@
 """poly.render, the one renderer of polynomial records, against the renderer
-it replaced (conftest.reference_to_string), poly for poly."""
+it replaced (conftest.reference_to_string), poly for poly; and
+MonicPoly.to_string against the same term rules."""
 
 import random
 from fractions import Fraction
@@ -9,8 +10,9 @@ from hypothesis import strategies as st
 
 from weilres import (FunctionField, GaloisField, Poly, PrimeField, RationalField,
                      from_minimal_polynomial, parse_poly)
+from weilres.extensions import MonicPoly
 from weilres.fields import FieldElement, _join_signed
-from weilres.poly import render
+from weilres.poly import PolyRing, render
 
 from conftest import reference_to_string
 
@@ -112,3 +114,20 @@ def test_join_signed_matches_former_loop(parts):
         for part in parts[1:]:
             want += " - " + part[1:] if part.startswith("-") else " + " + part
     assert _join_signed(parts) == want
+
+
+@SETTINGS
+@given(st.sampled_from(DOMAINS), st.booleans(), st.data())
+def test_monic_to_string_matches_reference(domain, symbolic, data):
+    """z^n + c_1 z^(n-1) + ... + c_n prints as the polynomial in z of its
+    leading 1 and nonzero coefficients; coefficients are scalars, zero among
+    them, or polynomials, as in symbolic characteristic polynomials."""
+    ring = PolyRing(domain) if symbolic else domain
+    draw = polys(domain) if symbolic else st.one_of(
+        st.just(domain.zero()), coefficients(domain))
+    cs = data.draw(st.lists(draw, min_size=1, max_size=5))
+    n = len(cs)
+    terms = {(n - i,): c for i, c in enumerate(cs, start=1) if not c.is_zero()}
+    terms[(n,)] = ring.one()
+    want = reference_to_string(Poly(ring, ("z",), terms))
+    assert MonicPoly(ring, cs).to_string() == want
